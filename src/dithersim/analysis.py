@@ -33,7 +33,7 @@ from .dynamics import (
     lie_bracket_loop,
     lie_bracket_rhs,
 )
-from .integrate import Method, Trajectory, simulate
+from .integrate import Method, Trajectory, _write_csv, simulate
 
 __all__ = [
     "LyapunovParams",
@@ -157,10 +157,7 @@ def approximation_sweep(
 
 def sweep_to_csv(results: Sequence[tuple[float, float]], path: str | Path) -> None:
     """Write sweep results as CSV with header omega,error."""
-    lines = ["omega,error"]
-    for w, err in results:
-        lines.append(f"{float(w)!r},{float(err)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("omega", "error"), [[w for w, _ in results], [e for _, e in results]])
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
+from .dynamics import _LAWS, ControllerVariant, _averaged_loop
+
 __all__ = [
     "DitherSignal",
     "AffineSystem",
@@ -94,6 +96,31 @@ class AffineSystem:
             )
 
 
+def _design_system(p, law) -> AffineSystem:
+    """Split the closed loop of a dithered table law into drift and fields.
+
+    The drift is the y-rate of the averaged field, the plant under the
+    dither-free input -k*y. The fields are the law's input at unit sine
+    dither, fed through b, and its gain rate at unit cosine dither; these
+    dither coefficients depend on y only, so they are taken at k = 0. The
+    fields evaluate on Python floats, where the arithmetic is the same as
+    on numpy scalars but several times faster.
+    """
+    b = p.b
+    averaged = _averaged_loop(p.a, b)
+
+    def drift(x: np.ndarray, t: float) -> np.ndarray:
+        return np.array([averaged(x.tolist(), t)[0], 0.0])
+
+    def f_sin(x: np.ndarray, t: float) -> np.ndarray:
+        return np.array([b * law(x.item(0), 0.0, 1.0, 1.0, 0.0)[0], 0.0])
+
+    def f_cos(x: np.ndarray, t: float) -> np.ndarray:
+        return np.array([0.0, law(x.item(0), 0.0, 1.0, 0.0, 1.0)[1]])
+
+    return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
+
+
 def proposed_design_system(p) -> AffineSystem:
     """Primary dither design rearranged into drift + dither-modulated fields.
 
@@ -101,34 +128,12 @@ def proposed_design_system(p) -> AffineSystem:
     dither. Both amplitude exponents are 1/2, so the pair's interaction
     coefficient is frequency-independent.
     """
-    a, b = p.a, p.b
-
-    def drift(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([(a - b * x[1]) * x[0], 0.0])
-
-    def f_sin(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([-b * x[0], 0.0])
-
-    def f_cos(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([0.0, x[0] * x[0]])
-
-    return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
+    return _design_system(p, _LAWS[ControllerVariant.PROPOSED])
 
 
 def swapped_design_system(p) -> AffineSystem:
     """Role-swapped design: quadratic field on the input channel, linear on the gain."""
-    a, b = p.a, p.b
-
-    def drift(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([(a - b * x[1]) * x[0], 0.0])
-
-    def f_sin(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([-2.0 * b * x[0] * x[0], 0.0])
-
-    def f_cos(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([0.0, x[0]])
-
-    return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
+    return _design_system(p, _LAWS[ControllerVariant.SWAPPED])
 
 
 # -- interaction coefficients -------------------------------------------------
@@ -167,28 +172,36 @@ def gamma_coefficient(
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
-    L = _common_period_multiple([ui.freq, uj.freq])
-    T = 2.0 * math.pi * float(L) / omega
-    n = panels_per_period * max(1, math.ceil(L))
-    if n % 4:
-        n += 4 - n % 4
-
-    def _integral(npanels: int) -> float:
-        theta = np.linspace(0.0, T, npanels + 1)
-        dth = T / npanels
-        inner = np.asarray(ui.fn(float(ui.freq) * omega * theta), dtype=float)
-        anti = cumulative_simpson(inner, dx=dth, initial=0.0)
-        outer = np.asarray(uj.fn(float(uj.freq) * omega * theta), dtype=float)
-        return float(simpson(outer * anti, dx=dth))
-
-    full = _integral(n)
-    half = _integral(n // 2)
+    T, full = _interaction_integral(ui, uj, omega, panels_per_period)
+    _, half = _interaction_integral(ui, uj, omega, panels_per_period, coarsen=2)
     err = abs(full - half) / 15.0
     if err > tol * max(1.0, abs(full)):
         raise QuadratureError(
             f"gamma_coefficient: estimated relative error {err:.3e} exceeds {tol:.1e}"
         )
     return omega ** (ui.exponent + uj.exponent) / T * full
+
+
+def _interaction_integral(
+    ui: DitherSignal, uj: DitherSignal, omega: float, panels_per_period: int, coarsen: int = 1
+) -> tuple[float, float]:
+    """Common period T of the pair at frequency omega and the raw integral
+    int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth over it.
+
+    The panel count is panels_per_period per common period, rounded up to
+    a multiple of 4 and then divided by coarsen.
+    """
+    L = _common_period_multiple([ui.freq, uj.freq])
+    T = 2.0 * math.pi * float(L) / omega
+    n = panels_per_period * max(1, math.ceil(L))
+    if n % 4:
+        n += 4 - n % 4
+    n //= coarsen
+    theta = np.linspace(0.0, T, n + 1)
+    inner = np.asarray(ui.fn(float(ui.freq) * omega * theta), dtype=float)
+    anti = cumulative_simpson(inner, dx=T / n, initial=0.0)
+    outer = np.asarray(uj.fn(float(uj.freq) * omega * theta), dtype=float)
+    return T, float(simpson(outer * anti, dx=T / n))
 
 
 # -- finite-difference geometry ----------------------------------------------
@@ -474,14 +487,7 @@ def check_assumptions(
                 entry["satisfied"] = True
                 entry["reason"] = "vacuous"
             else:
-                L = _common_period_multiple([sys.dithers[i].freq, sys.dithers[j].freq])
-                T = 2.0 * math.pi * float(L)
-                npan = 4096 * max(1, math.ceil(L))
-                theta = np.linspace(0.0, T, npan + 1)
-                inner = np.asarray(sys.dithers[i].fn(float(sys.dithers[i].freq) * theta), float)
-                anti = cumulative_simpson(inner, dx=T / npan, initial=0.0)
-                outer = np.asarray(sys.dithers[j].fn(float(sys.dithers[j].freq) * theta), float)
-                raw = float(simpson(outer * anti, dx=T / npan))
+                _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
                 bracket_sup = max(
                     float(np.linalg.norm(lie_bracket(sys.fields[i], sys.fields[j], x, 0.0)))
                     for x in coarse

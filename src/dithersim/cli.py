@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +32,7 @@ from .averaging import (
     DitherSignal,
     check_assumptions,
     proposed_design_system,
+    swapped_design_system,
 )
 from .dynamics import (
     ControllerSpec,
@@ -43,7 +43,7 @@ from .dynamics import (
     lie_bracket_loop,
     s_cos_s,
 )
-from .integrate import Method, Trajectory, chen_fliess_simulate, simulate
+from .integrate import Method, Trajectory, _write_csv, chen_fliess_simulate, simulate
 
 __all__ = ["ConfigError", "PRESETS", "main"]
 
@@ -186,18 +186,23 @@ def _controller_spec(cfg: dict, name: str, where: str) -> ControllerSpec:
     if variant in (ControllerVariant.PROPOSED, ControllerVariant.SWAPPED):
         omega = _num(sec, "controller", "omega", positive=True)
     elif variant is ControllerVariant.NUSSBAUM:
-        shape = _get(sec, "controller", "nussbaum", "s_cos_s")
-        if shape not in NUSSBAUM_SHAPES:
-            known = ", ".join(sorted(NUSSBAUM_SHAPES))
-            raise ConfigError(
-                "controller.nussbaum", f"unknown shape {shape!r} (expected one of: {known})"
-            )
-        nussbaum_fn = NUSSBAUM_SHAPES[shape]
+        nussbaum_fn = NUSSBAUM_SHAPES[_nussbaum_shape(sec, "controller", "nussbaum")]
     elif variant is ControllerVariant.WILLEMS_BYRNES:
         sign_b = _int(sec, "controller", "sign_b")
         if sign_b not in (-1, 1):
             raise ConfigError("controller.sign_b", "must be -1 or 1")
     return ControllerSpec(variant, omega=omega, nussbaum_fn=nussbaum_fn, sign_b=sign_b)
+
+
+def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
+    """Name of a known gain shape read from sec[key], default s_cos_s."""
+    shape = str(_get(sec, secname, key, "s_cos_s"))
+    if shape not in NUSSBAUM_SHAPES:
+        known = ", ".join(sorted(NUSSBAUM_SHAPES))
+        raise ConfigError(
+            f"{secname}.{key}", f"unknown shape {shape!r} (expected one of: {known})"
+        )
+    return shape
 
 
 def _paper_step(spec: ControllerSpec) -> float:
@@ -322,14 +327,6 @@ def _run_lbs(plant: PlantParams, s0: State, t0: float, t_f: float) -> Trajectory
     )
 
 
-def _map_ordered(fn: Callable, jobs: list[tuple]) -> list:
-    """Run independent jobs concurrently, results in submission order."""
-    if len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as ex:
-        return list(ex.map(lambda job: fn(*job), jobs))
-
-
 def _announce(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -357,13 +354,8 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     with_lbs = with_lbs_cfg or bool(getattr(args, "with_lbs", False))
     initials = _parse_initial(cfg, args.seed)
 
-    jobs = [(plant, spec, name, s0, t0, t_f, h, method) for s0 in initials]
-    trajs = _map_ordered(_run_controller, jobs)
-    lbs_trajs = (
-        _map_ordered(_run_lbs, [(plant, s0, t0, t_f) for s0 in initials])
-        if with_lbs
-        else []
-    )
+    trajs = [_run_controller(plant, spec, name, s0, t0, t_f, h, method) for s0 in initials]
+    lbs_trajs = [_run_lbs(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
 
     multi = len(initials) > 1
     for i, traj in enumerate(trajs):
@@ -404,11 +396,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     s0 = _single_initial(cfg, args.seed, "compare")
 
     steps = [_paper_step(spec) for spec in specs]
-    jobs = [
-        (plant, spec, str(name), s0, t0, t_f, h, method)
+    trajs = [
+        _run_controller(plant, spec, str(name), s0, t0, t_f, h, method)
         for spec, name, h in zip(specs, variants, steps)
     ]
-    trajs = _map_ordered(_run_controller, jobs)
     lbs = _run_lbs(plant, s0, t0, t_f) if with_lbs else None
 
     base = trajs[int(np.argmax(steps))].times
@@ -418,28 +409,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if lbs is not None:
         columns.append(("y_lbs", _nearest_resample(lbs, base, t0, LBS_REFERENCE_STEP)))
 
-    lines = [",".join(name for name, _ in columns)]
-    for i in range(len(base)):
-        lines.append(",".join(repr(float(col[i])) for _, col in columns))
-    csv_path = out / "compare.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    _announce(csv_path)
+    names, arrays = zip(*columns)
+    _announce(_write_csv(out / "compare.csv", names, arrays))
 
-    runs = []
-    for name, traj in zip(variants, trajs):
-        runs.append(
-            {
-                **traj.meta,
-                "status": traj.status,
-                "failure_step": traj.failure_step,
-                "n_samples": len(traj),
-            }
-        )
-    if lbs is not None:
-        runs.append(
-            {**lbs.meta, "status": lbs.status, "failure_step": lbs.failure_step,
-             "n_samples": len(lbs)}
-        )
+    runs = [traj.record for traj in [*trajs, lbs] if traj is not None]
     meta_path = out / "compare.json"
     _write_json({"t0": t0, "tf": t_f, "runs": runs}, meta_path)
     _announce(meta_path)
@@ -471,6 +444,21 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     return 0
 
 
+def _audited_system(cfg: dict, plant: PlantParams) -> AffineSystem:
+    """Drift/dither split of the configured dithered design; proposed when
+    the config names no controller."""
+    name = _get(_section(cfg, "controller", required=False), "controller", "variant", "proposed")
+    try:
+        variant = ControllerVariant.from_name(str(name))
+    except ValueError as e:
+        raise ConfigError("controller.variant", str(e)) from None
+    if variant is ControllerVariant.PROPOSED:
+        return proposed_design_system(plant)
+    if variant is ControllerVariant.SWAPPED:
+        return swapped_design_system(plant)
+    raise ConfigError("controller.variant", f"{variant.value!r} has no dither to audit")
+
+
 def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     sec = _section(cfg, "check", required=False)
@@ -482,7 +470,7 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     time_samples = _int(sec, "check", "time_samples", 20)
     bias = _num(sec, "check", "bias", 0.0)
 
-    system = proposed_design_system(plant)
+    system = _audited_system(cfg, plant)
     if bias != 0.0:
         def biased(ph: np.ndarray) -> np.ndarray:
             return np.sin(ph) + bias
@@ -498,10 +486,7 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     nsec = sec.get("nussbaum") or {}
     if not isinstance(nsec, dict):
         raise ConfigError("check.nussbaum", "expected a mapping")
-    shape = str(_get(nsec, "check.nussbaum", "h", "s_cos_s"))
-    if shape not in NUSSBAUM_SHAPES:
-        known = ", ".join(sorted(NUSSBAUM_SHAPES))
-        raise ConfigError("check.nussbaum.h", f"unknown shape {shape!r} (expected one of: {known})")
+    shape = _nussbaum_shape(nsec, "check.nussbaum", "h")
     k0 = _num(nsec, "check.nussbaum", "k0", 0.0)
     k_max = _num(nsec, "check.nussbaum", "k_max", 50.0)
     if k_max <= k0:

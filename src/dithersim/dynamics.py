@@ -7,9 +7,12 @@ gain k online, so the closed-loop state is (y, k). The dithered designs
 grows like sqrt(omega); their behavior for large omega is captured by the
 averaged system exposed as `lie_bracket_rhs`.
 
-Controller blindness is structural: the control laws (`*_control`) never
-receive plant parameters. The `*_rhs` wrappers combine a control law with
-the plant to produce the closed-loop derivative.
+Each gain law is written once, in the private table `_LAWS`, as plain
+arithmetic on (y, k) that works on floats and numpy arrays alike.
+Controller blindness is structural: the laws never receive plant
+parameters. `closed_loop` binds a law to the plant for the integrators;
+the State-typed `*_control` and `*_rhs` functions and the drift/dither
+split audited in `averaging` derive from the same table.
 """
 
 from __future__ import annotations
@@ -172,15 +175,53 @@ class RhsEval(NamedTuple):
     u: float
 
 
-# -- control laws (plant-blind) ---------------------------------------------
+# -- gain laws (plant-blind) --------------------------------------------------
+#
+# Each law maps (y, k) to the input u and the gain rate dk, given its
+# constant c (sqrt(omega), the gain shape h, or sign(b)) and the dither
+# values sn = sin(omega*t), cs = cos(omega*t), which the dither-free laws
+# ignore. Evaluated at unit dither, a dithered law gives its dither
+# coefficients (see averaging._design_system).
+
+_LAWS = {
+    ControllerVariant.PROPOSED: lambda y, k, sw, sn, cs: (-k * y - y * sw * sn, y * y * sw * cs),
+    ControllerVariant.SWAPPED: lambda y, k, sw, sn, cs: (
+        -k * y - 2.0 * y * y * sw * sn, y * sw * cs
+    ),
+    ControllerVariant.NUSSBAUM: lambda y, k, h, sn, cs: (h(k) * k * y, y * y),
+    ControllerVariant.WILLEMS_BYRNES: lambda y, k, sign_b, sn, cs: (-k * y, float(sign_b) * y * y),
+}
+
+
+def _averaged_loop(a: float, b: float) -> Rhs2:
+    """Averaged system of both dithered designs: dy = (a - b*k)*y, dk = b*y^2."""
+
+    def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
+        y, k = s
+        return ((a - b * k) * y, b * y * y)
+
+    return rhs
+
+
+def _bind(spec: ControllerSpec):
+    """The table law of spec's variant, its constant c and its dither frequency."""
+    v = spec.variant
+    if v in (ControllerVariant.PROPOSED, ControllerVariant.SWAPPED):
+        return _LAWS[v], math.sqrt(spec.omega), spec.omega
+    return _LAWS[v], spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
+
+
+# -- State-typed laws and closed-loop right-hand sides -----------------------
+
+
+def _control(spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
+    law, c, w = _bind(spec)
+    return law(s.y, s.k, c, math.sin(w * t), math.cos(w * t))
 
 
 def proposed_control(s: State, t: float, omega: float) -> tuple[float, float]:
     """Primary dither design: u = -k*y - y*sqrt(w)*sin(wt), dk = y^2*sqrt(w)*cos(wt)."""
-    sw = math.sqrt(omega)
-    u = -s.k * s.y - s.y * sw * math.sin(omega * t)
-    dk = s.y * s.y * sw * math.cos(omega * t)
-    return u, dk
+    return _control(ControllerSpec(ControllerVariant.PROPOSED, omega=omega), s, t)
 
 
 def swapped_control(s: State, t: float, omega: float) -> tuple[float, float]:
@@ -189,19 +230,14 @@ def swapped_control(s: State, t: float, omega: float) -> tuple[float, float]:
     The quadratic term moves from the gain law into the input:
     u = -k*y - 2*y^2*sqrt(w)*sin(wt), dk = y*sqrt(w)*cos(wt).
     """
-    sw = math.sqrt(omega)
-    u = -s.k * s.y - 2.0 * s.y * s.y * sw * math.sin(omega * t)
-    dk = s.y * sw * math.cos(omega * t)
-    return u, dk
+    return _control(ControllerSpec(ControllerVariant.SWAPPED, omega=omega), s, t)
 
 
 def nussbaum_control(
     s: State, t: float, h: Callable[[float], float] = s_cos_s
 ) -> tuple[float, float]:
     """Classical Nussbaum-gain law: u = h(k)*k*y, dk = y^2."""
-    u = h(s.k) * s.k * s.y
-    dk = s.y * s.y
-    return u, dk
+    return _control(ControllerSpec(ControllerVariant.NUSSBAUM, nussbaum_fn=h), s, t)
 
 
 def willems_byrnes_control(s: State, sign_b: int) -> tuple[float, float]:
@@ -209,34 +245,31 @@ def willems_byrnes_control(s: State, sign_b: int) -> tuple[float, float]:
 
     The only controller here that is allowed to read the sign of b.
     """
-    u = -s.k * s.y
-    dk = float(sign_b) * s.y * s.y
-    return u, dk
+    return _control(ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=sign_b), s, 0.0)
 
 
-# -- closed-loop right-hand sides --------------------------------------------
+def _rhs_eval(p: PlantParams, spec: ControllerSpec, s: State, t: float) -> RhsEval:
+    rhs, control = closed_loop(p, spec)
+    dy, dk = rhs(s.as_tuple(), t)
+    return RhsEval(dy, dk, control(s.as_tuple(), t))
 
 
 def proposed_rhs(p: PlantParams, s: State, t: float, omega: float) -> RhsEval:
-    u, dk = proposed_control(s, t, omega)
-    return RhsEval(p.a * s.y + p.b * u, dk, u)
+    return _rhs_eval(p, ControllerSpec(ControllerVariant.PROPOSED, omega=omega), s, t)
 
 
 def swapped_rhs(p: PlantParams, s: State, t: float, omega: float) -> RhsEval:
-    u, dk = swapped_control(s, t, omega)
-    return RhsEval(p.a * s.y + p.b * u, dk, u)
+    return _rhs_eval(p, ControllerSpec(ControllerVariant.SWAPPED, omega=omega), s, t)
 
 
 def nussbaum_rhs(
     p: PlantParams, s: State, t: float, h: Callable[[float], float] = s_cos_s
 ) -> RhsEval:
-    u, dk = nussbaum_control(s, t, h)
-    return RhsEval(p.a * s.y + p.b * u, dk, u)
+    return _rhs_eval(p, ControllerSpec(ControllerVariant.NUSSBAUM, nussbaum_fn=h), s, t)
 
 
 def willems_byrnes_rhs(p: PlantParams, s: State, t: float, sign_b: int) -> RhsEval:
-    u, dk = willems_byrnes_control(s, sign_b)
-    return RhsEval(p.a * s.y + p.b * u, dk, u)
+    return _rhs_eval(p, ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=sign_b), s, t)
 
 
 def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
@@ -246,7 +279,7 @@ def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
     are equilibria, and trajectories with y != 0 move along circular arcs
     centered at (0, a/b).
     """
-    return ((p.a - p.b * s.k) * s.y, p.b * s.y * s.y)
+    return _averaged_loop(p.a, p.b)(s.as_tuple(), 0.0)
 
 
 # -- polar coordinates about (0, a/b) ----------------------------------------
@@ -279,27 +312,9 @@ def from_polar(p: PlantParams, ps: PolarState) -> State:
 def polar_closed_loop_rhs(
     p: PlantParams, ps: PolarState, t: float, omega: float
 ) -> tuple[float, float]:
-    """Closed loop of the primary dither design in polar coordinates.
-
-    Equivalent to transporting `proposed_rhs` through `to_polar`, which is
-    how the tests cross-check it.
-    """
-    b = p.b
-    r, phi = ps.r, ps.phi
-    sw = math.sqrt(omega)
-    sp, cp = math.sin(phi), math.cos(phi)
-    swt, cwt = math.sin(omega * t), math.cos(omega * t)
-    dr = (
-        -b * r * r * sp * cp * cp
-        - b * r * cp * cp * sw * swt
-        + r * r * sp * cp * cp * sw * cwt
-    )
-    dphi = (
-        b * r * sp * sp * cp
-        + b * sp * cp * sw * swt
-        + r * cp * cp * cp * sw * cwt
-    )
-    return (dr, dphi)
+    """Closed loop of the primary dither design in polar coordinates;
+    see `polar_closed_loop`."""
+    return polar_closed_loop(p, omega)(ps.as_tuple(), t)
 
 
 def polar_lbs_rhs(p: PlantParams, ps: PolarState) -> tuple[float, float]:
@@ -325,77 +340,33 @@ def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
     and are what the fixed-step integrators consume.
     """
     a, b = p.a, p.b
-    v = spec.variant
-    if v is ControllerVariant.PROPOSED:
-        sw = math.sqrt(spec.omega)
-        w = spec.omega
+    law, c, w = _bind(spec)
 
-        def control(s: tuple[float, float], t: float) -> float:
-            y, k = s
-            return -k * y - y * sw * math.sin(w * t)
+    def control(s: tuple[float, float], t: float) -> float:
+        y, k = s
+        return law(y, k, c, math.sin(w * t), math.cos(w * t))[0]
 
-        def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-            y, k = s
-            u = -k * y - y * sw * math.sin(w * t)
-            return (a * y + b * u, y * y * sw * math.cos(w * t))
-
-    elif v is ControllerVariant.SWAPPED:
-        sw = math.sqrt(spec.omega)
-        w = spec.omega
-
-        def control(s: tuple[float, float], t: float) -> float:
-            y, k = s
-            return -k * y - 2.0 * y * y * sw * math.sin(w * t)
-
-        def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-            y, k = s
-            u = -k * y - 2.0 * y * y * sw * math.sin(w * t)
-            return (a * y + b * u, y * sw * math.cos(w * t))
-
-    elif v is ControllerVariant.NUSSBAUM:
-        h = spec.nussbaum_fn
-
-        def control(s: tuple[float, float], t: float) -> float:
-            y, k = s
-            return h(k) * k * y
-
-        def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-            y, k = s
-            return (a * y + b * (h(k) * k * y), y * y)
-
-    elif v is ControllerVariant.WILLEMS_BYRNES:
-        sb = float(spec.sign_b)
-
-        def control(s: tuple[float, float], t: float) -> float:
-            y, k = s
-            return -k * y
-
-        def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-            y, k = s
-            return (a * y - b * k * y, sb * y * y)
-
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled variant {v!r}")
+    def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
+        y, k = s
+        u, dk = law(y, k, c, math.sin(w * t), math.cos(w * t))
+        return (a * y + b * u, dk)
 
     return rhs, control
 
 
 def lie_bracket_loop(p: PlantParams) -> Rhs2:
     """Averaged system as a plain-tuple callable for the integrators."""
-    a, b = p.a, p.b
-
-    def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-        y, k = s
-        return ((a - b * k) * y, b * y * y)
-
-    return rhs
+    return _averaged_loop(p.a, p.b)
 
 
 def polar_closed_loop(p: PlantParams, omega: float) -> Rhs2:
-    """Polar closed loop of the primary design as a plain-tuple callable.
+    """Closed loop of the primary dither design in polar coordinates
+    about (0, a/b), as a plain-tuple callable.
 
-    Unlike `polar_closed_loop_rhs` this skips PolarState validation, so an
-    integrator that momentarily steps r below zero is not rejected.
+    Equivalent to transporting `proposed_rhs` through `to_polar`, which is
+    how the tests cross-check it. Unlike `polar_closed_loop_rhs` this skips
+    PolarState validation, so an integrator that momentarily steps r below
+    zero is not rejected.
     """
     b = p.b
     sw = math.sqrt(omega)

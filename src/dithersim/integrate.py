@@ -22,12 +22,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cftable import Mono, rows_for_order
-from .dynamics import PlantParams, State
+from .dynamics import InputFn, PlantParams, Rhs2, State
 
 __all__ = [
     "Method",
@@ -38,10 +38,6 @@ __all__ = [
     "chen_fliess_step",
     "chen_fliess_simulate",
 ]
-
-Rhs2 = Callable[[tuple[float, float], float], tuple[float, float]]
-InputFn = Callable[[tuple[float, float], float], float]
-
 
 class Method(enum.Enum):
     """Fixed-step integration method."""
@@ -150,26 +146,26 @@ class Trajectory:
         column is left empty when the run carries no input. Output is
         byte-deterministic for identical trajectories.
         """
-        path = Path(path)
-        lines = ["t,y,k,u"]
-        us = self.us
-        for i in range(len(self.times)):
-            u = "" if us is None else repr(float(us[i]))
-            lines.append(
-                f"{float(self.times[i])!r},{float(self.ys[i])!r},"
-                f"{float(self.ks[i])!r},{u}"
-            )
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        columns = [self.times, self.ys, self.ks]
+        if self.us is not None:
+            columns.append(self.us)
+        return _write_csv(path, ("t", "y", "k", "u"), columns)
+
+    @property
+    def record(self) -> dict:
+        """The run descriptor plus the outcome fields status, failure_step
+        and n_samples."""
+        return {
+            **self.meta,
+            "status": self.status,
+            "failure_step": self.failure_step,
+            "n_samples": len(self.times),
+        }
 
     def write_meta(self, path: str | Path) -> Path:
-        """Write the run descriptor (plus outcome fields) as JSON."""
+        """Write `record` as JSON."""
         path = Path(path)
-        doc = dict(self.meta)
-        doc["status"] = self.status
-        doc["failure_step"] = self.failure_step
-        doc["n_samples"] = len(self.times)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(self.record, sort_keys=True, indent=2) + "\n")
         return path
 
     def save(self, csv_path: str | Path) -> tuple[Path, Path]:
@@ -177,6 +173,28 @@ class Trajectory:
         csv_path = Path(csv_path)
         meta_path = csv_path.with_suffix(".json")
         return self.write_csv(csv_path), self.write_meta(meta_path)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
+    """Write equal-length float columns as CSV, one row per index.
+
+    Floats are rendered with repr for exact round-trips. Header names past
+    the given columns get empty cells, so each row then ends in commas.
+    """
+    pad = "," * (len(header) - len(columns))
+    rows = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
+    lines = [",".join(header), *(",".join(map(repr, row)) + pad for row in rows)]
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _trajectory(
+    times: list, ys: list, ks: list, meta: dict, failure_step: int | None, us: list | None = None
+) -> Trajectory:
+    """Assemble a stepper's samples; failure_step set marks the run diverged."""
+    status = "ok" if failure_step is None else "diverged"
+    return Trajectory(times, ys, ks, us, meta, status, failure_step)
 
 
 # -- one-step integrators ------------------------------------------------------
@@ -258,7 +276,6 @@ def simulate(
     times = [t0]
     ys = [s[0]]
     ks = [s[1]]
-    status = "ok"
     failure_step: int | None = None
 
     if span > 0.0:
@@ -278,7 +295,6 @@ def simulate(
                 t_next = t_f
                 s = stepper(rhs, s, t_prev, t_f - t_prev)
             if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-                status = "diverged"
                 failure_step = i
                 break
             times.append(t_next)
@@ -291,15 +307,7 @@ def simulate(
 
     run_meta = dict(meta or {})
     run_meta.update({"method": method.value, "h": h, "t0": t0, "tf": t_f})
-    return Trajectory(
-        times=np.asarray(times),
-        ys=np.asarray(ys),
-        ks=np.asarray(ks),
-        us=None if us is None else np.asarray(us),
-        meta=run_meta,
-        status=status,
-        failure_step=failure_step,
-    )
+    return _trajectory(times, ys, ks, run_meta, failure_step, us)
 
 
 # -- whole-period series stepping ----------------------------------------------
@@ -386,7 +394,6 @@ def chen_fliess_simulate(
     times = [0.0]
     ys = [s.y]
     ks = [s.k]
-    status = "ok"
     failure_step: int | None = None
     for i in range(1, n_steps + 1):
         # Preconditions were validated above, so an in-loop ValueError
@@ -396,11 +403,9 @@ def chen_fliess_simulate(
                 p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
             )
         except (OverflowError, ValueError):
-            status = "diverged"
             failure_step = i
             break
         if max(abs(s.y), abs(s.k)) > 1e9:
-            status = "diverged"
             failure_step = i
             break
         times.append(i * T)
@@ -422,12 +427,4 @@ def chen_fliess_simulate(
         "t0": 0.0,
         "tf": n_steps * T,
     }
-    return Trajectory(
-        times=np.asarray(times),
-        ys=np.asarray(ys),
-        ks=np.asarray(ks),
-        us=None,
-        meta=meta,
-        status=status,
-        failure_step=failure_step,
-    )
+    return _trajectory(times, ys, ks, meta, failure_step)

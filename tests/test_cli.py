@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 import yaml
 
-from dithersim import Method, PlantParams, State, lie_bracket_loop, simulate
+from dithersim import (
+    Method,
+    PlantParams,
+    State,
+    check_assumptions,
+    lie_bracket_loop,
+    simulate,
+    swapped_design_system,
+)
 from dithersim.cli import PRESETS, main
 
 FAST_SIM = {
@@ -271,6 +279,35 @@ def test_check_biased_dither_fails_but_exits_zero(tmp_path, capsys):
     doc = json.loads((out / "check.json").read_text())
     assert doc["assumptions"]["a1_passed"] is False
     assert doc["assumptions"]["passed"] is False
+
+
+def test_check_audits_configured_design(tmp_path):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "swapped", "omega": 400.0},
+        "check": {"grid": 4, "time_samples": 3, "nussbaum": {"grid": 2000}},
+    }
+    out = tmp_path / "out"
+    assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
+    doc = json.loads((out / "check.json").read_text())
+    want = check_assumptions(
+        swapped_design_system(PlantParams(10.0, -2.0)),
+        ((-2.0, 2.0), (-2.0, 2.0)),
+        grid=4,
+        time_samples=3,
+    )
+    assert doc["assumptions"] == json.loads(json.dumps(want.to_dict()))
+
+
+@pytest.mark.parametrize("variant", ["nussbaum", "willems_byrnes"])
+def test_check_rejects_dither_free_design(tmp_path, capsys, variant):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": variant, "sign_b": -1},
+        "check": {"grid": 4, "time_samples": 3},
+    }
+    assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
+    assert "config error: controller.variant:" in capsys.readouterr().err
 
 
 def test_check_rejects_inverted_region(tmp_path, capsys):

@@ -28,10 +28,12 @@ from dithersim import (
     polar_closed_loop_rhs,
     polar_lbs_rhs,
     proposed_control,
+    proposed_design_system,
     proposed_rhs,
     s_cos_s,
     simulate,
     swapped_control,
+    swapped_design_system,
     swapped_rhs,
     to_polar,
     willems_byrnes_control,
@@ -185,6 +187,37 @@ def test_closed_loop_matches_rhs_functions():
             assert math.isclose(
                 control((s.y, s.k), t), ref.u, rel_tol=1e-13, abs_tol=1e-13
             )
+
+
+@pytest.mark.parametrize(
+    "variant, design",
+    [
+        (ControllerVariant.PROPOSED, proposed_design_system),
+        (ControllerVariant.SWAPPED, swapped_design_system),
+    ],
+)
+@pytest.mark.parametrize("p", [PLANT, PlantParams(1.3, 0.7)])
+def test_closed_loop_matches_drift_dither_split(variant, design, p):
+    """The integrators' closed loop equals drift + sqrt(w)*(sin(wt)*f1 + cos(wt)*f2)."""
+    rng = np.random.default_rng(13)
+    system = design(p)
+    f_drift, (f_sin, f_cos) = system.drift, system.fields
+    for _ in range(50):
+        y, k = (float(v) for v in rng.uniform(-4.0, 4.0, size=2))
+        t = float(rng.uniform(0.0, 2.0))
+        omega = float(rng.uniform(1.0, 2000.0))
+        rhs, _ = closed_loop(p, ControllerSpec(variant, omega=omega))
+        x = np.array([y, k])
+        sw = math.sqrt(omega)
+        terms = [
+            np.asarray(f_drift(x, t)),
+            sw * math.sin(omega * t) * np.asarray(f_sin(x, t)),
+            sw * math.cos(omega * t) * np.asarray(f_cos(x, t)),
+        ]
+        want = sum(terms)
+        scale = sum(np.abs(v) for v in terms)
+        got = np.asarray(rhs((y, k), t))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), (y, k, t, omega)
 
 
 # -- averaged system -----------------------------------------------------------
