@@ -80,7 +80,14 @@ class DitherSignal:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Drift plus dither-modulated fields; fields map (x, t) -> dx."""
+    """Drift plus dither-modulated fields; fields map (x, t) -> dx.
+
+    Each field takes states x of shape (..., dim) and a scalar time t and
+    returns an array of the same shape, one row per state, so that
+    `check_assumptions` can evaluate it on the whole state mesh at once.
+    Point-wise calls (x of shape (dim,)) of `fd_jacobian`, `lie_bracket`
+    and `build_averaged_rhs` also work with fields written for one point.
+    """
 
     drift: Field2
     fields: tuple[Field2, ...]
@@ -102,21 +109,24 @@ def _design_system(p, law) -> AffineSystem:
     The drift is the y-rate of the averaged field, the plant under the
     dither-free input -k*y. The fields are the law's input at unit sine
     dither, fed through b, and its gain rate at unit cosine dither; these
-    dither coefficients depend on y only, so they are taken at k = 0. The
-    fields evaluate on Python floats, where the arithmetic is the same as
-    on numpy scalars but several times faster.
+    dither coefficients depend on y only, so they are taken at k = 0. All
+    three are written on arrays: x has shape (..., 2) and each row is
+    evaluated with the same arithmetic as on a single point.
     """
     b = p.b
     averaged = _averaged_loop(p.a, b)
 
     def drift(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([averaged(x.tolist(), t)[0], 0.0])
+        y = x[..., 0]
+        return np.stack((averaged((y, x[..., 1]), t)[0], np.zeros_like(y)), axis=-1)
 
     def f_sin(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([b * law(x.item(0), 0.0, 1.0, 1.0, 0.0)[0], 0.0])
+        y = x[..., 0]
+        return np.stack((b * law(y, 0.0, 1.0, 1.0, 0.0)[0], np.zeros_like(y)), axis=-1)
 
     def f_cos(x: np.ndarray, t: float) -> np.ndarray:
-        return np.array([0.0, law(x.item(0), 0.0, 1.0, 0.0, 1.0)[1]])
+        y = x[..., 0]
+        return np.stack((np.zeros_like(y), law(y, 0.0, 1.0, 0.0, 1.0)[1]), axis=-1)
 
     return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
 
@@ -207,27 +217,48 @@ def _interaction_integral(
 # -- finite-difference geometry ----------------------------------------------
 
 
-def fd_jacobian(f: Field2, x: np.ndarray, t: float, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of f(., t) at x. Default step 1e-6*(1+||x||)."""
+def _norm(v: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Euclidean norm over the trailing `axes` axes (Frobenius for matrices).
+
+    sqrt(vecdot) on the C-order flattening sums in the same order as
+    np.linalg.norm on one point, so batched and point-wise norms agree
+    bit for bit.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    flat = v.reshape(v.shape[: v.ndim - axes] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def fd_jacobian(
+    f: Field2, x: np.ndarray, t: float, step: float | np.ndarray | None = None
+) -> np.ndarray:
+    """Central-difference Jacobian of f(., t) at x of shape (..., dim).
+
+    Returns shape (..., dim_out, dim). step is a scalar or one step per
+    point; the default is 1e-6*(1+||x||) per point.
+    """
     x = np.asarray(x, dtype=float)
-    h = step if step is not None else 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    n = x.size
+    h = np.asarray(step if step is not None else 1e-6 * (1.0 + _norm(x)), dtype=float)
     cols = []
-    for d in range(n):
-        e = np.zeros(n)
-        e[d] = h
-        cols.append((np.asarray(f(x + e, t), float) - np.asarray(f(x - e, t), float)) / (2.0 * h))
-    return np.column_stack(cols)
+    for d in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., d] = h
+        diff = np.asarray(f(x + e, t), float) - np.asarray(f(x - e, t), float)
+        cols.append(diff / (2.0 * h)[..., None])
+    return np.stack(cols, axis=-1)
 
 
 def lie_bracket(
-    f: Field2, g: Field2, x: np.ndarray, t: float, step: float | None = None
+    f: Field2, g: Field2, x: np.ndarray, t: float, step: float | np.ndarray | None = None
 ) -> np.ndarray:
-    """[f, g](x, t) = Dg(x,t) f(x,t) - Df(x,t) g(x,t) by central differences."""
+    """[f, g](x, t) = Dg(x,t) f(x,t) - Df(x,t) g(x,t) by central differences.
+
+    x has shape (..., dim); step as in `fd_jacobian`.
+    """
     x = np.asarray(x, dtype=float)
     jf = fd_jacobian(f, x, t, step)
     jg = fd_jacobian(g, x, t, step)
-    return jg @ np.asarray(f(x, t), float) - jf @ np.asarray(g(x, t), float)
+    return np.matvec(jg, np.asarray(f(x, t), float)) - np.matvec(jf, np.asarray(g(x, t), float))
 
 
 def build_averaged_rhs(sys: AffineSystem) -> Field2:
@@ -363,13 +394,33 @@ def _check_dither(d: DitherSignal, phase_points: int) -> DitherCheck:
 def _directional_derivative(
     f: Field2, direction: Field2, x: np.ndarray, t: float, step: float
 ) -> np.ndarray:
-    """(Df)(x,t) applied to direction(x,t), by central differences."""
+    """(Df)(x,t) applied to direction(x,t), by central differences.
+
+    x has shape (..., dim); points where the direction vanishes get zero.
+    """
     v = np.asarray(direction(x, t), float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(np.asarray(f(x, t), float))
-    e = (step / nv) * v
-    return (np.asarray(f(x + e, t), float) - np.asarray(f(x - e, t), float)) * (nv / (2.0 * step))
+    nv = _norm(v)
+    still = nv == 0.0
+    scale = np.where(still, 1.0, nv)
+    e = (step / scale)[..., None] * v
+    diff = np.asarray(f(x + e, t), float) - np.asarray(f(x - e, t), float)
+    return np.where(still[..., None], 0.0, diff * (scale / (2.0 * step))[..., None])
+
+
+def _require_mesh_shape(f: Field2, name: str, mesh: np.ndarray, t: float) -> None:
+    """Refuse a field that does not map the (N, dim) mesh to shape (N, dim)."""
+    try:
+        shape = np.shape(f(mesh, t))
+    except (ValueError, TypeError, IndexError) as e:
+        raise ValueError(
+            f"check_assumptions: {name} cannot evaluate the state mesh of shape "
+            f"{mesh.shape}; fields must take x of shape (..., dim)"
+        ) from e
+    if shape != mesh.shape:
+        raise ValueError(
+            f"check_assumptions: {name} maps the state mesh of shape {mesh.shape} to "
+            f"shape {shape}; fields must return one row per state"
+        )
 
 
 def check_assumptions(
@@ -391,7 +442,16 @@ def check_assumptions(
     or the pair's bracket must vanish on the grid; triples whose exponents
     sum to at least 2 need the second-level directional derivative to
     vanish. Pairs/triples below the thresholds are recorded as vacuous.
+
+    Each time sample evaluates the fields on the whole state mesh at once,
+    so every field must take x of shape (N, dim) and return shape (N, dim).
+    The witness is the first maximiser in time-major, then point-major,
+    then per-point order; the scan stops at the first non-finite norm.
     """
+    if grid < 1:
+        raise ValueError("check_assumptions: grid must be at least 1")
+    if time_samples < 1:
+        raise ValueError("check_assumptions: time_samples must be at least 1")
     a1 = [_check_dither(d, phase_points) for d in sys.dithers]
 
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]
@@ -400,76 +460,74 @@ def check_assumptions(
     all_fields: list[Field2] = [sys.drift, *sys.fields]
     nf = len(all_fields)
 
-    best = -math.inf
-    witness: dict = {}
-    t_step = 1e-6
-
-    def _consider(val: float, norm: str, i: int, j: int | None, x: np.ndarray, t: float) -> None:
-        nonlocal best, witness
-        if not math.isfinite(val):
-            best = math.inf
-            witness = {"norm": norm, "i": i, "j": j, "x": [float(v) for v in x], "t": float(t)}
-            raise _NonFinite
-        if val > best:
-            best = val
-            witness = {"norm": norm, "i": i, "j": j, "x": [float(v) for v in x], "t": float(t)}
-
-    class _NonFinite(Exception):
-        pass
-
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     dim = mesh.shape[1]
-    try:
-        for t in times:
-            t = float(t)
-            for x in mesh:
-                nx = float(np.linalg.norm(x))
-                h = 1e-6 * (1.0 + nx)
-                houter = 1e-4 * (1.0 + nx)
-                fvals = [np.asarray(f(x, t), float) for f in all_fields]
-                jacs = [fd_jacobian(f, x, t, h) for f in all_fields]
-                f_tp = [np.asarray(f(x, t + t_step), float) for f in all_fields]
-                f_tm = [np.asarray(f(x, t - t_step), float) for f in all_fields]
-                # x-offsets reused by every L_{f_i} f_j outer Jacobian
-                x_off = []
-                for d in range(dim):
-                    e = np.zeros(dim)
-                    e[d] = houter
-                    x_off.append((x + e, x - e))
-                fi_off = [
-                    [(np.asarray(f(xp, t), float), np.asarray(f(xm, t), float)) for xp, xm in x_off]
-                    for f in all_fields
-                ]
-                for i in range(nf):
-                    _consider(float(np.linalg.norm(fvals[i])), "field", i, None, x, t)
-                    dt_f = (f_tp[i] - f_tm[i]) / (2.0 * t_step)
-                    _consider(float(np.linalg.norm(dt_f)), "dt_field", i, None, x, t)
-                    _consider(float(np.linalg.norm(jacs[i])), "dx_field", i, None, x, t)
-                # L_{f_i} f_j = (Df_j) f_i for every field i and dither field j;
-                # the j-indexed Jacobians are shared across i
-                for j in range(1, nf):
-                    fj = all_fields[j]
-                    jj_tp = fd_jacobian(fj, x, t + t_step, h)
-                    jj_tm = fd_jacobian(fj, x, t - t_step, h)
-                    jj_off = [
-                        (fd_jacobian(fj, xp, t, h), fd_jacobian(fj, xm, t, h))
-                        for xp, xm in x_off
-                    ]
-                    for i in range(nf):
-                        dt_l = (jj_tp @ f_tp[i] - jj_tm @ f_tm[i]) / (2.0 * t_step)
-                        _consider(float(np.linalg.norm(dt_l)), "dt_lie", i, j, x, t)
-                        cols = [
-                            (jj_off[d][0] @ fi_off[i][d][0] - jj_off[d][1] @ fi_off[i][d][1])
-                            / (2.0 * houter)
-                            for d in range(dim)
-                        ]
-                        _consider(
-                            float(np.linalg.norm(np.column_stack(cols))), "dx_lie", i, j, x, t
-                        )
-    except _NonFinite:
-        pass
+    for i, f in enumerate(all_fields):
+        _require_mesh_shape(f, "drift" if i == 0 else f"fields[{i - 1}]", mesh, float(times[0]))
 
-    a2_bound = best if best > -math.inf else 0.0
+    nx = _norm(mesh)
+    h = 1e-6 * (1.0 + nx)
+    houter = 1e-4 * (1.0 + nx)
+    t_step = 1e-6
+    # mesh offsets reused by every L_{f_i} f_j outer Jacobian
+    x_off = []
+    for d in range(dim):
+        e = np.zeros_like(mesh)
+        e[:, d] = houter
+        x_off.append((mesh + e, mesh - e))
+    # (norm, i, j) of each column of a time sample's (N, K) norm table
+    labels = [(norm, i, None) for i in range(nf) for norm in ("field", "dt_field", "dx_field")]
+    labels += [
+        (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
+    ]
+
+    best = -math.inf
+    witness: dict = {}
+    for t in times:
+        t = float(t)
+        fvals = [np.asarray(f(mesh, t), float) for f in all_fields]
+        jacs = [fd_jacobian(f, mesh, t, h) for f in all_fields]
+        f_tp = [np.asarray(f(mesh, t + t_step), float) for f in all_fields]
+        f_tm = [np.asarray(f(mesh, t - t_step), float) for f in all_fields]
+        fi_off = [
+            [(np.asarray(f(xp, t), float), np.asarray(f(xm, t), float)) for xp, xm in x_off]
+            for f in all_fields
+        ]
+        norms = []
+        for i in range(nf):
+            norms.append(_norm(fvals[i]))
+            norms.append(_norm((f_tp[i] - f_tm[i]) / (2.0 * t_step)))
+            norms.append(_norm(jacs[i], 2))
+        # L_{f_i} f_j = (Df_j) f_i for every field i and dither field j;
+        # the j-indexed Jacobians are shared across i
+        for j in range(1, nf):
+            fj = all_fields[j]
+            jj_tp = fd_jacobian(fj, mesh, t + t_step, h)
+            jj_tm = fd_jacobian(fj, mesh, t - t_step, h)
+            jj_off = [
+                (fd_jacobian(fj, xp, t, h), fd_jacobian(fj, xm, t, h)) for xp, xm in x_off
+            ]
+            for i in range(nf):
+                dt_l = (np.matvec(jj_tp, f_tp[i]) - np.matvec(jj_tm, f_tm[i])) / (2.0 * t_step)
+                norms.append(_norm(dt_l))
+                cols = [
+                    (
+                        np.matvec(jj_off[d][0], fi_off[i][d][0])
+                        - np.matvec(jj_off[d][1], fi_off[i][d][1])
+                    )
+                    / (2.0 * houter)[:, None]
+                    for d in range(dim)
+                ]
+                norms.append(_norm(np.stack(cols, axis=-1), 2))
+        vals = np.stack(norms, axis=1).ravel()
+        bad = ~np.isfinite(vals)
+        k = int(np.argmax(bad)) if bad.any() else int(np.argmax(vals))
+        if bad[k] or vals[k] > best:
+            best = math.inf if bad[k] else float(vals[k])
+            norm, i, j = labels[k % len(labels)]
+            witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // len(labels)].tolist(), "t": t}
+        if bad[k]:
+            break
 
     # A3 on a coarser grid; these conditions are vacuous for the shipped
     # designs but must trigger for exponent choices that break scaling.
@@ -489,8 +547,7 @@ def check_assumptions(
             else:
                 _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
                 bracket_sup = max(
-                    float(np.linalg.norm(lie_bracket(sys.fields[i], sys.fields[j], x, 0.0)))
-                    for x in coarse
+                    _norm(lie_bracket(sys.fields[i], sys.fields[j], coarse, 0.0)).tolist()
                 )
                 entry["raw_integral"] = raw
                 entry["bracket_sup"] = bracket_sup
@@ -522,11 +579,13 @@ def check_assumptions(
 
                     def second(xx: np.ndarray, tt: float) -> np.ndarray:
                         def lf(zz: np.ndarray, uu: float) -> np.ndarray:
-                            return fd_jacobian(fj, zz, uu, 1e-6) @ np.asarray(fi(zz, uu), float)
+                            return np.matvec(
+                                fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float)
+                            )
 
                         return _directional_derivative(lf, fq, xx, tt, 1e-4)
 
-                    sup = max(float(np.linalg.norm(second(x, 0.0))) for x in coarse)
+                    sup = max(_norm(second(coarse, 0.0)).tolist())
                     entry["second_level_sup"] = sup
                     entry["satisfied"] = sup <= 1e-9
                     entry["reason"] = "vanishes" if entry["satisfied"] else "violated"
@@ -534,7 +593,7 @@ def check_assumptions(
 
     return AssumptionReport(
         a1=a1,
-        a2_bound=a2_bound,
+        a2_bound=best,
         a2_witness=witness,
         a3_pairs=a3_pairs,
         a3_triples=a3_triples,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -133,6 +134,23 @@ def _get(sec: dict, secname: str, key: str, default: object = _MISSING) -> objec
     return sec[key]
 
 
+def _not_a_number(v: object) -> str:
+    """Why v is not a number, naming the YAML 1.1 exponent pitfall: PyYAML
+    reads 4e2 or 1.0e2 as strings and only 4.0e+2 as a float."""
+    if isinstance(v, str) and re.fullmatch(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", v):
+        mantissa, exponent = v.lower().split("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        if exponent[0] not in "+-":
+            exponent = "+" + exponent
+        return (
+            f"expected a number, got the string {v!r}; YAML 1.1 reads an exponent float "
+            f"as a string unless it has a dot and a signed exponent, so write "
+            f"{mantissa}e{exponent}"
+        )
+    return f"expected a number, got {type(v).__name__}"
+
+
 def _num(
     sec: dict,
     secname: str,
@@ -144,7 +162,7 @@ def _num(
     v = _get(sec, secname, key, default)
     path = f"{secname}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(v).__name__}")
+        raise ConfigError(path, _not_a_number(v))
     v = float(v)
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
@@ -383,6 +401,11 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     variants = _get(comp, "compare", "variants")
     if not isinstance(variants, list) or not variants:
         raise ConfigError("compare.variants", "expected a nonempty list")
+    for i, name in enumerate(variants):
+        if not isinstance(name, str):
+            raise ConfigError(
+                f"compare.variants[{i}]", f"expected a variant name, got {type(name).__name__}"
+            )
     if len(set(variants)) != len(variants):
         raise ConfigError("compare.variants", "variants must be distinct")
     with_lbs = bool(_get(comp, "compare", "with_lbs", False))
@@ -427,8 +450,10 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError("sweep.omegas", "expected a nonempty list")
     vals = []
     for i, w in enumerate(omegas):
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or not w > 0:
-            raise ConfigError(f"sweep.omegas[{i}]", "expected a positive number")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ConfigError(f"sweep.omegas[{i}]", _not_a_number(w))
+        if not (math.isfinite(w) and w > 0):
+            raise ConfigError(f"sweep.omegas[{i}]", "expected a positive finite number")
         vals.append(float(w))
     sim = _section(cfg, "simulation")
     t_f = _num(sim, "simulation", "t_f", positive=True)
@@ -467,7 +492,11 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if lo >= hi:
         raise ConfigError("check.region_min", "must be below check.region_max")
     grid = _int(sec, "check", "grid", 50)
+    if grid < 1:
+        raise ConfigError("check.grid", "must be at least 1")
     time_samples = _int(sec, "check", "time_samples", 20)
+    if time_samples < 1:
+        raise ConfigError("check.time_samples", "must be at least 1")
     bias = _num(sec, "check", "bias", 0.0)
 
     system = _audited_system(cfg, plant)

@@ -7,6 +7,7 @@ finite-difference oracles or deliberately broken inputs.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from dithersim import (
     swapped_design_system,
     check_assumptions,
 )
+
+from audit_reference import reference_check_assumptions
 
 PLANT = PlantParams(10.0, -2.0)
 SINE = DitherSignal.sine()
@@ -294,3 +297,74 @@ def test_high_exponents_trigger_and_fail_a3():
     assert any(e["triggered"] and not e["satisfied"] for e in report.a3_pairs)
     assert any(e["triggered"] and not e["satisfied"] for e in report.a3_triples)
     assert report.a1_passed
+
+
+@pytest.mark.parametrize("kwargs", [{"grid": 0}, {"time_samples": 0}, {"grid": -3}])
+def test_empty_sample_set_is_refused(kwargs):
+    """With no grid point or no time sample there is nothing to audit; the
+    report must not PASS vacuously."""
+    with pytest.raises(ValueError, match="at least 1"):
+        check_assumptions(proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **kwargs)
+
+
+def test_point_only_fields_are_refused():
+    """Fields must return one row per mesh state; point-only fields fail
+    loudly and name the offending field."""
+    sys = proposed_design_system(PLANT)
+    b = PLANT.b
+
+    def point_field(x, t):
+        return np.array([-b * x[0], 0.0])
+
+    def zero_drift(x, t):
+        return np.zeros(2)
+
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"fields\[0\]"):
+        check_assumptions(
+            AffineSystem(sys.drift, (point_field, sys.fields[1]), sys.dithers), box, grid=3
+        )
+    with pytest.raises(ValueError, match="drift"):
+        check_assumptions(AffineSystem(zero_drift, sys.fields, sys.dithers), box, grid=3)
+
+
+def _with_dithers(sys, exponent):
+    return AffineSystem(
+        sys.drift,
+        sys.fields,
+        (DitherSignal(np.sin, exponent=exponent), DitherSignal(np.cos, exponent=exponent)),
+    )
+
+
+def _pole_drift_system():
+    """Proposed fields with a drift that has a pole on the grid line y = 0.5."""
+    sys = proposed_design_system(PLANT)
+
+    def drift(x, t):
+        y = x[..., 0]
+        return np.stack((1.0 / (y - 0.5), np.zeros_like(y)), axis=-1)
+
+    return AffineSystem(drift, sys.fields, sys.dithers)
+
+
+@pytest.mark.parametrize(
+    "build, region",
+    [
+        (lambda: proposed_design_system(PLANT), ((-2.0, 2.0), (-2.0, 2.0))),
+        (lambda: swapped_design_system(PLANT), ((-2.0, 2.0), (-2.0, 2.0))),
+        (lambda: _with_dithers(proposed_design_system(PLANT), 0.7), ((-1.0, 1.0), (-1.0, 1.0))),
+        (lambda: proposed_design_system(PlantParams(1.3, 0.7)), ((-3.0, 1.5), (-0.5, 2.5))),
+        (_pole_drift_system, ((-1.5, 2.5), (-1.0, 1.0))),
+    ],
+    ids=["proposed", "swapped", "exponents-0.7", "plant-1.3-0.7", "pole"],
+)
+def test_batched_audit_matches_point_wise_reference(build, region):
+    """The mesh-at-once scan reproduces the per-point scan byte for byte:
+    bound, witness (first maximiser, or first non-finite value) and A3."""
+    sys = build()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = check_assumptions(sys, region, grid=5, time_samples=3, phase_points=2000)
+        want = reference_check_assumptions(
+            sys, region, grid=5, time_samples=3, phase_points=2000
+        )
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())

@@ -67,6 +67,19 @@ def test_simulate_config_errors(tmp_path, capsys, mutate, field):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+def test_exponent_float_without_dot_names_the_yaml_cause(tmp_path, capsys):
+    """YAML 1.1 loads `omega: 4e2` as the string '4e2'; the message says so
+    and gives the spelling that loads as a float."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(FAST_SIM).replace("omega: 50.0", "omega: 4e2"))
+    assert yaml.safe_load(path.read_text())["controller"]["omega"] == "4e2"
+    assert _run("simulate", path, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "config error: controller.omega:" in err
+    assert "YAML 1.1" in err and "4.0e+2" in err
+    assert yaml.safe_load("omega: 4.0e+2")["omega"] == 400.0
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert _run("simulate", tmp_path / "nope.yaml", tmp_path) == 2
     assert "config error: config:" in capsys.readouterr().err
@@ -200,6 +213,13 @@ def test_compare_duplicate_variants(tmp_path, capsys):
     assert "compare.variants" in capsys.readouterr().err
 
 
+def test_compare_rejects_non_name_variant(tmp_path, capsys):
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    cfg["compare"] = {"variants": [[1]]}
+    assert _run("compare", _write_cfg(tmp_path, cfg), tmp_path) == 2
+    assert "config error: compare.variants[0]:" in capsys.readouterr().err
+
+
 def test_compare_needs_single_initial(tmp_path, capsys):
     cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
     cfg["compare"] = {"variants": ["proposed"]}
@@ -236,6 +256,19 @@ def test_sweep_rejects_empty_omegas(tmp_path, capsys):
     }
     assert _run("sweep", _write_cfg(tmp_path, cfg), tmp_path) == 2
     assert "sweep.omegas" in capsys.readouterr().err
+
+
+def test_sweep_rejects_infinite_omega(tmp_path, capsys):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "simulation": {"t_f": 0.3},
+        "initial": {"y": 1.0, "k": 0.0},
+        "sweep": {"omegas": [math.inf]},
+    }
+    path = _write_cfg(tmp_path, cfg)
+    assert ".inf" in path.read_text()
+    assert _run("sweep", path, tmp_path) == 2
+    assert "config error: sweep.omegas[0]:" in capsys.readouterr().err
 
 
 def test_sweep_rejects_zero_horizon(tmp_path, capsys):
@@ -308,6 +341,18 @@ def test_check_rejects_dither_free_design(tmp_path, capsys, variant):
     }
     assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
     assert "config error: controller.variant:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["grid", "time_samples"])
+def test_check_rejects_empty_sample_set(tmp_path, capsys, field):
+    """An empty grid or time sampling must not pass the audit vacuously."""
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "check": {"grid": 4, "time_samples": 3, field: 0},
+    }
+    assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
+    assert f"config error: check.{field}:" in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
 
 
 def test_check_rejects_inverted_region(tmp_path, capsys):
