@@ -44,7 +44,7 @@ from .dynamics import (
     lie_bracket_loop,
     s_cos_s,
 )
-from .integrate import Method, Trajectory, _write_csv, chen_fliess_simulate, simulate
+from .integrate import Method, Trajectory, _whole_steps, _write_csv, chen_fliess_simulate, simulate
 
 __all__ = ["ConfigError", "PRESETS", "main"]
 
@@ -194,10 +194,7 @@ def _controller_spec(cfg: dict, name: str, where: str) -> ControllerSpec:
     config field the variant came from, for error messages.
     """
     sec = _section(cfg, "controller", required=False)
-    try:
-        variant = ControllerVariant.from_name(name)
-    except ValueError as e:
-        raise ConfigError(where, str(e)) from None
+    variant = _variant(name, where)
     omega = None
     nussbaum_fn = None
     sign_b = None
@@ -210,6 +207,14 @@ def _controller_spec(cfg: dict, name: str, where: str) -> ControllerSpec:
         if sign_b not in (-1, 1):
             raise ConfigError("controller.sign_b", "must be -1 or 1")
     return ControllerSpec(variant, omega=omega, nussbaum_fn=nussbaum_fn, sign_b=sign_b)
+
+
+def _variant(name: object, where: str) -> ControllerVariant:
+    """The variant called `name`; an unknown name is a config error at `where`."""
+    try:
+        return ControllerVariant.from_name(str(name))
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from None
 
 
 def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
@@ -473,10 +478,7 @@ def _audited_system(cfg: dict, plant: PlantParams) -> AffineSystem:
     """Drift/dither split of the configured dithered design; proposed when
     the config names no controller."""
     name = _get(_section(cfg, "controller", required=False), "controller", "variant", "proposed")
-    try:
-        variant = ControllerVariant.from_name(str(name))
-    except ValueError as e:
-        raise ConfigError("controller.variant", str(e)) from None
+    variant = _variant(name, "controller.variant")
     if variant is ControllerVariant.PROPOSED:
         return proposed_design_system(plant)
     if variant is ControllerVariant.SWAPPED:
@@ -557,6 +559,9 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError("chenfliess.periods_per_step", "must be at least 1")
 
     ctrl = _section(cfg, "controller")
+    variant = _variant(_get(ctrl, "controller", "variant", "proposed"), "controller.variant")
+    if variant is not ControllerVariant.PROPOSED:
+        raise ConfigError("controller.variant", f"{variant.value!r} has no series table")
     omega = _num(ctrl, "controller", "omega", positive=True)
     sim = _section(cfg, "simulation")
     t0 = _num(sim, "simulation", "t0", 0.0)
@@ -571,7 +576,7 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
             raise ConfigError("chenfliess.n_steps", "must be nonnegative")
     else:
         t_f = _num(sim, "simulation", "t_f", positive=True)
-        n_steps = int(math.floor(t_f / T * (1.0 + 1e-12)))
+        n_steps = _whole_steps(t_f, T)
 
     for d in orders:
         traj = chen_fliess_simulate(plant, s0, omega, pps, n_steps, d)

@@ -4,15 +4,15 @@ Two explicit integrators are provided: first-order Euler (the "ode1"
 stepping used for the dithered closed loops) and classical RK4 as the
 reference solver. `simulate` drives either one at a constant step and
 returns a Trajectory; the final step is shortened so the last sample
-lands exactly on t_f. Numerical blow-up never raises out of the driver:
-the trajectory is truncated at the last finite sample and the failure is
-recorded on the Trajectory itself.
+lands exactly on t_f.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
-`chen_fliess_simulate` iterates it. At order 1 the step reproduces one
-Euler step of the averaged system exactly; see `cftable` for the row
-selection semantics.
+`chen_fliess_simulate` iterates it through the same loop as `simulate`.
+At order 1 the step reproduces one Euler step of the averaged system
+exactly; see `cftable` for the row selection semantics. Blow-up never
+raises out of that loop: a step that overflows or leaves |y| or |k|
+above 1e9 or non-finite ends the run, recorded on the truncated Trajectory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,9 +71,10 @@ class Trajectory:
     1e-12 relative to the span, and only the final step may be shorter
     (the driver shortens it to land exactly on the requested end time).
 
-    A run that blew up is truncated at the last finite sample and
-    carries status "diverged" with failure_step set to the 1-based index
-    of the step whose result was rejected.
+    A run that blew up -- a step raised OverflowError or left |y| or |k|
+    above 1e9 or non-finite -- is truncated at the last accepted sample
+    and carries status "diverged" with failure_step set to the 1-based
+    index of the step whose result was rejected.
     """
 
     times: np.ndarray
@@ -189,14 +190,6 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Pa
     return path
 
 
-def _trajectory(
-    times: list, ys: list, ks: list, meta: dict, failure_step: int | None, us: list | None = None
-) -> Trajectory:
-    """Assemble a stepper's samples; failure_step set marks the run diverged."""
-    status = "ok" if failure_step is None else "diverged"
-    return Trajectory(times, ys, ks, us, meta, status, failure_step)
-
-
 # -- one-step integrators ------------------------------------------------------
 
 
@@ -237,6 +230,54 @@ def _as_pair(s0: State | Sequence[float]) -> tuple[float, float]:
     return (y, k)
 
 
+def _whole_steps(span: float, h: float) -> int:
+    """Number of whole steps of size h in span. The nudge before flooring keeps
+    an exactly divisible span from losing a step to rounding in the division."""
+    return int(math.floor(span / h * (1.0 + 1e-12)))
+
+
+def _march(
+    step: Callable,
+    rhs: Rhs2 | None,
+    s: tuple[float, float],
+    t0: float,
+    t_f: float,
+    h: float,
+    meta: dict,
+    input_fn: InputFn | None = None,
+) -> Trajectory:
+    """The fixed-step loop s = step(rhs, s, t, dt) of `simulate` and
+    `chen_fliess_simulate`, with the rules `simulate` documents. The 1e9
+    bound is a chained comparison, cheaper than abs() and false for NaN."""
+    span = t_f - t0
+    n_full = _whole_steps(span, h)
+    total = n_full + (1 if span - n_full * h > 1e-9 * h else 0)
+    times = [t0]
+    ys = [s[0]]
+    ks = [s[1]]
+    failure_step: int | None = None
+    for i in range(1, total + 1):
+        t_prev = t0 + (i - 1) * h
+        try:
+            s = step(rhs, s, t_prev, h if i <= n_full else t_f - t_prev)
+        except OverflowError:
+            s = (math.nan, math.nan)
+        y, k = s
+        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+            failure_step = i
+            break
+        times.append(t_f if i == total else t0 + i * h)
+        ys.append(y)
+        ks.append(k)
+
+    us = None
+    if input_fn is not None:
+        us = [input_fn((ys[i], ks[i]), times[i]) for i in range(len(times))]
+    meta = {**meta, "h": h, "t0": t0, "tf": t_f}
+    status = "ok" if failure_step is None else "diverged"
+    return Trajectory(times, ys, ks, us, meta, status, failure_step)
+
+
 def simulate(
     rhs: Rhs2,
     s0: State | Sequence[float],
@@ -251,8 +292,9 @@ def simulate(
     """Integrate rhs from s0 over [t0, t_f] at constant step h.
 
     The last step is shortened so the final sample lands exactly on
-    t_f. If a step produces a non-finite state the trajectory is
-    truncated at the last finite sample, status is set to "diverged"
+    t_f. A step that raises OverflowError, or whose new state has |y| or
+    |k| above 1e9 or non-finite, ends the run: the trajectory is
+    truncated at the last accepted sample, status is set to "diverged"
     and failure_step records the offending step (1-based); nothing is
     raised. When input_fn is given it is evaluated at every stored
     sample and recorded as the u column.
@@ -261,53 +303,16 @@ def simulate(
     """
     if isinstance(method, str):
         method = Method.from_name(method)
-    stepper = _STEPPERS[method]
     if not (math.isfinite(t0) and math.isfinite(t_f)):
         raise ValueError("simulate: t0 and t_f must be finite")
     if t_f < t0:
         raise ValueError("simulate: t_f must not precede t0")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("simulate: h must be positive")
-    span = t_f - t0
-    if span > 0.0 and h > span * (1.0 + 1e-12):
+    if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
         raise ValueError("simulate: h must not exceed t_f - t0")
-
-    s = _as_pair(s0)
-    times = [t0]
-    ys = [s[0]]
-    ks = [s[1]]
-    failure_step: int | None = None
-
-    if span > 0.0:
-        # Nudge before flooring so an exactly-divisible span is not
-        # undercounted by one step through rounding in the division.
-        n_full = int(math.floor(span / h * (1.0 + 1e-12)))
-        rem = span - n_full * h
-        has_partial = rem > 1e-9 * h
-        total = n_full + (1 if has_partial else 0)
-        for i in range(1, total + 1):
-            if i <= n_full:
-                t_prev = t0 + (i - 1) * h
-                t_next = t_f if (i == n_full and not has_partial) else t0 + i * h
-                s = stepper(rhs, s, t_prev, h)
-            else:
-                t_prev = t0 + n_full * h
-                t_next = t_f
-                s = stepper(rhs, s, t_prev, t_f - t_prev)
-            if not (math.isfinite(s[0]) and math.isfinite(s[1])):
-                failure_step = i
-                break
-            times.append(t_next)
-            ys.append(s[0])
-            ks.append(s[1])
-
-    us = None
-    if input_fn is not None:
-        us = [input_fn((ys[i], ks[i]), times[i]) for i in range(len(times))]
-
-    run_meta = dict(meta or {})
-    run_meta.update({"method": method.value, "h": h, "t0": t0, "tf": t_f})
-    return _trajectory(times, ys, ks, run_meta, failure_step, us)
+    run_meta = {**(meta or {}), "method": method.value}
+    return _march(_STEPPERS[method], rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn)
 
 
 # -- whole-period series stepping ----------------------------------------------
@@ -377,8 +382,9 @@ def chen_fliess_simulate(
 
     Each step re-centers the closed forms at its own start, which is
     exact because the dithers are 2*pi-periodic and every step spans
-    whole periods. States growing past 1e9 in either component (or
-    overflowing) truncate the trajectory with a divergence record.
+    whole periods. Divergence follows `simulate`'s rule: a step that
+    overflows, or leaves |y| or |k| above 1e9 or non-finite, truncates
+    the trajectory with a divergence record.
 
     n_steps = 0 yields a single-sample trajectory.
     """
@@ -390,27 +396,17 @@ def chen_fliess_simulate(
     rows_for_order(order, drift_taylor=drift_taylor)  # validate order up front
 
     T = math.tau * periods_per_step / omega
-    s = s0
-    times = [0.0]
-    ys = [s.y]
-    ks = [s.k]
-    failure_step: int | None = None
-    for i in range(1, n_steps + 1):
-        # Preconditions were validated above, so an in-loop ValueError
-        # can only come from a non-finite result (State rejects it).
+
+    def step(_, s: tuple[float, float], t: float, h: float) -> tuple[float, float]:
+        # Preconditions were validated above, so a ValueError here can only
+        # come from a non-finite result, which State rejects.
         try:
-            s = chen_fliess_step(
-                p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
+            nxt = chen_fliess_step(
+                p, State(*s), T, order, periods=periods_per_step, drift_taylor=drift_taylor
             )
-        except (OverflowError, ValueError):
-            failure_step = i
-            break
-        if max(abs(s.y), abs(s.k)) > 1e9:
-            failure_step = i
-            break
-        times.append(i * T)
-        ys.append(s.y)
-        ks.append(s.k)
+        except ValueError:
+            return (math.nan, math.nan)
+        return nxt.as_tuple()
 
     meta = {
         "scheme": "series",
@@ -423,8 +419,6 @@ def chen_fliess_simulate(
         "b": p.b,
         "y0": s0.y,
         "k0": s0.k,
-        "h": T,
-        "t0": 0.0,
-        "tf": n_steps * T,
     }
-    return _trajectory(times, ys, ks, meta, failure_step)
+    # t_f is a whole number of steps, so the driver takes no shortened step.
+    return _march(step, None, s0.as_tuple(), 0.0, n_steps * T, T, meta)

@@ -434,6 +434,43 @@ def test_chenfliess_rejects_bad_orders(tmp_path, capsys, orders, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "controller",
+    [
+        {"variant": "swapped", "omega": 400.0},
+        {"variant": "nussbaum"},
+        {"variant": "willems_byrnes", "sign_b": -1},
+        {"variant": "wat", "omega": 400.0},
+    ],
+    ids=lambda c: c["variant"],
+)
+def test_chenfliess_rejects_other_variants(tmp_path, capsys, controller):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": controller,
+        "simulation": {"t0": 0.0},
+        "initial": {"y": 1.0, "k": 0.0},
+        "chenfliess": {"orders": [0], "n_steps": 2},
+    }
+    out = tmp_path / "out"
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 2
+    assert "config error: controller.variant:" in capsys.readouterr().err
+    assert not (out / "reference.json").exists()
+
+
+def test_chenfliess_without_variant_runs_proposed(tmp_path):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"omega": 400.0},
+        "simulation": {"t0": 0.0},
+        "initial": {"y": 1.0, "k": 0.0},
+        "chenfliess": {"orders": [0], "n_steps": 2},
+    }
+    out = tmp_path / "out"
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
+    assert json.loads((out / "reference.json").read_text())["variant"] == "proposed"
+
+
 def test_chenfliess_explicit_step_count(tmp_path):
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dithersim import (
     ControllerSpec,
@@ -166,16 +168,18 @@ def test_simulate_equilibrium_preserved():
 
 
 def test_simulate_truncates_on_blow_up():
-    def blow(s, t):
-        return (s[0] * s[0] * s[0], 0.0)
-
-    traj = simulate(blow, (5.0, 0.0), 0.0, 10.0, 1.0, Method.EULER, meta={"tag": 1})
-    assert traj.status == "diverged"
-    assert traj.diverged
-    assert isinstance(traj.failure_step, int)
-    assert len(traj) == traj.failure_step
-    assert np.all(np.isfinite(traj.ys))
-    assert traj.meta["tag"] == 1
+    """5 -> 130 -> 2197130 -> ~1.06e19: step 3 is the first past 1e9. From
+    1e200 the float power raises OverflowError, which must not escape."""
+    for blow in (lambda s, t: (s[0] * s[0] * s[0], 0.0), lambda s, t: (s[0] ** 3, 0.0)):
+        traj = simulate(blow, (5.0, 0.0), 0.0, 10.0, 1.0, Method.EULER, meta={"tag": 1})
+        assert traj.status == "diverged"
+        assert traj.diverged
+        assert traj.failure_step == 3
+        assert len(traj) == traj.failure_step
+        assert np.all(np.isfinite(traj.ys))
+        assert traj.meta["tag"] == 1
+    traj = simulate(lambda s, t: (s[0] ** 3, 0.0), (1e200, 0.0), 0.0, 1.0, 1.0, Method.EULER)
+    assert (traj.status, traj.failure_step, len(traj)) == ("diverged", 1, 1)
 
 
 def test_simulate_meta_records_solver_facts():
@@ -344,6 +348,36 @@ def test_chen_fliess_simulate_matches_euler_trajectory():
     assert len(series) == len(euler)
     np.testing.assert_allclose(series.ys, euler.ys, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(series.ks, euler.ks, rtol=1e-12, atol=1e-14)
+
+
+def _signed_decades(lo: float, hi: float):
+    """Floats of either sign with log10 magnitude uniform-ish in [lo, hi]."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(
+    a=st.floats(-5.0, 5.0),
+    b=_signed_decades(-1.0, 0.7),
+    y0=_signed_decades(-3.0, 14.0),
+    k0=_signed_decades(-3.0, 12.0),
+    omega=st.floats(10.0, 2000.0),
+    n=st.integers(0, 120),
+)
+def test_chen_fliess_order1_run_equals_euler_run_on_average(a, b, y0, k0, omega, n):
+    """Sample for sample, and in where and whether the run diverges, the
+    order-1 series run is an Euler run of the averaged system. Starts reach
+    1e14, five decades past the 1e9 divergence limit."""
+    p = PlantParams(a, b)
+    T = math.tau / omega
+    series = chen_fliess_simulate(p, State(y0, k0), omega, 1, n, 1)
+    euler = simulate(lie_bracket_loop(p), State(y0, k0), 0.0, n * T, T, Method.EULER)
+    assert (series.status, series.failure_step) == (euler.status, euler.failure_step)
+    np.testing.assert_array_equal(series.times, euler.times)
+    np.testing.assert_allclose(series.ys, euler.ys, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(series.ks, euler.ks, rtol=1e-12, atol=0.0)
 
 
 def test_chen_fliess_simulate_meta():
