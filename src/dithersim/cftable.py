@@ -22,13 +22,19 @@ scratch) lives in the test suite.
 
 The powers of (omega*T) equal (2*pi*n)^e2pi exactly for whole-period
 steps, which is why one table covers any whole number of periods.
+
+The exact (Fraction) rows are the single source of truth. The series
+stepper evaluates a float form of them instead, derived once at import
+for each of the eight (order, drift_taylor) selections: the y and k
+monomials of the selected rows, in table order, as tuples
+(c, eb, ey, er, eT, e2pi) with c, eT and e2pi converted to float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 __all__ = [
     "Mono",
@@ -193,6 +199,11 @@ if len(TABLE_BY_WORD) != 120 or len(TABLE) != 120:  # every word of length 1..4,
     raise AssertionError("stencil table must hold exactly the 120 words of length 1..4")
 
 
+def _check_order(order: int) -> None:
+    if isinstance(order, bool) or not isinstance(order, int) or order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2, or 3 (got {order!r})")
+
+
 def rows_for_order(order: int, drift_taylor: bool = False) -> tuple[ChenFliessTerm, ...]:
     """Rows participating in a truncation of the given order.
 
@@ -202,11 +213,40 @@ def rows_for_order(order: int, drift_taylor: bool = False) -> tuple[ChenFliessTe
     exact Euler step of the averaged system. Pass drift_taylor=True to
     include them (the literal full truncation).
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2, or 3 (got {order!r})")
+    _check_order(order)
     return tuple(
         row
         for row in TABLE
         if len(row.word) <= order + 1
         and (drift_taylor or row.word not in DRIFT_TAYLOR_WORDS)
     )
+
+
+FloatMono = tuple[float, int, int, int, float, float]
+FloatTerms = tuple[tuple[FloatMono, ...], tuple[FloatMono, ...]]
+
+
+def _float_monos(monos: Iterable[Mono]) -> tuple[FloatMono, ...]:
+    return tuple((float(m.c), m.eb, m.ey, m.er, float(m.eT), float(m.e2pi)) for m in monos)
+
+
+def _float_form(order: int, drift_taylor: bool) -> FloatTerms:
+    rows = rows_for_order(order, drift_taylor=drift_taylor)
+    return (
+        _float_monos(m for row in rows for m in row.y_terms),
+        _float_monos(m for row in rows for m in row.k_terms),
+    )
+
+
+_FLOAT_TERMS = {
+    (order, taylor): _float_form(order, taylor)
+    for order in (0, 1, 2, 3)
+    for taylor in (False, True)
+}
+
+
+def _float_terms(order: int, drift_taylor: bool = False) -> FloatTerms:
+    """The y and the k monomials of rows_for_order(order, drift_taylor), in
+    table order and in float form (see the module docstring)."""
+    _check_order(order)
+    return _FLOAT_TERMS[order, bool(drift_taylor)]

@@ -12,6 +12,8 @@ a bundled config instead and writes it into the output directory so the
 run can be edited and repeated. Exit code 0 means every requested
 artifact was written (numerical blow-up is recorded in the output, not
 signaled); config problems exit with 2 and a message naming the field.
+A config that asks for more than WORK_BUDGET integration steps in one
+command is such a problem, refused before any step is taken.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ from .integrate import Method, Trajectory, _whole_steps, _write_csv, chen_fliess
 __all__ = ["ConfigError", "PRESETS", "main"]
 
 LBS_REFERENCE_STEP = 1e-4
+# Most integration steps (Euler, RK4 and series steps together) that one
+# command may take. A command holds its trajectories in memory: a run peaks
+# near 190 bytes per step while it is built and keeps about 32.
+WORK_BUDGET = 2_000_000
 NUSSBAUM_SHAPES: dict[str, Callable[[float], float]] = {
     "s_cos_s": s_cos_s,
     "const_1": lambda s: 1.0,
@@ -264,19 +270,41 @@ def _parse_simulation(
     return t0, t_f, method, h, with_lbs
 
 
+def _check_work(field: str, runs: int, run_steps: float) -> None:
+    """Refuse, naming `field`, `runs` runs of about `run_steps` steps each,
+    every run counting as at least one step, when together they would take
+    more than WORK_BUDGET steps. Each factor is compared before it
+    multiplies, so no integer from a config is too large to check."""
+    if runs > WORK_BUDGET or run_steps > WORK_BUDGET:
+        steps = math.inf
+    else:
+        steps = runs * max(run_steps, 1.0)
+    if steps > WORK_BUDGET:
+        about = f" (about {steps:.3g})" if math.isfinite(steps) else ""
+        raise ConfigError(
+            field,
+            f"the command would take more integration steps{about} than the "
+            f"{WORK_BUDGET:,} one command may take",
+        )
+
+
 def _state_from(entry: object, where: str) -> State:
     if not isinstance(entry, dict):
         raise ConfigError(where, "expected a mapping with keys y and k")
     return State(_num(entry, where, "y"), _num(entry, where, "k"))
 
 
-def _parse_initial(cfg: dict, seed: int) -> list[State]:
+def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
+    """The initial states, one run each; a batch whose runs of about
+    `run_steps` steps would exceed the work budget is refused before any
+    state is drawn."""
     ini = cfg.get("initial")
     if ini is None:
         raise ConfigError("initial", "missing required section")
     if isinstance(ini, list):
         if not ini:
             raise ConfigError("initial", "list must be nonempty")
+        _check_work("initial", len(ini), run_steps)
         return [_state_from(e, f"initial[{i}]") for i, e in enumerate(ini)]
     if isinstance(ini, dict) and "random" in ini:
         rnd = ini["random"]
@@ -285,6 +313,7 @@ def _parse_initial(cfg: dict, seed: int) -> list[State]:
         count = _int(rnd, "initial.random", "count")
         if count < 1:
             raise ConfigError("initial.random.count", "must be at least 1")
+        _check_work("initial.random.count", count, run_steps)
         ranges = {}
         for key in ("y_range", "k_range"):
             pair = _get(rnd, "initial.random", key)
@@ -303,8 +332,8 @@ def _parse_initial(cfg: dict, seed: int) -> list[State]:
     return [_state_from(ini, "initial")]
 
 
-def _single_initial(cfg: dict, seed: int, command: str) -> State:
-    initials = _parse_initial(cfg, seed)
+def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> State:
+    initials = _parse_initial(cfg, seed, run_steps)
     if len(initials) != 1:
         raise ConfigError("initial", f"{command} needs exactly one initial condition")
     return initials[0]
@@ -375,7 +404,10 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     spec = _controller_spec(cfg, name, "controller.variant")
     t0, t_f, method, h, with_lbs_cfg = _parse_simulation(cfg, spec)
     with_lbs = with_lbs_cfg or bool(getattr(args, "with_lbs", False))
-    initials = _parse_initial(cfg, args.seed)
+    span = t_f - t0
+    run_steps = span / h + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
+    _check_work("simulation.t_f", 1, run_steps)
+    initials = _parse_initial(cfg, args.seed, run_steps)
 
     trajs = [_run_controller(plant, spec, name, s0, t0, t_f, h, method) for s0 in initials]
     lbs_trajs = [_run_lbs(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
@@ -421,9 +453,12 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     # Horizon and method are shared; each controller runs at its own
     # reference step regardless of simulation.step.
     t0, t_f, method, _, _ = _parse_simulation(cfg, specs[0])
-    s0 = _single_initial(cfg, args.seed, "compare")
-
     steps = [_paper_step(spec) for spec in specs]
+    span = t_f - t0
+    run_steps = sum(span / h for h in steps) + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
+    _check_work("simulation.t_f", 1, run_steps)
+    s0 = _single_initial(cfg, args.seed, "compare", run_steps)
+
     trajs = [
         _run_controller(plant, spec, str(name), s0, t0, t_f, h, method)
         for spec, name, h in zip(specs, variants, steps)
@@ -462,7 +497,10 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         vals.append(float(w))
     sim = _section(cfg, "simulation")
     t_f = _num(sim, "simulation", "t_f", positive=True)
-    s0 = _single_initial(cfg, args.seed, "sweep")
+    # One Euler run per omega at step 2*pi/(40*omega), one shared RK4 reference.
+    run_steps = sum(t_f * 40.0 * w / math.tau for w in vals) + t_f / LBS_REFERENCE_STEP
+    _check_work("sweep.omegas", 1, run_steps)
+    s0 = _single_initial(cfg, args.seed, "sweep", run_steps)
 
     results = approximation_sweep(plant, s0, t_f, vals)
     csv_path = out / "sweep.csv"
@@ -557,6 +595,10 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     pps = _int(sec, "chenfliess", "periods_per_step", 1)
     if pps < 1:
         raise ConfigError("chenfliess.periods_per_step", "must be at least 1")
+    # A series step costs one step per order and, in the Euler reference at
+    # the paper step, 40 steps per dither period.
+    step_cost = len(orders) + 40 * pps
+    _check_work("chenfliess.periods_per_step", 1, step_cost)
 
     ctrl = _section(cfg, "controller")
     variant = _variant(_get(ctrl, "controller", "variant", "proposed"), "controller.variant")
@@ -567,16 +609,18 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     t0 = _num(sim, "simulation", "t0", 0.0)
     if t0 != 0.0:
         raise ConfigError("simulation.t0", "series stepping starts at 0")
-    s0 = _single_initial(cfg, args.seed, "chenfliess")
 
     T = math.tau * pps / omega
     if "n_steps" in sec:
         n_steps = _int(sec, "chenfliess", "n_steps")
         if n_steps < 0:
             raise ConfigError("chenfliess.n_steps", "must be nonnegative")
+        _check_work("chenfliess.n_steps", n_steps, step_cost)
     else:
         t_f = _num(sim, "simulation", "t_f", positive=True)
+        _check_work("simulation.t_f", 1, t_f / T * step_cost)
         n_steps = _whole_steps(t_f, T)
+    s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:
         traj = chen_fliess_simulate(plant, s0, omega, pps, n_steps, d)

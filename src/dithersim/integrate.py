@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cftable import Mono, rows_for_order
+from .cftable import FloatMono, _float_terms
 from .dynamics import InputFn, PlantParams, Rhs2, State
 
 __all__ = [
@@ -318,11 +318,18 @@ def simulate(
 # -- whole-period series stepping ----------------------------------------------
 
 
-def _mono_value(m: Mono, b: float, y: float, rho: float, T: float, wT: float) -> float:
-    v = float(m.c) * b**m.eb * y**m.ey * rho**m.er * T ** float(m.eT)
-    if m.e2pi:
-        v *= wT ** float(m.e2pi)
-    return v
+def _monomial_values(
+    monos: tuple[FloatMono, ...], b: float, y: float, rho: float, T: float, wT: float
+) -> list[float]:
+    """c * b^eb * y^ey * rho^er * T^eT per monomial, times (omega*T)^e2pi
+    where e2pi is nonzero."""
+    values = []
+    for c, eb, ey, er, eT, e2pi in monos:
+        v = c * b**eb * y**ey * rho**er * T**eT
+        if e2pi:
+            v *= wT**e2pi
+        values.append(v)
+    return values
 
 
 def _check_periods(periods: int) -> None:
@@ -344,8 +351,10 @@ def chen_fliess_step(
     T must span exactly `periods` whole dither cycles, i.e. the implied
     frequency is 2*pi*periods/T; the tabulated closed forms are only
     valid on whole periods, so sub-period steps are rejected by
-    construction (there is no way to express one here). Contributions
-    are summed with compensated summation per component.
+    construction (there is no way to express one here). The monomials
+    come from the float form of the table, derived once from the exact
+    rows (see `cftable`); contributions are summed with compensated
+    summation per component.
 
     order selects rows by word length; drift_taylor additionally
     includes the pure-drift Taylor rows (see `cftable.rows_for_order`).
@@ -353,24 +362,21 @@ def chen_fliess_step(
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
     _check_periods(periods)
-    rows = rows_for_order(order, drift_taylor=drift_taylor)
+    y_monos, k_monos = _float_terms(order, drift_taylor)
     y0, k0 = s0.y, s0.k
     b = p.b
     rho = p.a - p.b * k0
     wT = math.tau * periods
-    dy_parts: list[float] = []
-    dk_parts: list[float] = []
-    for term in rows:
-        for m in term.y_terms:
-            dy_parts.append(_mono_value(m, b, y0, rho, T, wT))
-        for m in term.k_terms:
-            dk_parts.append(_mono_value(m, b, y0, rho, T, wT))
+    # Every power is taken before either sum, so an OverflowError from a
+    # power wins over a failing sum of the other component.
+    dy_parts = _monomial_values(y_monos, b, y0, rho, T, wT)
+    dk_parts = _monomial_values(k_monos, b, y0, rho, T, wT)
     return State(y0 + math.fsum(dy_parts), k0 + math.fsum(dk_parts))
 
 
 def chen_fliess_simulate(
     p: PlantParams,
-    s0: State,
+    s0: State | Sequence[float],
     omega: float,
     periods_per_step: int,
     n_steps: int,
@@ -379,6 +385,8 @@ def chen_fliess_simulate(
     drift_taylor: bool = False,
 ) -> Trajectory:
     """Iterate chen_fliess_step from t = 0 with T = 2*pi*periods_per_step/omega.
+
+    s0 is a State or a finite (y, k) pair, as for `simulate`.
 
     Each step re-centers the closed forms at its own start, which is
     exact because the dithers are 2*pi-periodic and every step spans
@@ -393,7 +401,8 @@ def chen_fliess_simulate(
     _check_periods(periods_per_step)
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError("chen_fliess_simulate: n_steps must be a nonnegative integer")
-    rows_for_order(order, drift_taylor=drift_taylor)  # validate order up front
+    _float_terms(order, drift_taylor)  # validate order up front
+    y0, k0 = _as_pair(s0)
 
     T = math.tau * periods_per_step / omega
 
@@ -417,8 +426,8 @@ def chen_fliess_simulate(
         "drift_taylor": drift_taylor,
         "a": p.a,
         "b": p.b,
-        "y0": s0.y,
-        "k0": s0.k,
+        "y0": y0,
+        "k0": k0,
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
-    return _march(step, None, s0.as_tuple(), 0.0, n_steps * T, T, meta)
+    return _march(step, None, (y0, k0), 0.0, n_steps * T, T, meta)

@@ -5,11 +5,16 @@ assumption scan are session-scoped so the acceptance tests and the unit
 tests share a single run. The terminal-summary hook prints one
 "ACCEPTANCE n: PASS/FAIL" line per criterion, keyed off the `acceptance`
 marker declared in pyproject.toml.
+
+Property tests run under one `hypothesis` profile: derandomized, with no
+example database and no deadline, so every run draws the same examples
+and none is failed for being slow on a loaded machine.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from dithersim import (
     Method,
@@ -22,6 +27,9 @@ from dithersim import (
 )
 
 PLANT = PlantParams(a=10.0, b=-2.0)
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from dithersim import (
     simulate,
     swapped_design_system,
 )
+from dithersim import cli
 from dithersim.cli import PRESETS, main
 
 FAST_SIM = {
@@ -483,6 +484,132 @@ def test_chenfliess_explicit_step_count(tmp_path):
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
     _, rows = _read_csv_columns(out / "chenfliess_order0.csv")
     assert len(rows) == 6
+
+
+# -- work budget --------------------------------------------------------------------
+
+
+def _budget_case(section_updates, initial=None):
+    """FAST_SIM with the given fields set per section and, if given, another
+    initial section."""
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    for section, values in section_updates.items():
+        cfg.setdefault(section, {}).update(values)
+    if initial is not None:
+        cfg["initial"] = initial
+    return cfg
+
+
+_SERIES = {"chenfliess": {"orders": [0, 1, 2, 3]}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        # 10**30 runs: refused before a single initial state is drawn.
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 10**30, "y_range": [0, 1], "k_range": [0, 1]}}
+            ),
+            "initial.random.count",
+        ),
+        # 1e4 s at the paper step 2*pi/(40*50) plus the 1e-4 RK4 reference: ~1e8 steps.
+        (
+            "simulate",
+            _budget_case({"simulation": {"t_f": 1e4, "with_lbs": True}}),
+            "simulation.t_f",
+        ),
+        ("simulate", _budget_case({"simulation": {"step": 1e-7}}), "simulation.t_f"),
+        # Ten runs of 0.5 s at step 2e-6: 2.5e6 steps, each run alone under budget.
+        (
+            "simulate",
+            _budget_case({"simulation": {"step": 2e-6}}, [{"y": 1.0, "k": 0.0}] * 10),
+            "initial",
+        ),
+        (
+            "compare",
+            _budget_case(
+                {
+                    "simulation": {"t_f": 300.0},
+                    "compare": {"variants": ["proposed"], "with_lbs": True},
+                }
+            ),
+            "simulation.t_f",
+        ),
+        ("sweep", _budget_case({"sweep": {"omegas": [100.0, 1e6]}}), "sweep.omegas"),
+        ("chenfliess", _budget_case({**_SERIES, "simulation": {"t_f": 1e4}}), "simulation.t_f"),
+        (
+            "chenfliess",
+            _budget_case({"chenfliess": {"orders": [0], "n_steps": 10**400}}),
+            "chenfliess.n_steps",
+        ),
+        # t_f / T overflows to inf; the step count is never formed.
+        (
+            "chenfliess",
+            _budget_case(
+                {**_SERIES, "controller": {"omega": 1e300}, "simulation": {"t_f": 1e300}}
+            ),
+            "simulation.t_f",
+        ),
+        (
+            "chenfliess",
+            _budget_case({"chenfliess": {"orders": [0], "periods_per_step": 10**400}}),
+            "chenfliess.periods_per_step",
+        ),
+    ],
+    ids=[
+        "count",
+        "t_f",
+        "step",
+        "initial-list",
+        "compare",
+        "sweep",
+        "series-t_f",
+        "n_steps",
+        "series-omega",
+        "periods",
+    ],
+)
+def test_over_budget_config_is_refused_before_running(
+    tmp_path, capsys, monkeypatch, command, cfg, field
+):
+    def never(*args, **kwargs):
+        raise AssertionError("an over-budget command started to integrate")
+
+    for name in ("simulate", "approximation_sweep", "chen_fliess_simulate"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out"
+    assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: the command would take more integration steps" in err
+    assert f"than the {cli.WORK_BUDGET:,} one command may take" in err
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("budget, code", [(11, 2), (12, 0)])
+def test_work_budget_counts_runs_times_steps(tmp_path, capsys, monkeypatch, budget, code):
+    """Three runs of 0.5 / 0.125 = 4 steps each take 12 steps."""
+    monkeypatch.setattr(cli, "WORK_BUDGET", budget)
+    cfg = _budget_case(
+        {"simulation": {"step": 0.125}},
+        {"random": {"count": 3, "y_range": [0, 1], "k_range": [0, 1]}},
+    )
+    assert _run("simulate", _write_cfg(tmp_path, cfg), tmp_path / "out") == code
+    if code:
+        assert "config error: initial.random.count: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget, code", [(83, 2), (84, 0)])
+def test_work_budget_counts_series_steps_and_reference(
+    tmp_path, capsys, monkeypatch, budget, code
+):
+    """Two series steps at two orders, plus 2 * 40 Euler reference steps: 84."""
+    monkeypatch.setattr(cli, "WORK_BUDGET", budget)
+    cfg = _budget_case({"chenfliess": {"orders": [0, 1], "n_steps": 2}})
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), tmp_path / "out") == code
+    if code:
+        assert "config error: chenfliess.n_steps: " in capsys.readouterr().err
 
 
 # -- presets -------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dithersim import (
@@ -30,6 +30,8 @@ from dithersim import (
     rk4_step,
     simulate,
 )
+from dithersim.cftable import rows_for_order
+from series_reference import chen_fliess_step as reference_chen_fliess_step
 
 PLANT = PlantParams(10.0, -2.0)
 
@@ -378,6 +380,77 @@ def test_chen_fliess_order1_run_equals_euler_run_on_average(a, b, y0, k0, omega,
     np.testing.assert_array_equal(series.times, euler.times)
     np.testing.assert_allclose(series.ys, euler.ys, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(series.ks, euler.ks, rtol=1e-12, atol=0.0)
+
+
+def _step_outcome(step, *args, **kwargs):
+    """The new state as exact hex floats, or the type of what was raised."""
+    try:
+        s = step(*args, **kwargs)
+    except Exception as e:  # the exception type is the outcome
+        return type(e)
+    return (s.y.hex(), s.k.hex())
+
+
+@settings(max_examples=400)
+@given(
+    a=st.floats(-5.0, 5.0),
+    b=_signed_decades(-1.0, 0.7),
+    y0=_signed_decades(-3.0, 80.0),
+    k0=_signed_decades(-3.0, 80.0),
+    omega=st.floats(10.0, 3000.0),
+    periods=st.integers(1, 3),
+    order=st.integers(0, 3),
+    drift_taylor=st.booleans(),
+)
+# A power overflows: y**5 at order 3.
+@example(10.0, -2.0, 1e70, 0.5, 400.0, 1, 3, False)
+# A monomial is infinite, so the new state is not finite.
+@example(10.0, -2.0, 1e50, 1e70, 400.0, 1, 3, False)
+# The y sum fails ("-inf + inf") and a k power overflows: every power is
+# taken before either sum, so OverflowError is what is raised.
+@example(
+    -0.9184956268595643, -0.35180115078460816, -2.1401178526322307e78,
+    -1.106289012141867e77, 2973.682025412213, 3, 2, False,
+)
+def test_chen_fliess_step_equals_fraction_reference(
+    a, b, y0, k0, omega, periods, order, drift_taylor
+):
+    """The float form of the table gives the state the Fraction-evaluating
+    reference gives, bit for bit, or raises the same exception type. Starts
+    reach 1e80 so that powers overflow and sums fail."""
+    args = (PlantParams(a, b), State(y0, k0), math.tau * periods / omega, order)
+    kwargs = {"periods": periods, "drift_taylor": drift_taylor}
+    assert _step_outcome(chen_fliess_step, *args, **kwargs) == _step_outcome(
+        reference_chen_fliess_step, *args, **kwargs
+    )
+
+
+def test_chen_fliess_simulate_accepts_a_pair():
+    """A (y, k) start runs exactly like the same State start."""
+    from_pair = chen_fliess_simulate(PLANT, (1.0, 0.0), 400.0, 1, 20, 2)
+    from_state = chen_fliess_simulate(PLANT, State(1.0, 0.0), 400.0, 1, 20, 2)
+    for name in ("times", "ys", "ks"):
+        assert getattr(from_pair, name).tobytes() == getattr(from_state, name).tobytes()
+    assert json.dumps(from_pair.record, sort_keys=True) == json.dumps(
+        from_state.record, sort_keys=True
+    )
+
+
+def test_chen_fliess_simulate_rejects_non_finite_pair():
+    with pytest.raises(ValueError, match="finite"):
+        chen_fliess_simulate(PLANT, (math.nan, 0.0), 400.0, 1, 5, 1)
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, 3.0])
+def test_series_refuses_non_integer_orders(order):
+    """bool and float orders are refused, not read as 1, 0, 1 or 3."""
+    message = r"order must be 0, 1, 2, or 3 \(got "
+    with pytest.raises(ValueError, match=message):
+        rows_for_order(order)
+    with pytest.raises(ValueError, match=message):
+        chen_fliess_step(PLANT, State(1.0, 0.0), 0.1, order)
+    with pytest.raises(ValueError, match=message):
+        chen_fliess_simulate(PLANT, State(1.0, 0.0), 400.0, 1, 5, order)
 
 
 def test_chen_fliess_simulate_meta():
