@@ -48,6 +48,8 @@ __all__ = [
     "convergence_report",
 ]
 
+LBS_REFERENCE_STEP = 1e-4  # step of the RK4 reference runs of the averaged system
+
 
 @dataclass(frozen=True)
 class LyapunovParams:
@@ -100,6 +102,28 @@ def lbs_limit_point(p: PlantParams, s0: State) -> State:
     return State(0.0, c0 + math.copysign(rho0, p.b))
 
 
+def _paper_step(spec: ControllerSpec) -> float:
+    """Per-design reference step: a fortieth of the dither period for
+    the dithered designs, 1e-4 for the dither-free ones."""
+    if spec.omega is not None:
+        return math.tau / (40.0 * spec.omega)
+    return 1e-4
+
+
+def _lbs_reference(p: PlantParams, s0: State, t0: float, t_f: float) -> Trajectory:
+    """The averaged system from s0 over [t0, t_f]: RK4 at LBS_REFERENCE_STEP."""
+    meta = {
+        "variant": None,
+        "system": "lbs",
+        "omega": None,
+        "a": p.a,
+        "b": p.b,
+        "y0": s0.y,
+        "k0": s0.k,
+    }
+    return simulate(lie_bracket_loop(p), s0, t0, t_f, LBS_REFERENCE_STEP, Method.RK4, meta=meta)
+
+
 def approximation_sweep(
     p: PlantParams,
     s0: State,
@@ -110,7 +134,7 @@ def approximation_sweep(
 
     For each omega the primary dithered design is integrated by Euler
     at step 2*pi/(40*omega) over [0, t_f] and compared with one shared
-    RK4 reference run of the averaged system (step 1e-4). The error is
+    RK4 reference run of the averaged system (`_lbs_reference`). The error is
     the maximum over the dithered run's sample times of the Euclidean
     distance between the two states, with the reference interpolated
     linearly onto those times. A blown-up dithered run reports inf.
@@ -129,22 +153,12 @@ def approximation_sweep(
     if t_f == 0.0:
         return [(float(w), 0.0) for w in omegas]
 
-    ref = simulate(
-        lie_bracket_loop(p),
-        s0,
-        0.0,
-        t_f,
-        1e-4,
-        Method.RK4,
-        meta={"system": "lbs", "a": p.a, "b": p.b},
-    )
-
+    ref = _lbs_reference(p, s0, 0.0, t_f)
     results: list[tuple[float, float]] = []
     for w in omegas:
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=float(w))
         rhs, _ = closed_loop(p, spec)
-        h = math.tau / (40.0 * w)
-        full = simulate(rhs, s0, 0.0, t_f, h, Method.EULER)
+        full = simulate(rhs, s0, 0.0, t_f, _paper_step(spec), Method.EULER)
         if full.diverged:
             results.append((float(w), math.inf))
             continue

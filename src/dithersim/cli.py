@@ -19,7 +19,6 @@ command is such a problem, refused before any step is taken.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -29,7 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
-from .analysis import approximation_sweep, nussbaum_type_check, sweep_to_csv
+from .analysis import (
+    LBS_REFERENCE_STEP,
+    _lbs_reference,
+    _paper_step,
+    approximation_sweep,
+    nussbaum_type_check,
+    sweep_to_csv,
+)
 from .averaging import (
     AffineSystem,
     DitherSignal,
@@ -43,14 +49,20 @@ from .dynamics import (
     PlantParams,
     State,
     closed_loop,
-    lie_bracket_loop,
     s_cos_s,
 )
-from .integrate import Method, Trajectory, _whole_steps, _write_csv, chen_fliess_simulate, simulate
+from .integrate import (
+    Method,
+    Trajectory,
+    _whole_steps,
+    _write_csv,
+    _write_json,
+    chen_fliess_simulate,
+    simulate,
+)
 
 __all__ = ["ConfigError", "PRESETS", "main"]
 
-LBS_REFERENCE_STEP = 1e-4
 # Most integration steps (Euler, RK4 and series steps together) that one
 # command may take. A command holds its trajectories in memory: a run peaks
 # near 190 bytes per step while it is built and keeps about 32.
@@ -157,6 +169,19 @@ def _not_a_number(v: object) -> str:
     return f"expected a number, got {type(v).__name__}"
 
 
+def _number(v: object, path: str, *, positive: bool = False) -> float:
+    """v as a finite float, positive if asked; anything else is a config
+    error at `path`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(path, _not_a_number(v))
+    v = float(v) if abs(v) <= sys.float_info.max else math.inf  # float() of a huge int overflows
+    if not math.isfinite(v):
+        raise ConfigError(path, "must be finite")
+    if positive and v <= 0.0:
+        raise ConfigError(path, "must be positive")
+    return v
+
+
 def _num(
     sec: dict,
     secname: str,
@@ -165,24 +190,48 @@ def _num(
     *,
     positive: bool = False,
 ) -> float:
-    v = _get(sec, secname, key, default)
-    path = f"{secname}.{key}"
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, _not_a_number(v))
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(path, "must be positive")
-    return v
+    return _number(_get(sec, secname, key, default), f"{secname}.{key}", positive=positive)
 
 
-def _int(sec: dict, secname: str, key: str, default: object = _MISSING) -> int:
+def _int(
+    sec: dict, secname: str, key: str, default: object = _MISSING, *, least: float = -math.inf
+) -> int:
     v = _get(sec, secname, key, default)
     path = f"{secname}.{key}"
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(path, f"expected an integer, got {type(v).__name__}")
+    if v < least:
+        raise ConfigError(path, f"must be at least {least}")
     return v
+
+
+def _flag(sec: dict, secname: str, key: str) -> bool:
+    """sec[key] as a YAML boolean, false when absent."""
+    v = _get(sec, secname, key, False)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{secname}.{key}", f"expected true or false, got {type(v).__name__}")
+    return v
+
+
+def _list(
+    sec: dict, secname: str, key: str, item: Callable, *, distinct: bool = False
+) -> list:
+    """The nonempty list sec[key], each element read by item(value, path)."""
+    v = _get(sec, secname, key)
+    path = f"{secname}.{key}"
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, "expected a nonempty list")
+    items = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    if distinct and len(set(items)) != len(items):
+        raise ConfigError(path, f"{key} must be distinct")
+    return items
+
+
+def _check_horizon(field: str, h: float, span: float) -> None:
+    """Refuse, naming `field`, a step h longer than a positive horizon
+    span, or an infinite h (the paper step of a subnormal omega)."""
+    if h == math.inf or (span > 0.0 and h > span * (1.0 + 1e-12)):
+        raise ConfigError(field, "step exceeds the horizon t_f - t0")
 
 
 def _parse_plant(cfg: dict) -> PlantParams:
@@ -194,13 +243,10 @@ def _parse_plant(cfg: dict) -> PlantParams:
     return PlantParams(a, b)
 
 
-def _controller_spec(cfg: dict, name: str, where: str) -> ControllerSpec:
-    """Build the spec for variant `name`, reading that variant's extra
-    parameters from the shared controller section. `where` names the
-    config field the variant came from, for error messages.
-    """
+def _controller_spec(cfg: dict, variant: ControllerVariant) -> ControllerSpec:
+    """Build the spec for `variant`, reading that variant's extra
+    parameters from the shared controller section."""
     sec = _section(cfg, "controller", required=False)
-    variant = _variant(name, where)
     omega = None
     nussbaum_fn = None
     sign_b = None
@@ -215,12 +261,24 @@ def _controller_spec(cfg: dict, name: str, where: str) -> ControllerSpec:
     return ControllerSpec(variant, omega=omega, nussbaum_fn=nussbaum_fn, sign_b=sign_b)
 
 
+def _configured_variant(cfg: dict, default: object = _MISSING) -> ControllerVariant:
+    """The variant named by controller.variant, `default` when it is absent."""
+    sec = _section(cfg, "controller", required=False)
+    return _variant(_get(sec, "controller", "variant", default), "controller.variant")
+
+
 def _variant(name: object, where: str) -> ControllerVariant:
     """The variant called `name`; an unknown name is a config error at `where`."""
     try:
         return ControllerVariant.from_name(str(name))
     except ValueError as e:
         raise ConfigError(where, str(e)) from None
+
+
+def _series_order(v: object, path: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= 3:
+        raise ConfigError(path, "expected an integer in 0..3")
+    return v
 
 
 def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
@@ -232,14 +290,6 @@ def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
             f"{secname}.{key}", f"unknown shape {shape!r} (expected one of: {known})"
         )
     return shape
-
-
-def _paper_step(spec: ControllerSpec) -> float:
-    """Per-design reference step: a fortieth of the dither period for
-    the dithered designs, 1e-4 for the dither-free ones."""
-    if spec.omega is not None:
-        return math.tau / (40.0 * spec.omega)
-    return 1e-4
 
 
 def _parse_simulation(
@@ -256,18 +306,9 @@ def _parse_simulation(
     except ValueError as e:
         raise ConfigError("simulation.method", str(e)) from None
     step = _get(sec, "simulation", "step", "paper")
-    if step == "paper":
-        h = _paper_step(spec)
-    elif isinstance(step, (int, float)) and not isinstance(step, bool):
-        h = float(step)
-        if not (math.isfinite(h) and h > 0.0):
-            raise ConfigError("simulation.step", "must be positive")
-    else:
-        raise ConfigError("simulation.step", "expected a positive number or 'paper'")
-    if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
-        raise ConfigError("simulation.step", "step exceeds the horizon t_f - t0")
-    with_lbs = bool(_get(sec, "simulation", "with_lbs", False))
-    return t0, t_f, method, h, with_lbs
+    h = _paper_step(spec) if step == "paper" else _number(step, "simulation.step", positive=True)
+    _check_horizon("simulation.step", h, t_f - t0)
+    return t0, t_f, method, h, _flag(sec, "simulation", "with_lbs")
 
 
 def _check_work(field: str, runs: int, run_steps: float) -> None:
@@ -310,21 +351,16 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
         rnd = ini["random"]
         if not isinstance(rnd, dict):
             raise ConfigError("initial.random", "expected a mapping")
-        count = _int(rnd, "initial.random", "count")
-        if count < 1:
-            raise ConfigError("initial.random.count", "must be at least 1")
+        count = _int(rnd, "initial.random", "count", least=1)
         _check_work("initial.random.count", count, run_steps)
         ranges = {}
         for key in ("y_range", "k_range"):
-            pair = _get(rnd, "initial.random", key)
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-                or float(pair[0]) > float(pair[1])
-            ):
-                raise ConfigError(f"initial.random.{key}", "expected [lo, hi] with lo <= hi")
-            ranges[key] = (float(pair[0]), float(pair[1]))
+            pair = _list(rnd, "initial.random", key, _number)
+            if len(pair) != 2 or not (pair[0] <= pair[1] and math.isfinite(pair[1] - pair[0])):
+                raise ConfigError(
+                    f"initial.random.{key}", "expected [lo, hi] with lo <= hi and a finite hi - lo"
+                )
+            ranges[key] = pair
         rng = np.random.default_rng(seed)
         ys = rng.uniform(*ranges["y_range"], size=count)
         ks = rng.uniform(*ranges["k_range"], size=count)
@@ -345,7 +381,6 @@ def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> Sta
 def _run_controller(
     plant: PlantParams,
     spec: ControllerSpec,
-    name: str,
     s0: State,
     t0: float,
     t_f: float,
@@ -354,7 +389,7 @@ def _run_controller(
 ) -> Trajectory:
     rhs, control = closed_loop(plant, spec)
     meta = {
-        "variant": name,
+        "variant": spec.variant.value,
         "omega": spec.omega,
         "a": plant.a,
         "b": plant.b,
@@ -364,35 +399,8 @@ def _run_controller(
     return simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta)
 
 
-def _run_lbs(plant: PlantParams, s0: State, t0: float, t_f: float) -> Trajectory:
-    meta = {
-        "variant": None,
-        "system": "lbs",
-        "omega": None,
-        "a": plant.a,
-        "b": plant.b,
-        "y0": s0.y,
-        "k0": s0.k,
-    }
-    return simulate(
-        lie_bracket_loop(plant), s0, t0, t_f, LBS_REFERENCE_STEP, Method.RK4, meta=meta
-    )
-
-
 def _announce(path: Path) -> None:
     print(f"wrote {path}")
-
-
-def _jsonable(v: object) -> object:
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v).__name__}")
-
-
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -400,8 +408,7 @@ def _write_json(doc: dict, path: Path) -> None:
 
 def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    name = str(_get(_section(cfg, "controller"), "controller", "variant"))
-    spec = _controller_spec(cfg, name, "controller.variant")
+    spec = _controller_spec(cfg, _configured_variant(cfg))
     t0, t_f, method, h, with_lbs_cfg = _parse_simulation(cfg, spec)
     with_lbs = with_lbs_cfg or bool(getattr(args, "with_lbs", False))
     span = t_f - t0
@@ -409,18 +416,14 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
 
-    trajs = [_run_controller(plant, spec, name, s0, t0, t_f, h, method) for s0 in initials]
-    lbs_trajs = [_run_lbs(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
+    trajs = [_run_controller(plant, spec, s0, t0, t_f, h, method) for s0 in initials]
+    lbs_trajs = [_lbs_reference(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
 
     multi = len(initials) > 1
-    for i, traj in enumerate(trajs):
-        stem = f"trajectory_{i + 1}" if multi else "trajectory"
-        for path in traj.save(out / f"{stem}.csv"):
-            _announce(path)
-    for i, traj in enumerate(lbs_trajs):
-        stem = f"lbs_{i + 1}" if multi else "lbs"
-        for path in traj.save(out / f"{stem}.csv"):
-            _announce(path)
+    for stem, group in (("trajectory", trajs), ("lbs", lbs_trajs)):
+        for i, traj in enumerate(group, 1):
+            for path in traj.save(out / (f"{stem}_{i}.csv" if multi else f"{stem}.csv")):
+                _announce(path)
     return 0
 
 
@@ -435,40 +438,27 @@ def _nearest_resample(traj: Trajectory, times: np.ndarray, t0: float, h: float) 
 def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     comp = _section(cfg, "compare")
-    variants = _get(comp, "compare", "variants")
-    if not isinstance(variants, list) or not variants:
-        raise ConfigError("compare.variants", "expected a nonempty list")
-    for i, name in enumerate(variants):
-        if not isinstance(name, str):
-            raise ConfigError(
-                f"compare.variants[{i}]", f"expected a variant name, got {type(name).__name__}"
-            )
-    if len(set(variants)) != len(variants):
-        raise ConfigError("compare.variants", "variants must be distinct")
-    with_lbs = bool(_get(comp, "compare", "with_lbs", False))
-    specs = [
-        _controller_spec(cfg, str(name), f"compare.variants[{i}]")
-        for i, name in enumerate(variants)
-    ]
+    variants = _list(comp, "compare", "variants", _variant, distinct=True)
+    with_lbs = _flag(comp, "compare", "with_lbs")
+    specs = [_controller_spec(cfg, variant) for variant in variants]
     # Horizon and method are shared; each controller runs at its own
     # reference step regardless of simulation.step.
     t0, t_f, method, _, _ = _parse_simulation(cfg, specs[0])
     steps = [_paper_step(spec) for spec in specs]
     span = t_f - t0
+    for i, h in enumerate(steps):
+        _check_horizon(f"compare.variants[{i}]", h, span)
     run_steps = sum(span / h for h in steps) + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
-    trajs = [
-        _run_controller(plant, spec, str(name), s0, t0, t_f, h, method)
-        for spec, name, h in zip(specs, variants, steps)
-    ]
-    lbs = _run_lbs(plant, s0, t0, t_f) if with_lbs else None
+    trajs = [_run_controller(plant, spec, s0, t0, t_f, h, method) for spec, h in zip(specs, steps)]
+    lbs = _lbs_reference(plant, s0, t0, t_f) if with_lbs else None
 
     base = trajs[int(np.argmax(steps))].times
     columns = [("t", base)]
-    for name, traj, h in zip(variants, trajs, steps):
-        columns.append((f"y_{name}", _nearest_resample(traj, base, t0, h)))
+    for variant, traj, h in zip(variants, trajs, steps):
+        columns.append((f"y_{variant.value}", _nearest_resample(traj, base, t0, h)))
     if lbs is not None:
         columns.append(("y_lbs", _nearest_resample(lbs, base, t0, LBS_REFERENCE_STEP)))
 
@@ -476,27 +466,19 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _announce(_write_csv(out / "compare.csv", names, arrays))
 
     runs = [traj.record for traj in [*trajs, lbs] if traj is not None]
-    meta_path = out / "compare.json"
-    _write_json({"t0": t0, "tf": t_f, "runs": runs}, meta_path)
-    _announce(meta_path)
+    _announce(_write_json({"t0": t0, "tf": t_f, "runs": runs}, out / "compare.json"))
     return 0
 
 
 def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     sec = _section(cfg, "sweep")
-    omegas = _get(sec, "sweep", "omegas")
-    if not isinstance(omegas, list) or not omegas:
-        raise ConfigError("sweep.omegas", "expected a nonempty list")
-    vals = []
-    for i, w in enumerate(omegas):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ConfigError(f"sweep.omegas[{i}]", _not_a_number(w))
-        if not (math.isfinite(w) and w > 0):
-            raise ConfigError(f"sweep.omegas[{i}]", "expected a positive finite number")
-        vals.append(float(w))
+    vals = _list(sec, "sweep", "omegas", lambda w, path: _number(w, path, positive=True))
     sim = _section(cfg, "simulation")
     t_f = _num(sim, "simulation", "t_f", positive=True)
+    for i, w in enumerate(vals):
+        spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
+        _check_horizon(f"sweep.omegas[{i}]", _paper_step(spec), t_f)
     # One Euler run per omega at step 2*pi/(40*omega), one shared RK4 reference.
     run_steps = sum(t_f * 40.0 * w / math.tau for w in vals) + t_f / LBS_REFERENCE_STEP
     _check_work("sweep.omegas", 1, run_steps)
@@ -515,8 +497,7 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 def _audited_system(cfg: dict, plant: PlantParams) -> AffineSystem:
     """Drift/dither split of the configured dithered design; proposed when
     the config names no controller."""
-    name = _get(_section(cfg, "controller", required=False), "controller", "variant", "proposed")
-    variant = _variant(name, "controller.variant")
+    variant = _configured_variant(cfg, "proposed")
     if variant is ControllerVariant.PROPOSED:
         return proposed_design_system(plant)
     if variant is ControllerVariant.SWAPPED:
@@ -529,28 +510,12 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     sec = _section(cfg, "check", required=False)
     lo = _num(sec, "check", "region_min", -2.0)
     hi = _num(sec, "check", "region_max", 2.0)
-    if lo >= hi:
-        raise ConfigError("check.region_min", "must be below check.region_max")
-    grid = _int(sec, "check", "grid", 50)
-    if grid < 1:
-        raise ConfigError("check.grid", "must be at least 1")
-    time_samples = _int(sec, "check", "time_samples", 20)
-    if time_samples < 1:
-        raise ConfigError("check.time_samples", "must be at least 1")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError("check.region_min", "must be below check.region_max by a finite amount")
+    grid = _int(sec, "check", "grid", 50, least=1)
+    time_samples = _int(sec, "check", "time_samples", 20, least=1)
     bias = _num(sec, "check", "bias", 0.0)
-
     system = _audited_system(cfg, plant)
-    if bias != 0.0:
-        def biased(ph: np.ndarray) -> np.ndarray:
-            return np.sin(ph) + bias
-
-        system = AffineSystem(
-            system.drift, system.fields, (DitherSignal(biased), system.dithers[1])
-        )
-
-    report = check_assumptions(
-        system, ((lo, hi), (lo, hi)), grid=grid, time_samples=time_samples
-    )
 
     nsec = sec.get("nussbaum") or {}
     if not isinstance(nsec, dict):
@@ -558,20 +523,28 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     shape = _nussbaum_shape(nsec, "check.nussbaum", "h")
     k0 = _num(nsec, "check.nussbaum", "k0", 0.0)
     k_max = _num(nsec, "check.nussbaum", "k_max", 50.0)
-    if k_max <= k0:
-        raise ConfigError("check.nussbaum.k_max", "must exceed k0")
-    ngrid = _int(nsec, "check.nussbaum", "grid", 20_000)
-    if ngrid < 1000:
-        raise ConfigError("check.nussbaum.grid", "must be at least 1000")
+    # The gain-shape check also runs on the horizon doubled from k0.
+    if not (k0 < k_max and math.isfinite(k0 + 2.0 * (k_max - k0))):
+        raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
+    ngrid = _int(nsec, "check.nussbaum", "grid", 20_000, least=1000)
+
+    if bias != 0.0:
+        def biased(ph: np.ndarray) -> np.ndarray:
+            return np.sin(ph) + bias
+
+        system = AffineSystem(
+            system.drift, system.fields, (DitherSignal(biased), system.dithers[1])
+        )
+    report = check_assumptions(
+        system, ((lo, hi), (lo, hi)), grid=grid, time_samples=time_samples
+    )
     ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
 
     doc = {
         "assumptions": report.to_dict(),
         "nussbaum": {"shape": shape, **ncheck.to_dict()},
     }
-    path = out / "check.json"
-    _write_json(doc, path)
-    _announce(path)
+    _announce(_write_json(doc, out / "check.json"))
     print(f"averaging assumptions: {'PASS' if report.passed else 'FAIL'}")
     grows = "grows" if ncheck.excursions_grow else "does not grow"
     print(
@@ -584,53 +557,39 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     sec = _section(cfg, "chenfliess")
-    orders = _get(sec, "chenfliess", "orders")
-    if not isinstance(orders, list) or not orders:
-        raise ConfigError("chenfliess.orders", "expected a nonempty list")
-    for i, d in enumerate(orders):
-        if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= 3:
-            raise ConfigError(f"chenfliess.orders[{i}]", "expected an integer in 0..3")
-    if len(set(orders)) != len(orders):
-        raise ConfigError("chenfliess.orders", "orders must be distinct")
-    pps = _int(sec, "chenfliess", "periods_per_step", 1)
-    if pps < 1:
-        raise ConfigError("chenfliess.periods_per_step", "must be at least 1")
+    orders = _list(sec, "chenfliess", "orders", _series_order, distinct=True)
+    pps = _int(sec, "chenfliess", "periods_per_step", 1, least=1)
     # A series step costs one step per order and, in the Euler reference at
     # the paper step, 40 steps per dither period.
     step_cost = len(orders) + 40 * pps
     _check_work("chenfliess.periods_per_step", 1, step_cost)
 
-    ctrl = _section(cfg, "controller")
-    variant = _variant(_get(ctrl, "controller", "variant", "proposed"), "controller.variant")
-    if variant is not ControllerVariant.PROPOSED:
-        raise ConfigError("controller.variant", f"{variant.value!r} has no series table")
-    omega = _num(ctrl, "controller", "omega", positive=True)
-    sim = _section(cfg, "simulation")
+    spec = _controller_spec(cfg, _configured_variant(cfg, "proposed"))
+    if spec.variant is not ControllerVariant.PROPOSED:
+        raise ConfigError("controller.variant", f"{spec.variant.value!r} has no series table")
+    sim = _section(cfg, "simulation", required="n_steps" not in sec)
     t0 = _num(sim, "simulation", "t0", 0.0)
     if t0 != 0.0:
         raise ConfigError("simulation.t0", "series stepping starts at 0")
 
-    T = math.tau * pps / omega
+    T = math.tau * pps / spec.omega
     if "n_steps" in sec:
-        n_steps = _int(sec, "chenfliess", "n_steps")
-        if n_steps < 0:
-            raise ConfigError("chenfliess.n_steps", "must be nonnegative")
+        n_steps = _int(sec, "chenfliess", "n_steps", least=0)
         _check_work("chenfliess.n_steps", n_steps, step_cost)
     else:
         t_f = _num(sim, "simulation", "t_f", positive=True)
         _check_work("simulation.t_f", 1, t_f / T * step_cost)
         n_steps = _whole_steps(t_f, T)
+    if not math.isfinite(n_steps * T):
+        raise ConfigError("controller.omega", "too small: the series run's end time overflows")
     s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:
-        traj = chen_fliess_simulate(plant, s0, omega, pps, n_steps, d)
+        traj = chen_fliess_simulate(plant, s0, spec.omega, pps, n_steps, d)
         for path in traj.save(out / f"chenfliess_order{d}.csv"):
             _announce(path)
 
-    spec = ControllerSpec(ControllerVariant.PROPOSED, omega=omega)
-    ref = _run_controller(
-        plant, spec, "proposed", s0, 0.0, n_steps * T, _paper_step(spec), Method.EULER
-    )
+    ref = _run_controller(plant, spec, s0, 0.0, n_steps * T, _paper_step(spec), Method.EULER)
     for path in ref.save(out / "reference.csv"):
         _announce(path)
     return 0
@@ -648,6 +607,12 @@ _COMMANDS = {
 # -- entry point -----------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     source = shared.add_mutually_exclusive_group(required=True)
@@ -657,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--out", type=Path, default=Path("."), help="output directory")
     shared.add_argument(
-        "--seed", type=int, default=0, help="seed for random initial-condition batches"
+        "--seed", type=_seed, default=0, help="seed for random initial-condition batches"
     )
 
     parser = argparse.ArgumentParser(

@@ -165,9 +165,7 @@ class Trajectory:
 
     def write_meta(self, path: str | Path) -> Path:
         """Write `record` as JSON."""
-        path = Path(path)
-        path.write_text(json.dumps(self.record, sort_keys=True, indent=2) + "\n")
-        return path
+        return _write_json(self.record, path)
 
     def save(self, csv_path: str | Path) -> tuple[Path, Path]:
         """Write the CSV and its JSON sidecar (same stem, .json suffix)."""
@@ -187,6 +185,13 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Pa
     lines = [",".join(header), *(",".join(map(repr, row)) + pad for row in rows)]
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _write_json(doc: dict, path: str | Path) -> Path:
+    """Write doc as indented JSON with sorted keys."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -339,7 +344,7 @@ def _check_periods(periods: int) -> None:
 
 def chen_fliess_step(
     p: PlantParams,
-    s0: State,
+    s0: State | Sequence[float],
     T: float,
     order: int,
     *,
@@ -356,14 +361,15 @@ def chen_fliess_step(
     rows (see `cftable`); contributions are summed with compensated
     summation per component.
 
-    order selects rows by word length; drift_taylor additionally
-    includes the pure-drift Taylor rows (see `cftable.rows_for_order`).
+    s0 is a State or a finite (y, k) pair, as for `simulate`. order
+    selects rows by word length; drift_taylor additionally includes the
+    pure-drift Taylor rows (see `cftable.rows_for_order`).
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
     _check_periods(periods)
     y_monos, k_monos = _float_terms(order, drift_taylor)
-    y0, k0 = s0.y, s0.k
+    y0, k0 = _as_pair(s0)
     b = p.b
     rho = p.a - p.b * k0
     wT = math.tau * periods
@@ -411,7 +417,7 @@ def chen_fliess_simulate(
         # come from a non-finite result, which State rejects.
         try:
             nxt = chen_fliess_step(
-                p, State(*s), T, order, periods=periods_per_step, drift_taylor=drift_taylor
+                p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
             )
         except ValueError:
             return (math.nan, math.nan)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dithersim import (
     Method,
@@ -113,6 +118,25 @@ def test_config_and_preset_are_exclusive(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["simulate", "--out", str(tmp_path)])
+
+
+def test_with_lbs_must_be_a_boolean(tmp_path, capsys):
+    """The string "false" is refused, not read as a true flag."""
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    cfg["simulation"]["with_lbs"] = "false"
+    out = tmp_path / "out"
+    assert _run("simulate", _write_cfg(tmp_path, cfg), out) == 2
+    assert "config error: simulation.with_lbs: expected true or false" in capsys.readouterr().err
+    assert not (out / "lbs.csv").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    cfg["initial"] = {"random": {"count": 1, "y_range": [0, 1], "k_range": [0, 1]}}
+    with pytest.raises(SystemExit) as exc:
+        _run("simulate", _write_cfg(tmp_path, cfg), tmp_path / "out", "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -365,6 +389,16 @@ def test_check_rejects_inverted_region(tmp_path, capsys):
     assert "check.region_min" in capsys.readouterr().err
 
 
+def test_check_reads_its_whole_config_before_auditing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the audit ran before the config was read")
+
+    monkeypatch.setattr(cli, "check_assumptions", never)
+    cfg = {"plant": {"a": 10.0, "b": -2.0}, "check": {"nussbaum": {"k_max": -1.0}}}
+    assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
+    assert "config error: check.nussbaum.k_max:" in capsys.readouterr().err
+
+
 def test_check_rejects_unknown_shape(tmp_path, capsys):
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
@@ -484,6 +518,24 @@ def test_chenfliess_explicit_step_count(tmp_path):
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
     _, rows = _read_csv_columns(out / "chenfliess_order0.csv")
     assert len(rows) == 6
+
+
+def test_chenfliess_step_count_needs_no_simulation_section(tmp_path, capsys):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "proposed", "omega": 400.0},
+        "initial": {"y": 1.0, "k": 0.0},
+        "chenfliess": {"orders": [0], "n_steps": 2},
+    }
+    out = tmp_path / "out"
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
+    _, rows = _read_csv_columns(out / "chenfliess_order0.csv")
+    assert len(rows) == 3
+    assert json.loads((out / "reference.json").read_text())["tf"] == 2 * math.tau / 400.0
+
+    del cfg["chenfliess"]["n_steps"]
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 2
+    assert "config error: simulation: missing required section" in capsys.readouterr().err
 
 
 # -- work budget --------------------------------------------------------------------
@@ -610,6 +662,222 @@ def test_work_budget_counts_series_steps_and_reference(
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), tmp_path / "out") == code
     if code:
         assert "config error: chenfliess.n_steps: " in capsys.readouterr().err
+
+
+# -- inputs that once ended in a traceback ------------------------------------------
+
+
+PLANT = {"a": 10.0, "b": -2.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 1, "y_range": [math.nan, 1.0], "k_range": [0, 1]}}
+            ),
+            "initial.random.y_range[0]",
+        ),
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 1, "y_range": [-1e308, 1e308], "k_range": [0, 1]}}
+            ),
+            "initial.random.y_range",
+        ),
+        ("simulate", _budget_case({"controller": {"omega": 10**400}}), "controller.omega"),
+        # The paper step of a subnormal omega overflows to inf.
+        (
+            "simulate",
+            _budget_case({"controller": {"omega": 5e-324}, "simulation": {"t_f": 0.0}}),
+            "simulation.step",
+        ),
+        # The paper step 2*pi/(40*50) ~ 3.1e-3 is longer than the 1e-3 horizon.
+        (
+            "compare",
+            _budget_case(
+                {"simulation": {"t_f": 1e-3, "step": 1e-5}, "compare": {"variants": ["proposed"]}}
+            ),
+            "compare.variants[0]",
+        ),
+        (
+            "sweep",
+            _budget_case({"simulation": {"t_f": 3.0}, "sweep": {"omegas": [0.01, 100.0]}}),
+            "sweep.omegas[0]",
+        ),
+        (
+            "check",
+            {"plant": PLANT, "check": {"region_min": -1e308, "region_max": 1e308}},
+            "check.region_min",
+        ),
+        (
+            "check",
+            {"plant": PLANT, "check": {"nussbaum": {"k0": -1e308, "k_max": 1e308}}},
+            "check.nussbaum.k_max",
+        ),
+        # The series step 2*pi*1000/1e-306 overflows to inf.
+        (
+            "chenfliess",
+            _budget_case(
+                {
+                    "controller": {"omega": 1e-306},
+                    "simulation": {"t_f": 1.0},
+                    "chenfliess": {"orders": [0], "periods_per_step": 1000},
+                }
+            ),
+            "controller.omega",
+        ),
+    ],
+    ids=[
+        "nan-range",
+        "overflowing-range",
+        "huge-int",
+        "subnormal-omega",
+        "compare-step",
+        "sweep-step",
+        "check-region",
+        "nussbaum-range",
+        "series-overflow",
+    ],
+)
+def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
+    out = tmp_path / "out"
+    assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
+# -- config fuzzing ------------------------------------------------------------------
+
+
+FUZZ_BASES = {
+    "simulate": {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "proposed", "omega": 50.0},
+        "simulation": {
+            "t0": 0.0,
+            "t_f": 0.5,
+            "method": "ode1",
+            "step": "paper",
+            "with_lbs": True,
+        },
+        "initial": {"random": {"count": 2, "y_range": [-1.0, 1.0], "k_range": [0.0, 1.0]}},
+    },
+    "compare": {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "proposed", "omega": 50.0, "nussbaum": "s_cos_s", "sign_b": -1},
+        "simulation": {"t0": 0.0, "t_f": 0.5, "method": "rk4", "step": 0.01},
+        "initial": {"y": 1.0, "k": 0.0},
+        "compare": {"variants": ["proposed", "nussbaum", "willems_byrnes"], "with_lbs": False},
+    },
+    "sweep": {
+        "plant": {"a": 10.0, "b": -2.0},
+        "simulation": {"t_f": 0.3},
+        "initial": [{"y": 1.0, "k": 0.0}],
+        "sweep": {"omegas": [50.0, 200.0]},
+    },
+    "check": {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "swapped"},
+        "check": {
+            "region_min": -2.0,
+            "region_max": 2.0,
+            "grid": 4,
+            "time_samples": 3,
+            "bias": 0.0,
+            "nussbaum": {"h": "s_cos_s", "k0": 0.0, "k_max": 50.0, "grid": 2000},
+        },
+    },
+    "chenfliess": {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "proposed", "omega": 400.0},
+        "simulation": {"t0": 0.0, "t_f": 0.1},
+        "initial": {"y": 1.0, "k": 0.0},
+        "chenfliess": {"orders": [0, 1], "periods_per_step": 1, "n_steps": 3},
+    },
+}
+
+
+def _node_paths(node, prefix=()):
+    """Key/index paths of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _node_paths(value, (*prefix, key))
+
+
+_FUZZ_TARGETS = [
+    (command, path) for command, base in FUZZ_BASES.items() for path in _node_paths(base)
+]
+_DELETE = object()
+_FUZZ_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0]),
+    st.text(max_size=4),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+_FUZZ_STUBBED = ("simulate", "approximation_sweep", "chen_fliess_simulate", "check_assumptions")
+
+
+class _Reached(Exception):
+    """A stubbed integrator or audit was called: the config was accepted."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _mutated(command, path, value):
+    cfg = copy.deepcopy(FUZZ_BASES[command])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=st.just(_DELETE) | _FUZZ_VALUES)
+@example(target=("simulate", ("initial", "random", "y_range", 0)), value=math.nan)
+@example(target=("simulate", ("initial", "random", "y_range")), value=[-1e308, 1e308])
+def test_config_mutations_end_in_config_error_or_run(fuzz_dir, target, value):
+    """One leaf, list element or section of a valid config replaced or
+    deleted: the command either refuses it with exit 2 and a config error,
+    or accepts it and reaches its integrator or audit (stubbed here)."""
+    command, path = target
+    cfg_path = _write_cfg(fuzz_dir, _mutated(command, path, value))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _FUZZ_STUBBED:
+            mp.setattr(cli, name, _reached)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = _run(command, cfg_path, fuzz_dir / "out")
+        except _Reached:
+            return
+    assert code == 2
+    assert err.getvalue().startswith("config error: ")
 
 
 # -- presets -------------------------------------------------------------------------

@@ -296,6 +296,16 @@ def test_chen_fliess_step_validation():
             chen_fliess_step(PLANT, State(1.0, 0.0), 0.1, 1, periods=periods)
 
 
+def test_chen_fliess_step_takes_a_pair():
+    """A (y, k) pair starts the step as the equal State does; a non-finite
+    pair is refused, as `simulate` refuses it."""
+    for order in (0, 1, 2, 3):
+        want = chen_fliess_step(PLANT, State(1.0, 0.0), 0.01, order)
+        assert chen_fliess_step(PLANT, (1.0, 0.0), 0.01, order) == want
+    with pytest.raises(ValueError, match="finite"):
+        chen_fliess_step(PLANT, (math.nan, 0.0), 0.01, 1)
+
+
 def test_chen_fliess_step_fixes_equilibria():
     for order in (0, 1, 2, 3):
         for drift_taylor in (False, True):
