@@ -10,126 +10,20 @@ conserved quantities and gain-shape properties; `cli` drives it all
 from config files.
 """
 
-from .analysis import (
-    ConvergenceReport,
-    LyapunovParams,
-    NussbaumCheck,
-    approximation_sweep,
-    convergence_report,
-    lbs_limit_point,
-    lyapunov_rate,
-    lyapunov_value,
-    nussbaum_type_check,
-    sweep_to_csv,
-)
-from .averaging import (
-    AffineSystem,
-    AssumptionReport,
-    DitherCheck,
-    DitherSignal,
-    QuadratureError,
-    build_averaged_rhs,
-    check_assumptions,
-    fd_jacobian,
-    gamma_coefficient,
-    lie_bracket,
-    proposed_design_system,
-    swapped_design_system,
-)
-from .cftable import TABLE, ChenFliessTerm, Mono, rows_for_order
-from .dynamics import (
-    ControllerSpec,
-    ControllerVariant,
-    PlantParams,
-    PolarState,
-    RhsEval,
-    State,
-    closed_loop,
-    from_polar,
-    lie_bracket_loop,
-    lie_bracket_rhs,
-    nussbaum_control,
-    nussbaum_rhs,
-    polar_closed_loop,
-    polar_closed_loop_rhs,
-    polar_lbs_rhs,
-    proposed_control,
-    proposed_rhs,
-    s_cos_s,
-    swapped_control,
-    swapped_rhs,
-    to_polar,
-    willems_byrnes_control,
-    willems_byrnes_rhs,
-)
-from .integrate import (
-    Method,
-    Trajectory,
-    chen_fliess_simulate,
-    chen_fliess_step,
-    euler_step,
-    rk4_step,
-    simulate,
-)
+from . import analysis, averaging, cftable, dynamics, integrate
+from .analysis import *
+from .averaging import *
+from .cftable import *
+from .dynamics import *
+from .integrate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem",
-    "AssumptionReport",
-    "ChenFliessTerm",
-    "ControllerSpec",
-    "ControllerVariant",
-    "ConvergenceReport",
-    "DitherCheck",
-    "DitherSignal",
-    "LyapunovParams",
-    "Method",
-    "Mono",
-    "NussbaumCheck",
-    "PlantParams",
-    "PolarState",
-    "QuadratureError",
-    "RhsEval",
-    "State",
-    "TABLE",
-    "Trajectory",
-    "approximation_sweep",
-    "build_averaged_rhs",
-    "check_assumptions",
-    "chen_fliess_simulate",
-    "chen_fliess_step",
-    "closed_loop",
-    "convergence_report",
-    "euler_step",
-    "fd_jacobian",
-    "from_polar",
-    "gamma_coefficient",
-    "lbs_limit_point",
-    "lie_bracket",
-    "lie_bracket_loop",
-    "lie_bracket_rhs",
-    "lyapunov_rate",
-    "lyapunov_value",
-    "nussbaum_control",
-    "nussbaum_rhs",
-    "nussbaum_type_check",
-    "polar_closed_loop",
-    "polar_closed_loop_rhs",
-    "polar_lbs_rhs",
-    "proposed_control",
-    "proposed_design_system",
-    "proposed_rhs",
-    "rk4_step",
-    "rows_for_order",
-    "s_cos_s",
-    "simulate",
-    "swapped_control",
-    "swapped_design_system",
-    "swapped_rhs",
-    "sweep_to_csv",
-    "to_polar",
-    "willems_byrnes_control",
-    "willems_byrnes_rhs",
+    *analysis.__all__,
+    *averaging.__all__,
+    *cftable.__all__,
+    *dynamics.__all__,
+    *integrate.__all__,
     "__version__",
 ]

@@ -17,7 +17,7 @@ Covers four questions about a run or a design:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -102,11 +102,14 @@ def lbs_limit_point(p: PlantParams, s0: State) -> State:
     return State(0.0, c0 + math.copysign(rho0, p.b))
 
 
+STEPS_PER_PERIOD = 40  # paper steps per dither period
+
+
 def _paper_step(spec: ControllerSpec) -> float:
-    """Per-design reference step: a fortieth of the dither period for
-    the dithered designs, 1e-4 for the dither-free ones."""
+    """Per-design reference step: a dither period over STEPS_PER_PERIOD
+    for the dithered designs, 1e-4 for the dither-free ones."""
     if spec.omega is not None:
-        return math.tau / (40.0 * spec.omega)
+        return math.tau / (STEPS_PER_PERIOD * spec.omega)
     return 1e-4
 
 
@@ -193,14 +196,7 @@ class NussbaumCheck:
     excursions_grow: bool
 
     def to_dict(self) -> dict:
-        return {
-            "running_sup": self.running_sup,
-            "running_inf": self.running_inf,
-            "crossings": self.crossings,
-            "sup_doubled": self.sup_doubled,
-            "inf_doubled": self.inf_doubled,
-            "excursions_grow": self.excursions_grow,
-        }
+        return asdict(self)
 
 
 def _n_profile(
@@ -267,14 +263,7 @@ class ConvergenceReport:
     radius_drift: float
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "y_final": self.y_final,
-            "k_final": self.k_final,
-            "predicted_limit_k": self.predicted_limit_k,
-            "time_to_band": self.time_to_band,
-            "radius_drift": self.radius_drift,
-        }
+        return asdict(self)
 
 
 def convergence_report(

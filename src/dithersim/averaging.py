@@ -15,8 +15,9 @@ independent check of hand-derived averaged dynamics.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -313,15 +314,7 @@ class DitherCheck:
         return self.bounded and self.periodic and self.zero_mean
 
     def to_dict(self) -> dict:
-        return {
-            "sup": self.sup,
-            "bounded": self.bounded,
-            "period_defect": self.period_defect,
-            "periodic": self.periodic,
-            "mean": self.mean,
-            "zero_mean": self.zero_mean,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -359,13 +352,10 @@ class AssumptionReport:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "a1": [c.to_dict() for c in self.a1],
             "a1_passed": self.a1_passed,
-            "a2_bound": self.a2_bound,
-            "a2_witness": self.a2_witness,
             "a2_passed": self.a2_passed,
-            "a3_pairs": self.a3_pairs,
-            "a3_triples": self.a3_triples,
             "a3_passed": self.a3_passed,
             "passed": self.passed,
         }
@@ -535,61 +525,48 @@ def check_assumptions(
     a3_pairs: list[dict] = []
     a3_triples: list[dict] = []
     m = len(sys.fields)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            psum = sys.dithers[i].exponent + sys.dithers[j].exponent
-            entry = {"i": i + 1, "j": j + 1, "exponent_sum": psum, "triggered": psum > 1.0}
-            if not entry["triggered"]:
-                entry["satisfied"] = True
-                entry["reason"] = "vacuous"
-            else:
-                _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
-                bracket_sup = max(
-                    _norm(lie_bracket(sys.fields[i], sys.fields[j], coarse, 0.0)).tolist()
-                )
-                entry["raw_integral"] = raw
-                entry["bracket_sup"] = bracket_sup
-                entry["satisfied"] = abs(raw) <= 1e-9 or bracket_sup <= 1e-9
-                entry["reason"] = "integral" if abs(raw) <= 1e-9 else (
-                    "bracket" if bracket_sup <= 1e-9 else "violated"
-                )
-            a3_pairs.append(entry)
-    for i in range(m):
-        for j in range(m):
-            for q in range(m):
-                psum = (
-                    sys.dithers[i].exponent
-                    + sys.dithers[j].exponent
-                    + sys.dithers[q].exponent
-                )
-                entry = {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "m": q + 1,
-                    "exponent_sum": psum,
-                    "triggered": psum >= 2.0,
-                }
-                if not entry["triggered"]:
-                    entry["satisfied"] = True
-                    entry["reason"] = "vacuous"
-                else:
-                    fi, fj, fq = sys.fields[i], sys.fields[j], sys.fields[q]
+    for i, j in itertools.product(range(m), repeat=2):
+        if i == j:
+            continue
+        psum = sys.dithers[i].exponent + sys.dithers[j].exponent
+        entry = {"i": i + 1, "j": j + 1, "exponent_sum": psum, "triggered": psum > 1.0}
+        if not entry["triggered"]:
+            entry.update(satisfied=True, reason="vacuous")
+        else:
+            _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
+            bracket = lie_bracket(sys.fields[i], sys.fields[j], coarse, 0.0)
+            bracket_sup = max(_norm(bracket).tolist())
+            reason = "integral" if abs(raw) <= 1e-9 else (
+                "bracket" if bracket_sup <= 1e-9 else "violated"
+            )
+            entry.update(
+                raw_integral=raw,
+                bracket_sup=bracket_sup,
+                satisfied=reason != "violated",
+                reason=reason,
+            )
+        a3_pairs.append(entry)
+    for i, j, q in itertools.product(range(m), repeat=3):
+        psum = sys.dithers[i].exponent + sys.dithers[j].exponent + sys.dithers[q].exponent
+        entry = {"i": i + 1, "j": j + 1, "m": q + 1, "exponent_sum": psum, "triggered": psum >= 2.0}
+        if not entry["triggered"]:
+            entry.update(satisfied=True, reason="vacuous")
+        else:
+            fi, fj, fq = sys.fields[i], sys.fields[j], sys.fields[q]
 
-                    def second(xx: np.ndarray, tt: float) -> np.ndarray:
-                        def lf(zz: np.ndarray, uu: float) -> np.ndarray:
-                            return np.matvec(
-                                fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float)
-                            )
+            def second(xx: np.ndarray, tt: float) -> np.ndarray:
+                def lf(zz: np.ndarray, uu: float) -> np.ndarray:
+                    return np.matvec(fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float))
 
-                        return _directional_derivative(lf, fq, xx, tt, 1e-4)
+                return _directional_derivative(lf, fq, xx, tt, 1e-4)
 
-                    sup = max(_norm(second(coarse, 0.0)).tolist())
-                    entry["second_level_sup"] = sup
-                    entry["satisfied"] = sup <= 1e-9
-                    entry["reason"] = "vanishes" if entry["satisfied"] else "violated"
-                a3_triples.append(entry)
+            sup = max(_norm(second(coarse, 0.0)).tolist())
+            entry.update(
+                second_level_sup=sup,
+                satisfied=sup <= 1e-9,
+                reason="vanishes" if sup <= 1e-9 else "violated",
+            )
+        a3_triples.append(entry)
 
     return AssumptionReport(
         a1=a1,

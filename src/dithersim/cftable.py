@@ -40,8 +40,6 @@ __all__ = [
     "Mono",
     "ChenFliessTerm",
     "TABLE",
-    "TABLE_BY_WORD",
-    "DRIFT_TAYLOR_WORDS",
     "rows_for_order",
 ]
 
@@ -71,10 +69,6 @@ class ChenFliessTerm:
     word: str
     y_terms: tuple[Mono, ...] = ()
     k_terms: tuple[Mono, ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.y_terms and not self.k_terms
 
 
 def _m(c: _Frac, eb: int, ey: int, er: int, eT: _Frac, e2pi: _Frac = 0) -> Mono:
@@ -193,9 +187,7 @@ TABLE: tuple[ChenFliessTerm, ...] = (
     *_zero("2200", "2201", "2202", "2210", "2211", "2212", "2220", "2221", "2222"),
 )
 
-TABLE_BY_WORD = {row.word: row for row in TABLE}
-
-if len(TABLE_BY_WORD) != 120 or len(TABLE) != 120:  # every word of length 1..4, once
+if len({row.word for row in TABLE}) != 120 or len(TABLE) != 120:  # every word of length 1..4, once
     raise AssertionError("stencil table must hold exactly the 120 words of length 1..4")
 
 

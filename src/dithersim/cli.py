@@ -13,7 +13,8 @@ run can be edited and repeated. Exit code 0 means every requested
 artifact was written (numerical blow-up is recorded in the output, not
 signaled); config problems exit with 2 and a message naming the field.
 A config that asks for more than WORK_BUDGET integration steps in one
-command is such a problem, refused before any step is taken.
+command is such a problem, refused before any step is taken; `check`
+bounds its audited samples, mesh and gain-shape evaluations the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import yaml
 
 from .analysis import (
     LBS_REFERENCE_STEP,
+    STEPS_PER_PERIOD,
     _lbs_reference,
     _paper_step,
     approximation_sweep,
@@ -44,6 +46,7 @@ from .averaging import (
     swapped_design_system,
 )
 from .dynamics import (
+    DITHERED_VARIANTS,
     ControllerSpec,
     ControllerVariant,
     PlantParams,
@@ -231,7 +234,7 @@ def _check_horizon(field: str, h: float, span: float) -> None:
     """Refuse, naming `field`, a step h longer than a positive horizon
     span, or an infinite h (the paper step of a subnormal omega)."""
     if h == math.inf or (span > 0.0 and h > span * (1.0 + 1e-12)):
-        raise ConfigError(field, "step exceeds the horizon t_f - t0")
+        raise ConfigError(field, f"step {h:.3g} exceeds the horizon t_f - t0 = {span:.3g}")
 
 
 def _parse_plant(cfg: dict) -> PlantParams:
@@ -250,7 +253,7 @@ def _controller_spec(cfg: dict, variant: ControllerVariant) -> ControllerSpec:
     omega = None
     nussbaum_fn = None
     sign_b = None
-    if variant in (ControllerVariant.PROPOSED, ControllerVariant.SWAPPED):
+    if variant in DITHERED_VARIANTS:
         omega = _num(sec, "controller", "omega", positive=True)
     elif variant is ControllerVariant.NUSSBAUM:
         nussbaum_fn = NUSSBAUM_SHAPES[_nussbaum_shape(sec, "controller", "nussbaum")]
@@ -292,9 +295,8 @@ def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
     return shape
 
 
-def _parse_simulation(
-    cfg: dict, spec: ControllerSpec
-) -> tuple[float, float, Method, float, bool]:
+def _parse_simulation(cfg: dict) -> tuple[dict, float, float, Method]:
+    """The simulation section and the horizon t0, t_f and method it sets."""
     sec = _section(cfg, "simulation")
     t0 = _num(sec, "simulation", "t0", 0.0)
     t_f = _num(sec, "simulation", "t_f")
@@ -305,27 +307,32 @@ def _parse_simulation(
         method = Method.from_name(str(method_name))
     except ValueError as e:
         raise ConfigError("simulation.method", str(e)) from None
-    step = _get(sec, "simulation", "step", "paper")
-    h = _paper_step(spec) if step == "paper" else _number(step, "simulation.step", positive=True)
-    _check_horizon("simulation.step", h, t_f - t0)
-    return t0, t_f, method, h, _flag(sec, "simulation", "with_lbs")
+    return sec, t0, t_f, method
 
 
-def _check_work(field: str, runs: int, run_steps: float) -> None:
+def _check_work(
+    field: str,
+    runs: int,
+    run_steps: float,
+    *,
+    unit: str = "integration steps",
+    budget: int | None = None,
+) -> None:
     """Refuse, naming `field`, `runs` runs of about `run_steps` steps each,
     every run counting as at least one step, when together they would take
-    more than WORK_BUDGET steps. Each factor is compared before it
-    multiplies, so no integer from a config is too large to check."""
-    if runs > WORK_BUDGET or run_steps > WORK_BUDGET:
+    more than `budget` steps (WORK_BUDGET by default); `unit` says what a
+    step is. Each factor is compared before it multiplies, so no integer
+    from a config is too large to check."""
+    budget = WORK_BUDGET if budget is None else budget
+    if runs > budget or run_steps > budget:
         steps = math.inf
     else:
         steps = runs * max(run_steps, 1.0)
-    if steps > WORK_BUDGET:
+    if steps > budget:
         about = f" (about {steps:.3g})" if math.isfinite(steps) else ""
         raise ConfigError(
             field,
-            f"the command would take more integration steps{about} than the "
-            f"{WORK_BUDGET:,} one command may take",
+            f"the command would take more {unit}{about} than the {budget:,} one command may take",
         )
 
 
@@ -409,9 +416,14 @@ def _announce(path: Path) -> None:
 def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     spec = _controller_spec(cfg, _configured_variant(cfg))
-    t0, t_f, method, h, with_lbs_cfg = _parse_simulation(cfg, spec)
-    with_lbs = with_lbs_cfg or bool(getattr(args, "with_lbs", False))
+    sec, t0, t_f, method = _parse_simulation(cfg)
     span = t_f - t0
+    step = _get(sec, "simulation", "step", "paper")
+    h = _paper_step(spec) if step == "paper" else _number(step, "simulation.step", positive=True)
+    _check_horizon("simulation.step", h, span)
+    with_lbs = _flag(sec, "simulation", "with_lbs") or bool(getattr(args, "with_lbs", False))
+    if with_lbs:
+        _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, span)
     run_steps = span / h + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
@@ -441,13 +453,15 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     variants = _list(comp, "compare", "variants", _variant, distinct=True)
     with_lbs = _flag(comp, "compare", "with_lbs")
     specs = [_controller_spec(cfg, variant) for variant in variants]
-    # Horizon and method are shared; each controller runs at its own
-    # reference step regardless of simulation.step.
-    t0, t_f, method, _, _ = _parse_simulation(cfg, specs[0])
+    # Horizon and method are shared; each controller runs at its own paper
+    # step, so simulation.step and simulation.with_lbs are not read.
+    _, t0, t_f, method = _parse_simulation(cfg)
     steps = [_paper_step(spec) for spec in specs]
     span = t_f - t0
     for i, h in enumerate(steps):
         _check_horizon(f"compare.variants[{i}]", h, span)
+    if with_lbs:
+        _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, span)
     run_steps = sum(span / h for h in steps) + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
@@ -479,8 +493,10 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     for i, w in enumerate(vals):
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
         _check_horizon(f"sweep.omegas[{i}]", _paper_step(spec), t_f)
-    # One Euler run per omega at step 2*pi/(40*omega), one shared RK4 reference.
-    run_steps = sum(t_f * 40.0 * w / math.tau for w in vals) + t_f / LBS_REFERENCE_STEP
+    _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, t_f)
+    # One Euler run per omega at the paper step, one shared RK4 reference.
+    run_steps = sum(t_f * STEPS_PER_PERIOD * w / math.tau for w in vals)
+    run_steps += t_f / LBS_REFERENCE_STEP
     _check_work("sweep.omegas", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "sweep", run_steps)
 
@@ -527,6 +543,13 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if not (k0 < k_max and math.isfinite(k0 + 2.0 * (k_max - k0))):
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
     ngrid = _int(nsec, "check.nussbaum", "grid", 20_000, least=1000)
+    # The audit holds about 1.2 KB per mesh state, where a kept integration
+    # step peaks near 190 bytes, so the mesh may take a sixth of the budget
+    # (about 400 MB, as a full-budget run).
+    _check_work("check.grid", grid, grid, unit="mesh states", budget=WORK_BUDGET // 6)
+    _check_work("check.time_samples", time_samples, grid * grid, unit="audited samples")
+    # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.
+    _check_work("check.nussbaum.grid", 3, ngrid, unit="gain-shape evaluations")
 
     if bias != 0.0:
         def biased(ph: np.ndarray) -> np.ndarray:
@@ -560,8 +583,8 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     orders = _list(sec, "chenfliess", "orders", _series_order, distinct=True)
     pps = _int(sec, "chenfliess", "periods_per_step", 1, least=1)
     # A series step costs one step per order and, in the Euler reference at
-    # the paper step, 40 steps per dither period.
-    step_cost = len(orders) + 40 * pps
+    # the paper step, STEPS_PER_PERIOD steps per dither period.
+    step_cost = len(orders) + STEPS_PER_PERIOD * pps
     _check_work("chenfliess.periods_per_step", 1, step_cost)
 
     spec = _controller_spec(cfg, _configured_variant(cfg, "proposed"))

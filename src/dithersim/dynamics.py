@@ -132,6 +132,10 @@ class ControllerVariant(enum.Enum):
             ) from None
 
 
+# The variants that inject a dither and so need omega.
+DITHERED_VARIANTS = frozenset({ControllerVariant.PROPOSED, ControllerVariant.SWAPPED})
+
+
 def s_cos_s(s: float) -> float:
     """Default Nussbaum-type gain shape h(s) = s*cos(s)."""
     return s * math.cos(s)
@@ -153,7 +157,7 @@ class ControllerSpec:
     sign_b: int | None = None
 
     def __post_init__(self) -> None:
-        if self.variant in (ControllerVariant.PROPOSED, ControllerVariant.SWAPPED):
+        if self.variant in DITHERED_VARIANTS:
             if self.omega is None or not math.isfinite(self.omega) or self.omega <= 0:
                 raise ValueError(
                     f"ControllerSpec: variant {self.variant.value!r} requires omega > 0"
@@ -206,7 +210,7 @@ def _averaged_loop(a: float, b: float) -> Rhs2:
 def _bind(spec: ControllerSpec):
     """The table law of spec's variant, its constant c and its dither frequency."""
     v = spec.variant
-    if v in (ControllerVariant.PROPOSED, ControllerVariant.SWAPPED):
+    if v in DITHERED_VARIANTS:
         return _LAWS[v], math.sqrt(spec.omega), spec.omega
     return _LAWS[v], spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
 
@@ -296,12 +300,11 @@ def to_polar(p: PlantParams, s: State) -> PolarState:
     r = math.hypot(dy, dk)
     if r == 0.0:
         return PolarState(0.0, 0.0, degenerate=True)
-    # clamp guards asin against |dk/r| exceeding 1 by rounding
-    ratio = max(-1.0, min(1.0, dk / r))
-    if dy >= 0.0:
-        phi = math.asin(ratio)
-    else:
-        phi = math.pi - math.asin(ratio)
+    # atan2 stays exact near phi = +-pi/2, where asin(dk/r) loses half the
+    # digits of y; the angle is reported in [-pi/2, 3*pi/2).
+    phi = math.atan2(dk, dy)
+    if phi < -0.5 * math.pi:
+        phi += 2.0 * math.pi
     return PolarState(r, phi)
 
 

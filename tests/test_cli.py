@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,19 @@ def test_compare_single_variant(tmp_path):
     doc = json.loads((out / "compare.json").read_text())
     assert doc["tf"] == 0.5
     assert [r["variant"] for r in doc["runs"]] == ["proposed"]
+
+
+def test_compare_reads_only_the_horizon_and_method(tmp_path):
+    """compare runs each variant at its own paper step and takes with_lbs from
+    its own section, so simulation.step and simulation.with_lbs are not read:
+    a step longer than the horizon and a non-boolean flag there do not stop it."""
+    cfg = copy.deepcopy(FAST_SIM)
+    cfg["simulation"].update(step=10.0, with_lbs="yes")
+    cfg["compare"] = {"variants": ["proposed"]}
+    assert _run("compare", _write_cfg(tmp_path, cfg), tmp_path) == 0
+    header, rows = _read_csv_columns(tmp_path / "compare.csv")
+    assert header == "t,y_proposed"
+    assert float(rows[-1][0]) == 0.5
 
 
 def test_compare_duplicate_variants(tmp_path, capsys):
@@ -639,6 +654,57 @@ def test_over_budget_config_is_refused_before_running(
     assert not any(out.glob("*.csv"))
 
 
+def _check_case(check):
+    return {"plant": PLANT, "check": check}
+
+
+@pytest.mark.parametrize(
+    "check, field, unit",
+    [
+        ({"grid": 10**30}, "check.grid", "mesh states"),
+        # 578^2 = 334,084 mesh states, over WORK_BUDGET // 6 = 333,333.
+        ({"grid": 578, "time_samples": 1}, "check.grid", "mesh states"),
+        ({"time_samples": 10**30}, "check.time_samples", "audited samples"),
+        # 400^2 * 13 = 2,080,000 samples.
+        ({"grid": 400, "time_samples": 13}, "check.time_samples", "audited samples"),
+        ({"nussbaum": {"grid": 10**30}}, "check.nussbaum.grid", "gain-shape evaluations"),
+        # 3 * 666,667 = 2,000,001 evaluations.
+        ({"nussbaum": {"grid": 666_667}}, "check.nussbaum.grid", "gain-shape evaluations"),
+    ],
+    ids=["grid-huge", "grid-mesh", "samples-huge", "samples", "nussbaum-huge", "nussbaum"],
+)
+def test_oversized_check_is_refused_before_auditing(
+    tmp_path, capsys, monkeypatch, check, field, unit
+):
+    def never(*args, **kwargs):
+        raise AssertionError("an over-budget check started to audit")
+
+    for name in ("check_assumptions", "nussbaum_type_check"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out"
+    assert _run("check", _write_cfg(tmp_path, _check_case(check)), out) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: the command would take more {unit}" in err
+    assert not (out / "check.json").exists()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        # 577^2 = 332,929 mesh states; 332,929 * 6 = 1,997,574 samples.
+        {"grid": 577, "time_samples": 6},
+        # 3 * 666,666 = 1,999,998 evaluations.
+        {"nussbaum": {"grid": 666_666}},
+    ],
+    ids=["mesh-and-samples", "nussbaum"],
+)
+def test_check_at_its_bounds_reaches_the_audit(tmp_path, monkeypatch, check):
+    for name in ("check_assumptions", "nussbaum_type_check"):
+        monkeypatch.setattr(cli, name, _reached)
+    with pytest.raises(_Reached):
+        _run("check", _write_cfg(tmp_path, _check_case(check)), tmp_path / "out")
+
+
 @pytest.mark.parametrize("budget, code", [(11, 2), (12, 0)])
 def test_work_budget_counts_runs_times_steps(tmp_path, capsys, monkeypatch, budget, code):
     """Three runs of 0.5 / 0.125 = 4 steps each take 12 steps."""
@@ -717,6 +783,28 @@ PLANT = {"a": 10.0, "b": -2.0}
             {"plant": PLANT, "check": {"nussbaum": {"k0": -1e308, "k_max": 1e308}}},
             "check.nussbaum.k_max",
         ),
+        # The averaged reference steps 1e-4, longer than a 5e-5 horizon.
+        (
+            "simulate",
+            _budget_case({"simulation": {"t_f": 5e-5, "step": 1e-5, "with_lbs": True}}),
+            "simulation.t_f",
+        ),
+        (
+            "compare",
+            _budget_case(
+                {
+                    "controller": {"omega": 1e6},
+                    "simulation": {"t_f": 5e-5},
+                    "compare": {"variants": ["proposed"], "with_lbs": True},
+                }
+            ),
+            "simulation.t_f",
+        ),
+        (
+            "sweep",
+            _budget_case({"simulation": {"t_f": 5e-5}, "sweep": {"omegas": [1e6]}}),
+            "simulation.t_f",
+        ),
         # The series step 2*pi*1000/1e-306 overflows to inf.
         (
             "chenfliess",
@@ -739,6 +827,9 @@ PLANT = {"a": 10.0, "b": -2.0}
         "sweep-step",
         "check-region",
         "nussbaum-range",
+        "simulate-lbs-horizon",
+        "compare-lbs-horizon",
+        "sweep-lbs-horizon",
         "series-overflow",
     ],
 )
@@ -912,6 +1003,22 @@ def test_preset_runs_end_to_end(tmp_path, preset):
         assert (tmp_path / name).exists(), name
     # The written copy must itself be a runnable config.
     assert yaml.safe_load((tmp_path / "config.yaml").read_text()) == PRESETS[preset]
+
+
+EXPECTED_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "expected_hashes.json"
+
+
+def test_preset_artifacts_match_recorded_hashes(tmp_path):
+    """Every file the fig1-fig4 presets write has the sha256 recorded in the
+    benchmark's expected_hashes.json, and no file is missing or extra."""
+    for preset, (command, _) in sorted(PRESET_RUNS.items()):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / preset)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert got == json.loads(EXPECTED_HASHES.read_text())
 
 
 def test_fig2_compare_columns(tmp_path):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dithersim import (
     ControllerSpec,
@@ -286,18 +288,18 @@ def test_from_polar_example():
     assert math.isclose(s.k, PLANT.center + 2.0, rel_tol=1e-15)
 
 
-def test_polar_round_trip_random():
-    """from_polar(to_polar(s)) = s to 1e-12 relative, 1000 draws."""
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        y, k = rng.uniform(-10.0, 10.0, size=2)
-        s = State(float(y), float(k))
-        ps = to_polar(PLANT, s)
-        if ps.r <= 1e-6:
-            continue
-        back = from_polar(PLANT, ps)
-        err = math.hypot(back.y - s.y, back.k - s.k)
-        assert err <= 1e-12 * (1.0 + math.hypot(s.y, s.k))
+@settings(max_examples=1000)
+@given(y=st.floats(-10.0, 10.0), k=st.floats(-10.0, 10.0))
+@example(y=0.001953125, k=0.0)  # asin(dk/r) once lost half the digits of y here
+@example(y=1e-7, k=0.0)
+@example(y=-0.0, k=PLANT.center)
+def test_polar_round_trip_random(y, k):
+    """from_polar(to_polar(s)) = s to 1e-12 relative, also near phi = +-pi/2
+    and at the center."""
+    s = State(y, k)
+    back = from_polar(PLANT, to_polar(PLANT, s))
+    err = math.hypot(back.y - s.y, back.k - s.k)
+    assert err <= 1e-12 * (1.0 + math.hypot(s.y, s.k))
 
 
 def test_polar_closed_loop_rhs_frozen_example():

@@ -275,6 +275,46 @@ def test_trajectory_csv_blank_input_column(tmp_path):
     assert all(line.endswith(",") for line in lines[1:])
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=200)
+@given(
+    values=st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(_FINITE, min_size=n, max_size=n), min_size=3, max_size=3)
+    ),
+    h=st.floats(min_value=5e-324, max_value=1e6),
+    with_u=st.booleans(),
+)
+@example(
+    values=[[5e-324, -0.0], [0.0, -2.2250738585072014e-308], [1e-310, -5e-324]],
+    h=5e-324,
+    with_u=True,
+)
+@example(values=[[-0.0], [0.0], [1.7976931348623157e308]], h=1.0, with_u=False)
+def test_trajectory_csv_reads_back_bit_for_bit(tmp_path_factory, values, h, with_u):
+    """Every CSV cell parses back to the very float written, subnormals and
+    signed zeros included; without an input the u cells are empty."""
+    ys, ks, us = values
+    times = h * np.arange(len(ys))
+    traj = Trajectory(times, ys, ks, us if with_u else None)
+    path = traj.write_csv(tmp_path_factory.mktemp("csv") / "run.csv")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,y,k,u"
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+    assert len(cells) == 4
+    for name, written, column in zip("tyk", (times, ys, ks), cells):
+        assert np.array_equal(_bits([float(c) for c in column]), _bits(written)), name
+    if with_u:
+        assert np.array_equal(_bits([float(c) for c in cells[3]]), _bits(us))
+    else:
+        assert set(cells[3]) == {""}
+
+
 # -- series stepping ---------------------------------------------------------------
 
 
