@@ -30,6 +30,7 @@ from .dynamics import (
     PlantParams,
     State,
     closed_loop,
+    lie_bracket_flow,
     lie_bracket_loop,
     lie_bracket_rhs,
 )
@@ -136,11 +137,11 @@ def approximation_sweep(
     """Sup-norm gap between the dithered loop and its average, per omega.
 
     For each omega the primary dithered design is integrated by Euler
-    at step 2*pi/(40*omega) over [0, t_f] and compared with one shared
-    RK4 reference run of the averaged system (`_lbs_reference`). The error is
-    the maximum over the dithered run's sample times of the Euclidean
-    distance between the two states, with the reference interpolated
-    linearly onto those times. A blown-up dithered run reports inf.
+    at step 2*pi/(40*omega) over [0, t_f] and compared with the exact
+    averaged flow (`lie_bracket_flow`) evaluated at that run's own sample
+    times, with no interpolation. The error is the maximum over those
+    times of the Euclidean distance between the two states. A blown-up
+    dithered run reports inf.
 
     Results are returned in the order the omegas were given; any
     decrease with omega is observed, not assumed.
@@ -156,7 +157,6 @@ def approximation_sweep(
     if t_f == 0.0:
         return [(float(w), 0.0) for w in omegas]
 
-    ref = _lbs_reference(p, s0, 0.0, t_f)
     results: list[tuple[float, float]] = []
     for w in omegas:
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=float(w))
@@ -165,8 +165,7 @@ def approximation_sweep(
         if full.diverged:
             results.append((float(w), math.inf))
             continue
-        ref_y = np.interp(full.times, ref.times, ref.ys)
-        ref_k = np.interp(full.times, ref.times, ref.ks)
+        ref_y, ref_k = lie_bracket_flow(p, s0, 0.0, full.times)
         err = np.hypot(full.ys - ref_y, full.ks - ref_k)
         results.append((float(w), float(np.max(err))))
     return results

@@ -5,7 +5,8 @@ sign of b possibly unknown as well. Every controller here adapts a scalar
 gain k online, so the closed-loop state is (y, k). The dithered designs
 ("proposed" and "swapped") inject a zero-mean oscillation whose amplitude
 grows like sqrt(omega); their behavior for large omega is captured by the
-averaged system exposed as `lie_bracket_rhs`.
+averaged system exposed as `lie_bracket_rhs` and solved in closed form
+by `lie_bracket_flow`.
 
 Each gain law is written once, in the private table `_LAWS`, as plain
 arithmetic on (y, k) that works on floats and numpy arrays alike.
@@ -21,6 +22,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "PlantParams",
@@ -45,6 +48,7 @@ __all__ = [
     "polar_lbs_rhs",
     "closed_loop",
     "lie_bracket_loop",
+    "lie_bracket_flow",
     "polar_closed_loop",
 ]
 
@@ -360,6 +364,38 @@ def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
 def lie_bracket_loop(p: PlantParams) -> Rhs2:
     """Averaged system as a plain-tuple callable for the integrators."""
     return _averaged_loop(p.a, p.b)
+
+
+def lie_bracket_flow(
+    p: PlantParams, s0: State, t0: float, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solution of the averaged system from s0 at time t0, as
+    (ys, ks) arrays sampled at `times`.
+
+    With z = k - a/b the orbit is the circle of radius r = hypot(y0, z0)
+    about (0, a/b), run through the Gudermannian:
+    u = b*r*(t - t0) + asinh(z0/|y0|), y = sign(y0)*r*sech(u),
+    k = a/b + r*tanh(u). sech is evaluated from exp(-|u|), so long
+    horizons underflow to 0 instead of overflowing cosh, and asinh takes
+    its log form where z0/|y0| overflows (subnormal y0). A start with
+    y0 = 0 is an equilibrium and stays put.
+    """
+    times = np.asarray(times, dtype=float)
+    y0, k0 = s0.y, s0.k
+    if y0 == 0.0:
+        return np.full(times.shape, y0), np.full(times.shape, k0)
+    z0 = k0 - p.center
+    r = math.hypot(y0, z0)
+    if not math.isfinite(r):
+        raise ValueError("lie_bracket_flow: orbit radius overflows")
+    x = z0 / abs(y0)
+    if math.isfinite(x):
+        u0 = math.asinh(x)
+    else:
+        u0 = math.copysign(math.log(2.0) + math.log(abs(z0)) - math.log(abs(y0)), z0)
+    u = p.b * r * (times - t0) + u0
+    e = np.exp(-np.abs(u))
+    return math.copysign(r, y0) * (2.0 * e / (1.0 + e * e)), p.center + r * np.tanh(u)
 
 
 def polar_closed_loop(p: PlantParams, omega: float) -> Rhs2:

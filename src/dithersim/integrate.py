@@ -174,6 +174,9 @@ class Trajectory:
         return self.write_csv(csv_path), self.write_meta(meta_path)
 
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write in `_write_csv`
+
+
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write equal-length float columns as CSV, one row per index.
 
@@ -181,10 +184,18 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Pa
     the given columns get empty cells, so each row then ends in commas.
     """
     pad = "," * (len(header) - len(columns))
-    rows = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
-    lines = [",".join(header), *(",".join(map(repr, row)) + pad for row in rows)]
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    n = min(map(len, columns), default=0)
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        # Formatting a column at a time is cheaper than joining row tuples;
+        # a block of rows at a time keeps the formatted cells few.
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            cells = [list(map(repr, c[start : start + _CSV_BLOCK_ROWS])) for c in columns]
+            if pad:
+                cells[-1] = [c + pad for c in cells[-1]]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 

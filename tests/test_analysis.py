@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from dithersim import analysis
 from dithersim import (
     LyapunovParams,
+    Method,
     PlantParams,
     State,
     Trajectory,
@@ -117,6 +119,63 @@ def test_sweep_preserves_input_order():
     assert [w for w, _ in results] == [400.0, 100.0]
     assert results[0][1] < results[1][1]
     assert all(math.isfinite(err) and err >= 0.0 for _, err in results)
+
+
+# Starts drawn as the benchmark's sweep workload draws them (y in [0.5, 1.5],
+# k in [-1, 1] from numpy's default_rng(seed)), with the errors the sweep
+# reported while its reference was a 1e-4 RK4 run interpolated linearly
+# onto the dithered sample times.
+SWEEP_OMEGAS = [100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0]
+SWEEP_RK4_ERRORS = {
+    0: (
+        State(1.1369616873214543, -0.4604265724722594),
+        [3.2970984052302126, 2.3488178210770227, 1.556148388442684,
+         1.0252721089067094, 0.6658192966564166, 0.422458056912692],
+    ),
+    5: (
+        State(1.3050029237453802, 0.6158815794729875),
+        [5.386349322450763, 3.456274648718162, 2.3084136164128077,
+         1.5391214868606478, 1.018646044469082, 0.6615441339367643],
+    ),
+    211: (
+        State(0.9467108550385872, -0.244760418741913),
+        [3.6954921807129404, 2.4016305762629004, 1.6252005205019209,
+         1.0684386364619112, 0.690936145961572, 0.43528909598843557],
+    ),
+    301: (
+        State(0.9007406614807659, -0.5994282224447915),
+        [3.2752441539257573, 2.127651065573366, 1.4028055708556235,
+         0.9163649904337715, 0.5875183873880238, 0.36610355610029116],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_RK4_ERRORS))
+def test_sweep_against_exact_flow_keeps_the_rk4_errors(seed):
+    """Measured against the exact averaged flow, the sweep errors move by
+    no more than the old interpolation error (1e-6 absolute) and still
+    fall strictly with omega."""
+    s0, old = SWEEP_RK4_ERRORS[seed]
+    results = approximation_sweep(PLANT, s0, 3.0, SWEEP_OMEGAS)
+    assert [w for w, _ in results] == SWEEP_OMEGAS
+    errs = [e for _, e in results]
+    assert np.max(np.abs(np.subtract(errs, old))) <= 1e-6
+    assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+
+
+def test_sweep_takes_no_rk4_step(monkeypatch):
+    """Every run the sweep integrates is a dithered Euler run; the averaged
+    reference is evaluated in closed form."""
+    methods = []
+    simulate = analysis.simulate
+
+    def recording(rhs, s0, t0, t_f, h, method=Method.RK4, **kwargs):
+        methods.append(method)
+        return simulate(rhs, s0, t0, t_f, h, method, **kwargs)
+
+    monkeypatch.setattr(analysis, "simulate", recording)
+    approximation_sweep(PLANT, State(1.0, 0.0), 0.5, [100.0, 400.0])
+    assert methods == [Method.EULER, Method.EULER]
 
 
 def test_sweep_to_csv(tmp_path):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dithersim import (
@@ -23,6 +24,8 @@ from dithersim import (
     State,
     closed_loop,
     from_polar,
+    lbs_limit_point,
+    lie_bracket_flow,
     lie_bracket_loop,
     lie_bracket_rhs,
     nussbaum_control,
@@ -252,6 +255,112 @@ def test_lie_bracket_loop_matches_dataclass_route():
     for _ in range(20):
         y, k = rng.uniform(-5.0, 5.0, size=2)
         assert rhs((y, k), 0.0) == lie_bracket_rhs(PLANT, State(float(y), float(k)))
+
+
+# -- exact averaged flow -------------------------------------------------------
+
+
+def _plant_and_start(a, b, y0, z0):
+    """The plant (a, b) and the start at offset (y0, z0) from (0, a/b)."""
+    p = PlantParams(a, b)
+    return p, State(y0, p.center + z0)
+
+
+_PLANT_A = st.floats(-5.0, 5.0)
+_PLANT_B = st.floats(0.1, 4.0) | st.floats(-4.0, -0.1)
+_OFFSET = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=40)
+@given(a=_PLANT_A, b=_PLANT_B, y0=_OFFSET, z0=_OFFSET, t0=st.floats(-1.0, 1.0),
+       span=st.floats(0.01, 0.5))
+@example(a=5.0, b=4.0, y0=3.0, z0=-3.0, t0=0.0, span=0.5)
+@example(a=10.0, b=-2.0, y0=1e-6, z0=1.0, t0=0.0, span=0.5)
+def test_lie_bracket_flow_matches_rk4(a, b, y0, z0, t0, span):
+    """The closed form agrees with the 1e-4 RK4 run of the averaged
+    system to 1e-10 absolute at every RK4 sample."""
+    p, s0 = _plant_and_start(a, b, y0, z0)
+    ref = simulate(lie_bracket_loop(p), s0, t0, t0 + span, 1e-4, Method.RK4)
+    ys, ks = lie_bracket_flow(p, s0, t0, ref.times)
+    assert np.max(np.abs(ys - ref.ys)) <= 1e-10
+    assert np.max(np.abs(ks - ref.ks)) <= 1e-10
+
+
+def test_lie_bracket_flow_equilibrium_is_constant():
+    times = np.array([-1.0, 0.0, 2.5, 1e6])
+    for y0 in (0.0, -0.0):
+        ys, ks = lie_bracket_flow(PLANT, State(y0, 3.0), 0.0, times)
+        assert np.array_equal(ys, np.zeros(4))
+        assert np.all(np.signbit(ys) == np.signbit(y0))
+        assert np.array_equal(ks, np.full(4, 3.0))
+
+
+def test_lie_bracket_flow_refuses_an_overflowing_radius():
+    """k0 - a/b overflows to inf for these finite inputs."""
+    with pytest.raises(ValueError, match="radius"):
+        lie_bracket_flow(PlantParams(1e308, -1.0), State(1.0, 1e308), 0.0, np.array([1.0]))
+
+
+@settings(max_examples=200)
+@given(a=_PLANT_A, b=_PLANT_B, y0=_OFFSET, z0=_OFFSET, t=st.floats(-2.0, 2.0))
+def test_lie_bracket_flow_conserves_radius(a, b, y0, z0, t):
+    """hypot(y, k - a/b) stays at its start value to 1e-14 relative."""
+    p, s0 = _plant_and_start(a, b, y0, z0)
+    r0 = math.hypot(s0.y, s0.k - p.center)
+    # k carries the rounding of a/b itself, so a radius far below |a/b|
+    # cannot be conserved to 1e-14 of itself.
+    assume(r0 >= 0.1 * max(1.0, abs(p.center)))
+    ys, ks = lie_bracket_flow(p, s0, 0.0, np.array([t]))
+    assert abs(math.hypot(ys[0], ks[0] - p.center) - r0) <= 1e-14 * r0
+
+
+@pytest.mark.parametrize(
+    "p, s0",
+    [
+        (PLANT, State(1.0, 0.0)),
+        (PLANT, State(-1e-300, -4.0)),
+        (PlantParams(1.3, 0.7), State(-2.0, 5.0)),
+        (PlantParams(-3.0, 0.1), State(0.5, -40.0)),
+    ],
+)
+def test_lie_bracket_flow_settles_on_the_limit_point(p, s0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ys, ks = lie_bracket_flow(p, s0, 0.0, np.array([1e6]))
+    assert State(float(ys[0]), float(ks[0])) == lbs_limit_point(p, s0)
+
+
+@settings(max_examples=200)
+@given(a=_PLANT_A, b=_PLANT_B, y0=_OFFSET, z0=_OFFSET, t1=st.floats(0.0, 2.0),
+       t2=st.floats(0.0, 2.0))
+def test_lie_bracket_flow_semigroup(a, b, y0, z0, t1, t2):
+    """Flowing t1 and then t2 lands where flowing t1 + t2 does, to 1e-12."""
+    p, s0 = _plant_and_start(a, b, y0, z0)
+    _check_semigroup(p, s0, t1, t2)
+
+
+def _check_semigroup(p, s0, t1, t2):
+    ys, ks = lie_bracket_flow(p, s0, 0.0, np.array([t1, t1 + t2]))
+    mid = State(float(ys[0]), float(ks[0]))
+    ys2, ks2 = lie_bracket_flow(p, mid, t1, np.array([t1 + t2]))
+    assert abs(ys2[0] - ys[1]) <= 1e-12
+    assert abs(ks2[0] - ks[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("y0", [1e-300, 5e-324, -5e-324])
+def test_lie_bracket_flow_from_tiny_output(y0):
+    """A start a hair off the equilibrium line still moves: z0/|y0|
+    overflows for the subnormal start, and the log form of asinh places
+    it at u0 = log(2*z0/|y0|) instead of freezing it at u = inf. Once
+    u = b*r*t + u0 crosses 0 the output swings out to |y| = r."""
+    s0 = State(y0, PLANT.center + 1.0)  # r = 1, u0 > 0, b*r = -2
+    crossing = (math.log(2.0) - math.log(abs(y0))) / 2.0
+    ys, ks = lie_bracket_flow(PLANT, s0, 0.0, np.array([0.0, crossing]))
+    assert abs(ys[0]) <= 4.0 * abs(y0)
+    assert math.isclose(ys[1], math.copysign(1.0, y0), rel_tol=1e-12)
+    assert abs(ks[1] - PLANT.center) <= 1e-12
+    for t1, t2 in [(0.5 * crossing, 0.5 * crossing), (100.0, crossing), (crossing, 3.0)]:
+        _check_semigroup(PLANT, s0, t1, t2)
 
 
 # -- polar transforms ----------------------------------------------------------

@@ -15,8 +15,8 @@ EXPORTS = {
     "QuadratureError", "RhsEval", "State", "TABLE", "Trajectory", "approximation_sweep",
     "build_averaged_rhs", "check_assumptions", "chen_fliess_simulate", "chen_fliess_step",
     "closed_loop", "convergence_report", "euler_step", "fd_jacobian", "from_polar",
-    "gamma_coefficient", "lbs_limit_point", "lie_bracket", "lie_bracket_loop",
-    "lie_bracket_rhs", "lyapunov_rate", "lyapunov_value", "nussbaum_control",
+    "gamma_coefficient", "lbs_limit_point", "lie_bracket", "lie_bracket_flow",
+    "lie_bracket_loop", "lie_bracket_rhs", "lyapunov_rate", "lyapunov_value", "nussbaum_control",
     "nussbaum_rhs", "nussbaum_type_check", "polar_closed_loop", "polar_closed_loop_rhs",
     "polar_lbs_rhs", "proposed_control", "proposed_design_system", "proposed_rhs",
     "rk4_step", "rows_for_order", "s_cos_s", "simulate", "swapped_control",
@@ -26,7 +26,7 @@ EXPORTS = {
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTS) == 56
+    assert len(EXPORTS) == 57
     assert len(dithersim.__all__) == len(set(dithersim.__all__))
     assert set(dithersim.__all__) == EXPORTS | {"__version__"}
 
