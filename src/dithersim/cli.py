@@ -67,8 +67,9 @@ from .integrate import (
 __all__ = ["ConfigError", "PRESETS", "main"]
 
 # Most integration steps (Euler, RK4 and series steps together) that one
-# command may take. A command holds its trajectories in memory: a run peaks
-# near 190 bytes per step while it is built and keeps about 32.
+# command may take. A command holds its trajectories in memory: a run with a
+# u column peaks near 150 bytes per step while it is built (tracemalloc) and
+# keeps 32.
 WORK_BUDGET = 2_000_000
 NUSSBAUM_SHAPES: dict[str, Callable[[float], float]] = {
     "s_cos_s": s_cos_s,
@@ -393,6 +394,8 @@ def _run_controller(
     t_f: float,
     h: float,
     method: Method,
+    *,
+    with_input: bool = True,
 ) -> Trajectory:
     rhs, control = closed_loop(plant, spec)
     meta = {
@@ -403,7 +406,8 @@ def _run_controller(
         "y0": s0.y,
         "k0": s0.k,
     }
-    return simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta)
+    input_fn = control if with_input else None
+    return simulate(rhs, s0, t0, t_f, h, method, input_fn=input_fn, meta=meta)
 
 
 def _announce(path: Path) -> None:
@@ -466,7 +470,11 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
-    trajs = [_run_controller(plant, spec, s0, t0, t_f, h, method) for spec, h in zip(specs, steps)]
+    # compare.csv holds only y columns, so the runs record no input.
+    trajs = [
+        _run_controller(plant, spec, s0, t0, t_f, h, method, with_input=False)
+        for spec, h in zip(specs, steps)
+    ]
     lbs = _lbs_reference(plant, s0, t0, t_f) if with_lbs else None
 
     base = trajs[int(np.argmax(steps))].times

@@ -4,11 +4,13 @@ Two explicit integrators are provided: first-order Euler (the "ode1"
 stepping used for the dithered closed loops) and classical RK4 as the
 reference solver. `simulate` drives either one at a constant step and
 returns a Trajectory; the final step is shortened so the last sample
-lands exactly on t_f.
+lands exactly on t_f. Each method runs as one whole-run kernel that
+inlines the arithmetic of its public one-step function (`euler_step`,
+`rk4_step`) and equals a loop over it bit for bit.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
-`chen_fliess_simulate` iterates it through the same loop as `simulate`.
+`chen_fliess_simulate` iterates it through the same driver as `simulate`.
 At order 1 the step reproduces one Euler step of the averaged system
 exactly; see `cftable` for the row selection semantics. Blow-up never
 raises out of that loop: a step that overflows or leaves |y| or |k|
@@ -234,9 +236,6 @@ def rk4_step(
     )
 
 
-_STEPPERS = {Method.EULER: euler_step, Method.RK4: rk4_step}
-
-
 def _as_pair(s0: State | Sequence[float]) -> tuple[float, float]:
     if isinstance(s0, State):
         return s0.as_tuple()
@@ -252,9 +251,85 @@ def _whole_steps(span: float, h: float) -> int:
     return int(math.floor(span / h * (1.0 + 1e-12)))
 
 
+# -- whole-run kernels ------------------------------------------------------------
+#
+# A kernel takes n steps of size h from the state (ys[-1], ks[-1]) at time
+# t0, the i-th (0-based) starting at t0 + i*h, and appends each accepted
+# state to ys and ks. It returns None when all n steps are accepted, else
+# the 1-based index of the rejected step: one that raised OverflowError or
+# left |y| or |k| above 1e9 or non-finite. The 1e9 bound is a chained
+# comparison, cheaper than abs() and false for NaN. The Euler and RK4
+# kernels repeat the arithmetic of `euler_step` and `rk4_step` operation
+# for operation, so their states equal a loop over those steps bit for bit.
+
+
+def _euler_run(rhs: Rhs2, ys: list, ks: list, t0: float, h: float, n: int) -> int | None:
+    y, k = ys[-1], ks[-1]
+    for i in range(n):
+        try:
+            dy, dk = rhs((y, k), t0 + i * h)
+        except OverflowError:
+            return i + 1
+        y = y + h * dy
+        k = k + h * dk
+        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+            return i + 1
+        ys.append(y)
+        ks.append(k)
+    return None
+
+
+def _rk4_run(rhs: Rhs2, ys: list, ks: list, t0: float, h: float, n: int) -> int | None:
+    h2 = 0.5 * h
+    sixth = h / 6.0
+    y, k = ys[-1], ks[-1]
+    for i in range(n):
+        t = t0 + i * h
+        try:
+            a1, b1 = rhs((y, k), t)
+            a2, b2 = rhs((y + h2 * a1, k + h2 * b1), t + h2)
+            a3, b3 = rhs((y + h2 * a2, k + h2 * b2), t + h2)
+            a4, b4 = rhs((y + h * a3, k + h * b3), t + h)
+        except OverflowError:
+            return i + 1
+        y = y + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        k = k + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+            return i + 1
+        ys.append(y)
+        ks.append(k)
+    return None
+
+
+def _map_run(
+    step: Callable[[tuple[float, float]], tuple[float, float]],
+    ys: list,
+    ks: list,
+    t0: float,
+    h: float,
+    n: int,
+) -> int | None:
+    """The kernel of a one-step map s -> step(s) that ignores t0 and h."""
+    s = (ys[-1], ks[-1])
+    for i in range(n):
+        try:
+            s = step(s)
+        except OverflowError:
+            return i + 1
+        y, k = s
+        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+            return i + 1
+        ys.append(y)
+        ks.append(k)
+    return None
+
+
+_KERNELS = {Method.EULER: _euler_run, Method.RK4: _rk4_run}
+
+
 def _march(
-    step: Callable,
-    rhs: Rhs2 | None,
+    kernel: Callable,
+    rhs: Callable,
     s: tuple[float, float],
     t0: float,
     t_f: float,
@@ -262,33 +337,27 @@ def _march(
     meta: dict,
     input_fn: InputFn | None = None,
 ) -> Trajectory:
-    """The fixed-step loop s = step(rhs, s, t, dt) of `simulate` and
-    `chen_fliess_simulate`, with the rules `simulate` documents. The 1e9
-    bound is a chained comparison, cheaper than abs() and false for NaN."""
+    """Run kernel(rhs, ...) from s over [t0, t_f] with the rules `simulate`
+    documents: whole steps of size h, then one shortened step to t_f."""
     span = t_f - t0
     n_full = _whole_steps(span, h)
-    total = n_full + (1 if span - n_full * h > 1e-9 * h else 0)
-    times = [t0]
     ys = [s[0]]
     ks = [s[1]]
-    failure_step: int | None = None
-    for i in range(1, total + 1):
-        t_prev = t0 + (i - 1) * h
-        try:
-            s = step(rhs, s, t_prev, h if i <= n_full else t_f - t_prev)
-        except OverflowError:
-            s = (math.nan, math.nan)
-        y, k = s
-        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
-            failure_step = i
-            break
-        times.append(t_f if i == total else t0 + i * h)
-        ys.append(y)
-        ks.append(k)
+    failure_step = kernel(rhs, ys, ks, t0, h, n_full)
+    if failure_step is None and span - n_full * h > 1e-9 * h:
+        t_last = t0 + n_full * h
+        if kernel(rhs, ys, ks, t_last, t_f - t_last, 1) is not None:
+            failure_step = n_full + 1
+    # Sample i is at t0 + i*h. The ends are set outright: a completed run ends
+    # exactly on t_f, and a start or end at -0.0 keeps its sign.
+    times = t0 + np.arange(len(ys)) * h
+    times[0] = t0
+    if failure_step is None and len(ys) > 1:
+        times[-1] = t_f
 
     us = None
     if input_fn is not None:
-        us = [input_fn((ys[i], ks[i]), times[i]) for i in range(len(times))]
+        us = [input_fn(state, t) for state, t in zip(zip(ys, ks), times.tolist())]
     meta = {**meta, "h": h, "t0": t0, "tf": t_f}
     status = "ok" if failure_step is None else "diverged"
     return Trajectory(times, ys, ks, us, meta, status, failure_step)
@@ -328,7 +397,7 @@ def simulate(
     if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
         raise ValueError("simulate: h must not exceed t_f - t0")
     run_meta = {**(meta or {}), "method": method.value}
-    return _march(_STEPPERS[method], rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn)
+    return _march(_KERNELS[method], rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn)
 
 
 # -- whole-period series stepping ----------------------------------------------
@@ -423,7 +492,7 @@ def chen_fliess_simulate(
 
     T = math.tau * periods_per_step / omega
 
-    def step(_, s: tuple[float, float], t: float, h: float) -> tuple[float, float]:
+    def step(s: tuple[float, float]) -> tuple[float, float]:
         # Preconditions were validated above, so a ValueError here can only
         # come from a non-finite result, which State rejects.
         try:
@@ -447,4 +516,4 @@ def chen_fliess_simulate(
         "k0": k0,
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
-    return _march(step, None, (y0, k0), 0.0, n_steps * T, T, meta)
+    return _march(_map_run, step, (y0, k0), 0.0, n_steps * T, T, meta)

@@ -246,6 +246,25 @@ def test_compare_reads_only_the_horizon_and_method(tmp_path):
     assert float(rows[-1][0]) == 0.5
 
 
+def test_compare_runs_take_no_input_fn(tmp_path, monkeypatch):
+    """compare.csv holds only y columns, so compare evaluates no control
+    column; simulate still records its u column."""
+    seen = []
+
+    def spy(*args, input_fn=None, **kwargs):
+        seen.append(input_fn)
+        return simulate(*args, input_fn=input_fn, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    cfg = copy.deepcopy(FAST_SIM)
+    cfg["compare"] = {"variants": ["proposed", "nussbaum"]}
+    assert _run("compare", _write_cfg(tmp_path, cfg), tmp_path / "compare") == 0
+    assert seen == [None, None]
+    seen.clear()
+    assert _run("simulate", _write_cfg(tmp_path, FAST_SIM), tmp_path / "simulate") == 0
+    assert len(seen) == 1 and seen[0] is not None
+
+
 def test_compare_duplicate_variants(tmp_path, capsys):
     cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
     cfg["compare"] = {"variants": ["proposed", "proposed"]}

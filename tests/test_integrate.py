@@ -48,6 +48,13 @@ def _final_error(traj, oracle) -> float:
     return math.hypot(traj.ys[-1] - oracle.ys[-1], traj.ks[-1] - oracle.ks[-1])
 
 
+def _signed_decades(lo: float, hi: float):
+    """Floats of either sign with log10 magnitude uniform-ish in [lo, hi]."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
+
+
 # -- single steps ---------------------------------------------------------------
 
 
@@ -184,6 +191,85 @@ def test_simulate_truncates_on_blow_up():
         assert traj.meta["tag"] == 1
     traj = simulate(lambda s, t: (s[0] ** 3, 0.0), (1e200, 0.0), 0.0, 1.0, 1.0, Method.EULER)
     assert (traj.status, traj.failure_step, len(traj)) == ("diverged", 1, 1)
+
+
+def _reference_simulate(rhs, s0, t0, t_f, h, method, input_fn=None):
+    """simulate's documented rules as a plain loop over the public one-step
+    functions: (times, ys, ks, us, failure_step)."""
+    step = euler_step if method is Method.EULER else rk4_step
+    span = t_f - t0
+    n_full = math.floor(span / h * (1.0 + 1e-12))
+    total = n_full + (1 if span - n_full * h > 1e-9 * h else 0)
+    s, times, ys, ks, failure = s0, [t0], [s0[0]], [s0[1]], None
+    for i in range(1, total + 1):
+        t_prev = t0 + (i - 1) * h
+        try:
+            s = step(rhs, s, t_prev, h if i <= n_full else t_f - t_prev)
+        except OverflowError:
+            failure = i
+            break
+        if not all(math.isfinite(v) and abs(v) <= 1e9 for v in s):
+            failure = i
+            break
+        times.append(t_f if i == total else t0 + i * h)
+        ys.append(s[0])
+        ks.append(s[1])
+    us = None
+    if input_fn is not None:
+        us = [input_fn((y, k), t) for y, k, t in zip(ys, ks, times)]
+    return times, ys, ks, us, failure
+
+
+def _property_rhs(kind: str, g: float):
+    """(rhs, input_fn) for the whole-run property test. "linear" leaves the
+    1e9 bound from large starts, "power" raises OverflowError from its float
+    power, "late" blows up once t reaches g and "loop" is the dithered loop."""
+    if kind == "linear":
+        return (lambda s, t: (g * s[0] + math.sin(t), -g * s[1] * t)), None
+    if kind == "power":
+        return (lambda s, t: (g * s[0] ** 3, s[1] + t)), None
+    if kind == "late":
+        return (lambda s, t: (1e12 if t >= g else s[1], -s[0])), None
+    return closed_loop(PLANT, ControllerSpec(ControllerVariant.PROPOSED, omega=40.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    method=st.sampled_from(list(Method)),
+    kind=st.sampled_from(["linear", "power", "late", "loop"]),
+    g=st.floats(-40.0, 40.0),
+    y0=_signed_decades(-3.0, 9.5),
+    k0=_signed_decades(-3.0, 9.5),
+    t0=st.floats(-10.0, 10.0),
+    h=st.floats(1e-3, 0.5),
+    n=st.integers(0, 60),
+    frac=st.floats(0.0, 0.999),
+)
+@example(Method.EULER, "loop", 0.0, 1.0, 0.0, 0.0, 0.3, 3, 0.5)  # shortened final step
+@example(Method.RK4, "loop", 0.0, 1.0, 0.0, 2.0, 0.1, 0, 0.5)  # t_f == t0
+@example(Method.EULER, "loop", 0.0, 1.0, 0.0, -0.0, 0.1, 0, 0.0)  # t_f == t0 == -0.0
+@example(Method.EULER, "power", 1.0, 1e200, 0.0, 0.0, 0.3, 3, 0.5)  # OverflowError at step 1
+# "late" with g = 0.85 first blows up on the shortened step from t = 0.9.
+@example(Method.EULER, "late", 0.85, 1.0, 0.0, 0.0, 0.3, 3, 0.5)
+@example(Method.RK4, "late", 1.0, 1.0, 0.0, 0.0, 0.3, 3, 0.5)
+@example(Method.RK4, "power", 1.0, 1e200, 0.0, 0.0, 0.3, 3, 0.5)  # OverflowError at step 1
+@example(Method.EULER, "linear", 10.0, 1e8, 1.0, 0.0, 0.1, 5, 0.0)  # leaves 1e9 at step 4
+def test_simulate_equals_loop_over_public_steps(method, kind, g, y0, k0, t0, h, n, frac):
+    """simulate with Euler and RK4 equals a plain loop over euler_step and
+    rk4_step bit for bit: times, ys, ks, us, status and failure_step, with
+    and without a shortened final step, for t_f == t0 and for runs that
+    leave the 1e9 bound, overflow, or diverge on the shortened step."""
+    rhs, control = _property_rhs(kind, g)
+    t_f = t0 + (n + frac) * h if n else t0
+    traj = simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn=control)
+    times, ys, ks, us, failure = _reference_simulate(rhs, (y0, k0), t0, t_f, h, method, control)
+    assert (traj.status, traj.failure_step) == ("ok" if failure is None else "diverged", failure)
+    for got, want in ((traj.times, times), (traj.ys, ys), (traj.ks, ks)):
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+    if control is None:
+        assert traj.us is None
+    else:
+        assert traj.us.tobytes() == np.asarray(us, dtype=float).tobytes()
 
 
 def test_simulate_meta_records_solver_facts():
@@ -451,13 +537,6 @@ def test_chen_fliess_simulate_matches_euler_trajectory():
     assert len(series) == len(euler)
     np.testing.assert_allclose(series.ys, euler.ys, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(series.ks, euler.ks, rtol=1e-12, atol=1e-14)
-
-
-def _signed_decades(lo: float, hi: float):
-    """Floats of either sign with log10 magnitude uniform-ish in [lo, hi]."""
-    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
-        lambda t: t[0] * 10.0 ** t[1]
-    )
 
 
 @settings(max_examples=250, derandomize=True, database=None, deadline=None)
