@@ -14,11 +14,12 @@ sum of monomials
 
     c * b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi,
 
-with rho = a - b*k evaluated at the step start. This module stores that
-table. Words whose field or integral vanishes identically are kept as
-explicit empty rows so the table can be audited one row at a time; the
-audit (symbolic fields times grid-quadrature integrals, recomputed from
-scratch) lives in the test suite.
+with rho = a - b*k evaluated at the step start. This module stores the
+monomials of the 61 words whose update does not vanish. TABLE holds a
+row for each of the 120 words of length 1..4: a word led by 2 moves k,
+any other word moves y, and the words not stored get empty rows. The
+row-by-row audit (symbolic fields times grid-quadrature integrals,
+recomputed from scratch) lives in the test suite.
 
 The powers of (omega*T) equal (2*pi*n)^e2pi exactly for whole-period
 steps, which is why one table covers any whole number of periods.
@@ -32,9 +33,10 @@ monomials of the selected rows, in table order, as tuples
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Mono",
@@ -42,8 +44,6 @@ __all__ = [
     "TABLE",
     "rows_for_order",
 ]
-
-_Frac = Union[int, str, Fraction]
 
 
 class Mono(NamedTuple):
@@ -71,129 +71,101 @@ class ChenFliessTerm:
     k_terms: tuple[Mono, ...] = ()
 
 
-def _m(c: _Frac, eb: int, ey: int, er: int, eT: _Frac, e2pi: _Frac = 0) -> Mono:
+def _m(c: int | str, eb: int, ey: int, er: int, eT: int | str, e2pi: int | str = 0) -> Mono:
     return Mono(Fraction(c), eb, ey, er, Fraction(eT), Fraction(e2pi))
 
 
-def _y(word: str, *monos: Mono) -> ChenFliessTerm:
-    return ChenFliessTerm(word, y_terms=tuple(monos))
-
-
-def _k(word: str, *monos: Mono) -> ChenFliessTerm:
-    return ChenFliessTerm(word, k_terms=tuple(monos))
-
-
-def _zero(*words: str) -> tuple[ChenFliessTerm, ...]:
-    return tuple(ChenFliessTerm(w) for w in words)
-
+# Every word of length 1..4 over the three channels, in table order.
+_WORDS = tuple(
+    "".join(letters) for n in (1, 2, 3, 4) for letters in itertools.product("012", repeat=n)
+)
 
 # Pure powers of the drift letter: the Taylor tail of the averaged flow.
 # Excluded from default truncations so that order 1 reproduces an explicit
 # Euler step of the averaged system exactly; see rows_for_order.
-DRIFT_TAYLOR_WORDS = frozenset({"00", "000", "0000"})
+DRIFT_TAYLOR_WORDS = frozenset(w for w in _WORDS if len(w) >= 2 and set(w) == {"0"})
 
-TABLE: tuple[ChenFliessTerm, ...] = (
-    # ---- length 1 ------------------------------------------------------
-    _y("0", _m(1, 0, 1, 1, 1)),
-    *_zero("1", "2"),
-    # ---- length 2 ------------------------------------------------------
-    _y("00", _m("1/2", 0, 1, 2, 2)),
-    _y("01", _m(-1, 1, 1, 1, "3/2", "-1/2")),
-    *_zero("02"),
-    _y("10", _m(1, 1, 1, 1, "3/2", "-1/2")),
-    *_zero("11", "12"),
-    *_zero("20"),
-    _k("21", _m(1, 1, 2, 0, 1)),
-    *_zero("22"),
-    # ---- length 3, leading letter 0 or 1 (y component) ------------------
-    _y("000", _m("1/6", 0, 1, 3, 3)),
-    _y("001", _m("-1/2", 1, 1, 2, "5/2", "-1/2")),
-    _y("002", _m(-2, 1, 3, 1, "5/2", "-3/2")),
-    *_zero("010"),
-    _y("011", _m("3/4", 2, 1, 1, 2, -1)),
-    _y("012", _m("1/4", 2, 3, 0, 2)),
-    _y("020", _m(6, 1, 3, 1, "5/2", "-3/2")),
-    _y("021", _m("-3/4", 2, 3, 0, 2)),
-    *_zero("022"),
-    _y("100", _m("1/2", 1, 1, 2, "5/2", "-1/2")),
-    _y("101", _m("-3/2", 2, 1, 1, 2, -1)),
-    *_zero("102"),
-    _y("110", _m("3/4", 2, 1, 1, 2, -1)),
-    *_zero("111", "112", "120", "121", "122"),
-    # ---- length 3, leading letter 2 (k component) ------------------------
-    _k("200", _m(4, 0, 2, 2, "5/2", "-3/2")),
-    *_zero("201"),
-    _k("202", _m(1, 1, 4, 0, 2, -1)),
-    _k("210", _m(1, 1, 2, 1, 2)),
-    _k("211", _m(-2, 2, 2, 0, "3/2", "-1/2")),
-    *_zero("212", "220", "221", "222"),
-    # ---- length 4, leading letter 0 (y component) ------------------------
-    _y("0000", _m("1/24", 0, 1, 4, 4)),
-    _y("0001", _m("-1/6", 1, 1, 3, "7/2", "-1/2"), _m(1, 1, 1, 3, "7/2", "-5/2")),
-    _y("0002", _m("-3/2", 1, 3, 2, "7/2", "-3/2")),
-    _y("0010", _m(-3, 1, 1, 3, "7/2", "-5/2")),
-    _y("0011", _m("3/8", 2, 1, 2, 3, -1)),
-    _y("0012", _m("-1/4", 2, 3, 1, 3, -2), _m("1/6", 2, 3, 1, 3)),
-    _y("0020", _m(3, 1, 3, 2, "7/2", "-3/2")),
-    _y("0021", _m("-1/2", 2, 3, 1, 3), _m("21/4", 2, 3, 1, 3, -2)),
-    _y("0022", _m("1/4", 2, 5, 0, 3, -1)),
-    _y("0100", _m(3, 1, 1, 3, "7/2", "-5/2")),
-    _y("0101", _m("-1/4", 2, 1, 2, 3, -1)),
-    _y("0102", _m("3/2", 2, 3, 1, 3, -2)),
-    _y("0110", _m("1/4", 2, 1, 2, 3, -1)),
-    _y("0111", _m("-5/12", 3, 1, 1, "5/2", "-3/2")),
-    *_zero("0112"),
-    _y("0120", _m("1/4", 2, 3, 1, 3), _m("-3/2", 2, 3, 1, 3, -2)),
-    _y("0121", _m("-3/4", 3, 3, 0, "5/2", "-1/2")),
-    *_zero("0122"),
-    _y("0200", _m("9/2", 1, 3, 2, "7/2", "-3/2")),
-    _y("0201", _m("-81/4", 2, 3, 1, 3, -2)),
-    _y("0202", _m("-3/4", 2, 5, 0, 3, -1)),
-    _y("0210", _m("-3/4", 2, 3, 1, 3), _m("9/2", 2, 3, 1, 3, -2)),
-    _y("0211", _m("9/4", 3, 3, 0, "5/2", "-1/2")),
-    *_zero("0212", "0220", "0221", "0222"),
-    # ---- length 4, leading letter 1 (y component) ------------------------
-    _y("1000", _m("1/6", 1, 1, 3, "7/2", "-1/2"), _m(-1, 1, 1, 3, "7/2", "-5/2")),
-    _y("1001", _m("-1/2", 2, 1, 2, 3, -1)),
-    _y("1002", _m(-3, 2, 3, 1, 3, -2)),
-    _y("1010", _m("-1/4", 2, 1, 2, 3, -1)),
-    _y("1011", _m("5/4", 3, 1, 1, "5/2", "-3/2")),
-    _y("1012", _m("1/4", 3, 3, 0, "5/2", "-1/2")),
-    _y("1020", _m("27/4", 2, 3, 1, 3, -2)),
-    _y("1021", _m("-3/4", 3, 3, 0, "5/2", "-1/2")),
-    *_zero("1022"),
-    _y("1100", _m("3/8", 2, 1, 2, 3, -1)),
-    _y("1101", _m("-5/4", 3, 1, 1, "5/2", "-3/2")),
-    *_zero("1102"),
-    _y("1110", _m("5/12", 3, 1, 1, "5/2", "-3/2")),
-    *_zero("1111", "1112", "1120", "1121", "1122"),
-    *_zero("1200", "1201", "1202", "1210", "1211", "1212", "1220", "1221", "1222"),
-    # ---- length 4, leading letter 2 (k component) -------------------------
-    _k("2000", _m(4, 0, 2, 3, "7/2", "-3/2")),
-    _k("2001", _m(-12, 1, 2, 2, 3, -2)),
-    *_zero("2002"),
-    _k("2010", _m(6, 1, 2, 2, 3, -2)),
-    *_zero("2011"),
-    _k("2012", _m(2, 2, 4, 0, "5/2", "-3/2")),
-    _k("2020", _m(2, 1, 4, 1, 3, -1)),
-    _k("2021", _m(-8, 2, 4, 0, "5/2", "-3/2")),
-    *_zero("2022"),
-    _k("2100", _m("2/3", 1, 2, 2, 3), _m(-1, 1, 2, 2, 3, -2)),
-    _k("2101", _m(-2, 2, 2, 1, "5/2", "-1/2")),
-    _k("2102", _m(-2, 2, 4, 0, "5/2", "-3/2")),
-    *_zero("2110"),
-    _k("2111", _m("5/2", 3, 2, 0, 2, -1)),
-    *_zero("2112", "2120", "2121", "2122"),
-    *_zero("2200", "2201", "2202", "2210", "2211", "2212", "2220", "2221", "2222"),
+# The update monomials of every word whose update does not vanish.
+_UPDATES: dict[str, tuple[Mono, ...]] = {
+    "0": (_m(1, 0, 1, 1, 1),),
+    "00": (_m("1/2", 0, 1, 2, 2),),
+    "01": (_m(-1, 1, 1, 1, "3/2", "-1/2"),),
+    "10": (_m(1, 1, 1, 1, "3/2", "-1/2"),),
+    "21": (_m(1, 1, 2, 0, 1),),
+    "000": (_m("1/6", 0, 1, 3, 3),),
+    "001": (_m("-1/2", 1, 1, 2, "5/2", "-1/2"),),
+    "002": (_m(-2, 1, 3, 1, "5/2", "-3/2"),),
+    "011": (_m("3/4", 2, 1, 1, 2, -1),),
+    "012": (_m("1/4", 2, 3, 0, 2),),
+    "020": (_m(6, 1, 3, 1, "5/2", "-3/2"),),
+    "021": (_m("-3/4", 2, 3, 0, 2),),
+    "100": (_m("1/2", 1, 1, 2, "5/2", "-1/2"),),
+    "101": (_m("-3/2", 2, 1, 1, 2, -1),),
+    "110": (_m("3/4", 2, 1, 1, 2, -1),),
+    "200": (_m(4, 0, 2, 2, "5/2", "-3/2"),),
+    "202": (_m(1, 1, 4, 0, 2, -1),),
+    "210": (_m(1, 1, 2, 1, 2),),
+    "211": (_m(-2, 2, 2, 0, "3/2", "-1/2"),),
+    "0000": (_m("1/24", 0, 1, 4, 4),),
+    "0001": (_m("-1/6", 1, 1, 3, "7/2", "-1/2"), _m(1, 1, 1, 3, "7/2", "-5/2")),
+    "0002": (_m("-3/2", 1, 3, 2, "7/2", "-3/2"),),
+    "0010": (_m(-3, 1, 1, 3, "7/2", "-5/2"),),
+    "0011": (_m("3/8", 2, 1, 2, 3, -1),),
+    "0012": (_m("-1/4", 2, 3, 1, 3, -2), _m("1/6", 2, 3, 1, 3)),
+    "0020": (_m(3, 1, 3, 2, "7/2", "-3/2"),),
+    "0021": (_m("-1/2", 2, 3, 1, 3), _m("21/4", 2, 3, 1, 3, -2)),
+    "0022": (_m("1/4", 2, 5, 0, 3, -1),),
+    "0100": (_m(3, 1, 1, 3, "7/2", "-5/2"),),
+    "0101": (_m("-1/4", 2, 1, 2, 3, -1),),
+    "0102": (_m("3/2", 2, 3, 1, 3, -2),),
+    "0110": (_m("1/4", 2, 1, 2, 3, -1),),
+    "0111": (_m("-5/12", 3, 1, 1, "5/2", "-3/2"),),
+    "0120": (_m("1/4", 2, 3, 1, 3), _m("-3/2", 2, 3, 1, 3, -2)),
+    "0121": (_m("-3/4", 3, 3, 0, "5/2", "-1/2"),),
+    "0200": (_m("9/2", 1, 3, 2, "7/2", "-3/2"),),
+    "0201": (_m("-81/4", 2, 3, 1, 3, -2),),
+    "0202": (_m("-3/4", 2, 5, 0, 3, -1),),
+    "0210": (_m("-3/4", 2, 3, 1, 3), _m("9/2", 2, 3, 1, 3, -2)),
+    "0211": (_m("9/4", 3, 3, 0, "5/2", "-1/2"),),
+    "1000": (_m("1/6", 1, 1, 3, "7/2", "-1/2"), _m(-1, 1, 1, 3, "7/2", "-5/2")),
+    "1001": (_m("-1/2", 2, 1, 2, 3, -1),),
+    "1002": (_m(-3, 2, 3, 1, 3, -2),),
+    "1010": (_m("-1/4", 2, 1, 2, 3, -1),),
+    "1011": (_m("5/4", 3, 1, 1, "5/2", "-3/2"),),
+    "1012": (_m("1/4", 3, 3, 0, "5/2", "-1/2"),),
+    "1020": (_m("27/4", 2, 3, 1, 3, -2),),
+    "1021": (_m("-3/4", 3, 3, 0, "5/2", "-1/2"),),
+    "1100": (_m("3/8", 2, 1, 2, 3, -1),),
+    "1101": (_m("-5/4", 3, 1, 1, "5/2", "-3/2"),),
+    "1110": (_m("5/12", 3, 1, 1, "5/2", "-3/2"),),
+    "2000": (_m(4, 0, 2, 3, "7/2", "-3/2"),),
+    "2001": (_m(-12, 1, 2, 2, 3, -2),),
+    "2010": (_m(6, 1, 2, 2, 3, -2),),
+    "2012": (_m(2, 2, 4, 0, "5/2", "-3/2"),),
+    "2020": (_m(2, 1, 4, 1, 3, -1),),
+    "2021": (_m(-8, 2, 4, 0, "5/2", "-3/2"),),
+    "2100": (_m("2/3", 1, 2, 2, 3), _m(-1, 1, 2, 2, 3, -2)),
+    "2101": (_m(-2, 2, 2, 1, "5/2", "-1/2"),),
+    "2102": (_m(-2, 2, 4, 0, "5/2", "-3/2"),),
+    "2111": (_m("5/2", 3, 2, 0, 2, -1),),
+}
+
+if not _UPDATES.keys() <= set(_WORDS):
+    raise AssertionError("stored words must have length 1..4 over the letters 0, 1, 2")
+
+TABLE: tuple[ChenFliessTerm, ...] = tuple(
+    ChenFliessTerm(w, **{"k_terms" if w[0] == "2" else "y_terms": _UPDATES.get(w, ())})
+    for w in _WORDS
 )
 
-if len({row.word for row in TABLE}) != 120 or len(TABLE) != 120:  # every word of length 1..4, once
-    raise AssertionError("stencil table must hold exactly the 120 words of length 1..4")
+# The truncation orders: order d keeps the words of length <= d+1.
+_ORDERS = (0, 1, 2, 3)
 
 
 def _check_order(order: int) -> None:
-    if isinstance(order, bool) or not isinstance(order, int) or order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0, 1, 2, or 3 (got {order!r})")
+    if isinstance(order, bool) or not isinstance(order, int) or order not in _ORDERS:
+        listed = ", ".join(map(str, _ORDERS[:-1]))
+        raise ValueError(f"order must be {listed}, or {_ORDERS[-1]} (got {order!r})")
 
 
 def rows_for_order(order: int, drift_taylor: bool = False) -> tuple[ChenFliessTerm, ...]:
@@ -231,9 +203,7 @@ def _float_form(order: int, drift_taylor: bool) -> FloatTerms:
 
 
 _FLOAT_TERMS = {
-    (order, taylor): _float_form(order, taylor)
-    for order in (0, 1, 2, 3)
-    for taylor in (False, True)
+    (order, taylor): _float_form(order, taylor) for order in _ORDERS for taylor in (False, True)
 }
 
 

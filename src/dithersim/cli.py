@@ -45,6 +45,7 @@ from .averaging import (
     proposed_design_system,
     swapped_design_system,
 )
+from .cftable import _check_order
 from .dynamics import (
     DITHERED_VARIANTS,
     ControllerSpec,
@@ -280,8 +281,10 @@ def _variant(name: object, where: str) -> ControllerVariant:
 
 
 def _series_order(v: object, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= 3:
-        raise ConfigError(path, "expected an integer in 0..3")
+    try:
+        _check_order(v)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
     return v
 
 
@@ -309,6 +312,12 @@ def _parse_simulation(cfg: dict) -> tuple[dict, float, float, Method]:
     except ValueError as e:
         raise ConfigError("simulation.method", str(e)) from None
     return sec, t0, t_f, method
+
+
+def _check_zero_start(sim: dict, command: str) -> None:
+    """Refuse a nonzero simulation.t0 for a command whose runs start at 0."""
+    if _num(sim, "simulation", "t0", 0.0) != 0.0:
+        raise ConfigError("simulation.t0", f"must be 0: {command} runs start at t = 0")
 
 
 def _check_work(
@@ -497,6 +506,7 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     sec = _section(cfg, "sweep")
     vals = _list(sec, "sweep", "omegas", lambda w, path: _number(w, path, positive=True))
     sim = _section(cfg, "simulation")
+    _check_zero_start(sim, "sweep")
     t_f = _num(sim, "simulation", "t_f", positive=True)
     for i, w in enumerate(vals):
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
@@ -597,9 +607,7 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if spec.variant is not ControllerVariant.PROPOSED:
         raise ConfigError("controller.variant", f"{spec.variant.value!r} has no series table")
     sim = _section(cfg, "simulation", required="n_steps" not in sec)
-    t0 = _num(sim, "simulation", "t0", 0.0)
-    if t0 != 0.0:
-        raise ConfigError("simulation.t0", "series stepping starts at 0")
+    _check_zero_start(sim, "chenfliess")
 
     T = math.tau * pps / spec.omega
     if "n_steps" in sec:

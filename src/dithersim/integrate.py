@@ -65,9 +65,9 @@ class Method(enum.Enum):
 class Trajectory:
     """Sampled solution of a two-state system.
 
-    times, ys, ks are equal-length 1-D float arrays holding only finite
-    values. us is the applied input at each sample, or None for systems
-    without an explicit input (averaged dynamics, series stepping).
+    times, ys, ks and us are equal-length 1-D float arrays holding only
+    finite values. us is the applied input at each sample, or None for
+    systems without an explicit input (averaged dynamics, series stepping).
 
     Sampling is uniform: all interior steps equal the first step to
     1e-12 relative to the span, and only the final step may be shorter
@@ -88,24 +88,20 @@ class Trajectory:
     failure_step: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("times", "ys", "ks"):
+        n = np.size(self.times)
+        for name in ("times", "ys", "ks", "us"):
+            if name == "us" and self.us is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"Trajectory: {name} must be 1-D")
+            if len(arr) != n:
+                raise ValueError(f"Trajectory: {name} length {len(arr)} != {n}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"Trajectory: {name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        if self.us is not None:
-            object.__setattr__(self, "us", np.asarray(self.us, dtype=float))
-        n = len(self.times)
         if n == 0:
             raise ValueError("Trajectory: at least one sample required")
-        for name in ("ys", "ks", "us"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != n:
-                raise ValueError(f"Trajectory: {name} length {len(arr)} != {n}")
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError(f"Trajectory: {name} contains non-finite values")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("Trajectory: times contain non-finite values")
         self._check_spacing()
         if self.status not in ("ok", "diverged"):
             raise ValueError(f"Trajectory: unknown status {self.status!r}")
@@ -256,11 +252,12 @@ def _whole_steps(span: float, h: float) -> int:
 # A kernel takes n steps of size h from the state (ys[-1], ks[-1]) at time
 # t0, the i-th (0-based) starting at t0 + i*h, and appends each accepted
 # state to ys and ks. It returns None when all n steps are accepted, else
-# the 1-based index of the rejected step: one that raised OverflowError or
-# left |y| or |k| above 1e9 or non-finite. The 1e9 bound is a chained
-# comparison, cheaper than abs() and false for NaN. The Euler and RK4
-# kernels repeat the arithmetic of `euler_step` and `rk4_step` operation
-# for operation, so their states equal a loop over those steps bit for bit.
+# the 1-based index of the rejected step: one that raised OverflowError (or,
+# in `_map_run`, ValueError) or left |y| or |k| above 1e9 or non-finite.
+# The 1e9 bound is a chained comparison, cheaper than abs() and false for
+# NaN. The Euler and RK4 kernels repeat the arithmetic of `euler_step` and
+# `rk4_step` operation for operation, so their states equal a loop over
+# those steps bit for bit.
 
 
 def _euler_run(rhs: Rhs2, ys: list, ks: list, t0: float, h: float, n: int) -> int | None:
@@ -314,7 +311,7 @@ def _map_run(
     for i in range(n):
         try:
             s = step(s)
-        except OverflowError:
+        except (OverflowError, ValueError):
             return i + 1
         y, k = s
         if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
@@ -493,15 +490,10 @@ def chen_fliess_simulate(
     T = math.tau * periods_per_step / omega
 
     def step(s: tuple[float, float]) -> tuple[float, float]:
-        # Preconditions were validated above, so a ValueError here can only
-        # come from a non-finite result, which State rejects.
-        try:
-            nxt = chen_fliess_step(
-                p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
-            )
-        except ValueError:
-            return (math.nan, math.nan)
-        return nxt.as_tuple()
+        # Arguments were validated above: a ValueError means a non-finite result.
+        return chen_fliess_step(
+            p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
+        ).as_tuple()
 
     meta = {
         "scheme": "series",

@@ -10,6 +10,7 @@ under test is reused here.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -127,6 +128,17 @@ def test_table_enumerates_all_words_once():
             frontier = [w + ch for w in frontier for ch in "012"]
         expected.update(frontier)
     assert set(words) == expected
+
+
+def test_table_equals_the_hand_written_rows():
+    """The sha256 of repr(TABLE) recorded when every row, empty ones
+    included, was still written out by hand."""
+    digest = hashlib.sha256(repr(TABLE).encode()).hexdigest()
+    assert digest == "2b5df2350751437adaf5c027a10b25a30b39842c2e971f5e5906282dc120edb8"
+
+
+def test_drift_taylor_words_are_the_pure_drift_words():
+    assert DRIFT_TAYLOR_WORDS == {"00", "000", "0000"}
 
 
 def test_rows_move_exactly_one_component():

@@ -831,6 +831,17 @@ PLANT = {"a": 10.0, "b": -2.0}
             ),
             "controller.omega",
         ),
+        # The sweep runs from t = 0 with Euler; it used to ignore t0 and method.
+        (
+            "sweep",
+            _budget_case(
+                {
+                    "simulation": {"t0": 2.0, "t_f": 1.0, "method": "rk4"},
+                    "sweep": {"omegas": [100.0]},
+                }
+            ),
+            "simulation.t0",
+        ),
     ],
     ids=[
         "nan-range",
@@ -844,6 +855,7 @@ PLANT = {"a": 10.0, "b": -2.0}
         "simulate-lbs-horizon",
         "compare-lbs-horizon",
         "series-overflow",
+        "sweep-t0",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):

@@ -321,6 +321,12 @@ def test_trajectory_validation():
         Trajectory(t, ok, ok, failure_step=2)
 
 
+def test_trajectory_rejects_a_2d_input_column():
+    t = np.array([0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match="us must be 1-D"):
+        Trajectory(t, np.zeros(3), np.zeros(3), us=np.ones((3, 2)))
+
+
 def test_trajectory_rejects_uneven_spacing():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3), np.zeros(3))
@@ -649,6 +655,20 @@ def test_chen_fliess_simulate_divergence_guard():
     assert traj.failure_step is not None
     assert len(traj) == traj.failure_step
     assert np.all(np.isfinite(traj.ys))
+
+
+@pytest.mark.parametrize(
+    "s0",
+    [(1e50, 1e70), (1e70, 0.5)],
+    ids=["non-finite-sum", "power-overflow"],
+)
+def test_chen_fliess_simulate_rejects_a_step_that_raises(s0):
+    """A step whose sum is not finite (ValueError) or whose power overflows
+    (OverflowError) is the first rejected step, not an escaping error."""
+    traj = chen_fliess_simulate(PlantParams(10.0, -2.0), s0, 400.0, 1, 5, 3)
+    assert traj.status == "diverged"
+    assert traj.failure_step == 1
+    assert len(traj) == 1
 
 
 def test_chen_fliess_simulate_validation():
