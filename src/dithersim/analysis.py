@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
+from .averaging import _cumulative_simpson
 from .dynamics import (
     ControllerSpec,
     ControllerVariant,
@@ -204,7 +204,7 @@ def _n_profile(
     """N(k) on the open grid k0 + j*dk, j = 1..n_panels."""
     s = np.linspace(k0, k_max, n_panels + 1)
     g = np.array([h(float(v)) * v for v in s])
-    integral = cumulative_simpson(g, dx=(k_max - k0) / n_panels, initial=0.0)
+    integral = _cumulative_simpson(g, (k_max - k0) / n_panels)
     return integral[1:] / (s[1:] - k0)
 
 

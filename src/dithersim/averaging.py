@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .dynamics import _LAWS, ControllerVariant, _averaged_loop
 
@@ -147,6 +146,47 @@ def swapped_design_system(p) -> AffineSystem:
     return _design_system(p, _LAWS[ControllerVariant.SWAPPED])
 
 
+# -- equal-spacing Simpson rules ----------------------------------------------
+# Both copy the equal-spacing arithmetic of scipy.integrate's `simpson` and
+# `cumulative_simpson` operation for operation, so results match bit for bit.
+
+
+def _simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson integral of samples y spaced dx apart (odd count >= 3)."""
+    if len(y) < 3 or len(y) % 2 == 0:
+        raise ValueError("_simpson: need an odd number of samples, at least 3")
+    r = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    r *= dx / 3.0
+    return r
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running Simpson integral from y[0] of samples y spaced dx apart (count >= 3).
+
+    Each panel is integrated under the parabola through three neighbouring
+    samples: the panel and the sample after it for even panels, the panel
+    and the sample before it for odd panels and the last one. The result
+    has one entry per sample and starts at 0.0.
+    """
+    if len(y) < 3:
+        raise ValueError("_cumulative_simpson: need at least 3 samples")
+    c = dx / 3
+
+    def panels(f: np.ndarray) -> np.ndarray:
+        return c * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    h1 = panels(y)
+    h2 = panels(y[::-1])[::-1]
+    sub = np.empty(len(y) - 1)
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    res = np.cumsum(sub)
+    # scipy adds its `initial` of 0.0 here, which turns a -0.0 into 0.0
+    res += 0.0
+    return np.concatenate(([0.0], res))
+
+
 # -- interaction coefficients -------------------------------------------------
 
 
@@ -176,13 +216,20 @@ def gamma_coefficient(
 
     gamma = (w^{p_i+p_j} / T) * int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth
     over the common period T of the two channels. Computed by a cumulative
-    Simpson inner pass and a composite Simpson outer pass; a half-resolution
-    repeat bounds the error (the pair is fourth-order, so the Richardson
-    factor is 15) and failing the bound raises QuadratureError rather than
-    returning a silently inaccurate value.
+    Simpson inner pass (`_cumulative_simpson`) and a composite Simpson outer
+    pass (`_simpson`); a half-resolution repeat bounds the error (the pair
+    is fourth-order, so the Richardson factor is 15) and failing the bound
+    raises QuadratureError rather than returning a silently inaccurate
+    value. panels_per_period must be a positive integer.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
+    if (
+        isinstance(panels_per_period, bool)
+        or not isinstance(panels_per_period, int)
+        or panels_per_period < 1
+    ):
+        raise ValueError("gamma_coefficient: panels_per_period must be a positive integer")
     T, full = _interaction_integral(ui, uj, omega, panels_per_period)
     _, half = _interaction_integral(ui, uj, omega, panels_per_period, coarsen=2)
     err = abs(full - half) / 15.0
@@ -210,9 +257,9 @@ def _interaction_integral(
     n //= coarsen
     theta = np.linspace(0.0, T, n + 1)
     inner = np.asarray(ui.fn(float(ui.freq) * omega * theta), dtype=float)
-    anti = cumulative_simpson(inner, dx=T / n, initial=0.0)
+    anti = _cumulative_simpson(inner, T / n)
     outer = np.asarray(uj.fn(float(uj.freq) * omega * theta), dtype=float)
-    return T, float(simpson(outer * anti, dx=T / n))
+    return T, float(_simpson(outer * anti, T / n))
 
 
 # -- finite-difference geometry ----------------------------------------------
@@ -370,7 +417,7 @@ def _check_dither(d: DitherSignal, phase_points: int) -> DitherCheck:
     # closed grid for Simpson; mean over one period
     phase_c = np.linspace(0.0, 2.0 * math.pi, phase_points + 1)
     vals_c = np.asarray(d.fn(phase_c), dtype=float)
-    mean = float(simpson(vals_c, dx=2.0 * math.pi / phase_points) / (2.0 * math.pi))
+    mean = float(_simpson(vals_c, 2.0 * math.pi / phase_points) / (2.0 * math.pi))
     return DitherCheck(
         sup=sup,
         bounded=sup <= 1.0 + 1e-9,
@@ -432,6 +479,8 @@ def check_assumptions(
     or the pair's bracket must vanish on the grid; triples whose exponents
     sum to at least 2 need the second-level directional derivative to
     vanish. Pairs/triples below the thresholds are recorded as vacuous.
+    The A1 phase grid has phase_points samples per period, an even count
+    so that Simpson's rule covers the closed grid.
 
     Each time sample evaluates the fields on the whole state mesh at once,
     so every field must take x of shape (N, dim) and return shape (N, dim).
@@ -442,6 +491,13 @@ def check_assumptions(
         raise ValueError("check_assumptions: grid must be at least 1")
     if time_samples < 1:
         raise ValueError("check_assumptions: time_samples must be at least 1")
+    if (
+        isinstance(phase_points, bool)
+        or not isinstance(phase_points, int)
+        or phase_points < 2
+        or phase_points % 2
+    ):
+        raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
     a1 = [_check_dither(d, phase_points) for d in sys.dithers]
 
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]

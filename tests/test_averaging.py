@@ -13,6 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_simpson, simpson
 
 from dithersim import (
     AffineSystem,
@@ -29,6 +33,7 @@ from dithersim import (
     swapped_design_system,
     check_assumptions,
 )
+from dithersim.averaging import _cumulative_simpson, _simpson
 
 from audit_reference import reference_check_assumptions
 
@@ -69,6 +74,12 @@ def test_gamma_rejects_bad_omega():
         gamma_coefficient(SINE, COSINE, -3.0)
 
 
+@pytest.mark.parametrize("panels", [0, -4, True, 2.5, 4096.0])
+def test_gamma_rejects_bad_panel_count(panels):
+    with pytest.raises(ValueError, match="panels_per_period must be a positive integer"):
+        gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=panels)
+
+
 def test_gamma_reports_non_convergent_quadrature():
     """A panel budget too small to resolve the pair must refuse loudly."""
     with pytest.raises(QuadratureError):
@@ -80,6 +91,41 @@ def test_gamma_rational_frequency_multiplier():
     fast = DitherSignal(np.sin, freq=Fraction(2))
     g = gamma_coefficient(fast, COSINE, 1.0)
     assert math.isfinite(g)
+
+
+# -- Simpson rules ------------------------------------------------------------------
+
+_SAMPLES = arrays(
+    np.float64,
+    st.integers(3, 400),
+    elements=st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+)
+_STEPS = st.floats(1e-6, 1e6)
+_SIGNED_ZEROS = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0])
+
+
+@settings(max_examples=300)
+@given(_SAMPLES, _STEPS)
+@example(_SIGNED_ZEROS, 0.5)
+@example(-np.abs(_SIGNED_ZEROS), 1.0)
+def test_simpson_rules_equal_scipy_bit_for_bit(y, dx):
+    """Both numpy rules repeat scipy's equal-spacing arithmetic exactly,
+    signed zeros included; `_simpson` takes the odd-count prefix."""
+    odd = y[: len(y) - 1 + len(y) % 2]
+    got = np.float64(_simpson(odd, dx))
+    assert got.tobytes() == np.float64(simpson(odd, dx=dx)).tobytes()
+    got = _cumulative_simpson(y, dx)
+    assert got.tobytes() == cumulative_simpson(y, dx=dx, initial=0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 10])
+def test_simpson_rules_refuse_short_or_even_input(n):
+    y = np.ones(n)
+    with pytest.raises(ValueError, match="odd number of samples"):
+        _simpson(y, 1.0)
+    if n < 3:
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            _cumulative_simpson(y, 1.0)
 
 
 # -- dither-signal validation ----------------------------------------------------
@@ -317,6 +363,15 @@ def test_empty_sample_set_is_refused(kwargs):
     report must not PASS vacuously."""
     with pytest.raises(ValueError, match="at least 1"):
         check_assumptions(proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **kwargs)
+
+
+@pytest.mark.parametrize("phase_points", [0, -5, 1, 3, 2001, 2000.0, True])
+def test_odd_or_tiny_phase_grid_is_refused(phase_points):
+    """Simpson's rule needs an even panel count over the closed phase grid."""
+    with pytest.raises(ValueError, match="phase_points must be an even integer >= 2"):
+        check_assumptions(
+            proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), phase_points=phase_points
+        )
 
 
 def test_point_only_fields_are_refused():

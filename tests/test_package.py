@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import dithersim
 
@@ -42,3 +46,18 @@ def test_each_export_is_its_module_object():
             homes[export] = name
             assert getattr(dithersim, export) is getattr(module, export), export
     assert set(homes) == EXPORTS
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only reference: a fresh interpreter importing the CLI
+    must not load any of it."""
+    src = str(Path(dithersim.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, dithersim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    argv = [sys.executable, "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
