@@ -482,15 +482,16 @@ def check_assumptions(
     The A1 phase grid has phase_points samples per period, an even count
     so that Simpson's rule covers the closed grid.
 
-    Each time sample evaluates the fields on the whole state mesh at once,
-    so every field must take x of shape (N, dim) and return shape (N, dim).
-    The witness is the first maximiser in time-major, then point-major,
-    then per-point order; the scan stops at the first non-finite norm.
+    Each time sample evaluates every field on the whole state mesh at once
+    and stacks the results to shape (nf, N, dim), drift first, so each norm
+    family is one array expression over all fields; every field must take
+    x of shape (N, dim) and return shape (N, dim). The witness is the first
+    maximiser in time-major, then point-major, then per-point order; the
+    scan stops at the first non-finite norm.
     """
-    if grid < 1:
-        raise ValueError("check_assumptions: grid must be at least 1")
-    if time_samples < 1:
-        raise ValueError("check_assumptions: time_samples must be at least 1")
+    for name, n in (("grid", grid), ("time_samples", time_samples)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"check_assumptions: {name} must be an integer, at least 1")
     if (
         isinstance(phase_points, bool)
         or not isinstance(phase_points, int)
@@ -515,57 +516,46 @@ def check_assumptions(
     h = 1e-6 * (1.0 + nx)
     houter = 1e-4 * (1.0 + nx)
     t_step = 1e-6
-    # mesh offsets reused by every L_{f_i} f_j outer Jacobian
-    x_off = []
-    for d in range(dim):
-        e = np.zeros_like(mesh)
-        e[:, d] = houter
-        x_off.append((mesh + e, mesh - e))
+    # mesh offsets of the outer Jacobian of every L_{f_i} f_j
+    offsets = [(mesh + e, mesh - e) for e in houter[:, None] * np.eye(dim)[:, None, :]]
     # (norm, i, j) of each column of a time sample's (N, K) norm table
     labels = [(norm, i, None) for i in range(nf) for norm in ("field", "dt_field", "dx_field")]
     labels += [
         (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
     ]
 
+    def every_field(x: np.ndarray, t: float) -> np.ndarray:
+        return np.stack([np.asarray(f(x, t), float) for f in all_fields])
+
+    def lie(fj: Field2, x: np.ndarray, t: float, fx: np.ndarray) -> np.ndarray:
+        """L_{f_i} f_j = (Df_j) f_i for every f_i(x, t) stacked in fx."""
+        return np.matvec(fd_jacobian(fj, x, t, h), fx)
+
+    def lie_norms(
+        fj: Field2, t: float, f_tp: np.ndarray, f_tm: np.ndarray, f_off: list
+    ) -> np.ndarray:
+        """dt_lie and dx_lie of dither field fj against every field, (nf, N, 2);
+        returning only norms frees the difference quotients before the table."""
+        dt = (lie(fj, mesh, t + t_step, f_tp) - lie(fj, mesh, t - t_step, f_tm)) / (2.0 * t_step)
+        dx = [
+            (lie(fj, xp, t, fp) - lie(fj, xm, t, fm)) / (2.0 * houter)[:, None]
+            for (xp, xm), (fp, fm) in zip(offsets, f_off)
+        ]
+        return np.stack((_norm(dt), _norm(np.stack(dx, axis=-1), 2)), axis=-1)
+
     best = -math.inf
     witness: dict = {}
     for t in times:
         t = float(t)
-        fvals = [np.asarray(f(mesh, t), float) for f in all_fields]
-        jacs = [fd_jacobian(f, mesh, t, h) for f in all_fields]
-        f_tp = [np.asarray(f(mesh, t + t_step), float) for f in all_fields]
-        f_tm = [np.asarray(f(mesh, t - t_step), float) for f in all_fields]
-        fi_off = [
-            [(np.asarray(f(xp, t), float), np.asarray(f(xm, t), float)) for xp, xm in x_off]
-            for f in all_fields
-        ]
-        norms = []
-        for i in range(nf):
-            norms.append(_norm(fvals[i]))
-            norms.append(_norm((f_tp[i] - f_tm[i]) / (2.0 * t_step)))
-            norms.append(_norm(jacs[i], 2))
-        # L_{f_i} f_j = (Df_j) f_i for every field i and dither field j;
-        # the j-indexed Jacobians are shared across i
-        for j in range(1, nf):
-            fj = all_fields[j]
-            jj_tp = fd_jacobian(fj, mesh, t + t_step, h)
-            jj_tm = fd_jacobian(fj, mesh, t - t_step, h)
-            jj_off = [
-                (fd_jacobian(fj, xp, t, h), fd_jacobian(fj, xm, t, h)) for xp, xm in x_off
-            ]
-            for i in range(nf):
-                dt_l = (np.matvec(jj_tp, f_tp[i]) - np.matvec(jj_tm, f_tm[i])) / (2.0 * t_step)
-                norms.append(_norm(dt_l))
-                cols = [
-                    (
-                        np.matvec(jj_off[d][0], fi_off[i][d][0])
-                        - np.matvec(jj_off[d][1], fi_off[i][d][1])
-                    )
-                    / (2.0 * houter)[:, None]
-                    for d in range(dim)
-                ]
-                norms.append(_norm(np.stack(cols, axis=-1), 2))
-        vals = np.stack(norms, axis=1).ravel()
+        f_tp, f_tm = every_field(mesh, t + t_step), every_field(mesh, t - t_step)
+        field = _norm(every_field(mesh, t))
+        dt_field = _norm((f_tp - f_tm) / (2.0 * t_step))
+        dx_field = _norm(np.stack([fd_jacobian(f, mesh, t, h) for f in all_fields]), 2)
+        f_off = [(every_field(xp, t), every_field(xm, t)) for xp, xm in offsets]
+        # (nf, N, k) norm blocks in label order, made point-major for the table
+        blocks = [np.stack((field, dt_field, dx_field), axis=-1)]
+        blocks += [lie_norms(fj, t, f_tp, f_tm, f_off) for fj in sys.fields]
+        vals = np.concatenate([b.swapaxes(0, 1).reshape(len(mesh), -1) for b in blocks], 1).ravel()
         bad = ~np.isfinite(vals)
         k = int(np.argmax(bad)) if bad.any() else int(np.argmax(vals))
         if bad[k] or vals[k] > best:
@@ -581,9 +571,7 @@ def check_assumptions(
     a3_pairs: list[dict] = []
     a3_triples: list[dict] = []
     m = len(sys.fields)
-    for i, j in itertools.product(range(m), repeat=2):
-        if i == j:
-            continue
+    for i, j in itertools.permutations(range(m), 2):
         psum = sys.dithers[i].exponent + sys.dithers[j].exponent
         entry = {"i": i + 1, "j": j + 1, "exponent_sum": psum, "triggered": psum > 1.0}
         if not entry["triggered"]:
@@ -610,13 +598,10 @@ def check_assumptions(
         else:
             fi, fj, fq = sys.fields[i], sys.fields[j], sys.fields[q]
 
-            def second(xx: np.ndarray, tt: float) -> np.ndarray:
-                def lf(zz: np.ndarray, uu: float) -> np.ndarray:
-                    return np.matvec(fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float))
+            def lf(zz: np.ndarray, uu: float) -> np.ndarray:
+                return np.matvec(fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float))
 
-                return _directional_derivative(lf, fq, xx, tt, 1e-4)
-
-            sup = max(_norm(second(coarse, 0.0)).tolist())
+            sup = max(_norm(_directional_derivative(lf, fq, coarse, 0.0, 1e-4)).tolist())
             entry.update(
                 second_level_sup=sup,
                 satisfied=sup <= 1e-9,

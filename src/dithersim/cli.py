@@ -69,7 +69,7 @@ __all__ = ["ConfigError", "PRESETS", "main"]
 
 # Most integration steps (Euler, RK4 and series steps together) that one
 # command may take. A command holds its trajectories in memory: a run with a
-# u column peaks near 150 bytes per step while it is built (tracemalloc) and
+# u column peaks near 152 bytes per step while it is built (tracemalloc) and
 # keeps 32.
 WORK_BUDGET = 2_000_000
 NUSSBAUM_SHAPES: dict[str, Callable[[float], float]] = {
@@ -559,9 +559,9 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if not (k0 < k_max and math.isfinite(k0 + 2.0 * (k_max - k0))):
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
     ngrid = _int(nsec, "check.nussbaum", "grid", 20_000, least=1000)
-    # The audit holds about 1.2 KB per mesh state, where a kept integration
-    # step peaks near 190 bytes, so the mesh may take a sixth of the budget
-    # (about 400 MB, as a full-budget run).
+    # The audit peaks near 970 bytes per mesh state, where a kept integration
+    # step peaks near 152 bytes, so the mesh may take a sixth of the budget
+    # (about 320 MB, near the 300 MB of a full-budget run).
     _check_work("check.grid", grid, grid, unit="mesh states", budget=WORK_BUDGET // 6)
     _check_work("check.time_samples", time_samples, grid * grid, unit="audited samples")
     # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.

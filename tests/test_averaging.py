@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,17 @@ def test_empty_sample_set_is_refused(kwargs):
         check_assumptions(proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **kwargs)
 
 
+@pytest.mark.parametrize("name", ["grid", "time_samples"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_non_integer_sample_count_is_refused(name, value):
+    """A fractional, bool or string count is refused, not truncated by
+    linspace or taken as a 1-point mesh that passes."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer, at least 1"):
+        check_assumptions(
+            proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **{name: value}
+        )
+
+
 @pytest.mark.parametrize("phase_points", [0, -5, 1, 3, 2001, 2000.0, True])
 def test_odd_or_tiny_phase_grid_is_refused(phase_points):
     """Simpson's rule needs an even panel count over the closed phase grid."""
@@ -414,6 +426,37 @@ def _pole_drift_system():
     return AffineSystem(drift, sys.fields, sys.dithers)
 
 
+def _three_channel_system():
+    """A 3-D state under three dither channels (nf = 4, dim = 3).
+
+    Exponents 0.6/0.7/0.7 and a sine at twice the base frequency on the
+    third channel make every A3 pair and some triples trigger.
+    """
+
+    def drift(x, t):
+        y, z, w = x[..., 0], x[..., 1], x[..., 2]
+        return np.stack((-y + np.sin(t) * z, w**2 - z, np.cos(y) * t), axis=-1)
+
+    def f1(x, t):
+        y, z, w = x[..., 0], x[..., 1], x[..., 2]
+        return np.stack((z * w, np.ones_like(y), y**2), axis=-1)
+
+    def f2(x, t):
+        y, z = x[..., 0], x[..., 1]
+        return np.stack((np.zeros_like(y), y * np.cos(t), z**3), axis=-1)
+
+    def f3(x, t):
+        y, z, w = x[..., 0], x[..., 1], x[..., 2]
+        return np.stack((np.sin(w), y * z, -w), axis=-1)
+
+    dithers = (
+        DitherSignal(np.sin, exponent=0.6),
+        DitherSignal(np.cos, exponent=0.7),
+        DitherSignal(np.sin, Fraction(2), 0.7),
+    )
+    return AffineSystem(drift, (f1, f2, f3), dithers)
+
+
 @pytest.mark.parametrize(
     "build, region",
     [
@@ -422,16 +465,38 @@ def _pole_drift_system():
         (lambda: _with_dithers(proposed_design_system(PLANT), 0.7), ((-1.0, 1.0), (-1.0, 1.0))),
         (lambda: proposed_design_system(PlantParams(1.3, 0.7)), ((-3.0, 1.5), (-0.5, 2.5))),
         (_pole_drift_system, ((-1.5, 2.5), (-1.0, 1.0))),
+        (_three_channel_system, ((-1.0, 1.0), (-0.5, 1.5), (-1.0, 2.0))),
     ],
-    ids=["proposed", "swapped", "exponents-0.7", "plant-1.3-0.7", "pole"],
+    ids=["proposed", "swapped", "exponents-0.7", "plant-1.3-0.7", "pole", "three-channels"],
 )
 def test_batched_audit_matches_point_wise_reference(build, region):
     """The mesh-at-once scan reproduces the per-point scan byte for byte:
     bound, witness (first maximiser, or first non-finite value) and A3."""
     sys = build()
+    # a coarser grid keeps the point-wise reference quick on a 3-D box
+    grid = 5 if len(region) == 2 else 4
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = check_assumptions(sys, region, grid=5, time_samples=3, phase_points=2000)
+        got = check_assumptions(sys, region, grid=grid, time_samples=3, phase_points=2000)
         want = reference_check_assumptions(
-            sys, region, grid=5, time_samples=3, phase_points=2000
+            sys, region, grid=grid, time_samples=3, phase_points=2000
         )
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_audit_memory_per_mesh_state_is_bounded():
+    """`cli.cmd_check` caps the mesh at a sixth of WORK_BUDGET on the
+    strength of the audit's peak memory per mesh state; pin that figure."""
+    grid = 120
+    tracemalloc.start()
+    try:
+        check_assumptions(
+            proposed_design_system(PLANT),
+            ((-2.0, 2.0), (-2.0, 2.0)),
+            grid=grid,
+            time_samples=1,
+            phase_points=2000,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / grid**2 <= 1200
