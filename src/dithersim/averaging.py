@@ -567,12 +567,14 @@ def check_assumptions(
 
     # A3 on a coarser grid; these conditions are vacuous for the shipped
     # designs but must trigger for exponent choices that break scaling.
+    # Exponent sums are correctly rounded (fsum), so they and their verdict
+    # do not depend on the order of the channels.
     coarse = mesh[:: max(1, len(mesh) // 100)]
     a3_pairs: list[dict] = []
     a3_triples: list[dict] = []
     m = len(sys.fields)
     for i, j in itertools.permutations(range(m), 2):
-        psum = sys.dithers[i].exponent + sys.dithers[j].exponent
+        psum = math.fsum(sys.dithers[n].exponent for n in (i, j))
         entry = {"i": i + 1, "j": j + 1, "exponent_sum": psum, "triggered": psum > 1.0}
         if not entry["triggered"]:
             entry.update(satisfied=True, reason="vacuous")
@@ -591,7 +593,7 @@ def check_assumptions(
             )
         a3_pairs.append(entry)
     for i, j, q in itertools.product(range(m), repeat=3):
-        psum = sys.dithers[i].exponent + sys.dithers[j].exponent + sys.dithers[q].exponent
+        psum = math.fsum(sys.dithers[n].exponent for n in (i, j, q))
         entry = {"i": i + 1, "j": j + 1, "m": q + 1, "exponent_sum": psum, "triggered": psum >= 2.0}
         if not entry["triggered"]:
             entry.update(satisfied=True, reason="vacuous")

@@ -28,7 +28,10 @@ The exact (Fraction) rows are the single source of truth. The series
 stepper evaluates a float form of them instead, derived once at import
 for each of the eight (order, drift_taylor) selections: the y and k
 monomials of the selected rows, in table order, as tuples
-(c, eb, ey, er, eT, e2pi) with c, eT and e2pi converted to float.
+(c, eb, ey, er, eT, e2pi) with c, eT and e2pi converted to float. The
+stepper binds the factors that a run holds fixed, c*b^eb, T^eT and
+(omega*T)^e2pi, once per run, and takes the powers of y and rho once per
+step; see `integrate.chen_fliess_step`.
 """
 
 from __future__ import annotations

@@ -234,7 +234,10 @@ def _list(
 
 def _check_horizon(field: str, h: float, span: float) -> None:
     """Refuse, naming `field`, a step h longer than a positive horizon
-    span, or an infinite h (the paper step of a subnormal omega)."""
+    span, an infinite h (the paper step of a subnormal omega) or an h
+    of 0.0 (the paper step of an omega near the float maximum)."""
+    if h == 0.0:
+        raise ConfigError(field, "step underflows to 0")
     if h == math.inf or (span > 0.0 and h > span * (1.0 + 1e-12)):
         raise ConfigError(field, f"step {h:.3g} exceeds the horizon t_f - t0 = {span:.3g}")
 
@@ -346,10 +349,22 @@ def _check_work(
         )
 
 
+# A run ends at the first state with |y| or |k| above 1e9 (see `integrate`),
+# so a start beyond that bound is refused rather than run.
+_START_BOUND = 1e9
+
+
+def _start_value(sec: dict, secname: str, key: str) -> float:
+    v = _num(sec, secname, key)
+    if abs(v) > _START_BOUND:
+        raise ConfigError(f"{secname}.{key}", f"must lie in [-{_START_BOUND:g}, {_START_BOUND:g}]")
+    return v
+
+
 def _state_from(entry: object, where: str) -> State:
     if not isinstance(entry, dict):
         raise ConfigError(where, "expected a mapping with keys y and k")
-    return State(_num(entry, where, "y"), _num(entry, where, "k"))
+    return State(_start_value(entry, where, "y"), _start_value(entry, where, "k"))
 
 
 def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
@@ -373,9 +388,10 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
         ranges = {}
         for key in ("y_range", "k_range"):
             pair = _list(rnd, "initial.random", key, _number)
-            if len(pair) != 2 or not (pair[0] <= pair[1] and math.isfinite(pair[1] - pair[0])):
+            if len(pair) != 2 or not -_START_BOUND <= pair[0] <= pair[1] <= _START_BOUND:
                 raise ConfigError(
-                    f"initial.random.{key}", "expected [lo, hi] with lo <= hi and a finite hi - lo"
+                    f"initial.random.{key}",
+                    f"expected [lo, hi] with {-_START_BOUND:g} <= lo <= hi <= {_START_BOUND:g}",
                 )
             ranges[key] = pair
         rng = np.random.default_rng(seed)
@@ -619,6 +635,7 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         n_steps = _whole_steps(t_f, T)
     if not math.isfinite(n_steps * T):
         raise ConfigError("controller.omega", "too small: the series run's end time overflows")
+    _check_horizon("controller.omega", _paper_step(spec), n_steps * T)
     s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:

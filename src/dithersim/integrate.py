@@ -20,6 +20,7 @@ above 1e9 or non-finite ends the run, recorded on the truncated Trajectory.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cftable import FloatMono, _float_terms
+from .cftable import FloatMono, _check_order, _float_terms
 from .dynamics import InputFn, PlantParams, Rhs2, State
 
 __all__ = [
@@ -400,18 +401,26 @@ def simulate(
 # -- whole-period series stepping ----------------------------------------------
 
 
-def _monomial_values(
-    monos: tuple[FloatMono, ...], b: float, y: float, rho: float, T: float, wT: float
-) -> list[float]:
-    """c * b^eb * y^ey * rho^er * T^eT per monomial, times (omega*T)^e2pi
-    where e2pi is nonzero."""
-    values = []
-    for c, eb, ey, er, eT, e2pi in monos:
-        v = c * b**eb * y**ey * rho**er * T**eT
-        if e2pi:
-            v *= wT**e2pi
-        values.append(v)
-    return values
+@functools.lru_cache(maxsize=32, typed=True)
+def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: bool) -> tuple:
+    """The y and the k monomials of `_float_terms(order, drift_taylor)` with
+    every factor that is constant over a run taken: (c * b**eb, ey, er,
+    T**eT, w) per monomial, w being (omega*T)**e2pi, or 1.0 where e2pi is
+    zero; then the largest ey and er. typed=True keeps equal keys of
+    different types apart: an int b from the equal float, whose powers
+    may round differently, and an order True or 1.0 from 1, which
+    `_float_terms` refuses."""
+    wT = math.tau * periods
+    y_monos, k_monos = _float_terms(order, drift_taylor)
+
+    def bind(monos: tuple[FloatMono, ...]) -> tuple:
+        return tuple(
+            (c * b**eb, ey, er, T**eT, wT**e2pi if e2pi else 1.0)
+            for c, eb, ey, er, eT, e2pi in monos
+        )
+
+    both = y_monos + k_monos
+    return bind(y_monos), bind(k_monos), max(m[2] for m in both), max(m[3] for m in both)
 
 
 def _check_periods(periods: int) -> None:
@@ -435,7 +444,13 @@ def chen_fliess_step(
     valid on whole periods, so sub-period steps are rejected by
     construction (there is no way to express one here). The monomials
     come from the float form of the table, derived once from the exact
-    rows (see `cftable`); contributions are summed with compensated
+    rows (see `cftable`). The factors that stay fixed over a run, c*b^eb,
+    T^eT and (omega*T)^e2pi, are taken once per (b, T, periods, order,
+    drift_taylor) and memoised; each step takes y^e and rho^e once for
+    every e up to the largest exponent, before either sum. A monomial's
+    value is c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi, multiplied
+    left to right as written (the last factor is 1.0 where e2pi is 0, an
+    exact product), and contributions are summed with compensated
     summation per component.
 
     s0 is a State or a finite (y, k) pair, as for `simulate`. order
@@ -445,16 +460,18 @@ def chen_fliess_step(
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
     _check_periods(periods)
-    y_monos, k_monos = _float_terms(order, drift_taylor)
+    _check_order(order)
     y0, k0 = _as_pair(s0)
-    b = p.b
+    y_terms, k_terms, max_ey, max_er = _bound_terms(p.b, T, periods, order, drift_taylor)
     rho = p.a - p.b * k0
-    wT = math.tau * periods
     # Every power is taken before either sum, so an OverflowError from a
-    # power wins over a failing sum of the other component.
-    dy_parts = _monomial_values(y_monos, b, y0, rho, T, wT)
-    dk_parts = _monomial_values(k_monos, b, y0, rho, T, wT)
-    return State(y0 + math.fsum(dy_parts), k0 + math.fsum(dk_parts))
+    # power wins over a failing sum of the other component. A power list
+    # overflows exactly when its largest power, which some monomial uses, does.
+    py = [y0**e for e in range(max_ey + 1)]
+    pr = [rho**e for e in range(max_er + 1)]
+    dy = math.fsum([cb * py[ey] * pr[er] * tT * w for cb, ey, er, tT, w in y_terms])
+    dk = math.fsum([cb * py[ey] * pr[er] * tT * w for cb, ey, er, tT, w in k_terms])
+    return State(y0 + dy, k0 + dk)
 
 
 def chen_fliess_simulate(
@@ -484,7 +501,7 @@ def chen_fliess_simulate(
     _check_periods(periods_per_step)
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError("chen_fliess_simulate: n_steps must be a nonnegative integer")
-    _float_terms(order, drift_taylor)  # validate order up front
+    _check_order(order)
     y0, k0 = _as_pair(s0)
 
     T = math.tau * periods_per_step / omega

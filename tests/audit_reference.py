@@ -143,7 +143,7 @@ def reference_check_assumptions(
         for j in range(m):
             if i == j:
                 continue
-            psum = sys.dithers[i].exponent + sys.dithers[j].exponent
+            psum = math.fsum((sys.dithers[i].exponent, sys.dithers[j].exponent))
             entry = {"i": i + 1, "j": j + 1, "exponent_sum": psum, "triggered": psum > 1.0}
             if not entry["triggered"]:
                 entry["satisfied"] = True
@@ -164,10 +164,8 @@ def reference_check_assumptions(
     for i in range(m):
         for j in range(m):
             for q in range(m):
-                psum = (
-                    sys.dithers[i].exponent
-                    + sys.dithers[j].exponent
-                    + sys.dithers[q].exponent
+                psum = math.fsum(
+                    (sys.dithers[i].exponent, sys.dithers[j].exponent, sys.dithers[q].exponent)
                 )
                 entry = {
                     "i": i + 1,

@@ -500,3 +500,42 @@ def test_audit_memory_per_mesh_state_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / grid**2 <= 1200
+
+
+def _equal_channel_system(exponents):
+    """One field and one waveform on every channel, so that the channels
+    differ only in their amplitude exponents."""
+
+    def drift(x, t):
+        return -x
+
+    def field(x, t):
+        return x**2
+
+    dithers = tuple(DitherSignal(np.sin, exponent=e) for e in exponents)
+    return AffineSystem(drift, (field,) * len(exponents), dithers)
+
+
+_EXPONENTS = st.one_of(
+    st.sampled_from((0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1 / 3, 2 / 3)), st.floats(0.01, 0.99)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponents=st.lists(_EXPONENTS, min_size=2, max_size=3))
+@example(exponents=[0.6, 0.7, 0.7])
+def test_a3_exponent_sums_do_not_depend_on_channel_order(exponents):
+    """Every ordering of the same pair or triple of channels gets the same
+    exponent_sum and the same verdict. With exponents 0.6/0.7/0.7 a sum
+    taken left to right gives 1.9999999999999998 for (1, 2, 2) but 2.0 for
+    (2, 2, 1)."""
+    report = check_assumptions(
+        _equal_channel_system(exponents), ((-1.0, 1.0),), grid=2, time_samples=1, phase_points=2
+    )
+    by_channels: dict = {}
+    for entry in report.a3_pairs + report.a3_triples:
+        channels = tuple(sorted(entry[key] for key in ("i", "j", "m") if key in entry))
+        verdict = {k: entry[k] for k in ("exponent_sum", "triggered", "satisfied", "reason")}
+        by_channels.setdefault(channels, []).append(verdict)
+    for verdicts in by_channels.values():
+        assert all(v == verdicts[0] for v in verdicts)

@@ -842,6 +842,51 @@ PLANT = {"a": 10.0, "b": -2.0}
             ),
             "simulation.t0",
         ),
+        # The paper step 2*pi/(40*1e308) underflows to 0.0.
+        ("simulate", _budget_case({"controller": {"omega": 1e308}}), "simulation.step"),
+        (
+            "compare",
+            _budget_case({"controller": {"omega": 1e308}, "compare": {"variants": ["proposed"]}}),
+            "compare.variants[0]",
+        ),
+        # The series step is 6.3e-308, but the Euler reference's step is 0.0.
+        (
+            "chenfliess",
+            _budget_case(
+                {"controller": {"omega": 1e308}, "chenfliess": {"orders": [0], "n_steps": 1}}
+            ),
+            "controller.omega",
+        ),
+        # A start past the 1e9 divergence bound: the first sample's input
+        # overflows, and chenfliess failed after writing its series runs.
+        ("simulate", _budget_case({}, {"y": 1e300, "k": 1e300}), "initial.y"),
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 2, "y_range": [0.0, 1.0], "k_range": [1e300, 1e300]}}
+            ),
+            "initial.random.k_range",
+        ),
+        (
+            "chenfliess",
+            _budget_case({"chenfliess": {"orders": [0, 1, 2]}}, {"y": 1e300, "k": 1e300}),
+            "initial.y",
+        ),
+        # Just past the bound, in a list entry and at a range end.
+        (
+            "simulate",
+            _budget_case(
+                {}, [{"y": 0.5, "k": 0.0}, {"y": 0.5, "k": -math.nextafter(1e9, math.inf)}]
+            ),
+            "initial[1].k",
+        ),
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 1, "y_range": [-2e9, 0.0], "k_range": [0.0, 1.0]}}
+            ),
+            "initial.random.y_range",
+        ),
     ],
     ids=[
         "nan-range",
@@ -856,6 +901,14 @@ PLANT = {"a": 10.0, "b": -2.0}
         "compare-lbs-horizon",
         "series-overflow",
         "sweep-t0",
+        "simulate-step-underflow",
+        "compare-step-underflow",
+        "chenfliess-step-underflow",
+        "simulate-huge-start",
+        "simulate-huge-random-range",
+        "chenfliess-huge-start",
+        "start-list-just-past",
+        "random-range-past",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -863,6 +916,26 @@ def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
     assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "initial, runs",
+    [
+        ({"y": 1e9, "k": -1e9}, 1),
+        ({"random": {"count": 2, "y_range": [-1e9, 1e9], "k_range": [1e9, 1e9]}}, 2),
+    ],
+    ids=["y-k-at-bound", "range-at-bound"],
+)
+def test_starts_at_the_divergence_bound_run(tmp_path, initial, runs):
+    """A start with |y| and |k| at most 1e9 is accepted; it records a
+    divergence at its first step."""
+    out = tmp_path / "out"
+    assert _run("simulate", _write_cfg(tmp_path, _budget_case({}, initial)), out) == 0
+    metas = sorted(out.glob("trajectory*.json"))
+    assert len(metas) == runs
+    for meta in metas:
+        run = json.loads(meta.read_text())
+        assert (run["status"], run["failure_step"]) == ("diverged", 1)
 
 
 def test_sweep_runs_on_a_horizon_shorter_than_the_rk4_reference_step(tmp_path):

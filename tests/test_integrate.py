@@ -611,6 +611,73 @@ def test_chen_fliess_step_equals_fraction_reference(
     )
 
 
+def _reference_run(p, s0, omega, periods, n, order, drift_taylor):
+    """A loop over the reference step with the series divergence rule: a
+    step that raises, or leaves |y| or |k| above 1e9, ends the run."""
+    T = math.tau * periods / omega
+    ys, ks = [s0.y], [s0.k]
+    for i in range(n):
+        try:
+            s = reference_chen_fliess_step(
+                p, State(ys[-1], ks[-1]), T, order, periods=periods, drift_taylor=drift_taylor
+            )
+        except (OverflowError, ValueError):
+            return ys, ks, "diverged", i + 1
+        if not (abs(s.y) <= 1e9 and abs(s.k) <= 1e9):
+            return ys, ks, "diverged", i + 1
+        ys.append(s.y)
+        ks.append(s.k)
+    return ys, ks, "ok", None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-5.0, 5.0),
+    b=st.one_of(_signed_decades(-1.0, 0.7), _signed_decades(0.7, 200.0)),
+    y0=_signed_decades(-3.0, 10.0),
+    k0=_signed_decades(-3.0, 10.0),
+    omega=st.floats(10.0, 3000.0),
+    periods=st.integers(1, 3),
+    n=st.integers(0, 60),
+    order=st.integers(0, 3),
+    drift_taylor=st.booleans(),
+)
+# b**2 overflows while the run's constants are bound: step 1 is rejected.
+@example(1.0, 1e200, 0.5, 0.5, 400.0, 1, 5, 3, False)
+def test_chen_fliess_simulate_equals_a_loop_over_the_reference_step(
+    a, b, y0, k0, omega, periods, n, order, drift_taylor
+):
+    """Sample for sample, bit for bit, and in where and whether it diverges,
+    a series run is a loop over the Fraction-evaluating reference step. b
+    reaches 1e200, where binding the run's constants overflows."""
+    p = PlantParams(a, b)
+    traj = chen_fliess_simulate(
+        p, State(y0, k0), omega, periods, n, order, drift_taylor=drift_taylor
+    )
+    ys, ks, status, failure_step = _reference_run(
+        p, State(y0, k0), omega, periods, n, order, drift_taylor
+    )
+    assert (traj.status, traj.failure_step) == (status, failure_step)
+    assert traj.ys.tobytes() == np.array(ys).tobytes()
+    assert traj.ks.tobytes() == np.array(ks).tobytes()
+
+
+@pytest.mark.parametrize("order", [True, 1.0])
+def test_series_memo_keeps_equal_orders_of_other_types_apart(order):
+    """True == 1 and 1.0 == 1 hash alike; with order 1 already bound for the
+    same run constants, they are still refused."""
+    T = 0.1
+    chen_fliess_step(PLANT, State(1.0, 0.0), T, 1)
+    chen_fliess_simulate(PLANT, State(1.0, 0.0), math.tau / T, 1, 5, 1)
+    message = r"order must be 0, 1, 2, or 3 \(got "
+    with pytest.raises(ValueError, match=message):
+        chen_fliess_step(PLANT, State(1.0, 0.0), T, order)
+    with pytest.raises(ValueError, match=message):
+        chen_fliess_simulate(PLANT, State(1.0, 0.0), math.tau / T, 1, 5, order)
+    with pytest.raises(ValueError, match=message):
+        integrate._bound_terms(PLANT.b, T, 1, order, False)
+
+
 def test_chen_fliess_simulate_accepts_a_pair():
     """A (y, k) start runs exactly like the same State start."""
     from_pair = chen_fliess_simulate(PLANT, (1.0, 0.0), 400.0, 1, 20, 2)
