@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import _LAWS, ControllerVariant, _averaged_loop
+from .dynamics import ControllerVariant, _averaged_loop, _law
 
 __all__ = [
     "DitherSignal",
@@ -138,12 +138,12 @@ def proposed_design_system(p) -> AffineSystem:
     dither. Both amplitude exponents are 1/2, so the pair's interaction
     coefficient is frequency-independent.
     """
-    return _design_system(p, _LAWS[ControllerVariant.PROPOSED])
+    return _design_system(p, _law(ControllerVariant.PROPOSED))
 
 
 def swapped_design_system(p) -> AffineSystem:
     """Role-swapped design: quadratic field on the input channel, linear on the gain."""
-    return _design_system(p, _LAWS[ControllerVariant.SWAPPED])
+    return _design_system(p, _law(ControllerVariant.SWAPPED))
 
 
 # -- equal-spacing Simpson rules ----------------------------------------------

@@ -309,12 +309,15 @@ def _parse_simulation(cfg: dict) -> tuple[dict, float, float, Method]:
     t_f = _num(sec, "simulation", "t_f")
     if t_f < t0:
         raise ConfigError("simulation.t_f", "must not precede t0")
-    method_name = _get(sec, "simulation", "method", "ode1")
+    return sec, t0, t_f, _method(sec)
+
+
+def _method(sim: dict) -> Method:
+    """The integrator simulation.method names; ode1 (Euler) by default."""
     try:
-        method = Method.from_name(str(method_name))
+        return Method.from_name(str(_get(sim, "simulation", "method", "ode1")))
     except ValueError as e:
         raise ConfigError("simulation.method", str(e)) from None
-    return sec, t0, t_f, method
 
 
 def _check_zero_start(sim: dict, command: str) -> None:
@@ -524,18 +527,22 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     sim = _section(cfg, "simulation")
     _check_zero_start(sim, "sweep")
     t_f = _num(sim, "simulation", "t_f", positive=True)
+    method = _method(sim)
     for i, w in enumerate(vals):
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
         _check_horizon(f"sweep.omegas[{i}]", _paper_step(spec), t_f)
-    # One Euler run per omega at the paper step; the averaged flow is exact.
+    # One run per omega at the paper step; the averaged flow is exact.
     run_steps = sum(t_f * STEPS_PER_PERIOD * w / math.tau for w in vals)
     _check_work("sweep.omegas", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "sweep", run_steps)
 
-    results = approximation_sweep(plant, s0, t_f, vals)
+    results = approximation_sweep(plant, s0, t_f, vals, method)
     csv_path = out / "sweep.csv"
     sweep_to_csv(results, csv_path)
     _announce(csv_path)
+    if len(results) == 1:
+        print("error strictly decreasing across the given omegas: one omega, nothing to compare")
+        return 0
     errs = [err for _, err in results]
     decreasing = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     print(f"error strictly decreasing across the given omegas: {'yes' if decreasing else 'no'}")

@@ -8,17 +8,25 @@ grows like sqrt(omega); their behavior for large omega is captured by the
 averaged system exposed as `lie_bracket_rhs` and solved in closed form
 by `lie_bracket_flow`.
 
-Each gain law is written once, in the private table `_LAWS`, as plain
-arithmetic on (y, k) that works on floats and numpy arrays alike.
-Controller blindness is structural: the laws never receive plant
-parameters. `closed_loop` binds a law to the plant for the integrators;
-the State-typed `*_control` and `*_rhs` functions and the drift/dither
-split audited in `averaging` derive from the same table.
+Each gain law is written once, in the private table `_LAW_SOURCE`, as
+Python expression source for the input u and the gain rate dk over
+(y, k), its constant c and the dither values sn, cs; the averaged field
+is written once the same way, in `_AVERAGED_SOURCE`, over (y, k, a, b).
+The arithmetic works on floats and numpy arrays alike. Controller
+blindness is structural: the laws never receive plant parameters.
+`_law` compiles a law to a function on first use, and `closed_loop`
+binds it to the plant for the integrators; the State-typed `*_control`
+and `*_rhs` functions and the drift/dither split audited in `averaging`
+derive from the same table. `closed_loop` and `lie_bracket_loop` also
+attach the source and their bound constants to their closures as a
+`FusedField`, from which `integrate.simulate` compiles whole-run kernels
+with the field inlined.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -189,34 +197,57 @@ class RhsEval(NamedTuple):
 # constant c (sqrt(omega), the gain shape h, or sign(b)) and the dither
 # values sn = sin(omega*t), cs = cos(omega*t), which the dither-free laws
 # ignore. Evaluated at unit dither, a dithered law gives its dither
-# coefficients (see averaging._design_system).
+# coefficients (see averaging._design_system). The source of (u, dk) is
+# the one definition of each law; everything else is compiled from it.
 
-_LAWS = {
-    ControllerVariant.PROPOSED: lambda y, k, sw, sn, cs: (-k * y - y * sw * sn, y * y * sw * cs),
-    ControllerVariant.SWAPPED: lambda y, k, sw, sn, cs: (
-        -k * y - 2.0 * y * y * sw * sn, y * sw * cs
-    ),
-    ControllerVariant.NUSSBAUM: lambda y, k, h, sn, cs: (h(k) * k * y, y * y),
-    ControllerVariant.WILLEMS_BYRNES: lambda y, k, sign_b, sn, cs: (-k * y, float(sign_b) * y * y),
+_LAW_SOURCE = {
+    ControllerVariant.PROPOSED: ("-k * y - y * c * sn", "y * y * c * cs"),
+    ControllerVariant.SWAPPED: ("-k * y - 2.0 * y * y * c * sn", "y * c * cs"),
+    ControllerVariant.NUSSBAUM: ("c(k) * k * y", "y * y"),
+    ControllerVariant.WILLEMS_BYRNES: ("-k * y", "float(c) * y * y"),
 }
+
+# (dy, dk) of the averaged system of both dithered designs.
+_AVERAGED_SOURCE = ("(a - b * k) * y", "b * y * y")
+
+
+@functools.lru_cache(maxsize=64)
+def _define(source: str, name: str, **env):
+    """The function `name` that `source` defines, with `env` as its globals,
+    compiled once per source on first use. Callers pass only source built
+    from this package's own constants."""
+    namespace = dict(env)
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _law(variant: ControllerVariant):
+    """The law of `variant` as a function (y, k, c, sn, cs) -> (u, dk)."""
+    u, dk = _LAW_SOURCE[variant]
+    return _define(f"def law(y, k, c, sn, cs):\n    return ({u}, {dk})\n", "law")
+
+
+_AVERAGED_LOOP = """\
+def averaged_loop(a, b):
+    def rhs(s, t):
+        y, k = s
+        return ({}, {})
+    return rhs
+"""
 
 
 def _averaged_loop(a: float, b: float) -> Rhs2:
-    """Averaged system of both dithered designs: dy = (a - b*k)*y, dk = b*y^2."""
-
-    def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-        y, k = s
-        return ((a - b * k) * y, b * y * y)
-
-    return rhs
+    """Averaged system of both dithered designs: dy = (a - b*k)*y, dk = b*y^2,
+    as an integrator closure rhs((y, k), t) with a and b bound."""
+    return _define(_AVERAGED_LOOP.format(*_AVERAGED_SOURCE), "averaged_loop")(a, b)
 
 
 def _bind(spec: ControllerSpec):
     """The table law of spec's variant, its constant c and its dither frequency."""
     v = spec.variant
     if v in DITHERED_VARIANTS:
-        return _LAWS[v], math.sqrt(spec.omega), spec.omega
-    return _LAWS[v], spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
+        return _law(v), math.sqrt(spec.omega), spec.omega
+    return _law(v), spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
 
 
 # -- State-typed laws and closed-loop right-hand sides -----------------------
@@ -339,6 +370,24 @@ Rhs2 = Callable[[tuple[float, float], float], tuple[float, float]]
 InputFn = Callable[[tuple[float, float], float], float]
 
 
+class FusedField(NamedTuple):
+    """The field of a closure from `closed_loop` or `lie_bracket_loop` as
+    source, for the fused kernels of `integrate`.
+
+    `body` holds statements over y, k and the bound constants a, b, c
+    and, where `dithered`, over sn = sin(w*t) and cs = cos(w*t). Run in
+    order, they set dy and dk as the closure returns them, and u as its
+    control returns it for a gain law.
+    """
+
+    body: tuple[str, ...]
+    dithered: bool
+    a: float
+    b: float
+    c: object = None
+    w: float = 0.0
+
+
 def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
     """Bind plant and controller into plain-tuple callables.
 
@@ -358,12 +407,18 @@ def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
         u, dk = law(y, k, c, math.sin(w * t), math.cos(w * t))
         return (a * y + b * u, dk)
 
+    u_src, dk_src = _LAW_SOURCE[spec.variant]
+    body = (f"u = {u_src}", f"dk = {dk_src}", "dy = a * y + b * u")
+    rhs.fused = control.fused = FusedField(body, spec.variant in DITHERED_VARIANTS, a, b, c, w)
     return rhs, control
 
 
 def lie_bracket_loop(p: PlantParams) -> Rhs2:
     """Averaged system as a plain-tuple callable for the integrators."""
-    return _averaged_loop(p.a, p.b)
+    rhs = _averaged_loop(p.a, p.b)
+    dy_src, dk_src = _AVERAGED_SOURCE
+    rhs.fused = FusedField((f"dy = {dy_src}", f"dk = {dk_src}"), False, p.a, p.b)
+    return rhs
 
 
 def lie_bracket_flow(

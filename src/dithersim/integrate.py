@@ -6,7 +6,14 @@ reference solver. `simulate` drives either one at a constant step and
 returns a Trajectory; the final step is shortened so the last sample
 lands exactly on t_f. Each method runs as one whole-run kernel that
 inlines the arithmetic of its public one-step function (`euler_step`,
-`rk4_step`) and equals a loop over it bit for bit.
+`rk4_step`) and equals a loop over it bit for bit. A closure from
+`closed_loop` or `lie_bracket_loop` carries its field as source, and then
+runs as a fused kernel: one template per method, filled with that source
+and compiled once per (method, field) on first use, so each step makes no
+Python call into the field. When the u column asks for the control of the
+same `closed_loop` call, the fused kernel keeps the u it computes at each
+step's start. Any other callable, and so also a wrapper of such a
+closure, runs the generic kernel, which stays the reference.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
@@ -30,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cftable import FloatMono, _check_order, _float_terms
-from .dynamics import InputFn, PlantParams, Rhs2, State
+from .dynamics import InputFn, PlantParams, Rhs2, State, _define
 
 __all__ = [
     "Method",
@@ -325,6 +332,123 @@ def _map_run(
 _KERNELS = {Method.EULER: _euler_run, Method.RK4: _rk4_run}
 
 
+# -- fused kernels ----------------------------------------------------------------
+#
+# The kernels above with a closure's field inlined. `closed_loop` and
+# `lie_bracket_loop` attach the field's source and their bound constants to
+# their closures as a `FusedField`, and `_fused_kernel` fills the template
+# of a method with that source where the kernel calls rhs. Each template
+# repeats its kernel operation for operation, so states and failure steps
+# equal the closure's bit for bit. A line holding only {name} stands for the
+# statements of that part: `dither` takes sn and cs at the stage's time,
+# `field` runs the field's body, and `keep` keeps the u of each accepted
+# step's first stage in `us`. RK4 takes the dither at t + h/2 once for its
+# stages 2 and 3, which the kernel above evaluates twice to the same value.
+
+_EULER_TEMPLATE = """\
+def run(f, ys, ks, t0, h, n, us=None):
+    a, b, c, w = f.a, f.b, f.c, f.w
+    sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
+    y, k = ys[-1], ks[-1]
+    for i in range(n):
+        try:
+            {dither}
+            {field}
+        except OverflowError:
+            return i + 1
+        y = y + h * dy
+        k = k + h * dk
+        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+            return i + 1
+        y_append(y)
+        k_append(k)
+        {keep}
+    return None
+"""
+
+_RK4_TEMPLATE = """\
+def run(f, ys, ks, t0, h, n, us=None):
+    a, b, c, w = f.a, f.b, f.c, f.w
+    sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
+    h2 = 0.5 * h
+    sixth = h / 6.0
+    yi, ki = ys[-1], ks[-1]
+    for i in range(n):
+        t = t0 + i * h
+        try:
+            y, k = yi, ki
+            {dither1}
+            {field}
+            a1, b1 = dy, dk
+            {keep1}
+            y, k = yi + h2 * a1, ki + h2 * b1
+            {dither2}
+            {field}
+            a2, b2 = dy, dk
+            y, k = yi + h2 * a2, ki + h2 * b2
+            {field}
+            a3, b3 = dy, dk
+            y, k = yi + h * a3, ki + h * b3
+            {dither4}
+            {field}
+            a4, b4 = dy, dk
+        except OverflowError:
+            return i + 1
+        yi = yi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        ki = ki + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        if not (-1e9 <= yi <= 1e9 and -1e9 <= ki <= 1e9):
+            return i + 1
+        y_append(yi)
+        k_append(ki)
+        {keep}
+    return None
+"""
+
+
+def _dither(t: str) -> list[str]:
+    return [f"wt = w * {t}", "sn = sin(wt)", "cs = cos(wt)"]
+
+
+def _fill(template: str, **parts: Sequence[str]) -> str:
+    """template with each {name} line replaced by the statements parts[name],
+    at that line's indentation."""
+    lines = []
+    for line in template.splitlines():
+        name = line.strip()
+        if name.startswith("{"):
+            indent = line[: len(line) - len(line.lstrip())]
+            lines += [indent + stmt for stmt in parts[name[1:-1]]]
+        else:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _fused_kernel(
+    method: Method, body: tuple[str, ...], dithered: bool, keep_u: bool
+) -> Callable:
+    """The kernel of `method` for a field with this body, compiled once (see
+    `dynamics._define`). It takes the FusedField in place of rhs, and with
+    keep_u appends the input u at the start of each accepted step to `us`."""
+    if method is Method.EULER:
+        source = _fill(
+            _EULER_TEMPLATE,
+            dither=["t = t0 + i * h", *_dither("t")] if dithered else [],
+            field=body,
+            keep=["us.append(u)"] if keep_u else [],
+        )
+    else:
+        source = _fill(
+            _RK4_TEMPLATE,
+            dither1=_dither("t") if dithered else [],
+            dither2=["th = t + h2", *_dither("th")] if dithered else [],
+            dither4=["th = t + h", *_dither("th")] if dithered else [],
+            field=body,
+            keep1=["u1 = u"] if keep_u else [],
+            keep=["us.append(u1)"] if keep_u else [],
+        )
+    return _define(source, "run", _sin=math.sin, _cos=math.cos)
+
+
 def _march(
     kernel: Callable,
     rhs: Callable,
@@ -334,9 +458,12 @@ def _march(
     h: float,
     meta: dict,
     input_fn: InputFn | None = None,
+    us: list | None = None,
 ) -> Trajectory:
     """Run kernel(rhs, ...) from s over [t0, t_f] with the rules `simulate`
-    documents: whole steps of size h, then one shortened step to t_f."""
+    documents: whole steps of size h, then one shortened step to t_f. `us`
+    is the list a fused kernel fills with input_fn's value at the start of
+    each accepted step, or None."""
     span = t_f - t0
     n_full = _whole_steps(span, h)
     ys = [s[0]]
@@ -353,9 +480,15 @@ def _march(
     if failure_step is None and len(ys) > 1:
         times[-1] = t_f
 
-    us = None
     if input_fn is not None:
-        us = [input_fn(state, t) for state, t in zip(zip(ys, ks), times.tolist())]
+        # A kept u is input_fn at its sample bit for bit, except at a start
+        # at -0.0, where the kernel's time t0 + 0*h is +0.0. The last sample
+        # starts no accepted step, so it is always evaluated here.
+        us = [] if us is None else us
+        if us and t0 == 0.0 and math.copysign(1.0, t0) < 0.0:
+            us[0] = input_fn((ys[0], ks[0]), t0)
+        n = len(us)
+        us += [input_fn(state, t) for state, t in zip(zip(ys[n:], ks[n:]), times[n:].tolist())]
     meta = {**meta, "h": h, "t0": t0, "tf": t_f}
     status = "ok" if failure_step is None else "diverged"
     return Trajectory(times, ys, ks, us, meta, status, failure_step)
@@ -382,6 +515,9 @@ def simulate(
     raised. When input_fn is given it is evaluated at every stored
     sample and recorded as the u column.
 
+    A closure from `closed_loop` or `lie_bracket_loop` runs as a fused
+    kernel with the same results bit for bit; see the module docstring.
+
     t_f == t0 yields a single-sample trajectory.
     """
     if isinstance(method, str):
@@ -395,7 +531,16 @@ def simulate(
     if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
         raise ValueError("simulate: h must not exceed t_f - t0")
     run_meta = {**(meta or {}), "method": method.value}
-    return _march(_KERNELS[method], rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn)
+    kernel, us = _KERNELS[method], None
+    fused = getattr(rhs, "fused", None)
+    if fused is not None:
+        # The control of the same closed_loop call shares the descriptor;
+        # the fused kernel then keeps the u it computes anyway.
+        keep_u = input_fn is not None and getattr(input_fn, "fused", None) is fused
+        us = [] if keep_u else None
+        run = _fused_kernel(method, fused.body, fused.dithered, keep_u)
+        kernel, rhs = functools.partial(run, us=us), fused
+    return _march(kernel, rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn, us)
 
 
 # -- whole-period series stepping ----------------------------------------------

@@ -164,8 +164,8 @@ def test_sweep_against_exact_flow_keeps_the_rk4_errors(seed):
 
 
 def test_sweep_takes_no_rk4_step(monkeypatch):
-    """Every run the sweep integrates is a dithered Euler run; the averaged
-    reference is evaluated in closed form."""
+    """By default every run the sweep integrates is a dithered Euler run; the
+    averaged reference is evaluated in closed form."""
     methods = []
     simulate = analysis.simulate
 
@@ -176,6 +176,34 @@ def test_sweep_takes_no_rk4_step(monkeypatch):
     monkeypatch.setattr(analysis, "simulate", recording)
     approximation_sweep(PLANT, State(1.0, 0.0), 0.5, [100.0, 400.0])
     assert methods == [Method.EULER, Method.EULER]
+
+
+SLOPE_OMEGAS = [400.0, 800.0, 1600.0, 3200.0]
+
+
+def _log_log_slope(results) -> float:
+    w, err = zip(*results)
+    return float(np.polyfit(np.log(w), np.log(err), 1)[0])
+
+
+@pytest.mark.parametrize("s0", [State(1.0, 0.0), State(0.5, -3.0)])
+def test_rk4_sweep_decays_at_the_averaging_rate(s0):
+    """RK4 at the paper step is converged, so its gap to the averaged flow
+    shows the O(omega^-1/2) rate of Lie-bracket approximations (Duerr et
+    al., Automatica 49(6), 2013) from both starts."""
+    results = approximation_sweep(PLANT, s0, 1.0, SLOPE_OMEGAS, Method.RK4)
+    assert -0.60 <= _log_log_slope(results) <= -0.45
+
+
+def test_euler_sweep_stalls_at_the_paper_step():
+    """A documented limit, not a goal: at 40 steps per period h*omega is
+    fixed, so Euler's own error does not shrink with omega. From (0.5, -3)
+    its gap stops falling between omega = 1600 and 3200, and the default
+    method's slope is far from the averaging rate."""
+    results = approximation_sweep(PLANT, State(0.5, -3.0), 1.0, SLOPE_OMEGAS)
+    errs = [e for _, e in results]
+    assert errs[3] >= 0.9 * errs[2]
+    assert _log_log_slope(results) > -0.3
 
 
 def test_sweep_to_csv(tmp_path):

@@ -20,12 +20,13 @@ from dithersim import (
     Method,
     PlantParams,
     State,
+    approximation_sweep,
     check_assumptions,
     lie_bracket_loop,
     simulate,
     swapped_design_system,
 )
-from dithersim import cli
+from dithersim import cli, integrate
 from dithersim.cli import PRESETS, main
 
 FAST_SIM = {
@@ -304,6 +305,54 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert header == "omega,error"
     assert [float(r[0]) for r in rows] == [50.0, 200.0]
     assert float(rows[1][1]) < float(rows[0][1])
+
+
+@pytest.mark.parametrize("b", [-2.0, 1.0e300])
+def test_one_omega_sweep_has_nothing_to_compare(tmp_path, capsys, b):
+    """With b = 1e300 the one run diverges and sweep.csv holds inf; either
+    way a single omega gives no trend to report."""
+    cfg = {
+        "plant": {"a": 10.0, "b": b},
+        "simulation": {"t_f": 0.3},
+        "initial": {"y": 1.0, "k": 0.0},
+        "sweep": {"omegas": [400.0]},
+    }
+    out = tmp_path / "out"
+    assert _run("sweep", _write_cfg(tmp_path, cfg), out) == 0
+    stdout = capsys.readouterr().out
+    assert "across the given omegas: one omega, nothing to compare" in stdout
+    assert ": yes" not in stdout and ": no" not in stdout
+    _, rows = _read_csv_columns(out / "sweep.csv")
+    assert math.isfinite(float(rows[0][1])) == (b == -2.0)
+
+
+@pytest.mark.parametrize("method", [None, "ode1", "rk4"])
+def test_sweep_honours_simulation_method(tmp_path, method):
+    sim = {"t_f": 0.3} if method is None else {"t_f": 0.3, "method": method}
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "simulation": sim,
+        "initial": {"y": 1.0, "k": 0.0},
+        "sweep": {"omegas": [50.0, 200.0]},
+    }
+    out = tmp_path / "out"
+    assert _run("sweep", _write_cfg(tmp_path, cfg), out) == 0
+    _, rows = _read_csv_columns(out / "sweep.csv")
+    want = approximation_sweep(
+        PlantParams(10.0, -2.0), State(1.0, 0.0), 0.3, [50.0, 200.0], method or "ode1"
+    )
+    assert [(float(w), float(e)) for w, e in rows] == want
+
+
+def test_sweep_rejects_unknown_method(tmp_path, capsys):
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "simulation": {"t_f": 0.3, "method": "rk45"},
+        "initial": {"y": 1.0, "k": 0.0},
+        "sweep": {"omegas": [50.0]},
+    }
+    assert _run("sweep", _write_cfg(tmp_path, cfg), tmp_path) == 2
+    assert "config error: simulation.method:" in capsys.readouterr().err
 
 
 def test_sweep_rejects_empty_omegas(tmp_path, capsys):
@@ -1129,6 +1178,18 @@ def test_preset_artifacts_match_recorded_hashes(tmp_path):
         if path.is_file()
     }
     assert got == json.loads(EXPECTED_HASHES.read_text())
+
+
+def test_presets_run_the_fused_kernels(tmp_path, monkeypatch):
+    """Every Euler and RK4 run of fig1-fig4 goes through a fused kernel: with
+    the generic kernels refusing to run, the presets still complete."""
+
+    def refuse(*args):
+        raise AssertionError("a preset ran the generic kernel")
+
+    monkeypatch.setattr(integrate, "_KERNELS", dict.fromkeys(Method, refuse))
+    for preset, (command, _) in sorted(PRESET_RUNS.items()):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / preset)]) == 0
 
 
 def test_fig2_compare_columns(tmp_path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +271,117 @@ def test_simulate_equals_loop_over_public_steps(method, kind, g, y0, k0, t0, h, 
         assert traj.us is None
     else:
         assert traj.us.tobytes() == np.asarray(us, dtype=float).tobytes()
+
+
+def _refuse(*args):
+    raise AssertionError("the generic kernel ran")
+
+
+def _fused_field(kind: str, a: float, b: float, omega: float, gain: str):
+    """(rhs, control) of a law from `closed_loop`, or the averaged field
+    from `lie_bracket_loop` with no control. The "exp" gain shape of the
+    Nussbaum law raises OverflowError once k passes about 709."""
+    p = PlantParams(a, b)
+    if kind == "averaged":
+        return lie_bracket_loop(p), None
+    variant = ControllerVariant(kind)
+    if variant is ControllerVariant.NUSSBAUM:
+        spec = ControllerSpec(variant, nussbaum_fn=math.exp if gain == "exp" else None)
+    elif variant is ControllerVariant.WILLEMS_BYRNES:
+        spec = ControllerSpec(variant, sign_b=1 if b > 0 else -1)
+    else:
+        spec = ControllerSpec(variant, omega=omega)
+    return closed_loop(p, spec)
+
+
+def _outcome(run):
+    """run()'s result, or the type of the exception it raised."""
+    try:
+        return run()
+    except Exception as e:  # a gain shape may raise, e.g. cos(inf)
+        return type(e)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    method=st.sampled_from(list(Method)),
+    kind=st.sampled_from([v.value for v in ControllerVariant] + ["averaged"]),
+    a=st.floats(-20.0, 20.0),
+    b=_signed_decades(-1.0, 1.0),
+    omega=st.floats(1.0, 2000.0),
+    gain=st.sampled_from(["s_cos_s", "exp"]),
+    y0=_signed_decades(-3.0, 9.5),
+    k0=_signed_decades(-3.0, 9.5),
+    t0=st.one_of(st.just(-0.0), st.floats(-10.0, 10.0)),
+    h=st.floats(1e-3, 0.5),
+    n=st.integers(0, 60),
+    frac=st.floats(0.0, 0.999),
+    with_u=st.booleans(),
+)
+# A start at -0.0: the kernel's first time is +0.0, which flips the sign of
+# u = -0.0 - 1*c*sin(-0.0) = +0.0, so the first u is evaluated at -0.0.
+@example(Method.EULER, "proposed", 10.0, -2.0, 400.0, "s_cos_s", 1.0, 0.0, -0.0, 0.01, 5, 0.0, True)
+@example(Method.RK4, "proposed", 10.0, -2.0, 400.0, "s_cos_s", 1.0, 0.0, -0.0, 0.01, 5, 0.5, True)
+# t_f == t0, then OverflowError from exp(k) once k passes about 709
+@example(Method.EULER, "swapped", 10.0, -2.0, 40.0, "s_cos_s", 1.0, 0.0, 0.0, 0.3, 0, 0.5, True)
+@example(Method.RK4, "nussbaum", 1.0, 1.0, 1.0, "exp", 1.0, 700.0, 0.0, 0.3, 3, 0.5, True)
+@example(Method.EULER, "averaged", 10.0, -2.0, 1.0, "s_cos_s", 1e8, 0.0, 1.0, 0.1, 5, 0.0, False)
+@example(Method.RK4, "willems_byrnes", 10.0, -2.0, 1.0, "s_cos_s", 1e4, 0.0, 2.0, 0.4, 5, 0.7, True)
+def test_fused_kernels_equal_loop_over_public_steps(
+    method, kind, a, b, omega, gain, y0, k0, t0, h, n, frac, with_u
+):
+    """For every gain law and the averaged field, simulate runs the fused
+    kernel, whose times, states, u column, status and failure_step equal a
+    plain loop over euler_step/rk4_step bit for bit: with and without a
+    shortened final step, from a start at -0.0, for t_f == t0 and for runs
+    that leave the 1e9 bound or raise OverflowError. A gain shape that
+    raises anything else fails both the same way."""
+    rhs, control = _fused_field(kind, a, b, omega, gain)
+    input_fn = control if with_u else None
+    t_f = t0 + (n + frac) * h if n else t0
+    generic = dict.fromkeys(Method, _refuse)
+    with mock.patch.dict(integrate._KERNELS, generic):
+        got = _outcome(lambda: simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn=input_fn))
+    want = _outcome(lambda: _reference_simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn))
+    if isinstance(want, type):
+        assert got is want
+        return
+    times, ys, ks, us, failure = want
+    assert (got.status, got.failure_step) == ("ok" if failure is None else "diverged", failure)
+    for column, ref in ((got.times, times), (got.ys, ys), (got.ks, ks)):
+        assert column.tobytes() == np.asarray(ref, dtype=float).tobytes()
+    if input_fn is None:
+        assert got.us is None
+    else:
+        assert got.us.tobytes() == np.asarray(us, dtype=float).tobytes()
+
+
+def test_simulate_takes_the_generic_kernel_for_other_callables():
+    """A wrapper of a fused closure carries no descriptor, so it runs the
+    reference kernel, with the same result. Next to a control from another
+    closed_loop call, a fused rhs keeps no u and evaluates that control."""
+    spec = ControllerSpec(ControllerVariant.PROPOSED, omega=40.0)
+    rhs, control = closed_loop(PLANT, spec)
+    _, other_control = closed_loop(PLANT, spec)
+    fused = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=control)
+    calls = []
+
+    def wrapped(s, t):
+        calls.append(t)
+        return rhs(s, t)
+
+    def counted_control(s, t):
+        calls.append(t)
+        return other_control(s, t)
+
+    plain = simulate(wrapped, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=other_control)
+    assert len(calls) == 4 * (len(plain) - 1)
+    calls.clear()
+    other = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=counted_control)
+    assert len(calls) == len(other)
+    for traj in (plain, other):
+        for column in ("times", "ys", "ks", "us"):
+            assert getattr(traj, column).tobytes() == getattr(fused, column).tobytes()
 
 
 def test_simulate_meta_records_solver_facts():
