@@ -138,14 +138,17 @@ PRESETS: dict[str, dict] = {
 # -- config parsing -------------------------------------------------------------
 
 
-def _section(cfg: dict, name: str, *, required: bool = True) -> dict:
+def _section(cfg: dict, name: str, *, required: bool = True, where: str = "") -> dict:
+    """cfg[name], which must be a mapping; absent or null is {} unless
+    required. Errors name the field `where`, by default `name`."""
     sec = cfg.get(name)
+    where = where or name
     if sec is None:
         if required:
-            raise ConfigError(name, "missing required section")
+            raise ConfigError(where, "missing required section")
         return {}
     if not isinstance(sec, dict):
-        raise ConfigError(name, "expected a mapping")
+        raise ConfigError(where, "expected a mapping")
     return sec
 
 
@@ -383,6 +386,8 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
         _check_work("initial", len(ini), run_steps)
         return [_state_from(e, f"initial[{i}]") for i, e in enumerate(ini)]
     if isinstance(ini, dict) and "random" in ini:
+        if "y" in ini or "k" in ini:
+            raise ConfigError("initial", "give either random or y and k, not both")
         rnd = ini["random"]
         if not isinstance(rnd, dict):
             raise ConfigError("initial.random", "expected a mapping")
@@ -572,9 +577,7 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     bias = _num(sec, "check", "bias", 0.0)
     system = _audited_system(cfg, plant)
 
-    nsec = sec.get("nussbaum") or {}
-    if not isinstance(nsec, dict):
-        raise ConfigError("check.nussbaum", "expected a mapping")
+    nsec = _section(sec, "nussbaum", required=False, where="check.nussbaum")
     shape = _nussbaum_shape(nsec, "check.nussbaum", "h")
     k0 = _num(nsec, "check.nussbaum", "k0", 0.0)
     k_max = _num(nsec, "check.nussbaum", "k_max", 50.0)

@@ -4,16 +4,15 @@ Two explicit integrators are provided: first-order Euler (the "ode1"
 stepping used for the dithered closed loops) and classical RK4 as the
 reference solver. `simulate` drives either one at a constant step and
 returns a Trajectory; the final step is shortened so the last sample
-lands exactly on t_f. Each method runs as one whole-run kernel that
-inlines the arithmetic of its public one-step function (`euler_step`,
-`rk4_step`) and equals a loop over it bit for bit. A closure from
-`closed_loop` or `lie_bracket_loop` carries its field as source, and then
-runs as a fused kernel: one template per method, filled with that source
-and compiled once per (method, field) on first use, so each step makes no
-Python call into the field. When the u column asks for the control of the
-same `closed_loop` call, the fused kernel keeps the u it computes at each
-step's start. Any other callable, and so also a wrapper of such a
-closure, runs the generic kernel, which stays the reference.
+lands exactly on t_f. Each method has one whole-run template that inlines
+the arithmetic of its public one-step function (`euler_step`,
+`rk4_step`) and equals a loop over it bit for bit. It is filled with a
+field and compiled once per (method, field) on first use. A closure from
+`closed_loop` or `lie_bracket_loop` carries its field as source, which is
+inlined, so each step makes no Python call into the field; when the u
+column asks for the control of the same `closed_loop` call, the kernel
+keeps the u it computes at each step's start. Any other callable, and so
+also a wrapper of such a closure, is called at each stage.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
@@ -37,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cftable import FloatMono, _check_order, _float_terms
-from .dynamics import InputFn, PlantParams, Rhs2, State, _define
+from .dynamics import FusedField, InputFn, PlantParams, Rhs2, State, _define
 
 __all__ = [
     "Method",
@@ -69,6 +68,11 @@ class Method(enum.Enum):
             ) from None
 
 
+# A remainder of at most this fraction of a step after the whole steps is
+# merged into the last step instead of taken as a step of its own.
+_SLIVER = 1e-9
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of a two-state system.
@@ -78,8 +82,10 @@ class Trajectory:
     systems without an explicit input (averaged dynamics, series stepping).
 
     Sampling is uniform: all interior steps equal the first step to
-    1e-12 relative to the span, and only the final step may be shorter
-    (the driver shortens it to land exactly on the requested end time).
+    1e-12 relative to the span, and only the final step may differ. It
+    may be shorter (the driver shortens it to land exactly on the
+    requested end time) or longer by at most 1e-9 of a step (the driver
+    merges a remainder that small into it).
 
     A run that blew up -- a step raised OverflowError or left |y| or |k|
     above 1e9 or non-finite -- is truncated at the last accepted sample
@@ -129,7 +135,7 @@ class Trajectory:
         tol = 1e-12 * max(1.0, mag, step)
         if d.size >= 2 and np.max(np.abs(d[:-1] - step)) > tol:
             raise ValueError("Trajectory: interior step is not constant")
-        if float(d[-1]) > step + tol:
+        if float(d[-1]) > step * (1.0 + _SLIVER) + tol:
             raise ValueError("Trajectory: final step exceeds the interior step")
 
     def __len__(self) -> int:
@@ -263,47 +269,7 @@ def _whole_steps(span: float, h: float) -> int:
 # the 1-based index of the rejected step: one that raised OverflowError (or,
 # in `_map_run`, ValueError) or left |y| or |k| above 1e9 or non-finite.
 # The 1e9 bound is a chained comparison, cheaper than abs() and false for
-# NaN. The Euler and RK4 kernels repeat the arithmetic of `euler_step` and
-# `rk4_step` operation for operation, so their states equal a loop over
-# those steps bit for bit.
-
-
-def _euler_run(rhs: Rhs2, ys: list, ks: list, t0: float, h: float, n: int) -> int | None:
-    y, k = ys[-1], ks[-1]
-    for i in range(n):
-        try:
-            dy, dk = rhs((y, k), t0 + i * h)
-        except OverflowError:
-            return i + 1
-        y = y + h * dy
-        k = k + h * dk
-        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
-            return i + 1
-        ys.append(y)
-        ks.append(k)
-    return None
-
-
-def _rk4_run(rhs: Rhs2, ys: list, ks: list, t0: float, h: float, n: int) -> int | None:
-    h2 = 0.5 * h
-    sixth = h / 6.0
-    y, k = ys[-1], ks[-1]
-    for i in range(n):
-        t = t0 + i * h
-        try:
-            a1, b1 = rhs((y, k), t)
-            a2, b2 = rhs((y + h2 * a1, k + h2 * b1), t + h2)
-            a3, b3 = rhs((y + h2 * a2, k + h2 * b2), t + h2)
-            a4, b4 = rhs((y + h * a3, k + h * b3), t + h)
-        except OverflowError:
-            return i + 1
-        y = y + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        k = k + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
-            return i + 1
-        ys.append(y)
-        ks.append(k)
-    return None
+# NaN.
 
 
 def _map_run(
@@ -313,8 +279,10 @@ def _map_run(
     t0: float,
     h: float,
     n: int,
+    us: None = None,
 ) -> int | None:
-    """The kernel of a one-step map s -> step(s) that ignores t0 and h."""
+    """The kernel of a one-step map s -> step(s) that ignores t0 and h; a
+    series step has no input, so `us` is always None."""
     s = (ys[-1], ks[-1])
     for i in range(n):
         try:
@@ -329,30 +297,27 @@ def _map_run(
     return None
 
 
-_KERNELS = {Method.EULER: _euler_run, Method.RK4: _rk4_run}
-
-
-# -- fused kernels ----------------------------------------------------------------
-#
-# The kernels above with a closure's field inlined. `closed_loop` and
-# `lie_bracket_loop` attach the field's source and their bound constants to
-# their closures as a `FusedField`, and `_fused_kernel` fills the template
-# of a method with that source where the kernel calls rhs. Each template
-# repeats its kernel operation for operation, so states and failure steps
-# equal the closure's bit for bit. A line holding only {name} stands for the
-# statements of that part: `dither` takes sn and cs at the stage's time,
-# `field` runs the field's body, and `keep` keeps the u of each accepted
-# step's first stage in `us`. RK4 takes the dither at t + h/2 once for its
-# stages 2 and 3, which the kernel above evaluates twice to the same value.
+# Euler and RK4 each have one template, which repeats the arithmetic of
+# `euler_step` or `rk4_step` operation for operation, so its states equal a
+# loop over those steps bit for bit. `_kernel` fills a template with a
+# field and compiles it once per filled source. A line holding only {name}
+# stands for the statements of that part: `bind` takes the field's bound
+# constants, each `time` binds its stage's time ts (and, for a dithered
+# field, sn and cs at ts), `field` sets dy and dk at (y, k), and `keep`
+# keeps the u of each accepted step's first stage in `us`. The field of a
+# plain callable f is the call `dy, dk = f((y, k), ts)`. The field of a
+# closure from `closed_loop` or `lie_bracket_loop` is the source in its
+# `FusedField`, inlined, so each step makes no Python call into it. RK4's
+# stages 2 and 3 share one time t + h/2.
 
 _EULER_TEMPLATE = """\
 def run(f, ys, ks, t0, h, n, us=None):
-    a, b, c, w = f.a, f.b, f.c, f.w
+    {bind}
     sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
     y, k = ys[-1], ks[-1]
     for i in range(n):
         try:
-            {dither}
+            {time}
             {field}
         except OverflowError:
             return i + 1
@@ -368,7 +333,7 @@ def run(f, ys, ks, t0, h, n, us=None):
 
 _RK4_TEMPLATE = """\
 def run(f, ys, ks, t0, h, n, us=None):
-    a, b, c, w = f.a, f.b, f.c, f.w
+    {bind}
     sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
     h2 = 0.5 * h
     sixth = h / 6.0
@@ -377,19 +342,19 @@ def run(f, ys, ks, t0, h, n, us=None):
         t = t0 + i * h
         try:
             y, k = yi, ki
-            {dither1}
+            {time1}
             {field}
             a1, b1 = dy, dk
             {keep1}
             y, k = yi + h2 * a1, ki + h2 * b1
-            {dither2}
+            {time2}
             {field}
             a2, b2 = dy, dk
             y, k = yi + h2 * a2, ki + h2 * b2
             {field}
             a3, b3 = dy, dk
             y, k = yi + h * a3, ki + h * b3
-            {dither4}
+            {time4}
             {field}
             a4, b4 = dy, dk
         except OverflowError:
@@ -403,10 +368,6 @@ def run(f, ys, ks, t0, h, n, us=None):
         {keep}
     return None
 """
-
-
-def _dither(t: str) -> list[str]:
-    return [f"wt = w * {t}", "sn = sin(wt)", "cs = cos(wt)"]
 
 
 def _fill(template: str, **parts: Sequence[str]) -> str:
@@ -423,26 +384,37 @@ def _fill(template: str, **parts: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fused_kernel(
-    method: Method, body: tuple[str, ...], dithered: bool, keep_u: bool
-) -> Callable:
-    """The kernel of `method` for a field with this body, compiled once (see
-    `dynamics._define`). It takes the FusedField in place of rhs, and with
-    keep_u appends the input u at the start of each accepted step to `us`."""
+def _kernel(method: Method, fused: FusedField | None, keep_u: bool) -> Callable:
+    """The kernel of `method` for a plain callable, or with the field of
+    `fused` inlined, compiled once per filled source (see
+    `dynamics._define`). A fused kernel takes the FusedField in place of
+    rhs, and with keep_u appends the input u at the start of each accepted
+    step to `us`."""
+    if fused is None:
+        bind, field, timed, dither = [], ["dy, dk = f((y, k), ts)"], True, []
+    else:
+        bind, field, timed = ["a, b, c, w = f.a, f.b, f.c, f.w"], fused.body, fused.dithered
+        dither = ["wt = w * ts", "sn = sin(wt)", "cs = cos(wt)"]
+
+    def time(t: str) -> list[str]:
+        return [f"ts = {t}", *dither] if timed else []
+
     if method is Method.EULER:
         source = _fill(
             _EULER_TEMPLATE,
-            dither=["t = t0 + i * h", *_dither("t")] if dithered else [],
-            field=body,
+            bind=bind,
+            time=time("t0 + i * h"),
+            field=field,
             keep=["us.append(u)"] if keep_u else [],
         )
     else:
         source = _fill(
             _RK4_TEMPLATE,
-            dither1=_dither("t") if dithered else [],
-            dither2=["th = t + h2", *_dither("th")] if dithered else [],
-            dither4=["th = t + h", *_dither("th")] if dithered else [],
-            field=body,
+            bind=bind,
+            time1=time("t"),
+            time2=time("t + h2"),
+            time4=time("t + h"),
+            field=field,
             keep1=["u1 = u"] if keep_u else [],
             keep=["us.append(u1)"] if keep_u else [],
         )
@@ -468,10 +440,10 @@ def _march(
     n_full = _whole_steps(span, h)
     ys = [s[0]]
     ks = [s[1]]
-    failure_step = kernel(rhs, ys, ks, t0, h, n_full)
-    if failure_step is None and span - n_full * h > 1e-9 * h:
+    failure_step = kernel(rhs, ys, ks, t0, h, n_full, us)
+    if failure_step is None and span - n_full * h > _SLIVER * h:
         t_last = t0 + n_full * h
-        if kernel(rhs, ys, ks, t_last, t_f - t_last, 1) is not None:
+        if kernel(rhs, ys, ks, t_last, t_f - t_last, 1, us) is not None:
             failure_step = n_full + 1
     # Sample i is at t0 + i*h. The ends are set outright: a completed run ends
     # exactly on t_f, and a start or end at -0.0 keeps its sign.
@@ -515,8 +487,9 @@ def simulate(
     raised. When input_fn is given it is evaluated at every stored
     sample and recorded as the u column.
 
-    A closure from `closed_loop` or `lie_bracket_loop` runs as a fused
-    kernel with the same results bit for bit; see the module docstring.
+    Each method runs one template, which calls rhs at each stage, or
+    inlines the field of a closure from `closed_loop` or `lie_bracket_loop`
+    with the same results bit for bit; see the module docstring.
 
     t_f == t0 yields a single-sample trajectory.
     """
@@ -531,16 +504,14 @@ def simulate(
     if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
         raise ValueError("simulate: h must not exceed t_f - t0")
     run_meta = {**(meta or {}), "method": method.value}
-    kernel, us = _KERNELS[method], None
     fused = getattr(rhs, "fused", None)
-    if fused is not None:
-        # The control of the same closed_loop call shares the descriptor;
-        # the fused kernel then keeps the u it computes anyway.
-        keep_u = input_fn is not None and getattr(input_fn, "fused", None) is fused
-        us = [] if keep_u else None
-        run = _fused_kernel(method, fused.body, fused.dithered, keep_u)
-        kernel, rhs = functools.partial(run, us=us), fused
-    return _march(kernel, rhs, _as_pair(s0), t0, t_f, h, run_meta, input_fn, us)
+    # The control of the same closed_loop call shares the descriptor; the
+    # fused kernel then keeps the u it computes anyway.
+    keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
+    kernel = _kernel(method, fused, keep_u)
+    field = rhs if fused is None else fused
+    us = [] if keep_u else None
+    return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, us)
 
 
 # -- whole-period series stepping ----------------------------------------------

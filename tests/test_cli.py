@@ -936,6 +936,19 @@ PLANT = {"a": 10.0, "b": -2.0}
             ),
             "initial.random.y_range",
         ),
+        # A non-mapping nussbaum section used to run with the defaults.
+        *(
+            ("check", {"plant": PLANT, "check": {"nussbaum": value}}, "check.nussbaum")
+            for value in ([], 0, False, "")
+        ),
+        # y and k next to random used to be dropped silently.
+        (
+            "simulate",
+            _budget_case(
+                {}, {"random": {"count": 2, "y_range": [0.0, 1.0], "k_range": [0.0, 1.0]}, "y": 5.0}
+            ),
+            "initial",
+        ),
     ],
     ids=[
         "nan-range",
@@ -958,6 +971,11 @@ PLANT = {"a": 10.0, "b": -2.0}
         "chenfliess-huge-start",
         "start-list-just-past",
         "random-range-past",
+        "check-nussbaum-list",
+        "check-nussbaum-zero",
+        "check-nussbaum-false",
+        "check-nussbaum-empty-string",
+        "random-and-y",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -1181,13 +1199,16 @@ def test_preset_artifacts_match_recorded_hashes(tmp_path):
 
 
 def test_presets_run_the_fused_kernels(tmp_path, monkeypatch):
-    """Every Euler and RK4 run of fig1-fig4 goes through a fused kernel: with
-    the generic kernels refusing to run, the presets still complete."""
+    """Every Euler and RK4 run of fig1-fig4 inlines its field: with the
+    call fill of the kernel templates refused, the presets still complete."""
+    kernel = integrate._kernel
 
-    def refuse(*args):
-        raise AssertionError("a preset ran the generic kernel")
+    def fused_only(method, fused, keep_u):
+        if fused is None:
+            raise AssertionError(f"a preset called its field from the {method.value} kernel")
+        return kernel(method, fused, keep_u)
 
-    monkeypatch.setattr(integrate, "_KERNELS", dict.fromkeys(Method, refuse))
+    monkeypatch.setattr(integrate, "_kernel", fused_only)
     for preset, (command, _) in sorted(PRESET_RUNS.items()):
         assert main([command, "--preset", preset, "--out", str(tmp_path / preset)]) == 0
 

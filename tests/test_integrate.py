@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,8 +272,15 @@ def test_simulate_equals_loop_over_public_steps(method, kind, g, y0, k0, t0, h, 
         assert traj.us.tobytes() == np.asarray(us, dtype=float).tobytes()
 
 
-def _refuse(*args):
-    raise AssertionError("the generic kernel ran")
+def _refusing(rhs):
+    """A callable carrying rhs's FusedField that refuses to be called, so
+    a run of it succeeds only with the field inlined."""
+
+    def refuse(s, t):
+        raise AssertionError("the kernel called rhs")
+
+    refuse.fused = rhs.fused
+    return refuse
 
 
 def _fused_field(kind: str, a: float, b: float, omega: float, gain: str):
@@ -295,9 +301,12 @@ def _fused_field(kind: str, a: float, b: float, omega: float, gain: str):
 
 
 def _outcome(run):
-    """run()'s result, or the type of the exception it raised."""
+    """run()'s result, or the type of the exception it raised; a failed
+    assertion propagates."""
     try:
         return run()
+    except AssertionError:
+        raise
     except Exception as e:  # a gain shape may raise, e.g. cos(inf)
         return type(e)
 
@@ -330,18 +339,18 @@ def _outcome(run):
 def test_fused_kernels_equal_loop_over_public_steps(
     method, kind, a, b, omega, gain, y0, k0, t0, h, n, frac, with_u
 ):
-    """For every gain law and the averaged field, simulate runs the fused
-    kernel, whose times, states, u column, status and failure_step equal a
-    plain loop over euler_step/rk4_step bit for bit: with and without a
-    shortened final step, from a start at -0.0, for t_f == t0 and for runs
-    that leave the 1e9 bound or raise OverflowError. A gain shape that
-    raises anything else fails both the same way."""
+    """For every gain law and the averaged field, simulate inlines the
+    field, so the closure itself is never called, and its times, states, u
+    column, status and failure_step equal a plain loop over
+    euler_step/rk4_step bit for bit: with and without a shortened final
+    step, from a start at -0.0, for t_f == t0 and for runs that leave the
+    1e9 bound or raise OverflowError. A gain shape that raises anything
+    else fails both the same way."""
     rhs, control = _fused_field(kind, a, b, omega, gain)
     input_fn = control if with_u else None
     t_f = t0 + (n + frac) * h if n else t0
-    generic = dict.fromkeys(Method, _refuse)
-    with mock.patch.dict(integrate._KERNELS, generic):
-        got = _outcome(lambda: simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn=input_fn))
+    refusing = _refusing(rhs)
+    got = _outcome(lambda: simulate(refusing, (y0, k0), t0, t_f, h, method, input_fn=input_fn))
     want = _outcome(lambda: _reference_simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn))
     if isinstance(want, type):
         assert got is want
@@ -356,10 +365,11 @@ def test_fused_kernels_equal_loop_over_public_steps(
         assert got.us.tobytes() == np.asarray(us, dtype=float).tobytes()
 
 
-def test_simulate_takes_the_generic_kernel_for_other_callables():
-    """A wrapper of a fused closure carries no descriptor, so it runs the
-    reference kernel, with the same result. Next to a control from another
-    closed_loop call, a fused rhs keeps no u and evaluates that control."""
+def test_simulate_calls_other_callables_at_each_stage():
+    """A wrapper of a fused closure carries no descriptor, so the kernel
+    calls it at each stage, with the same result. Next to a control from
+    another closed_loop call, a fused rhs keeps no u and evaluates that
+    control."""
     spec = ControllerSpec(ControllerVariant.PROPOSED, omega=40.0)
     rhs, control = closed_loop(PLANT, spec)
     _, other_control = closed_loop(PLANT, spec)
@@ -444,6 +454,25 @@ def test_trajectory_rejects_uneven_spacing():
         Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3), np.zeros(3))
     # a shorter final step is the one allowed irregularity
     Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_simulate_merges_a_sliver_remainder_into_the_last_step(fused):
+    """A remainder of under 1e-9 of a step is no step of its own: the last
+    whole step ends on t_f, 7.4e-11 later than t0 + 2*h. The trajectory
+    used to refuse that final step as longer than the interior one."""
+    spec = ControllerSpec(ControllerVariant.PROPOSED, omega=1.0)
+    rhs, _ = closed_loop(PlantParams(0.0, -1.0), spec)
+    h = 0.07421875
+    t_f = (2 + 1e-9) * h
+    run = rhs if fused else (lambda s, t: rhs(s, t))
+    traj = simulate(run, (-1.0, -1.0), 0.0, t_f, h, Method.EULER)
+    times, ys, ks, _, failure = _reference_simulate(run, (-1.0, -1.0), 0.0, t_f, h, Method.EULER)
+    assert (traj.status, failure) == ("ok", None)
+    assert traj.times.tolist() == times == [0.0, h, t_f]
+    assert (traj.ys.tolist(), traj.ks.tolist()) == (ys, ks)
+    with pytest.raises(ValueError, match="final step"):
+        Trajectory(np.array([0.0, 0.1, 0.2 + 1e-9]), np.zeros(3), np.zeros(3))
 
 
 def test_trajectory_state_access():

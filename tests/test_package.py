@@ -48,16 +48,28 @@ def test_each_export_is_its_module_object():
     assert set(homes) == EXPORTS
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test-only reference: a fresh interpreter importing the CLI
-    must not load any of it."""
+def _fresh(code: str) -> str:
+    """What a fresh interpreter running code on this package prints."""
     src = str(Path(dithersim.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only reference: a fresh interpreter importing the CLI
+    must not load any of it."""
     code = (
         "import sys, dithersim.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    argv = [sys.executable, "-c", code]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+def test_cli_import_compiles_nothing():
+    """Laws, averaged fields and kernels are compiled on first use, so
+    importing the CLI compiles none of them."""
+    code = "import dithersim.cli, dithersim.dynamics as d; print(d._define.cache_info().currsize)"
+    assert _fresh(code) == "0"
