@@ -7,12 +7,13 @@ averaged system), check (averaging prerequisites plus a gain-shape
 check, JSON report) and chenfliess (series-scheme runs per order with
 an Euler reference orbit).
 
-Configuration is a YAML file with nested sections; ``--preset`` selects
-a bundled config instead and writes it into the output directory so the
-run can be edited and repeated. Exit code 0 means every requested
-artifact was written (numerical blow-up is recorded in the output, not
-signaled); config problems exit with 2 and a message naming the field.
-A config that asks for more than WORK_BUDGET integration steps in one
+Configuration is a YAML file with the nested sections and fields that
+FIELDS declares; ``--preset`` selects a bundled config instead and writes
+it into the output directory so the run can be edited and repeated. Exit
+code 0 means every requested artifact was written (numerical blow-up is
+recorded in the output, not signaled); config problems, an undeclared or
+repeated key among them, exit with 2 and a message naming the field. A
+config that asks for more than WORK_BUDGET integration steps in one
 command is such a problem, refused before any step is taken; `check`
 bounds its audited samples, mesh and gain-shape evaluations the same way.
 """
@@ -23,6 +24,7 @@ import argparse
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,7 +47,7 @@ from .averaging import (
     proposed_design_system,
     swapped_design_system,
 )
-from .cftable import _check_order
+from .cftable import _ORDERS
 from .dynamics import (
     DITHERED_VARIANTS,
     ControllerSpec,
@@ -78,9 +80,6 @@ NUSSBAUM_SHAPES: dict[str, Callable[[float], float]] = {
     "const_neg1": lambda s: -1.0,
 }
 
-_MISSING = object()
-
-
 class ConfigError(Exception):
     """Invalid or missing configuration; `field` is the dotted path."""
 
@@ -92,72 +91,37 @@ class ConfigError(Exception):
 
 # -- bundled configurations ----------------------------------------------------
 
-_PLANT = {"a": 10.0, "b": -2.0}
+
+def _preset(*, controller: dict = {}, simulation: dict = {}, **sections: dict) -> dict:
+    """A bundled config: the proposed design at omega = 400 on a = 10, b = -2
+    from (1, 0), Euler at the paper step on [0, 3], plus the given fields."""
+    return {
+        "plant": {"a": 10.0, "b": -2.0},
+        "controller": {"variant": "proposed", "omega": 400.0, **controller},
+        "simulation": {"t0": 0.0, "t_f": 3.0, "method": "ode1", "step": "paper", **simulation},
+        "initial": {"y": 1.0, "k": 0.0},
+        **sections,
+    }
+
 
 PRESETS: dict[str, dict] = {
     # Phase-plane demo: primary design plus its averaged companion.
-    "fig1": {
-        "plant": dict(_PLANT),
-        "controller": {"variant": "proposed", "omega": 400.0},
-        "simulation": {
-            "t0": 0.0,
-            "t_f": 3.0,
-            "method": "ode1",
-            "step": "paper",
-            "with_lbs": True,
-        },
-        "initial": {"y": 1.0, "k": 0.0},
-    },
+    "fig1": _preset(simulation={"with_lbs": True}),
     # Trajectory comparison against the gain-reversal controller.
-    "fig2": {
-        "plant": dict(_PLANT),
-        "controller": {"variant": "proposed", "omega": 400.0, "nussbaum": "s_cos_s"},
-        "simulation": {"t0": 0.0, "t_f": 3.0, "method": "ode1", "step": "paper"},
-        "initial": {"y": 1.0, "k": 0.0},
-        "compare": {"variants": ["proposed", "nussbaum"], "with_lbs": True},
-    },
+    "fig2": _preset(
+        controller={"nussbaum": "s_cos_s"},
+        compare={"variants": ["proposed", "nussbaum"], "with_lbs": True},
+    ),
     # Orbit comparison of the two dither designs sharing one average.
-    "fig3": {
-        "plant": dict(_PLANT),
-        "controller": {"variant": "proposed", "omega": 400.0},
-        "simulation": {"t0": 0.0, "t_f": 3.0, "method": "ode1", "step": "paper"},
-        "initial": {"y": 1.0, "k": 0.0},
-        "compare": {"variants": ["proposed", "swapped"], "with_lbs": True},
-    },
+    "fig3": _preset(compare={"variants": ["proposed", "swapped"], "with_lbs": True}),
     # Series-scheme orders against the Euler reference orbit.
-    "fig4": {
-        "plant": dict(_PLANT),
-        "controller": {"variant": "proposed", "omega": 400.0},
-        "simulation": {"t0": 0.0, "t_f": 2.0, "method": "ode1", "step": "paper"},
-        "initial": {"y": 1.0, "k": 0.0},
-        "chenfliess": {"orders": [0, 1, 2], "periods_per_step": 1},
-    },
+    "fig4": _preset(
+        simulation={"t_f": 2.0}, chenfliess={"orders": [0, 1, 2], "periods_per_step": 1}
+    ),
 }
 
 
-# -- config parsing -------------------------------------------------------------
-
-
-def _section(cfg: dict, name: str, *, required: bool = True, where: str = "") -> dict:
-    """cfg[name], which must be a mapping; absent or null is {} unless
-    required. Errors name the field `where`, by default `name`."""
-    sec = cfg.get(name)
-    where = where or name
-    if sec is None:
-        if required:
-            raise ConfigError(where, "missing required section")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(where, "expected a mapping")
-    return sec
-
-
-def _get(sec: dict, secname: str, key: str, default: object = _MISSING) -> object:
-    if key not in sec or sec[key] is None:
-        if default is _MISSING:
-            raise ConfigError(f"{secname}.{key}", "missing required field")
-        return default
-    return sec[key]
+# -- config schema --------------------------------------------------------------
 
 
 def _not_a_number(v: object) -> str:
@@ -177,9 +141,9 @@ def _not_a_number(v: object) -> str:
     return f"expected a number, got {type(v).__name__}"
 
 
-def _number(v: object, path: str, *, positive: bool = False) -> float:
-    """v as a finite float, positive if asked; anything else is a config
-    error at `path`."""
+def _number(v: object, path: str, *, positive=False, nonzero=False, within=math.inf) -> float:
+    """v as a finite float, positive, nonzero or at most `within` in size if
+    asked; anything else is a config error at `path`."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, _not_a_number(v))
     v = float(v) if abs(v) <= sys.float_info.max else math.inf  # float() of a huge int overflows
@@ -187,52 +151,174 @@ def _number(v: object, path: str, *, positive: bool = False) -> float:
         raise ConfigError(path, "must be finite")
     if positive and v <= 0.0:
         raise ConfigError(path, "must be positive")
+    if nonzero and v == 0.0:
+        raise ConfigError(path, "must be nonzero")
+    if abs(v) > within:
+        raise ConfigError(path, f"must lie in [-{within:g}, {within:g}]")
     return v
 
 
-def _num(
-    sec: dict,
-    secname: str,
-    key: str,
-    default: object = _MISSING,
-    *,
-    positive: bool = False,
-) -> float:
-    return _number(_get(sec, secname, key, default), f"{secname}.{key}", positive=positive)
-
-
-def _int(
-    sec: dict, secname: str, key: str, default: object = _MISSING, *, least: float = -math.inf
-) -> int:
-    v = _get(sec, secname, key, default)
-    path = f"{secname}.{key}"
+def _integer(v: object, path: str, *, least: float = -math.inf, among: tuple = ()) -> int:
+    """v as an integer, at least `least` and one of `among` if given."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(path, f"expected an integer, got {type(v).__name__}")
     if v < least:
         raise ConfigError(path, f"must be at least {least}")
+    return _one_of(v, path, among=among) if among else v
+
+
+def _one_of(v: object, path: str, *, among: tuple) -> object:
+    """v, if it is one of `among`."""
+    if v not in among:
+        raise ConfigError(path, f"must be {', '.join(map(str, among[:-1]))} or {among[-1]}")
     return v
 
 
-def _flag(sec: dict, secname: str, key: str) -> bool:
-    """sec[key] as a YAML boolean, false when absent."""
-    v = _get(sec, secname, key, False)
+def _flag(v: object, path: str) -> bool:
+    """v as a YAML boolean; the string "false" is refused, not read as true."""
     if not isinstance(v, bool):
-        raise ConfigError(f"{secname}.{key}", f"expected true or false, got {type(v).__name__}")
+        raise ConfigError(path, f"expected true or false, got {type(v).__name__}")
     return v
 
 
-def _list(
-    sec: dict, secname: str, key: str, item: Callable, *, distinct: bool = False
-) -> list:
-    """The nonempty list sec[key], each element read by item(value, path)."""
-    v = _get(sec, secname, key)
-    path = f"{secname}.{key}"
+def _list(v: object, path: str, *, item: Callable, distinct: bool = False) -> list:
+    """The nonempty list v, each element read by item(value, path)."""
     if not isinstance(v, list) or not v:
         raise ConfigError(path, "expected a nonempty list")
     items = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
     if distinct and len(set(items)) != len(items):
-        raise ConfigError(path, f"{key} must be distinct")
+        raise ConfigError(path, f"{path.rsplit('.', 1)[-1]} must be distinct")
     return items
+
+
+def _named(v: object, path: str, *, lookup: Callable[[str], object]) -> object:
+    """What `lookup` resolves the name v to; its ValueError is a config error."""
+    try:
+        return lookup(str(v))
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+
+
+# A run ends at the first state with |y| or |k| above 1e9 (see `integrate`),
+# so a start beyond that bound is refused rather than run.
+_START_BOUND = 1e9
+
+
+def _start_range(v: object, path: str) -> list:
+    pair = _list(v, path, item=_number)
+    if len(pair) != 2 or not -_START_BOUND <= pair[0] <= pair[1] <= _START_BOUND:
+        raise ConfigError(
+            path, f"expected [lo, hi] with {-_START_BOUND:g} <= lo <= hi <= {_START_BOUND:g}"
+        )
+    return pair
+
+
+def _step(v: object, path: str) -> object:
+    """"paper" (the controller's reference step) or a positive step."""
+    return v if v == "paper" else _number(v, path, positive=True)
+
+
+_REQUIRED = object()
+_variant = partial(_named, lookup=ControllerVariant.from_name)
+_shape = partial(_one_of, among=tuple(NUSSBAUM_SHAPES))
+_start = partial(_number, within=_START_BOUND)
+_count = partial(_integer, least=1)
+_order = partial(_integer, among=_ORDERS)
+
+# Every config field, once: dotted path -> (reader, default), read through
+# `_value`. A reader takes the value and its path, refuses a value outside the
+# field's bounds and returns what the commands use; _REQUIRED marks a field
+# with no default. These are the only keys a config may hold (`_check_known`);
+# a command ignores the declared fields it does not read.
+FIELDS: dict[str, tuple[Callable[..., object], object]] = {
+    "plant.a": (_number, _REQUIRED),
+    "plant.b": (partial(_number, nonzero=True), _REQUIRED),
+    "controller.variant": (_variant, ControllerVariant.PROPOSED),
+    "controller.omega": (partial(_number, positive=True), _REQUIRED),
+    "controller.nussbaum": (_shape, "s_cos_s"),
+    "controller.sign_b": (partial(_integer, among=(-1, 1)), _REQUIRED),
+    "simulation.t0": (_number, 0.0),
+    "simulation.t_f": (_number, _REQUIRED),
+    "simulation.method": (partial(_named, lookup=Method.from_name), Method.EULER),
+    "simulation.step": (_step, "paper"),
+    "simulation.with_lbs": (_flag, False),
+    "initial.y": (_start, _REQUIRED),
+    "initial.k": (_start, _REQUIRED),
+    "initial.random.count": (_count, _REQUIRED),
+    "initial.random.y_range": (_start_range, _REQUIRED),
+    "initial.random.k_range": (_start_range, _REQUIRED),
+    "compare.variants": (partial(_list, item=_variant, distinct=True), _REQUIRED),
+    "compare.with_lbs": (_flag, False),
+    "sweep.omegas": (partial(_list, item=partial(_number, positive=True)), _REQUIRED),
+    "check.region_min": (_number, -2.0),
+    "check.region_max": (_number, 2.0),
+    "check.grid": (_count, 50),
+    "check.time_samples": (_count, 20),
+    "check.bias": (_number, 0.0),
+    "check.nussbaum.h": (_shape, "s_cos_s"),
+    "check.nussbaum.k0": (_number, 0.0),
+    "check.nussbaum.k_max": (_number, 50.0),
+    "check.nussbaum.grid": (partial(_integer, least=1000), 20_000),
+    "chenfliess.orders": (partial(_list, item=_order, distinct=True), _REQUIRED),
+    "chenfliess.periods_per_step": (_count, 1),
+    "chenfliess.n_steps": (partial(_integer, least=0), None),
+}
+
+_KNOWN_PATHS = {tuple(f.split("."))[:i] for f in FIELDS for i in range(1, f.count(".") + 2)}
+
+
+def _value(cfg: dict, field: str, *, required: bool = False, at: str = "", **bounds) -> object:
+    """Config field `field` read by its reader, with `bounds` added. Each
+    section on the path must be a mapping. A field absent or null, or under
+    an absent or null section, takes its default; without one, or if
+    `required`, it is missing. With `at`, cfg is its section, named `at`."""
+    reader, default = FIELDS[field]
+    parts = field.split(".")
+    steps = parts[-1:] if at else parts
+    node = cfg
+    for i, name in enumerate(steps, 1):
+        where = f"{at}.{name}" if at else ".".join(parts[:i])
+        node = node.get(name)
+        if node is None:
+            if required or default is _REQUIRED:
+                kind = "field" if i == len(steps) else "section"
+                raise ConfigError(where, f"missing required {kind}")
+            return default
+        if i < len(steps) and not isinstance(node, dict):
+            raise ConfigError(where, "expected a mapping")
+    return reader(node, where, **bounds)
+
+
+def _check_known(node: dict, path: tuple = (), where: str = "") -> None:
+    """Refuse the first key of node (the config, or its section at `path`
+    named `where`) that FIELDS does not declare, listing those declared
+    there. Sections and `initial` list entries are walked, field values not."""
+    for key, value in node.items():
+        sub, at = (*path, key), f"{where}.{key}" if where else str(key)
+        if sub not in _KNOWN_PATHS:
+            known = ", ".join(sorted(p[-1] for p in _KNOWN_PATHS if p[:-1] == path))
+            raise ConfigError(at, f"unknown field (known here: {known})")
+        if isinstance(value, dict) and ".".join(sub) not in FIELDS:
+            _check_known(value, sub, at)
+        elif sub == ("initial",) and isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    _check_known(entry, sub, f"initial[{i}]")
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key spelled twice in one mapping, where
+    safe_load keeps the last without a word."""
+
+    def construct_mapping(self, node: yaml.Node, deep: bool = False) -> dict:
+        seen = set()
+        for key, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            spelling = (key.tag, key.value) if isinstance(key, yaml.ScalarNode) else key
+            if spelling in seen:
+                line = key.start_mark.line + 1
+                raise ConfigError("config", f"duplicate key {key.value!r} on line {line}")
+            seen.add(spelling)
+        return super().construct_mapping(node, deep)
 
 
 def _check_horizon(field: str, h: float, span: float) -> None:
@@ -246,86 +332,32 @@ def _check_horizon(field: str, h: float, span: float) -> None:
 
 
 def _parse_plant(cfg: dict) -> PlantParams:
-    sec = _section(cfg, "plant")
-    a = _num(sec, "plant", "a")
-    b = _num(sec, "plant", "b")
-    if b == 0.0:
-        raise ConfigError("plant.b", "must be nonzero")
-    return PlantParams(a, b)
+    return PlantParams(_value(cfg, "plant.a"), _value(cfg, "plant.b"))
 
 
 def _controller_spec(cfg: dict, variant: ControllerVariant) -> ControllerSpec:
     """Build the spec for `variant`, reading that variant's extra
     parameters from the shared controller section."""
-    sec = _section(cfg, "controller", required=False)
-    omega = None
-    nussbaum_fn = None
-    sign_b = None
     if variant in DITHERED_VARIANTS:
-        omega = _num(sec, "controller", "omega", positive=True)
-    elif variant is ControllerVariant.NUSSBAUM:
-        nussbaum_fn = NUSSBAUM_SHAPES[_nussbaum_shape(sec, "controller", "nussbaum")]
-    elif variant is ControllerVariant.WILLEMS_BYRNES:
-        sign_b = _int(sec, "controller", "sign_b")
-        if sign_b not in (-1, 1):
-            raise ConfigError("controller.sign_b", "must be -1 or 1")
-    return ControllerSpec(variant, omega=omega, nussbaum_fn=nussbaum_fn, sign_b=sign_b)
+        return ControllerSpec(variant, omega=_value(cfg, "controller.omega"))
+    if variant is ControllerVariant.NUSSBAUM:
+        shape = _value(cfg, "controller.nussbaum")
+        return ControllerSpec(variant, nussbaum_fn=NUSSBAUM_SHAPES[shape])
+    return ControllerSpec(variant, sign_b=_value(cfg, "controller.sign_b"))
 
 
-def _configured_variant(cfg: dict, default: object = _MISSING) -> ControllerVariant:
-    """The variant named by controller.variant, `default` when it is absent."""
-    sec = _section(cfg, "controller", required=False)
-    return _variant(_get(sec, "controller", "variant", default), "controller.variant")
-
-
-def _variant(name: object, where: str) -> ControllerVariant:
-    """The variant called `name`; an unknown name is a config error at `where`."""
-    try:
-        return ControllerVariant.from_name(str(name))
-    except ValueError as e:
-        raise ConfigError(where, str(e)) from None
-
-
-def _series_order(v: object, path: str) -> int:
-    try:
-        _check_order(v)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from None
-    return v
-
-
-def _nussbaum_shape(sec: dict, secname: str, key: str) -> str:
-    """Name of a known gain shape read from sec[key], default s_cos_s."""
-    shape = str(_get(sec, secname, key, "s_cos_s"))
-    if shape not in NUSSBAUM_SHAPES:
-        known = ", ".join(sorted(NUSSBAUM_SHAPES))
-        raise ConfigError(
-            f"{secname}.{key}", f"unknown shape {shape!r} (expected one of: {known})"
-        )
-    return shape
-
-
-def _parse_simulation(cfg: dict) -> tuple[dict, float, float, Method]:
-    """The simulation section and the horizon t0, t_f and method it sets."""
-    sec = _section(cfg, "simulation")
-    t0 = _num(sec, "simulation", "t0", 0.0)
-    t_f = _num(sec, "simulation", "t_f")
+def _parse_simulation(cfg: dict) -> tuple[float, float, Method]:
+    """The horizon t0, t_f and the method the simulation section sets."""
+    t0 = _value(cfg, "simulation.t0")
+    t_f = _value(cfg, "simulation.t_f")
     if t_f < t0:
         raise ConfigError("simulation.t_f", "must not precede t0")
-    return sec, t0, t_f, _method(sec)
+    return t0, t_f, _value(cfg, "simulation.method")
 
 
-def _method(sim: dict) -> Method:
-    """The integrator simulation.method names; ode1 (Euler) by default."""
-    try:
-        return Method.from_name(str(_get(sim, "simulation", "method", "ode1")))
-    except ValueError as e:
-        raise ConfigError("simulation.method", str(e)) from None
-
-
-def _check_zero_start(sim: dict, command: str) -> None:
+def _check_zero_start(cfg: dict, command: str) -> None:
     """Refuse a nonzero simulation.t0 for a command whose runs start at 0."""
-    if _num(sim, "simulation", "t0", 0.0) != 0.0:
+    if _value(cfg, "simulation.t0") != 0.0:
         raise ConfigError("simulation.t0", f"must be 0: {command} runs start at t = 0")
 
 
@@ -355,22 +387,10 @@ def _check_work(
         )
 
 
-# A run ends at the first state with |y| or |k| above 1e9 (see `integrate`),
-# so a start beyond that bound is refused rather than run.
-_START_BOUND = 1e9
-
-
-def _start_value(sec: dict, secname: str, key: str) -> float:
-    v = _num(sec, secname, key)
-    if abs(v) > _START_BOUND:
-        raise ConfigError(f"{secname}.{key}", f"must lie in [-{_START_BOUND:g}, {_START_BOUND:g}]")
-    return v
-
-
 def _state_from(entry: object, where: str) -> State:
     if not isinstance(entry, dict):
         raise ConfigError(where, "expected a mapping with keys y and k")
-    return State(_start_value(entry, where, "y"), _start_value(entry, where, "k"))
+    return State(_value(entry, "initial.y", at=where), _value(entry, "initial.k", at=where))
 
 
 def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
@@ -378,8 +398,6 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
     `run_steps` steps would exceed the work budget is refused before any
     state is drawn."""
     ini = cfg.get("initial")
-    if ini is None:
-        raise ConfigError("initial", "missing required section")
     if isinstance(ini, list):
         if not ini:
             raise ConfigError("initial", "list must be nonempty")
@@ -388,25 +406,13 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
     if isinstance(ini, dict) and "random" in ini:
         if "y" in ini or "k" in ini:
             raise ConfigError("initial", "give either random or y and k, not both")
-        rnd = ini["random"]
-        if not isinstance(rnd, dict):
-            raise ConfigError("initial.random", "expected a mapping")
-        count = _int(rnd, "initial.random", "count", least=1)
+        count = _value(cfg, "initial.random.count")
         _check_work("initial.random.count", count, run_steps)
-        ranges = {}
-        for key in ("y_range", "k_range"):
-            pair = _list(rnd, "initial.random", key, _number)
-            if len(pair) != 2 or not -_START_BOUND <= pair[0] <= pair[1] <= _START_BOUND:
-                raise ConfigError(
-                    f"initial.random.{key}",
-                    f"expected [lo, hi] with {-_START_BOUND:g} <= lo <= hi <= {_START_BOUND:g}",
-                )
-            ranges[key] = pair
         rng = np.random.default_rng(seed)
-        ys = rng.uniform(*ranges["y_range"], size=count)
-        ks = rng.uniform(*ranges["k_range"], size=count)
+        ys = rng.uniform(*_value(cfg, "initial.random.y_range"), size=count)
+        ks = rng.uniform(*_value(cfg, "initial.random.k_range"), size=count)
         return [State(float(y), float(k)) for y, k in zip(ys, ks)]
-    return [_state_from(ini, "initial")]
+    return [State(_value(cfg, "initial.y"), _value(cfg, "initial.k"))]
 
 
 def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> State:
@@ -452,13 +458,13 @@ def _announce(path: Path) -> None:
 
 def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    spec = _controller_spec(cfg, _configured_variant(cfg))
-    sec, t0, t_f, method = _parse_simulation(cfg)
+    spec = _controller_spec(cfg, _value(cfg, "controller.variant", required=True))
+    t0, t_f, method = _parse_simulation(cfg)
     span = t_f - t0
-    step = _get(sec, "simulation", "step", "paper")
-    h = _paper_step(spec) if step == "paper" else _number(step, "simulation.step", positive=True)
+    step = _value(cfg, "simulation.step")
+    h = _paper_step(spec) if step == "paper" else step
     _check_horizon("simulation.step", h, span)
-    with_lbs = _flag(sec, "simulation", "with_lbs") or bool(getattr(args, "with_lbs", False))
+    with_lbs = _value(cfg, "simulation.with_lbs") or args.with_lbs
     if with_lbs:
         _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, span)
     run_steps = span / h + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
@@ -486,13 +492,12 @@ def _nearest_resample(traj: Trajectory, times: np.ndarray, t0: float, h: float) 
 
 def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    comp = _section(cfg, "compare")
-    variants = _list(comp, "compare", "variants", _variant, distinct=True)
-    with_lbs = _flag(comp, "compare", "with_lbs")
+    variants = _value(cfg, "compare.variants")
+    with_lbs = _value(cfg, "compare.with_lbs")
     specs = [_controller_spec(cfg, variant) for variant in variants]
     # Horizon and method are shared; each controller runs at its own paper
     # step, so simulation.step and simulation.with_lbs are not read.
-    _, t0, t_f, method = _parse_simulation(cfg)
+    t0, t_f, method = _parse_simulation(cfg)
     steps = [_paper_step(spec) for spec in specs]
     span = t_f - t0
     for i, h in enumerate(steps):
@@ -527,12 +532,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    sec = _section(cfg, "sweep")
-    vals = _list(sec, "sweep", "omegas", lambda w, path: _number(w, path, positive=True))
-    sim = _section(cfg, "simulation")
-    _check_zero_start(sim, "sweep")
-    t_f = _num(sim, "simulation", "t_f", positive=True)
-    method = _method(sim)
+    vals = _value(cfg, "sweep.omegas")
+    _check_zero_start(cfg, "sweep")
+    t_f = _value(cfg, "simulation.t_f", positive=True)
+    method = _value(cfg, "simulation.method")
     for i, w in enumerate(vals):
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
         _check_horizon(f"sweep.omegas[{i}]", _paper_step(spec), t_f)
@@ -557,7 +560,7 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 def _audited_system(cfg: dict, plant: PlantParams) -> AffineSystem:
     """Drift/dither split of the configured dithered design; proposed when
     the config names no controller."""
-    variant = _configured_variant(cfg, "proposed")
+    variant = _value(cfg, "controller.variant")
     if variant is ControllerVariant.PROPOSED:
         return proposed_design_system(plant)
     if variant is ControllerVariant.SWAPPED:
@@ -567,24 +570,22 @@ def _audited_system(cfg: dict, plant: PlantParams) -> AffineSystem:
 
 def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    sec = _section(cfg, "check", required=False)
-    lo = _num(sec, "check", "region_min", -2.0)
-    hi = _num(sec, "check", "region_max", 2.0)
+    lo = _value(cfg, "check.region_min")
+    hi = _value(cfg, "check.region_max")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ConfigError("check.region_min", "must be below check.region_max by a finite amount")
-    grid = _int(sec, "check", "grid", 50, least=1)
-    time_samples = _int(sec, "check", "time_samples", 20, least=1)
-    bias = _num(sec, "check", "bias", 0.0)
+    grid = _value(cfg, "check.grid")
+    time_samples = _value(cfg, "check.time_samples")
+    bias = _value(cfg, "check.bias")
     system = _audited_system(cfg, plant)
 
-    nsec = _section(sec, "nussbaum", required=False, where="check.nussbaum")
-    shape = _nussbaum_shape(nsec, "check.nussbaum", "h")
-    k0 = _num(nsec, "check.nussbaum", "k0", 0.0)
-    k_max = _num(nsec, "check.nussbaum", "k_max", 50.0)
+    shape = _value(cfg, "check.nussbaum.h")
+    k0 = _value(cfg, "check.nussbaum.k0")
+    k_max = _value(cfg, "check.nussbaum.k_max")
     # The gain-shape check also runs on the horizon doubled from k0.
     if not (k0 < k_max and math.isfinite(k0 + 2.0 * (k_max - k0))):
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
-    ngrid = _int(nsec, "check.nussbaum", "grid", 20_000, least=1000)
+    ngrid = _value(cfg, "check.nussbaum.grid")
     # The audit peaks near 970 bytes per mesh state, where a kept integration
     # step peaks near 152 bytes, so the mesh may take a sixth of the budget
     # (about 320 MB, near the 300 MB of a full-budget run).
@@ -621,26 +622,24 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    sec = _section(cfg, "chenfliess")
-    orders = _list(sec, "chenfliess", "orders", _series_order, distinct=True)
-    pps = _int(sec, "chenfliess", "periods_per_step", 1, least=1)
+    orders = _value(cfg, "chenfliess.orders")
+    pps = _value(cfg, "chenfliess.periods_per_step")
     # A series step costs one step per order and, in the Euler reference at
     # the paper step, STEPS_PER_PERIOD steps per dither period.
     step_cost = len(orders) + STEPS_PER_PERIOD * pps
     _check_work("chenfliess.periods_per_step", 1, step_cost)
 
-    spec = _controller_spec(cfg, _configured_variant(cfg, "proposed"))
+    spec = _controller_spec(cfg, _value(cfg, "controller.variant"))
     if spec.variant is not ControllerVariant.PROPOSED:
         raise ConfigError("controller.variant", f"{spec.variant.value!r} has no series table")
-    sim = _section(cfg, "simulation", required="n_steps" not in sec)
-    _check_zero_start(sim, "chenfliess")
+    _check_zero_start(cfg, "chenfliess")
 
     T = math.tau * pps / spec.omega
-    if "n_steps" in sec:
-        n_steps = _int(sec, "chenfliess", "n_steps", least=0)
+    n_steps = _value(cfg, "chenfliess.n_steps")
+    if n_steps is not None:
         _check_work("chenfliess.n_steps", n_steps, step_cost)
     else:
-        t_f = _num(sim, "simulation", "t_f", positive=True)
+        t_f = _value(cfg, "simulation.t_f", positive=True)
         _check_work("simulation.t_f", 1, t_f / T * step_cost)
         n_steps = _whole_steps(t_f, T)
     if not math.isfinite(n_steps * T):
@@ -659,12 +658,13 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     return 0
 
 
+# Each subcommand with its help line.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "sweep": cmd_sweep,
-    "check": cmd_check,
-    "chenfliess": cmd_chenfliess,
+    "simulate": (cmd_simulate, "run the configured controller"),
+    "compare": (cmd_compare, "run several controllers, aligned CSV"),
+    "sweep": (cmd_sweep, "frequency sweep of the averaging gap"),
+    "check": (cmd_check, "audit averaging prerequisites"),
+    "chenfliess": (cmd_chenfliess, "series-scheme runs per order"),
 }
 
 
@@ -694,14 +694,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and diagnostics for dither-based adaptive stabilization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_sim = sub.add_parser("simulate", parents=[shared], help="run the configured controller")
-    p_sim.add_argument(
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_line)
+    sub.choices["simulate"].add_argument(
         "--with-lbs", action="store_true", help="also run the averaged system"
     )
-    sub.add_parser("compare", parents=[shared], help="run several controllers, aligned CSV")
-    sub.add_parser("sweep", parents=[shared], help="frequency sweep of the averaging gap")
-    sub.add_parser("check", parents=[shared], help="audit averaging prerequisites")
-    sub.add_parser("chenfliess", parents=[shared], help="series-scheme runs per order")
     return parser
 
 
@@ -716,7 +713,7 @@ def _resolve_config(args: argparse.Namespace, out: Path) -> dict:
     if not path.is_file():
         raise ConfigError("config", f"file not found: {path}")
     try:
-        cfg = yaml.safe_load(path.read_text())
+        cfg = yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         raise ConfigError("config", f"invalid YAML: {e}") from None
     if not isinstance(cfg, dict):
@@ -730,7 +727,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         cfg = _resolve_config(args, out)
-        return _COMMANDS[args.command](cfg, out, args)
+        _check_known(cfg)
+        return _COMMANDS[args.command][0](cfg, out, args)
     except ConfigError as e:
         print(f"config error: {e.field}: {e.message}", file=sys.stderr)
         return 2

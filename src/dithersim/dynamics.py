@@ -455,30 +455,25 @@ def lie_bracket_flow(
 
 def polar_closed_loop(p: PlantParams, omega: float) -> Rhs2:
     """Closed loop of the primary dither design in polar coordinates
-    about (0, a/b), as a plain-tuple callable.
-
-    Equivalent to transporting `proposed_rhs` through `to_polar`, which is
-    how the tests cross-check it. Unlike `polar_closed_loop_rhs` this skips
+    about (0, a/b), as a plain-tuple callable: the `closed_loop` field
+    through `_polar_transport`. Unlike `polar_closed_loop_rhs` this skips
     PolarState validation, so an integrator that momentarily steps r below
-    zero is not rejected.
-    """
-    b = p.b
-    sw = math.sqrt(omega)
+    zero is not rejected. At r = 0 the angle is undefined: ValueError."""
+    rhs, _ = closed_loop(p, ControllerSpec(ControllerVariant.PROPOSED, omega=omega))
+    return _polar_transport(p, rhs)
+
+
+def _polar_transport(p: PlantParams, field: Rhs2) -> Rhs2:
+    """A field of (y, k) as rates of (r, phi) about (0, a/b), where
+    y = r*cos(phi) and k = a/b + r*sin(phi)."""
+    center = p.center
 
     def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
         r, phi = s
-        sp, cp = math.sin(phi), math.cos(phi)
-        swt, cwt = math.sin(omega * t), math.cos(omega * t)
-        dr = (
-            -b * r * r * sp * cp * cp
-            - b * r * cp * cp * sw * swt
-            + r * r * sp * cp * cp * sw * cwt
-        )
-        dphi = (
-            b * r * sp * sp * cp
-            + b * sp * cp * sw * swt
-            + r * cp * cp * cp * sw * cwt
-        )
-        return (dr, dphi)
+        if r == 0.0:
+            raise ValueError("polar field: the angle is undefined at the center (0, a/b), r = 0")
+        cp, sp = math.cos(phi), math.sin(phi)
+        dy, dk = field((r * cp, r * sp + center), t)
+        return (cp * dy + sp * dk, (cp * dk - sp * dy) / r)
 
     return rhs

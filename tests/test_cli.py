@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,9 @@ FAST_SIM = {
 
 
 def _write_cfg(tmp_path, cfg, name="config.yaml"):
+    """cfg dumped as YAML, or written as is when it is already YAML text."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else yaml.safe_dump(cfg))
     return path
 
 
@@ -802,6 +804,11 @@ def test_work_budget_counts_series_steps_and_reference(
 
 
 PLANT = {"a": 10.0, "b": -2.0}
+SIMULATE_TYPOS = _budget_case(
+    {"controller": {"nussbam": "exp"}, "simulation": {"with_lsb": True}, "plots": {"dpi": 300}}
+)
+CHECK_TYPOS = {"plant": PLANT, "check": {"time_sample": 3, "nussbaum": {"grdi": 1000}}}
+DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 0.01")
 
 
 @pytest.mark.parametrize(
@@ -949,6 +956,16 @@ PLANT = {"a": 10.0, "b": -2.0}
             ),
             "initial",
         ),
+        # Misspelt and undeclared keys used to run with the defaults.
+        ("simulate", SIMULATE_TYPOS, "controller.nussbam"),
+        ("check", CHECK_TYPOS, "check.nussbaum.grdi"),
+        (
+            "simulate",
+            _budget_case({}, [{"y": 1.0, "k": 0.0}, {"y": 0.5, "k": 0.0, "z": 1.0}]),
+            "initial[1].z",
+        ),
+        # A repeated key used to keep its last value.
+        ("simulate", DUPLICATE_T_F, "config"),
     ],
     ids=[
         "nan-range",
@@ -976,6 +993,10 @@ PLANT = {"a": 10.0, "b": -2.0}
         "check-nussbaum-false",
         "check-nussbaum-empty-string",
         "random-and-y",
+        "simulate-typos",
+        "check-typos",
+        "initial-entry-unknown-key",
+        "duplicate-key",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -983,6 +1004,42 @@ def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
     assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+def test_unknown_key_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    """A misspelt field exits 2 naming its dotted path and the keys declared
+    beside it, and the command neither runs nor writes anything."""
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulate ran"))
+    out = tmp_path / "out"
+    assert _run("simulate", _write_cfg(tmp_path, SIMULATE_TYPOS), out) == 2
+    assert capsys.readouterr().err == (
+        "config error: controller.nussbam: unknown field "
+        "(known here: nussbaum, omega, sign_b, variant)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_duplicate_key_names_the_key_and_its_line(tmp_path, capsys):
+    line = DUPLICATE_T_F.splitlines().index("  t_f: 0.01") + 1
+    out = tmp_path / "out"
+    assert _run("simulate", _write_cfg(tmp_path, DUPLICATE_T_F), out) == 2
+    assert capsys.readouterr().err == f"config error: config: duplicate key 't_f' on line {line}\n"
+    assert not any(out.iterdir())
+
+
+def test_declared_fields_a_command_does_not_read_are_allowed(tmp_path):
+    """One file may carry the sections of other commands: simulate runs with
+    compare, sweep, check and chenfliess sections beside its own."""
+    cfg = {
+        **FAST_SIM,
+        "compare": PRESETS["fig2"]["compare"],
+        "sweep": {"omegas": [50.0]},
+        "check": {"grid": 4, "nussbaum": {"h": "const_1"}},
+        "chenfliess": {**PRESETS["fig4"]["chenfliess"], "n_steps": 3},
+    }
+    out = tmp_path / "out"
+    assert _run("simulate", _write_cfg(tmp_path, cfg), out) == 0
+    assert (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1015,6 +1072,30 @@ def test_sweep_runs_on_a_horizon_shorter_than_the_rk4_reference_step(tmp_path):
     assert header == "omega,error"
     assert [float(r[0]) for r in rows] == [1e6]
     assert math.isfinite(float(rows[0][1]))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _field_paths(node, prefix=""):
+    """Dotted paths of the fields in node: every key, descending into the
+    mappings that are sections rather than declared fields."""
+    for key, value in node.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict) and path not in cli.FIELDS:
+            yield from _field_paths(value, path)
+        else:
+            yield path
+
+
+def test_readme_config_example_names_exactly_the_declared_fields():
+    """The README's full config example names every declared field and no
+    other key; its commented alternatives (initial.random.*,
+    chenfliess.n_steps) count as named."""
+    example = README.read_text().split("```yaml\n", 1)[1].split("```", 1)[0]
+    uncommented = re.sub(r"^(\s*)# (\s*\w+:)", r"\1\2", example, flags=re.MULTILINE)
+    named = {path for text in (example, uncommented) for path in _field_paths(yaml.safe_load(text))}
+    assert named == set(cli.FIELDS)
 
 
 # -- config fuzzing ------------------------------------------------------------------
@@ -1077,10 +1158,17 @@ def _node_paths(node, prefix=()):
             yield from _node_paths(value, (*prefix, key))
 
 
-_FUZZ_TARGETS = [
-    (command, path) for command, base in FUZZ_BASES.items() for path in _node_paths(base)
-]
+# Every value of each base, and every declared field under each command, so
+# a field no base sets is mutated too.
+_FUZZ_TARGETS = list(
+    dict.fromkeys(
+        [(command, path) for command, base in FUZZ_BASES.items() for path in _node_paths(base)]
+        + [(command, tuple(field.split("."))) for command in FUZZ_BASES for field in cli.FIELDS]
+    )
+)
 _DELETE = object()
+_UNKNOWN = object()  # add an undeclared key to the innermost mapping on the path
+_UNKNOWN_KEY = "not_a_field"
 _FUZZ_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -1109,14 +1197,22 @@ def _reached(*args, **kwargs):
 
 
 def _mutated(command, path, value):
+    """FUZZ_BASES[command] with the value at path set, deleted or given an
+    undeclared neighbour; sections a declared field needs are made."""
     cfg = copy.deepcopy(FUZZ_BASES[command])
-    parent = cfg
-    for key in path[:-1]:
+    parent = mapping = cfg
+    for key, child in zip(path, path[1:]):
+        if isinstance(parent, dict) and isinstance(child, str):
+            parent[key] = parent[key] if isinstance(parent.get(key), dict) else {}
         parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
+        if isinstance(parent, dict):
+            mapping = parent
+    if value is _UNKNOWN:
+        mapping[_UNKNOWN_KEY] = 1.0
+    elif value is not _DELETE:
         parent[path[-1]] = value
+    elif isinstance(parent, list) or path[-1] in parent:
+        del parent[path[-1]]
     return cfg
 
 
@@ -1126,13 +1222,17 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=300)
-@given(target=st.sampled_from(_FUZZ_TARGETS), value=st.just(_DELETE) | _FUZZ_VALUES)
+@given(
+    target=st.sampled_from(_FUZZ_TARGETS),
+    value=st.just(_DELETE) | st.just(_UNKNOWN) | _FUZZ_VALUES,
+)
 @example(target=("simulate", ("initial", "random", "y_range", 0)), value=math.nan)
 @example(target=("simulate", ("initial", "random", "y_range")), value=[-1e308, 1e308])
 def test_config_mutations_end_in_config_error_or_run(fuzz_dir, target, value):
-    """One leaf, list element or section of a valid config replaced or
-    deleted: the command either refuses it with exit 2 and a config error,
-    or accepts it and reaches its integrator or audit (stubbed here)."""
+    """One leaf, list element, section or declared field of a valid config
+    replaced or deleted: the command either refuses it with exit 2 and a
+    config error, or accepts it and reaches its integrator or audit (stubbed
+    here). An undeclared key added to a mapping is always refused."""
     command, path = target
     cfg_path = _write_cfg(fuzz_dir, _mutated(command, path, value))
     err = io.StringIO()
@@ -1143,9 +1243,12 @@ def test_config_mutations_end_in_config_error_or_run(fuzz_dir, target, value):
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = _run(command, cfg_path, fuzz_dir / "out")
         except _Reached:
+            assert value is not _UNKNOWN, "a config with an undeclared key reached the command"
             return
     assert code == 2
     assert err.getvalue().startswith("config error: ")
+    if value is _UNKNOWN:
+        assert f"{_UNKNOWN_KEY}: unknown field" in err.getvalue()
 
 
 # -- presets -------------------------------------------------------------------------

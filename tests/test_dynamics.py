@@ -30,6 +30,7 @@ from dithersim import (
     lie_bracket_rhs,
     nussbaum_control,
     nussbaum_rhs,
+    polar_closed_loop,
     polar_closed_loop_rhs,
     polar_lbs_rhs,
     proposed_control,
@@ -445,6 +446,17 @@ def test_polar_closed_loop_consistency_with_cartesian():
             dr, dphi = polar_closed_loop_rhs(PLANT, ps, t, omega)
             assert abs(dr - dr_ref) <= 1e-9 * max(1.0, abs(dr_ref))
             assert abs(dphi - dphi_ref) <= 1e-9 * max(1.0, abs(dphi_ref))
+
+
+def test_polar_closed_loop_refuses_the_center():
+    """At r = 0 the angle is undefined: the transport divides by r, so it
+    raises a ValueError naming the center instead of ZeroDivisionError."""
+    with pytest.raises(ValueError, match=r"undefined at the center \(0, a/b\)"):
+        polar_closed_loop(PLANT, 400.0)((0.0, 0.7), 0.3)
+    with pytest.raises(ValueError, match="center"):
+        polar_closed_loop_rhs(PLANT, to_polar(PLANT, State(0.0, PLANT.center)), 0.3, 400.0)
+    # Just off the center the rates are finite.
+    assert all(map(math.isfinite, polar_closed_loop(PLANT, 400.0)((1e-12, 0.7), 0.3)))
 
 
 def test_polar_lbs_rhs_values():
