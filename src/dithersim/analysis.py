@@ -205,11 +205,16 @@ class NussbaumCheck:
 def _n_profile(
     h: Callable[[float], float], k0: float, k_max: float, n_panels: int
 ) -> np.ndarray:
-    """N(k) on the open grid k0 + j*dk, j = 1..n_panels."""
+    """N(k) on the open grid k0 + j*dk, j = 1..n_panels; ValueError where
+    it is not finite."""
     s = np.linspace(k0, k_max, n_panels + 1)
-    g = np.array([h(float(v)) * v for v in s])
-    integral = _cumulative_simpson(g, (k_max - k0) / n_panels)
-    return integral[1:] / (s[1:] - k0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.array([h(float(v)) * v for v in s])
+        integral = _cumulative_simpson(g, (k_max - k0) / n_panels)
+        n = integral[1:] / (s[1:] - k0)
+    if not np.isfinite(n).all():
+        raise ValueError(f"nussbaum_type_check: N(k) is not finite on [{k0!r}, {k_max!r}]")
+    return n
 
 
 def nussbaum_type_check(
@@ -219,7 +224,8 @@ def nussbaum_type_check(
 
     N(k) = (k - k0)^{-1} * integral_{k0}^{k} h(s)*s ds is built by
     cumulative Simpson quadrature on `grid` panels over [k0, k_max].
-    The doubled-horizon pass reuses the same panel width.
+    The doubled-horizon pass reuses the same panel width. Raises
+    ValueError when N(k) is not finite on either horizon.
     """
     if not (math.isfinite(k0) and math.isfinite(k_max)) or k_max <= k0:
         raise ValueError("nussbaum_type_check: need k_max > k0")

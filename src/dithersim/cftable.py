@@ -24,14 +24,9 @@ recomputed from scratch) lives in the test suite.
 The powers of (omega*T) equal (2*pi*n)^e2pi exactly for whole-period
 steps, which is why one table covers any whole number of periods.
 
-The exact (Fraction) rows are the single source of truth. The series
-stepper evaluates a float form of them instead, derived once at import
-for each of the eight (order, drift_taylor) selections: the y and k
-monomials of the selected rows, in table order, as tuples
-(c, eb, ey, er, eT, e2pi) with c, eT and e2pi converted to float. The
-stepper binds the factors that a run holds fixed, c*b^eb, T^eT and
-(omega*T)^e2pi, once per run, and takes the powers of y and rho once per
-step; see `integrate.chen_fliess_step`.
+The series stepper binds a run's monomials straight from these exact
+(Fraction) rows, converting them to float once per run; see
+`integrate.chen_fliess_step`.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "Mono",
@@ -188,30 +183,3 @@ def rows_for_order(order: int, drift_taylor: bool = False) -> tuple[ChenFliessTe
         and (drift_taylor or row.word not in DRIFT_TAYLOR_WORDS)
     )
 
-
-FloatMono = tuple[float, int, int, int, float, float]
-FloatTerms = tuple[tuple[FloatMono, ...], tuple[FloatMono, ...]]
-
-
-def _float_monos(monos: Iterable[Mono]) -> tuple[FloatMono, ...]:
-    return tuple((float(m.c), m.eb, m.ey, m.er, float(m.eT), float(m.e2pi)) for m in monos)
-
-
-def _float_form(order: int, drift_taylor: bool) -> FloatTerms:
-    rows = rows_for_order(order, drift_taylor=drift_taylor)
-    return (
-        _float_monos(m for row in rows for m in row.y_terms),
-        _float_monos(m for row in rows for m in row.k_terms),
-    )
-
-
-_FLOAT_TERMS = {
-    (order, taylor): _float_form(order, taylor) for order in _ORDERS for taylor in (False, True)
-}
-
-
-def _float_terms(order: int, drift_taylor: bool = False) -> FloatTerms:
-    """The y and the k monomials of rows_for_order(order, drift_taylor), in
-    table order and in float form (see the module docstring)."""
-    _check_order(order)
-    return _FLOAT_TERMS[order, bool(drift_taylor)]

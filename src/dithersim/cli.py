@@ -515,7 +515,13 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     ]
     lbs = _lbs_reference(plant, s0, t0, t_f) if with_lbs else None
 
-    base = trajs[int(np.argmax(steps))].times
+    # The coarsest completed run gives the time grid; when every run diverged,
+    # the one that reached furthest does. A diverged run holds its last value.
+    completed = [(h, traj) for traj, h in zip(trajs, steps) if traj.status == "ok"]
+    if completed:
+        base = max(completed, key=lambda pair: pair[0])[1].times
+    else:
+        base = max(trajs, key=lambda traj: traj.times[-1]).times
     columns = [("t", base)]
     for variant, traj, h in zip(variants, trajs, steps):
         columns.append((f"y_{variant.value}", _nearest_resample(traj, base, t0, h)))
@@ -601,10 +607,14 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         system = AffineSystem(
             system.drift, system.fields, (DitherSignal(biased), system.dithers[1])
         )
+    # The other arguments are validated above: a ValueError means N(k) overflowed.
+    try:
+        ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
+    except ValueError as e:
+        raise ConfigError("check.nussbaum.k_max", str(e)) from None
     report = check_assumptions(
         system, ((lo, hi), (lo, hi)), grid=grid, time_samples=time_samples
     )
-    ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
 
     doc = {
         "assumptions": report.to_dict(),

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cftable import FloatMono, _check_order, _float_terms
+from .cftable import Mono, _check_order, rows_for_order
 from .dynamics import FusedField, InputFn, PlantParams, Rhs2, State, _define
 
 __all__ = [
@@ -519,24 +519,27 @@ def simulate(
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: bool) -> tuple:
-    """The y and the k monomials of `_float_terms(order, drift_taylor)` with
-    every factor that is constant over a run taken: (c * b**eb, ey, er,
-    T**eT, w) per monomial, w being (omega*T)**e2pi, or 1.0 where e2pi is
-    zero; then the largest ey and er. typed=True keeps equal keys of
-    different types apart: an int b from the equal float, whose powers
+    """The y and the k monomials of `rows_for_order(order, drift_taylor)`, in
+    table order, with every factor that is constant over a run taken:
+    (c * b**eb, ey, er, T**eT, w) per monomial, c, eT and e2pi converted
+    with float() as they are bound, w being (omega*T)**e2pi, or 1.0 where
+    e2pi is zero; then the largest ey and er. typed=True keeps equal keys
+    of different types apart: an int b from the equal float, whose powers
     may round differently, and an order True or 1.0 from 1, which
-    `_float_terms` refuses."""
+    `rows_for_order` refuses."""
     wT = math.tau * periods
-    y_monos, k_monos = _float_terms(order, drift_taylor)
+    rows = rows_for_order(order, drift_taylor)
+    y_monos = [m for row in rows for m in row.y_terms]
+    k_monos = [m for row in rows for m in row.k_terms]
 
-    def bind(monos: tuple[FloatMono, ...]) -> tuple:
+    def bind(monos: list[Mono]) -> tuple:
         return tuple(
-            (c * b**eb, ey, er, T**eT, wT**e2pi if e2pi else 1.0)
+            (float(c) * b**eb, ey, er, T ** float(eT), wT ** float(e2pi) if e2pi else 1.0)
             for c, eb, ey, er, eT, e2pi in monos
         )
 
     both = y_monos + k_monos
-    return bind(y_monos), bind(k_monos), max(m[2] for m in both), max(m[3] for m in both)
+    return bind(y_monos), bind(k_monos), max(m.ey for m in both), max(m.er for m in both)
 
 
 def _check_periods(periods: int) -> None:
@@ -559,11 +562,11 @@ def chen_fliess_step(
     frequency is 2*pi*periods/T; the tabulated closed forms are only
     valid on whole periods, so sub-period steps are rejected by
     construction (there is no way to express one here). The monomials
-    come from the float form of the table, derived once from the exact
-    rows (see `cftable`). The factors that stay fixed over a run, c*b^eb,
-    T^eT and (omega*T)^e2pi, are taken once per (b, T, periods, order,
-    drift_taylor) and memoised; each step takes y^e and rho^e once for
-    every e up to the largest exponent, before either sum. A monomial's
+    are the exact rows of `cftable.rows_for_order`. The factors that stay
+    fixed over a run, c*b^eb, T^eT and (omega*T)^e2pi, are converted to
+    float and taken once per (b, T, periods, order, drift_taylor) and
+    memoised; each step takes y^e and rho^e once for every e up to the
+    largest exponent, before either sum. A monomial's
     value is c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi, multiplied
     left to right as written (the last factor is 1.0 where e2pi is 0, an
     exact product), and contributions are summed with compensated

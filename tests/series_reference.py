@@ -1,10 +1,10 @@
 """Test-only reference for `chen_fliess_step`: the Fraction-evaluating path.
 
-`chen_fliess_step` evaluates a float form of the series table that
-`cftable` derives once at import. This module keeps the path it replaced,
-which selects the exact rows with `rows_for_order` and converts every
+`chen_fliess_step` converts the exact rows to float once per run and takes
+the factors a run holds fixed once. This module keeps the plain path: it
+selects the exact rows with `rows_for_order` and converts every
 monomial's Fraction fields to float on every step, so tests can assert
-that the float form reproduces it bit for bit, exceptions included.
+that the stepper reproduces it bit for bit, exceptions included.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ import math
 from dithersim.cftable import Mono, rows_for_order
 from dithersim.dynamics import PlantParams, State
 from dithersim.integrate import _check_periods
-
-
-def float_form(mono: Mono) -> tuple[float, int, int, int, float, float]:
-    """The conversion the reference applies to one monomial on every step."""
-    return (float(mono.c), mono.eb, mono.ey, mono.er, float(mono.eT), float(mono.e2pi))
 
 
 def _mono_value(m: Mono, b: float, y: float, rho: float, T: float, wT: float) -> float:

@@ -228,6 +228,14 @@ def test_nussbaum_check_validation():
         nussbaum_type_check(s_cos_s, 0.0, 50.0, True)
 
 
+@pytest.mark.parametrize("k_max", [1e150, 1e160])
+def test_nussbaum_check_refuses_a_non_finite_profile(k_max):
+    """Where h(s)*s or its integral overflows, N(k) is inf or NaN: an error,
+    not a sup, inf and sign-flip count of NaNs."""
+    with pytest.raises(ValueError, match="N\\(k\\) is not finite"):
+        nussbaum_type_check(s_cos_s, 0.0, k_max, 1000)
+
+
 def test_nussbaum_check_against_closed_form():
     """For h(s) = s*cos(s), N(k) = k*sin k + 2*cos k - 2*sin(k)/k exactly."""
     check = nussbaum_type_check(s_cos_s, 0.0, 50.0, 20000)

@@ -18,8 +18,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import cumulative_simpson
 
-from dithersim.cftable import _FLOAT_TERMS, DRIFT_TAYLOR_WORDS, TABLE, rows_for_order
-from series_reference import float_form
+from dithersim.cftable import DRIFT_TAYLOR_WORDS, TABLE, rows_for_order
 
 Y, K, A, B = sp.symbols("y k a b", real=True)
 FIELDS = {
@@ -170,15 +169,3 @@ def test_rows_for_order_selection():
         rows_for_order(4)
     with pytest.raises(ValueError, match="order"):
         rows_for_order(-1)
-
-
-def test_float_form_matches_exact_rows():
-    """The float rows the stepper evaluates are the exact rows converted,
-    monomial for monomial and in table order, for all eight selections."""
-    assert set(_FLOAT_TERMS) == {(d, t) for d in range(4) for t in (False, True)}
-    for (order, taylor), (y_monos, k_monos) in _FLOAT_TERMS.items():
-        rows = rows_for_order(order, drift_taylor=taylor)
-        assert y_monos == tuple(float_form(m) for row in rows for m in row.y_terms)
-        assert k_monos == tuple(float_form(m) for row in rows for m in row.k_terms)
-        for mono in (*y_monos, *k_monos):
-            assert [type(v) for v in mono] == [float, int, int, int, float, float]

@@ -290,6 +290,31 @@ def test_compare_needs_single_initial(tmp_path, capsys):
     assert "exactly one initial condition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "variants, rows_expected",
+    # At omega = 1 the dithered laws take the step 2*pi/40 and diverge
+    # (proposed at step 7, swapped at step 6); nussbaum takes 1e-4 to t = 3.
+    [(["proposed", "nussbaum"], 30_001), (["swapped", "proposed"], 7)],
+    ids=["coarsest-diverged", "all-diverged"],
+)
+def test_compare_grid_follows_the_coarsest_completed_run(tmp_path, variants, rows_expected):
+    """compare.csv runs on the grid of the coarsest run that completed, or of
+    the run that got furthest when none did; a diverged run holds its last
+    value. The coarsest step's grid used to end where that run diverged."""
+    cfg = _budget_case({"controller": {"omega": 1.0}, "simulation": {"t_f": 3.0}})
+    cfg["compare"] = {"variants": variants}
+    out = tmp_path / "out"
+    assert _run("compare", _write_cfg(tmp_path, cfg), out) == 0
+    runs = json.loads((out / "compare.json").read_text())["runs"]
+    assert [run["status"] == "ok" for run in runs] == [v == "nussbaum" for v in variants]
+    _, rows = _read_csv_columns(out / "compare.csv")
+    assert len(rows) == rows_expected
+    if rows_expected == 30_001:
+        assert float(rows[-1][0]) == 3.0
+    # The first variant diverges before the grid ends and holds its last value.
+    assert rows[-2][1] == rows[-1][1]
+
+
 # -- sweep --------------------------------------------------------------------------
 
 
@@ -966,6 +991,8 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         ),
         # A repeated key used to keep its last value.
         ("simulate", DUPLICATE_T_F, "config"),
+        # N(k) overflows to NaN; the check used to report it as a result.
+        ("check", _check_case({"grid": 4, "nussbaum": {"k_max": 1e150}}), "check.nussbaum.k_max"),
     ],
     ids=[
         "nan-range",
@@ -997,6 +1024,7 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         "check-typos",
         "initial-entry-unknown-key",
         "duplicate-key",
+        "check-nussbaum-not-finite",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -1004,6 +1032,17 @@ def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
     assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+def test_non_finite_gain_shape_is_refused_before_auditing(tmp_path, capsys, monkeypatch):
+    """A gain-shape profile that overflows exits 2 naming k_max, before the
+    audit runs and without writing check.json."""
+    monkeypatch.setattr(cli, "check_assumptions", lambda *a, **k: pytest.fail("audit ran"))
+    out = tmp_path / "out"
+    cfg = _check_case({"nussbaum": {"k_max": 1e160}})
+    assert _run("check", _write_cfg(tmp_path, cfg), out) == 2
+    assert capsys.readouterr().err.startswith("config error: check.nussbaum.k_max: ")
+    assert not any(out.iterdir())
 
 
 def test_unknown_key_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch):
