@@ -612,6 +612,14 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
     except ValueError as e:
         raise ConfigError("check.nussbaum.k_max", str(e)) from None
+    # A finite profile can still be aliased: a panel wider than pi/16, a
+    # thirty-second of the 2*pi period of s_cos_s, undersamples it.
+    if (k_max - k0) / ngrid > math.pi / 16:
+        raise ConfigError(
+            "check.nussbaum.grid",
+            f"panel width (k_max - k0)/grid = {(k_max - k0) / ngrid:.3g} exceeds pi/16, "
+            "so the gain-shape profile is aliased",
+        )
     report = check_assumptions(
         system, ((lo, hi), (lo, hi)), grid=grid, time_samples=time_samples
     )

@@ -155,8 +155,8 @@ class Trajectory:
     def write_csv(self, path: str | Path) -> Path:
         """Write samples as CSV with header t,y,k,u.
 
-        Floats are rendered with repr for exact round-trips; the u
-        column is left empty when the run carries no input. Output is
+        Floats are rendered as `repr` renders them, for exact round-trips;
+        the u column is left empty when the run carries no input. Output is
         byte-deterministic for identical trajectories.
         """
         columns = [self.times, self.ys, self.ks]
@@ -192,23 +192,76 @@ _CSV_BLOCK_ROWS = 4096  # rows formatted per write in `_write_csv`
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write equal-length float columns as CSV, one row per index.
 
-    Floats are rendered with repr for exact round-trips. Header names past
-    the given columns get empty cells, so each row then ends in commas.
+    Floats are rendered as `repr` renders them, for exact round-trips.
+    Header names past the given columns get empty cells, so each row then
+    ends in commas. Columns of unequal length raise ValueError.
     """
     pad = "," * (len(header) - len(columns))
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-    n = min(map(len, columns), default=0)
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"_write_csv: columns differ in length: {lengths}")
+    n = lengths[0] if lengths else 0
     path = Path(path)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         # Formatting a column at a time is cheaper than joining row tuples;
         # a block of rows at a time keeps the formatted cells few.
         for start in range(0, n, _CSV_BLOCK_ROWS):
-            cells = [list(map(repr, c[start : start + _CSV_BLOCK_ROWS])) for c in columns]
+            cells = [_repr_cells(c[start : start + _CSV_BLOCK_ROWS]) for c in columns]
             if pad:
                 cells[-1] = [c + pad for c in cells[-1]]
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
+
+
+def _repr_cells(column: np.ndarray) -> list[str]:
+    """The `repr` of each float of a contiguous 1-D float64 array.
+
+    orjson writes the same shortest round-trip digits as `repr`, in C, and
+    the same text wherever `repr` prints positionally: at 0 and for
+    1e-4 <= |x| < 1e16. Elsewhere `repr` prints an exponent, which orjson
+    lays out its own way (`0.00001`, `2.5e-7`, `1e16`) or, for inf and nan,
+    writes as null. Only those cells are rewritten.
+    """
+    # Imported here, so runs that write no CSV (`check`, most library use)
+    # pay neither its import time nor its memory.
+    import orjson
+
+    cells = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(column)
+    finite = np.isfinite(column)
+    for i in np.flatnonzero(finite & ((a < 1e-4) | (a >= 1e16)) & (column != 0.0)).tolist():
+        cells[i] = _exponent_form(cells[i])
+    for i in np.flatnonzero(~finite).tolist():
+        cells[i] = repr(float(column[i]))
+    return cells
+
+
+def _exponent_form(cell: str) -> str:
+    """Re-lay out a finite decimal cell as `repr` writes an exponent.
+
+    An exponent the cell has is parsed with int() and written signed, with
+    at least two digits (`2.5e-7` and `2.5e-07` both give `2.5e-07`); a
+    positional cell such as `0.000025` is moved to the same form.
+    """
+    mantissa, e, exp = cell.partition("e")
+    if e:
+        return mantissa + _exponent_suffix(exp)
+    sign, body = ("-", cell[1:]) if cell.startswith("-") else ("", cell)
+    whole, _, frac = body.partition(".")
+    digits = whole + frac
+    exponent = len(whole) - 1 - (len(digits) - len(digits.lstrip("0")))
+    digits = digits.strip("0")
+    point = "." if len(digits) > 1 else ""
+    return f"{sign}{digits[0]}{point}{digits[1:]}e{exponent:+03d}"
+
+
+# Cached because formatting the int is most of a cell's rewrite; one entry
+# per exponent spelling, so a few hundred at most.
+@functools.cache
+def _exponent_suffix(exp: str) -> str:
+    return f"e{int(exp):+03d}"
 
 
 def _write_json(doc: dict, path: str | Path) -> Path:

@@ -207,13 +207,11 @@ def test_euler_sweep_stalls_at_the_paper_step():
 
 
 def test_sweep_to_csv(tmp_path):
+    """A diverged run's error is inf, written as repr writes it."""
     path = tmp_path / "sweep.csv"
-    sweep_to_csv([(100.0, 0.25), (400.0, 0.125)], path)
+    sweep_to_csv([(100.0, 0.25), (400.0, 0.125), (1600.0, math.inf)], path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "omega,error"
-    w, err = lines[1].split(",")
-    assert float(w) == 100.0
-    assert float(err) == 0.25
+    assert lines == ["omega,error", "100.0,0.25", "400.0,0.125", "1600.0,inf"]
 
 
 # -- Nussbaum-type check ---------------------------------------------------------------

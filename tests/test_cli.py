@@ -993,6 +993,9 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         ("simulate", DUPLICATE_T_F, "config"),
         # N(k) overflows to NaN; the check used to report it as a result.
         ("check", _check_case({"grid": 4, "nussbaum": {"k_max": 1e150}}), "check.nussbaum.k_max"),
+        # Panels 5e95 wide against the 2*pi period of s_cos_s gave a finite,
+        # aliased profile and a wrong "does not grow" verdict with exit 0.
+        ("check", _check_case({"grid": 4, "nussbaum": {"k_max": 1e100}}), "check.nussbaum.grid"),
     ],
     ids=[
         "nan-range",
@@ -1025,6 +1028,7 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         "initial-entry-unknown-key",
         "duplicate-key",
         "check-nussbaum-not-finite",
+        "check-nussbaum-aliased",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):

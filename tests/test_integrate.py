@@ -599,6 +599,68 @@ def test_csv_writer_matches_row_wise_formatting_across_blocks(tmp_path, n_column
     assert path.read_bytes() == _row_wise_csv(header, columns)
 
 
+def test_csv_writer_copies_non_contiguous_columns(tmp_path):
+    """orjson refuses a strided array, so a column view is copied first."""
+    table = np.arange(24.0).reshape(8, 3) * 1e-5
+    columns = [table[:, 0], table[::-1, 1], table[:, 2]]
+    assert not columns[0].flags.c_contiguous
+    header = ("t", "y", "k", "u")
+    path = _write_csv(tmp_path / "cols.csv", header, columns)
+    assert path.read_bytes() == _row_wise_csv(header, columns)
+
+
+def test_csv_writer_refuses_unequal_columns(tmp_path):
+    """Columns of unequal length used to be cut silently to the shortest."""
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
+        _write_csv(tmp_path / "cols.csv", ("t", "y"), [[0.0, 1.0, 2.0], [0.0, 1.0]])
+    assert not (tmp_path / "cols.csv").exists()
+
+
+@settings(max_examples=500)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, math.inf, -math.inf, math.nan])
+def test_csv_cells_equal_repr(values):
+    """Subnormals, signed zeros, infinities and nan included."""
+    assert integrate._repr_cells(np.array(values)) == list(map(repr, values))
+
+
+@pytest.mark.parametrize(
+    "cell, want",
+    [
+        ("2.5e-7", "2.5e-07"),
+        ("1e16", "1e+16"),
+        ("-5e-324", "-5e-324"),
+        ("0.000012345", "1.2345e-05"),
+        ("-0.00001", "-1e-05"),
+        # Spellings a newer orjson could write come out the same.
+        ("2.5e-07", "2.5e-07"),
+        ("1e+16", "1e+16"),
+    ],
+)
+def test_exponent_form(cell, want):
+    assert integrate._exponent_form(cell) == want
+
+
+# Where repr switches between positional and exponent layout, and the extremes.
+_REPR_BOUNDARIES = np.array(
+    [9.999999999999999e-05, 1e-4, 1e-5, -1e-5, 5e-324, 9.999999999999999e15, 1e16,
+     1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+def test_csv_cells_equal_repr_on_random_bit_patterns():
+    """About 10**6 random float64 bit patterns, which reach every exponent,
+    subnormals and nan payloads, plus the boundaries and their neighbours."""
+    bits = np.random.default_rng(18).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    # Stepping away from zero past the largest float gives inf, one more cell.
+    with np.errstate(over="ignore"):
+        outward = np.nextafter(_REPR_BOUNDARIES, np.copysign(np.inf, _REPR_BOUNDARIES))
+    column = np.concatenate(
+        [bits.view(np.float64), _REPR_BOUNDARIES, np.nextafter(_REPR_BOUNDARIES, 0.0), outward]
+    )
+    assert integrate._repr_cells(column) == list(map(repr, column.tolist()))
+
+
 # -- series stepping ---------------------------------------------------------------
 
 

@@ -68,6 +68,12 @@ def test_cli_import_loads_no_scipy():
     assert _fresh(code) == "[]"
 
 
+def test_cli_import_defers_orjson():
+    """orjson formats CSV cells and is imported at the first CSV write, so
+    `check`, which writes none, does not load it."""
+    assert _fresh("import sys, dithersim.cli; print('orjson' in sys.modules)") == "False"
+
+
 def test_cli_import_compiles_nothing():
     """Laws, averaged fields and kernels are compiled on first use, so
     importing the CLI compiles none of them."""
