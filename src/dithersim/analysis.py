@@ -202,6 +202,16 @@ class NussbaumCheck:
         return asdict(self)
 
 
+# Widest gain-shape panel `nussbaum_type_check` accepts: a thirty-second of
+# the 2*pi period of s_cos_s. Wider panels undersample it, and the profile
+# they give is finite but aliased.
+NUSSBAUM_MAX_PANEL = math.pi / 16
+
+
+class _AliasedProfile(ValueError):
+    """The gain-shape panels are wider than NUSSBAUM_MAX_PANEL."""
+
+
 def _n_profile(
     h: Callable[[float], float], k0: float, k_max: float, n_panels: int
 ) -> np.ndarray:
@@ -225,7 +235,8 @@ def nussbaum_type_check(
     N(k) = (k - k0)^{-1} * integral_{k0}^{k} h(s)*s ds is built by
     cumulative Simpson quadrature on `grid` panels over [k0, k_max].
     The doubled-horizon pass reuses the same panel width. Raises
-    ValueError when N(k) is not finite on either horizon.
+    ValueError when N(k) is not finite on either horizon, and then when
+    the panel width (k_max - k0)/grid exceeds NUSSBAUM_MAX_PANEL.
     """
     if not (math.isfinite(k0) and math.isfinite(k_max)) or k_max <= k0:
         raise ValueError("nussbaum_type_check: need k_max > k0")
@@ -240,6 +251,12 @@ def nussbaum_type_check(
     crossings = int(np.count_nonzero(np.diff(signs) != 0.0))
 
     n2 = _n_profile(h, k0, k0 + 2.0 * (k_max - k0), 2 * grid)
+    panel = (k_max - k0) / grid
+    if panel > NUSSBAUM_MAX_PANEL:
+        raise _AliasedProfile(
+            f"nussbaum_type_check: panel width (k_max - k0)/grid = {panel:.3g} "
+            "exceeds pi/16, so the gain-shape profile is aliased"
+        )
     sup2 = float(np.max(n2))
     inf2 = float(np.min(n2))
     return NussbaumCheck(

@@ -34,6 +34,7 @@ import yaml
 from .analysis import (
     LBS_REFERENCE_STEP,
     STEPS_PER_PERIOD,
+    _AliasedProfile,
     _lbs_reference,
     _paper_step,
     approximation_sweep,
@@ -607,19 +608,14 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         system = AffineSystem(
             system.drift, system.fields, (DitherSignal(biased), system.dithers[1])
         )
-    # The other arguments are validated above: a ValueError means N(k) overflowed.
+    # The other arguments are validated above: a ValueError means N(k)
+    # overflowed, or else that its panels are too wide for the gain shape.
     try:
         ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
+    except _AliasedProfile as e:
+        raise ConfigError("check.nussbaum.grid", str(e)) from None
     except ValueError as e:
         raise ConfigError("check.nussbaum.k_max", str(e)) from None
-    # A finite profile can still be aliased: a panel wider than pi/16, a
-    # thirty-second of the 2*pi period of s_cos_s, undersamples it.
-    if (k_max - k0) / ngrid > math.pi / 16:
-        raise ConfigError(
-            "check.nussbaum.grid",
-            f"panel width (k_max - k0)/grid = {(k_max - k0) / ngrid:.3g} exceeds pi/16, "
-            "so the gain-shape profile is aliased",
-        )
     report = check_assumptions(
         system, ((lo, hi), (lo, hi)), grid=grid, time_samples=time_samples
     )

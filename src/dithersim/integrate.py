@@ -202,16 +202,20 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Pa
     if len(set(lengths)) > 1:
         raise ValueError(f"_write_csv: columns differ in length: {lengths}")
     n = lengths[0] if lengths else 0
+    width = 2 * len(columns)  # a cell and the separator after it, per column
     path = Path(path)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         # Formatting a column at a time is cheaper than joining row tuples;
-        # a block of rows at a time keeps the formatted cells few.
+        # a block of rows at a time keeps the formatted cells few. Each block
+        # is one flat list of cells and separators, joined once.
         for start in range(0, n, _CSV_BLOCK_ROWS):
-            cells = [_repr_cells(c[start : start + _CSV_BLOCK_ROWS]) for c in columns]
-            if pad:
-                cells[-1] = [c + pad for c in cells[-1]]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            rows = min(_CSV_BLOCK_ROWS, n - start)
+            block = [","] * (width * rows)
+            block[width - 1 :: width] = [pad + "\n"] * rows
+            for j, c in enumerate(columns):
+                block[2 * j :: width] = _repr_cells(c[start : start + rows])
+            f.write("".join(block))
     return path
 
 
@@ -219,10 +223,15 @@ def _repr_cells(column: np.ndarray) -> list[str]:
     """The `repr` of each float of a contiguous 1-D float64 array.
 
     orjson writes the same shortest round-trip digits as `repr`, in C, and
-    the same text wherever `repr` prints positionally: at 0 and for
-    1e-4 <= |x| < 1e16. Elsewhere `repr` prints an exponent, which orjson
-    lays out its own way (`0.00001`, `2.5e-7`, `1e16`) or, for inf and nan,
-    writes as null. Only those cells are rewritten.
+    the same text at 0, for |x| < 1e-9 (two- and three-digit exponents) and
+    for 1e-4 <= |x| < 1e16. Only the other cells are rewritten, each with
+    the least work that gives repr's bytes:
+    - 1e-9 <= |x| < 1e-5: a one-digit exponent (`2.5e-7`) gets its zero;
+    - 1e-5 <= |x| < 1e-4: `0.0000d...` moves to `d....e-05`;
+    - |x| >= 1e16, inf and nan (`1e16`, `null`): `repr` itself.
+    A cell of the first two tiers that orjson spells otherwise (a newer
+    orjson may pad the exponent or write the band with one) is left alone
+    when it already reads as `repr` and otherwise also takes `repr`.
     """
     # Imported here, so runs that write no CSV (`check`, most library use)
     # pay neither its import time nor its memory.
@@ -230,38 +239,23 @@ def _repr_cells(column: np.ndarray) -> list[str]:
 
     cells = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     a = np.abs(column)
-    finite = np.isfinite(column)
-    for i in np.flatnonzero(finite & ((a < 1e-4) | (a >= 1e16)) & (column != 0.0)).tolist():
-        cells[i] = _exponent_form(cells[i])
-    for i in np.flatnonzero(~finite).tolist():
+    for i in np.flatnonzero((a >= 1e-9) & (a < 1e-5)).tolist():
+        c = cells[i]
+        if c[-2] == "-":  # 2.5e-7
+            cells[i] = c.replace("e-", "e-0")
+        elif c[-3] != "-":  # neither 2.5e-7 nor 2.5e-07
+            cells[i] = repr(float(column[i]))
+    for i in np.flatnonzero((a >= 1e-5) & (a < 1e-4)).tolist():
+        # A cell with an exponent has no "0.0000" and so no digits here; it
+        # and a single digit, which takes no point, fall back to repr.
+        sign, _, digits = cells[i].partition("0.0000")
+        if len(digits) > 1:
+            cells[i] = f"{sign}{digits[0]}.{digits[1:]}e-05"
+        else:
+            cells[i] = repr(float(column[i]))
+    for i in np.flatnonzero(~(a < 1e16)).tolist():  # nan compares false
         cells[i] = repr(float(column[i]))
     return cells
-
-
-def _exponent_form(cell: str) -> str:
-    """Re-lay out a finite decimal cell as `repr` writes an exponent.
-
-    An exponent the cell has is parsed with int() and written signed, with
-    at least two digits (`2.5e-7` and `2.5e-07` both give `2.5e-07`); a
-    positional cell such as `0.000025` is moved to the same form.
-    """
-    mantissa, e, exp = cell.partition("e")
-    if e:
-        return mantissa + _exponent_suffix(exp)
-    sign, body = ("-", cell[1:]) if cell.startswith("-") else ("", cell)
-    whole, _, frac = body.partition(".")
-    digits = whole + frac
-    exponent = len(whole) - 1 - (len(digits) - len(digits.lstrip("0")))
-    digits = digits.strip("0")
-    point = "." if len(digits) > 1 else ""
-    return f"{sign}{digits[0]}{point}{digits[1:]}e{exponent:+03d}"
-
-
-# Cached because formatting the int is most of a cell's rewrite; one entry
-# per exponent spelling, so a few hundred at most.
-@functools.cache
-def _exponent_suffix(exp: str) -> str:
-    return f"e{int(exp):+03d}"
 
 
 def _write_json(doc: dict, path: str | Path) -> Path:

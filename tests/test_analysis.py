@@ -234,6 +234,16 @@ def test_nussbaum_check_refuses_a_non_finite_profile(k_max):
         nussbaum_type_check(s_cos_s, 0.0, k_max, 1000)
 
 
+def test_nussbaum_check_refuses_aliased_panels():
+    """Panels 5e95 wide against the 2*pi period of s_cos_s give a finite
+    profile, which used to return a wrong "does not grow" verdict."""
+    with pytest.raises(ValueError, match="aliased"):
+        nussbaum_type_check(s_cos_s, 0.0, 1e100, 20000)
+    # Panels just under pi/16 are still accepted.
+    assert 190.0 / 1000 < analysis.NUSSBAUM_MAX_PANEL
+    assert nussbaum_type_check(s_cos_s, 0.0, 190.0, 1000).crossings > 0
+
+
 def test_nussbaum_check_against_closed_form():
     """For h(s) = s*cos(s), N(k) = k*sin k + 2*cos k - 2*sin(k)/k exactly."""
     check = nussbaum_type_check(s_cos_s, 0.0, 50.0, 20000)

@@ -560,7 +560,8 @@ def _row_wise_csv(header, columns) -> bytes:
 
 _CSV_EDGES = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
-     1e-5, 1e-4, 0.0001, 9.999999999999999e-05, math.inf, -math.inf, math.nan]
+     1e-5, 1e-4, 0.0001, 9.999999999999999e-05, 1e-9, -1e-9, 9.999999999999999e-10,
+     1.0000000000000003e-09, math.inf, -math.inf, math.nan]
 )
 
 
@@ -632,18 +633,29 @@ def test_csv_cells_equal_repr(values):
         ("-5e-324", "-5e-324"),
         ("0.000012345", "1.2345e-05"),
         ("-0.00001", "-1e-05"),
+        ("null", "nan"),
         # Spellings a newer orjson could write come out the same.
         ("2.5e-07", "2.5e-07"),
+        ("0.00000025", "2.5e-07"),
+        ("1.2345e-5", "1.2345e-05"),
+        ("-1.2345e-05", "-1.2345e-05"),
         ("1e+16", "1e+16"),
     ],
 )
-def test_exponent_form(cell, want):
-    assert integrate._exponent_form(cell) == want
+def test_exponent_form(monkeypatch, cell, want):
+    """A cell orjson writes as `cell` comes out of `_repr_cells` as `repr`
+    writes its float, `want`."""
+    import orjson
+
+    monkeypatch.setattr(orjson, "dumps", lambda column, option: f"[{cell}]".encode())
+    assert integrate._repr_cells(np.array([float(want)])) == [want]
 
 
-# Where repr switches between positional and exponent layout, and the extremes.
+# Where repr switches between positional and exponent layout, where the
+# cells orjson already writes as repr begin (1e-9), and the extremes.
 _REPR_BOUNDARIES = np.array(
-    [9.999999999999999e-05, 1e-4, 1e-5, -1e-5, 5e-324, 9.999999999999999e15, 1e16,
+    [9.999999999999999e-05, 1e-4, 1e-5, -1e-5, 1e-9, -1e-9, 9.999999999999999e-10,
+     1.0000000000000003e-09, 5e-324, 9.999999999999999e15, 1e16,
      1.7976931348623157e308, -1.7976931348623157e308]
 )
 
