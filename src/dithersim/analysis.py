@@ -219,7 +219,8 @@ def _n_profile(
     it is not finite."""
     s = np.linspace(k0, k_max, n_panels + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.array([h(float(v)) * v for v in s])
+        # h(v) * v on Python floats: the same IEEE product as on numpy scalars
+        g = np.fromiter((h(v) * v for v in s.tolist()), float, len(s))
         integral = _cumulative_simpson(g, (k_max - k0) / n_panels)
         n = integral[1:] / (s[1:] - k0)
     if not np.isfinite(n).all():

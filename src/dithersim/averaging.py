@@ -83,8 +83,10 @@ class AffineSystem:
     """Drift plus dither-modulated fields; fields map (x, t) -> dx.
 
     Each field takes states x of shape (..., dim) and a scalar time t and
-    returns an array of the same shape, one row per state, so that
-    `check_assumptions` can evaluate it on the whole state mesh at once.
+    returns an array of the same shape, one row per state, computed row by
+    row: `check_assumptions` calls it on stacked point sets (the state
+    mesh, its offsets and their finite-difference moves) and takes each
+    row to depend on that row's state alone.
     Point-wise calls (x of shape (dim,)) of `fd_jacobian`, `lie_bracket`
     and `build_averaged_rhs` also work with fields written for one point.
     """
@@ -460,6 +462,102 @@ def _require_mesh_shape(f: Field2, name: str, mesh: np.ndarray, t: float) -> Non
         )
 
 
+_A2_BLOCK_ROWS = 512  # mesh states per block of the A2 scan; bounds its memory
+_A2_TIME_STEP = 1e-6  # central-difference step of the A2 time derivatives
+
+
+def _moves(e: np.ndarray) -> np.ndarray:
+    """Offsets (2*dim, N, dim) +e[0], -e[0], +e[1], ... from the steps e
+    (dim, N, dim) along each axis: adding -e is subtracting e, so x plus
+    these offsets gives x + e and x - e bit for bit."""
+    return np.stack((e, -e), axis=1).reshape(-1, *e.shape[1:])
+
+
+def _jacobian(moved: np.ndarray, step2: np.ndarray) -> np.ndarray:
+    """`fd_jacobian` of a field from its values at the `_moves` of a point
+    set, with step2 = 2*step broadcast to shape (N, dim_out).
+
+    moved has shape (2*dim, ..., N, dim_out) in `_moves` order; the result
+    is C-ordered with shape (..., N, dim_out, dim). The quotients are
+    written into their columns in place, and a step of the full shape
+    keeps numpy's loops flat.
+    """
+    v = moved.reshape((-1, 2) + moved.shape[1:])
+    out = np.empty(moved.shape[1:] + (len(v),))
+    np.divide(v[:, 0] - v[:, 1], step2, out=out.transpose(-1, *range(out.ndim - 1)))
+    return out
+
+
+def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What the A2 scan of the states x (N, dim) needs at every time: the
+    point sets (S, N, dim) and the doubled steps 2*h and 2*houter broadcast
+    to (N, dim), which keeps numpy's loops flat in `_jacobian`.
+
+    The point sets are x, its h-moves, its outer offsets x +- houter*e_d
+    and their h-moves, the last move-major so that each move spans every
+    offset.
+    """
+    n, dim = x.shape
+    axes = np.arange(dim)
+    e = np.zeros((dim, n, dim))
+    e[axes, :, axes] = h  # as `fd_jacobian` builds its steps
+    moves = _moves(e)
+    off = x + _moves(houter[:, None] * np.eye(dim)[:, None, :])
+    pts = np.concatenate((x[None], x + moves, off, (off + moves[:, None]).reshape(-1, n, dim)))
+    h2, houter2 = (np.repeat(2.0 * s[:, None], dim, axis=1) for s in (h, houter))
+    return pts, h2, houter2
+
+
+def _a2_norm_table(
+    fields: Sequence[Field2],
+    pts: np.ndarray,
+    h2: np.ndarray,
+    houter2: np.ndarray,
+    t: float,
+    out: np.ndarray,
+) -> None:
+    """Write the A2 norms of one time sample on the `_a2_block` of N states
+    to out (N, K), columns in `check_assumptions`' label order; fields[0] is
+    the drift.
+
+    At t the norms need every point set; at t +- the time step only the
+    states and their h-moves, a prefix of pts. Each field is called once
+    per time value on the prefix it needs, and every norm is then a slice,
+    difference quotient or matvec of those values, with the arithmetic of
+    `fd_jacobian` and `lie_bracket`.
+    """
+    _, n, dim = pts.shape
+    nf = len(fields)
+    n0, n1 = 1 + 2 * dim, 1 + 4 * dim
+    flat = pts.reshape(-1, dim)
+
+    def at(f: Field2, t: float, sets: int) -> np.ndarray:
+        return np.asarray(f(flat[: sets * n], t), float).reshape(sets, n, dim)
+
+    # the drift enters no Lie derivative as f_j, so it needs no moved offsets
+    # and at t +- step only the states themselves
+    now = [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)]
+    ahead = [at(f, t + _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)]
+    behind = [at(f, t - _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)]
+    f_t, f_tp, f_tm = (np.stack([v[0] for v in vals]) for vals in (now, ahead, behind))
+    f_off = np.stack([v[n0:n1] for v in now], axis=1)
+    # (nf, N, k) views of out: (i, norm) columns, then (j, i, norm)
+    field_cols = out[:, : 3 * nf].reshape(n, nf, 3).swapaxes(0, 1)
+    lie_cols = out[:, 3 * nf :].reshape(n, nf - 1, nf, 2).transpose(1, 2, 0, 3)
+    dt_field = (f_tp - f_tm) / (2.0 * _A2_TIME_STEP)
+    dx_field = _jacobian(np.stack([v[1:n0] for v in now], axis=1), h2)
+    np.stack((_norm(f_t), _norm(dt_field), _norm(dx_field, 2)), axis=-1, out=field_cols)
+
+    def lie(moved: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        """L_{f_i} f_j = (Df_j) f_i for every f_i in fx."""
+        return np.matvec(_jacobian(moved, h2)[..., None, :, :, :], fx)
+
+    for j in range(1, nf):
+        dt_lie = (lie(ahead[j][1:], f_tp) - lie(behind[j][1:], f_tm)) / (2.0 * _A2_TIME_STEP)
+        dx_lie = _jacobian(lie(now[j][n1:].reshape(2 * dim, 2 * dim, n, dim), f_off), houter2)
+        np.stack((_norm(dt_lie), _norm(dx_lie, 2)), axis=-1, out=lie_cols[j - 1])
+
+
 def check_assumptions(
     sys: AffineSystem,
     region: Sequence[tuple[float, float]],
@@ -482,10 +580,16 @@ def check_assumptions(
     The A1 phase grid has phase_points samples per period, an even count
     so that Simpson's rule covers the closed grid.
 
-    Each time sample evaluates every field on the whole state mesh at once
-    and stacks the results to shape (nf, N, dim), drift first, so each norm
-    family is one array expression over all fields; every field must take
-    x of shape (N, dim) and return shape (N, dim). The witness is the first
+    The A2 scan takes the state mesh in blocks of `_A2_BLOCK_ROWS` states
+    and stacks once per block the point sets a time sample needs: the
+    states, their outer offsets x +- 1e-4*(1+|x|)*e_d, and all of those
+    moved by +-1e-6*(1+|x|)*e_d for the Jacobians. At each time sample
+    every field is called once at t on those sets and once at each of
+    t +- 1e-6 on the states and their moves, 3 calls per field. Every norm
+    is then a slice, difference quotient or matvec of those values with the
+    arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
+    point-wise scan's bit for bit. Fields must take x of shape (M, dim)
+    and return shape (M, dim), row by row. The witness is the first
     maximiser in time-major, then point-major, then per-point order; the
     scan stops at the first non-finite norm.
     """
@@ -508,54 +612,28 @@ def check_assumptions(
     nf = len(all_fields)
 
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    dim = mesh.shape[1]
     for i, f in enumerate(all_fields):
         _require_mesh_shape(f, "drift" if i == 0 else f"fields[{i - 1}]", mesh, float(times[0]))
 
     nx = _norm(mesh)
     h = 1e-6 * (1.0 + nx)
     houter = 1e-4 * (1.0 + nx)
-    t_step = 1e-6
-    # mesh offsets of the outer Jacobian of every L_{f_i} f_j
-    offsets = [(mesh + e, mesh - e) for e in houter[:, None] * np.eye(dim)[:, None, :]]
     # (norm, i, j) of each column of a time sample's (N, K) norm table
     labels = [(norm, i, None) for i in range(nf) for norm in ("field", "dt_field", "dx_field")]
     labels += [
         (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
     ]
-
-    def every_field(x: np.ndarray, t: float) -> np.ndarray:
-        return np.stack([np.asarray(f(x, t), float) for f in all_fields])
-
-    def lie(fj: Field2, x: np.ndarray, t: float, fx: np.ndarray) -> np.ndarray:
-        """L_{f_i} f_j = (Df_j) f_i for every f_i(x, t) stacked in fx."""
-        return np.matvec(fd_jacobian(fj, x, t, h), fx)
-
-    def lie_norms(
-        fj: Field2, t: float, f_tp: np.ndarray, f_tm: np.ndarray, f_off: list
-    ) -> np.ndarray:
-        """dt_lie and dx_lie of dither field fj against every field, (nf, N, 2);
-        returning only norms frees the difference quotients before the table."""
-        dt = (lie(fj, mesh, t + t_step, f_tp) - lie(fj, mesh, t - t_step, f_tm)) / (2.0 * t_step)
-        dx = [
-            (lie(fj, xp, t, fp) - lie(fj, xm, t, fm)) / (2.0 * houter)[:, None]
-            for (xp, xm), (fp, fm) in zip(offsets, f_off)
-        ]
-        return np.stack((_norm(dt), _norm(np.stack(dx, axis=-1), 2)), axis=-1)
+    rows = [slice(lo, lo + _A2_BLOCK_ROWS) for lo in range(0, len(mesh), _A2_BLOCK_ROWS)]
+    blocks = [(b, _a2_block(mesh[b], h[b], houter[b])) for b in rows]
+    table = np.empty((len(mesh), len(labels)))
 
     best = -math.inf
     witness: dict = {}
     for t in times:
         t = float(t)
-        f_tp, f_tm = every_field(mesh, t + t_step), every_field(mesh, t - t_step)
-        field = _norm(every_field(mesh, t))
-        dt_field = _norm((f_tp - f_tm) / (2.0 * t_step))
-        dx_field = _norm(np.stack([fd_jacobian(f, mesh, t, h) for f in all_fields]), 2)
-        f_off = [(every_field(xp, t), every_field(xm, t)) for xp, xm in offsets]
-        # (nf, N, k) norm blocks in label order, made point-major for the table
-        blocks = [np.stack((field, dt_field, dx_field), axis=-1)]
-        blocks += [lie_norms(fj, t, f_tp, f_tm, f_off) for fj in sys.fields]
-        vals = np.concatenate([b.swapaxes(0, 1).reshape(len(mesh), -1) for b in blocks], 1).ravel()
+        for b, block in blocks:
+            _a2_norm_table(all_fields, *block, t, table[b])
+        vals = table.ravel()
         bad = ~np.isfinite(vals)
         k = int(np.argmax(bad)) if bad.any() else int(np.argmax(vals))
         if bad[k] or vals[k] > best:

@@ -23,6 +23,7 @@ from dithersim import (
     s_cos_s,
     sweep_to_csv,
 )
+from dithersim.cli import NUSSBAUM_SHAPES
 
 PLANT = PlantParams(10.0, -2.0)
 
@@ -269,6 +270,21 @@ def test_nussbaum_check_constant_minus_one_fails():
     check = nussbaum_type_check(lambda s: -1.0, 2.0, 12.0, 1000)
     assert check.running_sup < 0.0
     assert not check.excursions_grow
+
+
+@pytest.mark.parametrize("shape", sorted(NUSSBAUM_SHAPES))
+@pytest.mark.parametrize(
+    "k0, k_max, n_panels", [(0.0, 50.0, 20000), (0.0, 100.0, 40000), (-7.25, 31.0, 3001)]
+)
+def test_nussbaum_profile_equals_the_numpy_scalar_products(shape, k0, k_max, n_panels):
+    """The profile takes h(v)*v on Python floats; it is byte-identical to
+    the profile built from products with numpy scalars, on the CLI's
+    default horizon, its doubled horizon and an off-centre one."""
+    h = NUSSBAUM_SHAPES[shape]
+    s = np.linspace(k0, k_max, n_panels + 1)
+    g = np.array([h(float(v)) * v for v in s])
+    want = analysis._cumulative_simpson(g, (k_max - k0) / n_panels)[1:] / (s[1:] - k0)
+    assert analysis._n_profile(h, k0, k_max, n_panels).tobytes() == want.tobytes()
 
 
 def test_nussbaum_check_serializes():

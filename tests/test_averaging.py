@@ -34,6 +34,7 @@ from dithersim import (
     swapped_design_system,
     check_assumptions,
 )
+from dithersim import averaging
 from dithersim.averaging import _cumulative_simpson, _simpson
 
 from audit_reference import reference_check_assumptions
@@ -457,7 +458,7 @@ def _three_channel_system():
     return AffineSystem(drift, (f1, f2, f3), dithers)
 
 
-@pytest.mark.parametrize(
+_REFERENCE_SYSTEMS = pytest.mark.parametrize(
     "build, region",
     [
         (lambda: proposed_design_system(PLANT), ((-2.0, 2.0), (-2.0, 2.0))),
@@ -469,6 +470,9 @@ def _three_channel_system():
     ],
     ids=["proposed", "swapped", "exponents-0.7", "plant-1.3-0.7", "pole", "three-channels"],
 )
+
+
+@_REFERENCE_SYSTEMS
 def test_batched_audit_matches_point_wise_reference(build, region):
     """The mesh-at-once scan reproduces the per-point scan byte for byte:
     bound, witness (first maximiser, or first non-finite value) and A3."""
@@ -481,6 +485,68 @@ def test_batched_audit_matches_point_wise_reference(build, region):
             sys, region, grid=grid, time_samples=3, phase_points=2000
         )
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def _report_json(sys, region, grid, time_samples=3):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = check_assumptions(
+            sys, region, grid=grid, time_samples=time_samples, phase_points=2000
+        )
+    return json.dumps(report.to_dict())
+
+
+@_REFERENCE_SYSTEMS
+def test_audit_report_does_not_depend_on_block_size(build, region, monkeypatch):
+    """The A2 scan takes the mesh in blocks; seven-state blocks, which
+    split every mesh here, give the report of the default block size."""
+    sys = build()
+    grid = 5 if len(region) == 2 else 4
+    want = _report_json(sys, region, grid)
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    assert _report_json(sys, region, grid) == want
+
+
+def test_audit_report_does_not_depend_on_block_size_beyond_one_block(monkeypatch):
+    """A mesh larger than the default block gives the same report in
+    seven-state blocks as in default ones."""
+    sys = proposed_design_system(PLANT)
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    grid = math.isqrt(averaging._A2_BLOCK_ROWS) + 2
+    assert grid * grid > averaging._A2_BLOCK_ROWS
+    want = _report_json(sys, box, grid, time_samples=2)
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    assert _report_json(sys, box, grid, time_samples=2) == want
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_audit_calls_each_field_three_times_per_time_sample_and_block(block_rows, monkeypatch):
+    """Beyond one mesh-shape probe, each field is called once at t and once
+    at each of t +- the time step per time sample and mesh block, so a scan
+    that calls fields per offset or per Jacobian column shows up here."""
+    if block_rows is not None:
+        monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", block_rows)
+    base = proposed_design_system(PLANT)
+    calls = dict.fromkeys(("drift", "sin", "cos"), 0)
+
+    def counted(name, f):
+        def field(x, t):
+            calls[name] += 1
+            return f(x, t)
+
+        return field
+
+    sys = AffineSystem(
+        counted("drift", base.drift),
+        (counted("sin", base.fields[0]), counted("cos", base.fields[1])),
+        base.dithers,
+    )
+    grid, time_samples = 5, 4
+    blocks = -(-grid * grid // averaging._A2_BLOCK_ROWS)
+    # the design's A3 conditions are vacuous, so A2 makes every call
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    report = check_assumptions(sys, box, grid=grid, time_samples=time_samples)
+    assert all(e["reason"] == "vacuous" for e in report.a3_pairs + report.a3_triples)
+    assert calls == dict.fromkeys(calls, 1 + 3 * time_samples * blocks)
 
 
 def test_audit_memory_per_mesh_state_is_bounded():

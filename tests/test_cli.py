@@ -436,6 +436,15 @@ def test_check_passes_for_clean_design(tmp_path, capsys):
     assert doc["nussbaum"]["excursions_grow"] is True
 
 
+def test_check_preset_fig1_writes_the_recorded_bytes(tmp_path):
+    """`check --preset fig1` writes the check.json whose sha256 is recorded
+    in tests/check_fig1.sha256 (in `sha256sum -c` form, which CI runs on
+    its own output too)."""
+    want, name = (Path(__file__).parent / "check_fig1.sha256").read_text().split()
+    assert main(["check", "--preset", "fig1", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
 def test_check_biased_dither_fails_but_exits_zero(tmp_path, capsys):
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
