@@ -15,12 +15,12 @@ is written once the same way, in `_AVERAGED_SOURCE`, over (y, k, a, b).
 The arithmetic works on floats and numpy arrays alike. Controller
 blindness is structural: the laws never receive plant parameters.
 `_law` compiles a law to a function on first use, and `closed_loop`
-binds it to the plant for the integrators; the State-typed `*_control`
-and `*_rhs` functions and the drift/dither split audited in `averaging`
-derive from the same table. `closed_loop` and `lie_bracket_loop` also
-attach the source and their bound constants to their closures as a
-`FusedField`, from which `integrate.simulate` compiles whole-run kernels
-with the field inlined.
+binds it to the plant for the integrators. The State-typed `control`
+and `rhs`, one per role for any `ControllerSpec`, and the drift/dither
+split audited in `averaging` derive from the same table. `closed_loop`
+and `lie_bracket_loop` also attach the source and their bound constants
+to their closures as a `FusedField`, from which `integrate.simulate`
+compiles whole-run kernels with the field inlined.
 """
 
 from __future__ import annotations
@@ -39,20 +39,12 @@ __all__ = [
     "PolarState",
     "ControllerVariant",
     "ControllerSpec",
-    "RhsEval",
     "s_cos_s",
-    "proposed_control",
-    "swapped_control",
-    "nussbaum_control",
-    "willems_byrnes_control",
-    "proposed_rhs",
-    "swapped_rhs",
-    "nussbaum_rhs",
-    "willems_byrnes_rhs",
+    "control",
+    "rhs",
     "lie_bracket_rhs",
     "to_polar",
     "from_polar",
-    "polar_closed_loop_rhs",
     "polar_lbs_rhs",
     "closed_loop",
     "lie_bracket_loop",
@@ -122,12 +114,23 @@ class PolarState:
             raise ValueError("PolarState: r and phi must be finite")
         if self.r < 0.0:
             raise ValueError("PolarState: r must be nonnegative")
+        if self.degenerate and (self.r != 0.0 or self.phi != 0.0):
+            raise ValueError("PolarState: degenerate marks only the center, r = phi = 0")
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.r, self.phi)
 
 
 class ControllerVariant(enum.Enum):
+    """The four gain laws of `_LAW_SOURCE`, with dither frequency w:
+    PROPOSED (primary): u = -k*y - y*sqrt(w)*sin(wt), dk = y^2*sqrt(w)*cos(wt).
+    SWAPPED (quadratic term moved into the input, same averaged behavior):
+    u = -k*y - 2*y^2*sqrt(w)*sin(wt), dk = y*sqrt(w)*cos(wt).
+    NUSSBAUM (classical Nussbaum gain h): u = h(k)*k*y, dk = y^2.
+    WILLEMS_BYRNES (known direction, the only law that reads sign(b)):
+    u = -k*y, dk = sign(b)*y^2.
+    """
+
     PROPOSED = "proposed"
     SWAPPED = "swapped"
     NUSSBAUM = "nussbaum"
@@ -169,26 +172,15 @@ class ControllerSpec:
     sign_b: int | None = None
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.omega, self.sign_b)):
+            raise ValueError("ControllerSpec: omega and sign_b must be numbers, not bools")
         if self.variant in DITHERED_VARIANTS:
             if self.omega is None or not math.isfinite(self.omega) or self.omega <= 0:
-                raise ValueError(
-                    f"ControllerSpec: variant {self.variant.value!r} requires omega > 0"
-                )
+                raise ValueError(f"ControllerSpec: variant {self.variant.value!r} needs omega > 0")
         if self.variant is ControllerVariant.NUSSBAUM and self.nussbaum_fn is None:
             object.__setattr__(self, "nussbaum_fn", s_cos_s)
-        if self.variant is ControllerVariant.WILLEMS_BYRNES:
-            if self.sign_b not in (-1, 1):
-                raise ValueError(
-                    "ControllerSpec: variant 'willems_byrnes' requires sign_b in {-1, +1}"
-                )
-
-
-class RhsEval(NamedTuple):
-    """Closed-loop derivative plus the control value used to produce it."""
-
-    dy: float
-    dk: float
-    u: float
+        if self.variant is ControllerVariant.WILLEMS_BYRNES and self.sign_b not in (-1, 1):
+            raise ValueError("ControllerSpec: variant 'willems_byrnes' needs sign_b in {-1, +1}")
 
 
 # -- gain laws (plant-blind) --------------------------------------------------
@@ -250,65 +242,21 @@ def _bind(spec: ControllerSpec):
     return _law(v), spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
 
 
-# -- State-typed laws and closed-loop right-hand sides -----------------------
+# -- State-typed law and closed-loop right-hand side ------------------------
 
 
-def _control(spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
+def control(spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
+    """Input u and gain rate dk of spec's law at state s and time t.
+    Plant-blind: it reads nothing but the ControllerSpec."""
     law, c, w = _bind(spec)
     return law(s.y, s.k, c, math.sin(w * t), math.cos(w * t))
 
 
-def proposed_control(s: State, t: float, omega: float) -> tuple[float, float]:
-    """Primary dither design: u = -k*y - y*sqrt(w)*sin(wt), dk = y^2*sqrt(w)*cos(wt)."""
-    return _control(ControllerSpec(ControllerVariant.PROPOSED, omega=omega), s, t)
-
-
-def swapped_control(s: State, t: float, omega: float) -> tuple[float, float]:
-    """Role-swapped dither design with the same averaged behavior.
-
-    The quadratic term moves from the gain law into the input:
-    u = -k*y - 2*y^2*sqrt(w)*sin(wt), dk = y*sqrt(w)*cos(wt).
-    """
-    return _control(ControllerSpec(ControllerVariant.SWAPPED, omega=omega), s, t)
-
-
-def nussbaum_control(
-    s: State, t: float, h: Callable[[float], float] = s_cos_s
-) -> tuple[float, float]:
-    """Classical Nussbaum-gain law: u = h(k)*k*y, dk = y^2."""
-    return _control(ControllerSpec(ControllerVariant.NUSSBAUM, nussbaum_fn=h), s, t)
-
-
-def willems_byrnes_control(s: State, sign_b: int) -> tuple[float, float]:
-    """Known-direction adaptive law: u = -k*y, dk = sign(b)*y^2.
-
-    The only controller here that is allowed to read the sign of b.
-    """
-    return _control(ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=sign_b), s, 0.0)
-
-
-def _rhs_eval(p: PlantParams, spec: ControllerSpec, s: State, t: float) -> RhsEval:
-    rhs, control = closed_loop(p, spec)
-    dy, dk = rhs(s.as_tuple(), t)
-    return RhsEval(dy, dk, control(s.as_tuple(), t))
-
-
-def proposed_rhs(p: PlantParams, s: State, t: float, omega: float) -> RhsEval:
-    return _rhs_eval(p, ControllerSpec(ControllerVariant.PROPOSED, omega=omega), s, t)
-
-
-def swapped_rhs(p: PlantParams, s: State, t: float, omega: float) -> RhsEval:
-    return _rhs_eval(p, ControllerSpec(ControllerVariant.SWAPPED, omega=omega), s, t)
-
-
-def nussbaum_rhs(
-    p: PlantParams, s: State, t: float, h: Callable[[float], float] = s_cos_s
-) -> RhsEval:
-    return _rhs_eval(p, ControllerSpec(ControllerVariant.NUSSBAUM, nussbaum_fn=h), s, t)
-
-
-def willems_byrnes_rhs(p: PlantParams, s: State, t: float, sign_b: int) -> RhsEval:
-    return _rhs_eval(p, ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=sign_b), s, t)
+def rhs(p: PlantParams, spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
+    """Closed-loop rates (dy, dk) of plant p under spec's law, with
+    dy = a*y + b*u: the same arithmetic as the `closed_loop` closure."""
+    u, dk = control(spec, s, t)
+    return (p.a * s.y + p.b * u, dk)
 
 
 def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
@@ -345,14 +293,6 @@ def to_polar(p: PlantParams, s: State) -> PolarState:
 
 def from_polar(p: PlantParams, ps: PolarState) -> State:
     return State(ps.r * math.cos(ps.phi), ps.r * math.sin(ps.phi) + p.center)
-
-
-def polar_closed_loop_rhs(
-    p: PlantParams, ps: PolarState, t: float, omega: float
-) -> tuple[float, float]:
-    """Closed loop of the primary dither design in polar coordinates;
-    see `polar_closed_loop`."""
-    return polar_closed_loop(p, omega)(ps.as_tuple(), t)
 
 
 def polar_lbs_rhs(p: PlantParams, ps: PolarState) -> tuple[float, float]:
@@ -433,9 +373,12 @@ def lie_bracket_flow(
     k = a/b + r*tanh(u). sech is evaluated from exp(-|u|), so long
     horizons underflow to 0 instead of overflowing cosh, and asinh takes
     its log form where z0/|y0| overflows (subnormal y0). A start with
-    y0 = 0 is an equilibrium and stays put.
+    y0 = 0 is an equilibrium and stays put. An infinite time gives the
+    limit point; a non-finite t0 or a NaN time is a ValueError.
     """
     times = np.asarray(times, dtype=float)
+    if not math.isfinite(t0) or np.isnan(times).any():
+        raise ValueError("lie_bracket_flow: t0 must be finite and no time may be NaN")
     y0, k0 = s0.y, s0.k
     if y0 == 0.0:
         return np.full(times.shape, y0), np.full(times.shape, k0)
@@ -456,9 +399,10 @@ def lie_bracket_flow(
 def polar_closed_loop(p: PlantParams, omega: float) -> Rhs2:
     """Closed loop of the primary dither design in polar coordinates
     about (0, a/b), as a plain-tuple callable: the `closed_loop` field
-    through `_polar_transport`. Unlike `polar_closed_loop_rhs` this skips
-    PolarState validation, so an integrator that momentarily steps r below
-    zero is not rejected. At r = 0 the angle is undefined: ValueError."""
+    through `_polar_transport`. It takes (r, phi) tuples, not PolarState,
+    so an integrator that momentarily steps r below zero is not rejected;
+    call it as polar_closed_loop(p, omega)(ps.as_tuple(), t) for a
+    PolarState ps. At r = 0 the angle is undefined: ValueError."""
     rhs, _ = closed_loop(p, ControllerSpec(ControllerVariant.PROPOSED, omega=omega))
     return _polar_transport(p, rhs)
 

@@ -23,30 +23,30 @@ from dithersim import (
     PolarState,
     State,
     closed_loop,
+    control,
     from_polar,
     lbs_limit_point,
     lie_bracket_flow,
     lie_bracket_loop,
     lie_bracket_rhs,
-    nussbaum_control,
-    nussbaum_rhs,
     polar_closed_loop,
-    polar_closed_loop_rhs,
     polar_lbs_rhs,
-    proposed_control,
     proposed_design_system,
-    proposed_rhs,
+    rhs,
     s_cos_s,
     simulate,
-    swapped_control,
     swapped_design_system,
-    swapped_rhs,
     to_polar,
-    willems_byrnes_control,
-    willems_byrnes_rhs,
 )
 
 PLANT = PlantParams(10.0, -2.0)
+PROPOSED, SWAPPED, NUSSBAUM, WILLEMS_BYRNES = ControllerVariant
+
+
+def _rates(p, spec, s, t):
+    """(dy, dk, u) of spec's law closing the loop on plant p at s and t."""
+    dy, dk = rhs(p, spec, s, t)
+    return dy, dk, control(spec, s, t)[0]
 
 
 # -- domain types --------------------------------------------------------------
@@ -73,6 +73,14 @@ def test_polar_state_rejects_negative_radius():
         PolarState(-0.1, 0.0)
 
 
+def test_polar_state_refuses_degenerate_off_the_center():
+    """Only the center r = phi = 0, where `to_polar` sets it, may be flagged."""
+    for r, phi in [(2.0, 0.3), (0.0, 0.3), (2.0, 0.0)]:
+        with pytest.raises(ValueError, match="degenerate"):
+            PolarState(r, phi, degenerate=True)
+    assert PolarState(0.0, 0.0, degenerate=True) == to_polar(PLANT, State(0.0, PLANT.center))
+
+
 def test_controller_variant_from_name():
     assert ControllerVariant.from_name("proposed") is ControllerVariant.PROPOSED
     assert (
@@ -94,28 +102,34 @@ def test_controller_spec_validation():
     assert spec.nussbaum_fn is s_cos_s
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_controller_spec_refuses_bools(flag):
+    """True == 1, so a bool would otherwise pass as omega or as sign_b."""
+    with pytest.raises(ValueError, match="bool"):
+        ControllerSpec(PROPOSED, omega=flag)
+    with pytest.raises(ValueError, match="bool"):
+        ControllerSpec(WILLEMS_BYRNES, sign_b=flag)
+    with pytest.raises(ValueError, match="bool"):
+        ControllerSpec(NUSSBAUM, omega=flag)
+
+
 def test_control_laws_are_plant_blind():
-    """No control law signature admits plant parameters."""
-    assert list(inspect.signature(proposed_control).parameters) == ["s", "t", "omega"]
-    assert list(inspect.signature(swapped_control).parameters) == ["s", "t", "omega"]
-    assert list(inspect.signature(nussbaum_control).parameters) == ["s", "t", "h"]
-    assert list(inspect.signature(willems_byrnes_control).parameters) == [
-        "s",
-        "sign_b",
-    ]
+    """The control law's signature admits no plant parameters."""
+    assert list(inspect.signature(control).parameters) == ["spec", "s", "t"]
 
 
 # -- dithered designs ----------------------------------------------------------
 
 
 def test_proposed_rhs_zero_output_annihilates():
-    dy, dk, u = proposed_rhs(PLANT, State(0.0, 3.0), 1.7, 400.0)
+    dy, dk, u = _rates(PLANT, ControllerSpec(PROPOSED, omega=400.0), State(0.0, 3.0), 1.7)
     assert (dy, dk, u) == (0.0, 0.0, 0.0)
 
 
 def test_proposed_rhs_at_phase_zero():
     # sin 0 = 0, cos 0 = 1, sqrt(4) = 2
-    dy, dk, u = proposed_rhs(PlantParams(1.0, 1.0), State(1.0, 0.0), 0.0, 4.0)
+    spec = ControllerSpec(PROPOSED, omega=4.0)
+    dy, dk, u = _rates(PlantParams(1.0, 1.0), spec, State(1.0, 0.0), 0.0)
     assert dy == 1.0
     assert dk == 2.0
     assert u == 0.0
@@ -124,33 +138,36 @@ def test_proposed_rhs_at_phase_zero():
 def test_proposed_rhs_at_quarter_phase():
     # omega*t = pi/2: u = -1 - 20 = -21, dy = 10 + (-2)(-21) = 52, dk ~ 0
     t = math.pi / (2.0 * 400.0)
-    dy, dk, u = proposed_rhs(PLANT, State(1.0, 1.0), t, 400.0)
+    dy, dk, u = _rates(PLANT, ControllerSpec(PROPOSED, omega=400.0), State(1.0, 1.0), t)
     assert u == -21.0
     assert dy == 52.0
     assert abs(dk) < 1e-13
 
 
 def test_swapped_rhs_values():
-    assert swapped_rhs(PLANT, State(0.0, 5.0), 2.2, 400.0)[:2] == (0.0, 0.0)
-    dy, dk, u = swapped_rhs(PlantParams(1.0, 1.0), State(1.0, 0.0), 0.0, 4.0)
+    assert rhs(PLANT, ControllerSpec(SWAPPED, omega=400.0), State(0.0, 5.0), 2.2) == (0.0, 0.0)
+    spec = ControllerSpec(SWAPPED, omega=4.0)
+    dy, dk, u = _rates(PlantParams(1.0, 1.0), spec, State(1.0, 0.0), 0.0)
     assert dy == 1.0
     assert dk == 2.0
     assert u == 0.0
 
 
 def test_nussbaum_rhs_values():
-    assert nussbaum_rhs(PLANT, State(0.0, 1.0), 0.0)[:2] == (0.0, 0.0)
-    dy, dk, u = nussbaum_rhs(PlantParams(1.0, 1.0), State(2.0, 0.0), 0.0)
+    spec = ControllerSpec(NUSSBAUM)
+    assert rhs(PLANT, spec, State(0.0, 1.0), 0.0) == (0.0, 0.0)
+    dy, dk, u = _rates(PlantParams(1.0, 1.0), spec, State(2.0, 0.0), 0.0)
     assert (dy, dk, u) == (2.0, 4.0, 0.0)
     # h(pi) = pi*cos(pi) = -pi, so dy = 10 + 2*pi^2
-    dy, dk, _ = nussbaum_rhs(PLANT, State(1.0, math.pi), 0.0)
+    dy, dk = rhs(PLANT, spec, State(1.0, math.pi), 0.0)
     assert math.isclose(dy, 10.0 + 2.0 * math.pi**2, rel_tol=1e-12)
     assert dk == 1.0
 
 
 def test_willems_byrnes_rhs_values():
-    assert willems_byrnes_rhs(PLANT, State(0.0, 4.0), 0.0, -1)[:2] == (0.0, 0.0)
-    dy, dk, u = willems_byrnes_rhs(PLANT, State(1.0, 0.0), 0.0, -1)
+    spec = ControllerSpec(WILLEMS_BYRNES, sign_b=-1)
+    assert rhs(PLANT, spec, State(0.0, 4.0), 0.0) == (0.0, 0.0)
+    dy, dk, u = _rates(PLANT, spec, State(1.0, 0.0), 0.0)
     assert (dy, dk, u) == (10.0, -1.0, 0.0)
 
 
@@ -165,34 +182,42 @@ def test_willems_byrnes_long_run_converges():
     assert abs(traj.ks[-1] - traj.ks[i9]) < 1e-4
 
 
+def _law_by_hand(spec, y, k, t):
+    """(u, dk) of spec's law, written out here apart from the package's law table."""
+    if spec.variant is NUSSBAUM:
+        return spec.nussbaum_fn(k) * k * y, y * y
+    if spec.variant is WILLEMS_BYRNES:
+        return -k * y, spec.sign_b * y * y
+    sw, sn, cs = math.sqrt(spec.omega), math.sin(spec.omega * t), math.cos(spec.omega * t)
+    if spec.variant is PROPOSED:
+        return -k * y - y * sw * sn, y * y * sw * cs
+    return -k * y - 2.0 * y * y * sw * sn, y * sw * cs
+
+
 def test_closed_loop_matches_rhs_functions():
+    """`rhs` and `control` agree with the four laws written out by hand,
+    with dy = a*y + b*u, and bit for bit with the `closed_loop` closures."""
     rng = np.random.default_rng(7)
     specs = [
-        ControllerSpec(ControllerVariant.PROPOSED, omega=400.0),
-        ControllerSpec(ControllerVariant.SWAPPED, omega=37.0),
-        ControllerSpec(ControllerVariant.NUSSBAUM),
-        ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=-1),
+        ControllerSpec(PROPOSED, omega=400.0),
+        ControllerSpec(SWAPPED, omega=37.0),
+        ControllerSpec(NUSSBAUM),
+        ControllerSpec(WILLEMS_BYRNES, sign_b=-1),
     ]
     for spec in specs:
-        rhs, control = closed_loop(PLANT, spec)
+        loop_rhs, loop_control = closed_loop(PLANT, spec)
         for _ in range(25):
-            y, k = rng.uniform(-4.0, 4.0, size=2)
+            y, k = (float(v) for v in rng.uniform(-4.0, 4.0, size=2))
             t = float(rng.uniform(0.0, 2.0))
-            s = State(float(y), float(k))
-            if spec.variant is ControllerVariant.PROPOSED:
-                ref = proposed_rhs(PLANT, s, t, spec.omega)
-            elif spec.variant is ControllerVariant.SWAPPED:
-                ref = swapped_rhs(PLANT, s, t, spec.omega)
-            elif spec.variant is ControllerVariant.NUSSBAUM:
-                ref = nussbaum_rhs(PLANT, s, t)
-            else:
-                ref = willems_byrnes_rhs(PLANT, s, t, spec.sign_b)
-            got = rhs((s.y, s.k), t)
-            assert math.isclose(got[0], ref.dy, rel_tol=1e-13, abs_tol=1e-13)
-            assert math.isclose(got[1], ref.dk, rel_tol=1e-13, abs_tol=1e-13)
-            assert math.isclose(
-                control((s.y, s.k), t), ref.u, rel_tol=1e-13, abs_tol=1e-13
-            )
+            s = State(y, k)
+            u_ref, dk_ref = _law_by_hand(spec, y, k, t)
+            dy_ref = PLANT.a * y + PLANT.b * u_ref
+            (dy, dk), (u, dk_law) = rhs(PLANT, spec, s, t), control(spec, s, t)
+            for got, ref in [(dy, dy_ref), (dk, dk_ref), (u, u_ref)]:
+                assert math.isclose(got, ref, rel_tol=1e-13, abs_tol=1e-13), (spec, y, k, t)
+            assert dk_law == dk
+            assert loop_rhs((y, k), t) == (dy, dk)
+            assert loop_control((y, k), t) == u
 
 
 @pytest.mark.parametrize(
@@ -294,6 +319,23 @@ def test_lie_bracket_flow_equilibrium_is_constant():
         assert np.array_equal(ys, np.zeros(4))
         assert np.all(np.signbit(ys) == np.signbit(y0))
         assert np.array_equal(ks, np.full(4, 3.0))
+
+
+def test_lie_bracket_flow_refuses_nan_and_infinite_start_times():
+    """A NaN start or sample time, or an infinite start, would give NaN."""
+    for s0 in (State(1.0, 0.0), State(0.0, 3.0)):
+        for t0, times in [(math.nan, [0.0, 1.0]), (math.inf, [1.0]), (0.0, [0.0, math.nan])]:
+            with pytest.raises(ValueError, match="t0"):
+                lie_bracket_flow(PLANT, s0, t0, np.array(times))
+
+
+def test_lie_bracket_flow_at_infinite_times():
+    """t = +inf is the limit point; t = -inf the other end of the orbit."""
+    s0 = State(1.0, 0.0)
+    ys, ks = lie_bracket_flow(PLANT, s0, 0.0, np.array([math.inf, -math.inf]))
+    assert State(float(ys[0]), float(ks[0])) == lbs_limit_point(PLANT, s0)
+    r = math.hypot(s0.y, s0.k - PLANT.center)
+    assert ys[1] == 0.0 and math.isclose(ks[1], PLANT.center + r, rel_tol=1e-15)
 
 
 def test_lie_bracket_flow_refuses_an_overflowing_radius():
@@ -415,14 +457,12 @@ def test_polar_round_trip_random(y, k):
 def test_polar_closed_loop_rhs_frozen_example():
     # sin/cos collapse at t = 0, phi = 0: radial rate vanishes, angle
     # advances at rate r*sqrt(omega)*... = 1 for these inputs
-    dr, dphi = polar_closed_loop_rhs(
-        PlantParams(1.0, 1.0), PolarState(1.0, 0.0), 0.0, 1.0
-    )
+    dr, dphi = polar_closed_loop(PlantParams(1.0, 1.0), 1.0)(PolarState(1.0, 0.0).as_tuple(), 0.0)
     assert (dr, dphi) == (0.0, 1.0)
 
 
 def test_polar_closed_loop_rhs_vanishes_at_half_pi():
-    dr, dphi = polar_closed_loop_rhs(PLANT, PolarState(2.0, math.pi / 2.0), 0.3, 400.0)
+    dr, dphi = polar_closed_loop(PLANT, 400.0)(PolarState(2.0, math.pi / 2.0).as_tuple(), 0.3)
     assert abs(dr) <= 1e-12
     assert abs(dphi) <= 1e-12
 
@@ -439,11 +479,11 @@ def test_polar_closed_loop_consistency_with_cartesian():
             t = float(rng.uniform(0.0, 1.0))
             ps = PolarState(r, phi)
             s = from_polar(PLANT, ps)
-            dy, dk, _ = proposed_rhs(PLANT, s, t, omega)
+            dy, dk = rhs(PLANT, ControllerSpec(PROPOSED, omega=omega), s, t)
             cp, sp = math.cos(phi), math.sin(phi)
             dr_ref = cp * dy + sp * dk
             dphi_ref = (cp * dk - sp * dy) / r
-            dr, dphi = polar_closed_loop_rhs(PLANT, ps, t, omega)
+            dr, dphi = polar_closed_loop(PLANT, omega)(ps.as_tuple(), t)
             assert abs(dr - dr_ref) <= 1e-9 * max(1.0, abs(dr_ref))
             assert abs(dphi - dphi_ref) <= 1e-9 * max(1.0, abs(dphi_ref))
 
@@ -454,7 +494,7 @@ def test_polar_closed_loop_refuses_the_center():
     with pytest.raises(ValueError, match=r"undefined at the center \(0, a/b\)"):
         polar_closed_loop(PLANT, 400.0)((0.0, 0.7), 0.3)
     with pytest.raises(ValueError, match="center"):
-        polar_closed_loop_rhs(PLANT, to_polar(PLANT, State(0.0, PLANT.center)), 0.3, 400.0)
+        polar_closed_loop(PLANT, 400.0)(to_polar(PLANT, State(0.0, PLANT.center)).as_tuple(), 0.3)
     # Just off the center the rates are finite.
     assert all(map(math.isfinite, polar_closed_loop(PLANT, 400.0)((1e-12, 0.7), 0.3)))
 

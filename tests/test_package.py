@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dithersim
 
@@ -16,21 +19,19 @@ EXPORTS = {
     "AffineSystem", "AssumptionReport", "ChenFliessTerm", "ControllerSpec",
     "ControllerVariant", "ConvergenceReport", "DitherCheck", "DitherSignal",
     "LyapunovParams", "Method", "Mono", "NussbaumCheck", "PlantParams", "PolarState",
-    "QuadratureError", "RhsEval", "State", "TABLE", "Trajectory", "approximation_sweep",
+    "QuadratureError", "State", "TABLE", "Trajectory", "approximation_sweep",
     "build_averaged_rhs", "check_assumptions", "chen_fliess_simulate", "chen_fliess_step",
-    "closed_loop", "convergence_report", "euler_step", "fd_jacobian", "from_polar",
+    "closed_loop", "control", "convergence_report", "euler_step", "fd_jacobian", "from_polar",
     "gamma_coefficient", "lbs_limit_point", "lie_bracket", "lie_bracket_flow",
-    "lie_bracket_loop", "lie_bracket_rhs", "lyapunov_rate", "lyapunov_value", "nussbaum_control",
-    "nussbaum_rhs", "nussbaum_type_check", "polar_closed_loop", "polar_closed_loop_rhs",
-    "polar_lbs_rhs", "proposed_control", "proposed_design_system", "proposed_rhs",
-    "rk4_step", "rows_for_order", "s_cos_s", "simulate", "swapped_control",
-    "swapped_design_system", "swapped_rhs", "sweep_to_csv", "to_polar",
-    "willems_byrnes_control", "willems_byrnes_rhs",
+    "lie_bracket_loop", "lie_bracket_rhs", "lyapunov_rate", "lyapunov_value",
+    "nussbaum_type_check", "polar_closed_loop", "polar_lbs_rhs", "proposed_design_system",
+    "rhs", "rk4_step", "rows_for_order", "s_cos_s", "simulate", "swapped_design_system",
+    "sweep_to_csv", "to_polar",
 }
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 49
     assert len(dithersim.__all__) == len(set(dithersim.__all__))
     assert set(dithersim.__all__) == EXPORTS | {"__version__"}
 
@@ -48,14 +49,30 @@ def test_each_export_is_its_module_object():
     assert set(homes) == EXPORTS
 
 
-def _fresh(code: str) -> str:
-    """What a fresh interpreter running code on this package prints."""
+def _fresh(code: str, cwd: Path | None = None) -> str:
+    """What a fresh interpreter running code on this package in cwd prints."""
     src = str(Path(dithersim.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, "-c", code]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    out = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(block, tmp_path):
+    """Each ```python block of README.md runs in a fresh interpreter, so the
+    library examples cannot keep naming a removed function."""
+    _fresh(README_BLOCKS[block], cwd=tmp_path)
 
 
 def test_cli_import_loads_no_scipy():
