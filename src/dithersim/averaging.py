@@ -222,7 +222,9 @@ def gamma_coefficient(
     pass (`_simpson`); a half-resolution repeat bounds the error (the pair
     is fourth-order, so the Richardson factor is 15) and failing the bound
     raises QuadratureError rather than returning a silently inaccurate
-    value. panels_per_period must be a positive integer.
+    value, as does a non-finite integral or result (an omega so large or
+    small that the period or the integrand's scale leaves the floats).
+    panels_per_period must be a positive integer.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
@@ -232,14 +234,21 @@ def gamma_coefficient(
         or panels_per_period < 1
     ):
         raise ValueError("gamma_coefficient: panels_per_period must be a positive integer")
-    T, full = _interaction_integral(ui, uj, omega, panels_per_period)
-    _, half = _interaction_integral(ui, uj, omega, panels_per_period, coarsen=2)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        T, full = _interaction_integral(ui, uj, omega, panels_per_period)
+        _, half = _interaction_integral(ui, uj, omega, panels_per_period, coarsen=2)
+    try:
+        gamma = omega ** (ui.exponent + uj.exponent) / T * full
+    except OverflowError:
+        gamma = math.inf
+    if not (math.isfinite(full) and math.isfinite(half) and math.isfinite(gamma)):
+        raise QuadratureError(f"gamma_coefficient: not finite at omega={omega!r}")
     err = abs(full - half) / 15.0
     if err > tol * max(1.0, abs(full)):
         raise QuadratureError(
             f"gamma_coefficient: estimated relative error {err:.3e} exceeds {tol:.1e}"
         )
-    return omega ** (ui.exponent + uj.exponent) / T * full
+    return gamma
 
 
 def _interaction_integral(
@@ -603,9 +612,10 @@ def check_assumptions(
         or phase_points % 2
     ):
         raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
-    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
-
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]
+    if not lo_hi or not all(math.isfinite(v) for pair in lo_hi for v in pair):
+        raise ValueError("check_assumptions: region must be a nonempty box with finite bounds")
+    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
     axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]
     times = np.linspace(0.0, 2.0 * math.pi, time_samples)
     all_fields: list[Field2] = [sys.drift, *sys.fields]

@@ -61,6 +61,7 @@ from .dynamics import (
 from .integrate import (
     Method,
     Trajectory,
+    _BOUND,
     _whole_steps,
     _write_csv,
     _write_json,
@@ -200,9 +201,9 @@ def _named(v: object, path: str, *, lookup: Callable[[str], object]) -> object:
         raise ConfigError(path, str(e)) from None
 
 
-# A run ends at the first state with |y| or |k| above 1e9 (see `integrate`),
-# so a start beyond that bound is refused rather than run.
-_START_BOUND = 1e9
+# A run ends at the first state with |y| or |k| above integrate's bound, so a
+# start beyond it is refused rather than run.
+_START_BOUND = _BOUND
 
 
 def _start_range(v: object, path: str) -> list:

@@ -4,22 +4,23 @@ Two explicit integrators are provided: first-order Euler (the "ode1"
 stepping used for the dithered closed loops) and classical RK4 as the
 reference solver. `simulate` drives either one at a constant step and
 returns a Trajectory; the final step is shortened so the last sample
-lands exactly on t_f. Each method has one whole-run template that inlines
-the arithmetic of its public one-step function (`euler_step`,
-`rk4_step`) and equals a loop over it bit for bit. It is filled with a
-field and compiled once per (method, field) on first use. A closure from
-`closed_loop` or `lie_bracket_loop` carries its field as source, which is
-inlined, so each step makes no Python call into the field; when the u
-column asks for the control of the same `closed_loop` call, the kernel
-keeps the u it computes at each step's start. Any other callable, and so
-also a wrapper of such a closure, is called at each stage.
+lands exactly on t_f. Both methods and the series stepper fill one
+whole-run template, which holds the step loop and the divergence rule.
+Its Euler and RK4 steps inline the arithmetic of `euler_step` and
+`rk4_step`, equal a loop over them bit for bit, and are compiled once per
+(method, field) on first use. A closure from `closed_loop` or
+`lie_bracket_loop` carries its field as source, which is inlined, so each
+step makes no Python call into the field; when the u column asks for the
+control of the same `closed_loop` call, the kernel keeps the u it computes
+at each step's start. Any other callable, and so also a wrapper of such a
+closure, is called at each stage.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
-`chen_fliess_simulate` iterates it through the same driver as `simulate`.
-At order 1 the step reproduces one Euler step of the averaged system
-exactly; see `cftable` for the row selection semantics. Blow-up never
-raises out of that loop: a step that overflows or leaves |y| or |k|
+`chen_fliess_simulate` iterates it through the same template and driver as
+`simulate`. At order 1 the step reproduces one Euler step of the averaged
+system exactly; see `cftable` for the row selection semantics. Blow-up
+never raises out of either: a step that overflows or leaves |y| or |k|
 above 1e9 or non-finite ends the run, recorded on the truncated Trajectory.
 """
 
@@ -313,130 +314,98 @@ def _whole_steps(span: float, h: float) -> int:
 # A kernel takes n steps of size h from the state (ys[-1], ks[-1]) at time
 # t0, the i-th (0-based) starting at t0 + i*h, and appends each accepted
 # state to ys and ks. It returns None when all n steps are accepted, else
-# the 1-based index of the rejected step: one that raised OverflowError (or,
-# in `_map_run`, ValueError) or left |y| or |k| above 1e9 or non-finite.
-# The 1e9 bound is a chained comparison, cheaper than abs() and false for
-# NaN.
+# the 1-based index of the rejected step: one that raised what its scheme
+# catches or left |y| or |k| above _BOUND or non-finite. That test is a
+# chained comparison with _BOUND as a literal, cheaper than abs() and false
+# for NaN. Every kernel is `_RUN_TEMPLATE` with its scheme's step, filled by
+# `_kernel`; a line holding only {name} stands for the lines of that part.
+# The Euler and RK4 steps repeat the arithmetic of `euler_step` or
+# `rk4_step` operation for operation, so they equal a loop over those bit
+# for bit, and catch only OverflowError: a field's ValueError (the polar
+# field at r = 0) reaches the caller. `bind` takes the field's constants,
+# each `time` binds its stage's time ts (and, for a dithered field, sn and
+# cs at ts), `field` sets dy and dk at (y, k), and `keep1` and `keep` keep
+# the u of each accepted step's first stage in `us`. The field of a plain
+# callable f is the call `dy, dk = f((y, k), ts)`; that of a closure from
+# `closed_loop` or `lie_bracket_loop` is the source in its `FusedField`,
+# inlined. The series step is a one-step map s -> f(s) that ignores t0 and
+# h; it also catches the ValueError of a non-finite `chen_fliess_step`.
 
+_BOUND = 1e9  # a state with |y| or |k| above this, or non-finite, ends a run
 
-def _map_run(
-    step: Callable[[tuple[float, float]], tuple[float, float]],
-    ys: list,
-    ks: list,
-    t0: float,
-    h: float,
-    n: int,
-    us: None = None,
-) -> int | None:
-    """The kernel of a one-step map s -> step(s) that ignores t0 and h; a
-    series step has no input, so `us` is always None."""
-    s = (ys[-1], ks[-1])
-    for i in range(n):
-        try:
-            s = step(s)
-        except (OverflowError, ValueError):
-            return i + 1
-        y, k = s
-        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
-            return i + 1
-        ys.append(y)
-        ks.append(k)
-    return None
-
-
-# Euler and RK4 each have one template, which repeats the arithmetic of
-# `euler_step` or `rk4_step` operation for operation, so its states equal a
-# loop over those steps bit for bit. `_kernel` fills a template with a
-# field and compiles it once per filled source. A line holding only {name}
-# stands for the statements of that part: `bind` takes the field's bound
-# constants, each `time` binds its stage's time ts (and, for a dithered
-# field, sn and cs at ts), `field` sets dy and dk at (y, k), and `keep`
-# keeps the u of each accepted step's first stage in `us`. The field of a
-# plain callable f is the call `dy, dk = f((y, k), ts)`. The field of a
-# closure from `closed_loop` or `lie_bracket_loop` is the source in its
-# `FusedField`, inlined, so each step makes no Python call into it. RK4's
-# stages 2 and 3 share one time t + h/2.
-
-_EULER_TEMPLATE = """\
+_RUN_TEMPLATE = """\
 def run(f, ys, ks, t0, h, n, us=None):
     {bind}
     sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
+    h2, sixth = 0.5 * h, h / 6.0
     y, k = ys[-1], ks[-1]
     for i in range(n):
         try:
-            {time}
-            {field}
-        except OverflowError:
+            {step}
+        except _caught:
             return i + 1
-        y = y + h * dy
-        k = k + h * dk
-        if not (-1e9 <= y <= 1e9 and -1e9 <= k <= 1e9):
+        if not (-BOUND <= y <= BOUND and -BOUND <= k <= BOUND):
             return i + 1
         y_append(y)
         k_append(k)
         {keep}
     return None
-"""
+""".replace("BOUND", repr(_BOUND))
 
-_RK4_TEMPLATE = """\
-def run(f, ys, ks, t0, h, n, us=None):
-    {bind}
-    sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
-    h2 = 0.5 * h
-    sixth = h / 6.0
-    yi, ki = ys[-1], ks[-1]
-    for i in range(n):
-        t = t0 + i * h
-        try:
-            y, k = yi, ki
-            {time1}
-            {field}
-            a1, b1 = dy, dk
-            {keep1}
-            y, k = yi + h2 * a1, ki + h2 * b1
-            {time2}
-            {field}
-            a2, b2 = dy, dk
-            y, k = yi + h2 * a2, ki + h2 * b2
-            {field}
-            a3, b3 = dy, dk
-            y, k = yi + h * a3, ki + h * b3
-            {time4}
-            {field}
-            a4, b4 = dy, dk
-        except OverflowError:
-            return i + 1
-        yi = yi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        ki = ki + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not (-1e9 <= yi <= 1e9 and -1e9 <= ki <= 1e9):
-            return i + 1
-        y_append(yi)
-        k_append(ki)
-        {keep}
-    return None
-"""
+# scheme -> (what its step catches, its step)
+_STEPS = {
+    "euler": (OverflowError, """\
+{time0}
+{field}
+{keep1}
+y = y + h * dy
+k = k + h * dk
+"""),
+    "rk4": (OverflowError, """\
+t = t0 + i * h
+yi, ki = y, k
+{time1}
+{field}
+a1, b1 = dy, dk
+{keep1}
+y, k = yi + h2 * a1, ki + h2 * b1
+{time2}
+{field}
+a2, b2 = dy, dk
+y, k = yi + h2 * a2, ki + h2 * b2
+{field}
+a3, b3 = dy, dk
+y, k = yi + h * a3, ki + h * b3
+{time4}
+{field}
+a4, b4 = dy, dk
+y = yi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+k = ki + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+"""),
+    "series": ((OverflowError, ValueError), "y, k = f((y, k))\n"),
+}
 
 
 def _fill(template: str, **parts: Sequence[str]) -> str:
-    """template with each {name} line replaced by the statements parts[name],
-    at that line's indentation."""
-    lines = []
-    for line in template.splitlines():
-        name = line.strip()
-        if name.startswith("{"):
-            indent = line[: len(line) - len(line.lstrip())]
-            lines += [indent + stmt for stmt in parts[name[1:-1]]]
-        else:
-            lines.append(line)
-    return "\n".join(lines) + "\n"
+    """template with each line holding only {name} replaced by the lines
+    parts[name], filled in turn, at that line's indentation."""
+
+    def fill(lines: Sequence[str], indent: str):
+        for line in lines:
+            name = line.strip()
+            if name.startswith("{"):
+                yield from fill(parts[name[1:-1]], indent + line[: line.index("{")])
+            else:
+                yield indent + line
+
+    return "\n".join(fill(template.splitlines(), "")) + "\n"
 
 
-def _kernel(method: Method, fused: FusedField | None, keep_u: bool) -> Callable:
-    """The kernel of `method` for a plain callable, or with the field of
-    `fused` inlined, compiled once per filled source (see
-    `dynamics._define`). A fused kernel takes the FusedField in place of
-    rhs, and with keep_u appends the input u at the start of each accepted
-    step to `us`."""
+def _kernel(scheme: str, fused: FusedField | None = None, keep_u: bool = False) -> Callable:
+    """The kernel of `scheme` ("euler", "rk4" or "series") for a plain
+    callable, or with the field of `fused` inlined, compiled once per filled
+    source (see `dynamics._define`). A fused kernel takes the FusedField in
+    place of rhs, and with keep_u appends the u at each accepted step's start."""
     if fused is None:
         bind, field, timed, dither = [], ["dy, dk = f((y, k), ts)"], True, []
     else:
@@ -446,26 +415,20 @@ def _kernel(method: Method, fused: FusedField | None, keep_u: bool) -> Callable:
     def time(t: str) -> list[str]:
         return [f"ts = {t}", *dither] if timed else []
 
-    if method is Method.EULER:
-        source = _fill(
-            _EULER_TEMPLATE,
-            bind=bind,
-            time=time("t0 + i * h"),
-            field=field,
-            keep=["us.append(u)"] if keep_u else [],
-        )
-    else:
-        source = _fill(
-            _RK4_TEMPLATE,
-            bind=bind,
-            time1=time("t"),
-            time2=time("t + h2"),
-            time4=time("t + h"),
-            field=field,
-            keep1=["u1 = u"] if keep_u else [],
-            keep=["us.append(u1)"] if keep_u else [],
-        )
-    return _define(source, "run", _sin=math.sin, _cos=math.cos)
+    caught, step = _STEPS[scheme]
+    source = _fill(
+        _RUN_TEMPLATE,
+        bind=bind,
+        step=step.splitlines(),
+        time0=time("t0 + i * h"),
+        time1=time("t"),
+        time2=time("t + h2"),
+        time4=time("t + h"),
+        field=field,
+        keep1=["u1 = u"] if keep_u else [],
+        keep=["us.append(u1)"] if keep_u else [],
+    )
+    return _define(source, "run", _sin=math.sin, _cos=math.cos, _caught=caught)
 
 
 def _march(
@@ -534,14 +497,16 @@ def simulate(
     raised. When input_fn is given it is evaluated at every stored
     sample and recorded as the u column.
 
-    Each method runs one template, which calls rhs at each stage, or
-    inlines the field of a closure from `closed_loop` or `lie_bracket_loop`
-    with the same results bit for bit; see the module docstring.
+    The run template calls rhs at each stage, or inlines the field of a
+    closure from `closed_loop` or `lie_bracket_loop` with the same results
+    bit for bit; see the module docstring.
 
     t_f == t0 yields a single-sample trajectory.
     """
     if isinstance(method, str):
         method = Method.from_name(method)
+    if not isinstance(method, Method):
+        raise ValueError(f"simulate: method must be a Method or its name, not {method!r}")
     if not (math.isfinite(t0) and math.isfinite(t_f)):
         raise ValueError("simulate: t0 and t_f must be finite")
     if t_f < t0:
@@ -555,7 +520,7 @@ def simulate(
     # The control of the same closed_loop call shares the descriptor; the
     # fused kernel then keeps the u it computes anyway.
     keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
-    kernel = _kernel(method, fused, keep_u)
+    kernel = _kernel(method.value, fused, keep_u)
     field = rhs if fused is None else fused
     us = [] if keep_u else None
     return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, us)
@@ -625,6 +590,8 @@ def chen_fliess_step(
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
+    if not isinstance(drift_taylor, bool):
+        raise ValueError(f"chen_fliess_step: drift_taylor must be a bool, not {drift_taylor!r}")
     _check_periods(periods)
     _check_order(order)
     y0, k0 = _as_pair(s0)
@@ -668,9 +635,13 @@ def chen_fliess_simulate(
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError("chen_fliess_simulate: n_steps must be a nonnegative integer")
     _check_order(order)
+    if not isinstance(drift_taylor, bool):
+        raise ValueError(f"chen_fliess_simulate: drift_taylor must be a bool, not {drift_taylor!r}")
     y0, k0 = _as_pair(s0)
-
     T = math.tau * periods_per_step / omega
+    # 0 * inf is nan, so this also refuses an infinite T when n_steps is 0.
+    if not math.isfinite(n_steps * T):
+        raise ValueError("chen_fliess_simulate: the step T and the span n_steps * T must be finite")
 
     def step(s: tuple[float, float]) -> tuple[float, float]:
         # Arguments were validated above: a ValueError means a non-finite result.
@@ -691,4 +662,4 @@ def chen_fliess_simulate(
         "k0": k0,
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
-    return _march(_map_run, step, (y0, k0), 0.0, n_steps * T, T, meta)
+    return _march(_kernel("series"), step, (y0, k0), 0.0, n_steps * T, T, meta)

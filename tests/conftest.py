@@ -8,10 +8,17 @@ marker declared in pyproject.toml.
 
 Property tests run under one `hypothesis` profile: derandomized, with no
 example database and no deadline, so every run draws the same examples
-and none is failed for being slow on a loaded machine.
+and none is failed for being slow on a loaded machine. hypothesis also
+mixes constants from every loaded non-test module into its draws, so
+`pytest_configure` imports every test module, and with them every module
+they load, before any test runs: a test then draws the same examples
+whichever test files are collected with it.
 """
 
 from __future__ import annotations
+
+import importlib
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -30,6 +37,14 @@ PLANT = PlantParams(a=10.0, b=-2.0)
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        try:
+            importlib.import_module(path.stem)
+        except Exception:  # collection imports it again and reports the error
+            pass
 
 
 @pytest.fixture(scope="session")

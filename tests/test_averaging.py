@@ -82,6 +82,14 @@ def test_gamma_rejects_bad_panel_count(panels):
         gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=panels)
 
 
+@pytest.mark.parametrize("omega", [1e308, 1e-300])
+def test_gamma_refuses_a_non_finite_integral(omega):
+    """At these frequencies the period or the integrand's scale leaves the
+    floats; the coefficient is refused, not returned as NaN."""
+    with pytest.raises(QuadratureError, match="not finite"):
+        gamma_coefficient(SINE, COSINE, omega)
+
+
 def test_gamma_reports_non_convergent_quadrature():
     """A panel budget too small to resolve the pair must refuse loudly."""
     with pytest.raises(QuadratureError):
@@ -365,6 +373,18 @@ def test_empty_sample_set_is_refused(kwargs):
     report must not PASS vacuously."""
     with pytest.raises(ValueError, match="at least 1"):
         check_assumptions(proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [(), ((-1.0, math.nan), (-1.0, 1.0)), ((-1.0, 1.0), (-math.inf, 1.0)), ((-1.0, math.inf),)],
+    ids=["empty", "nan", "-inf", "inf"],
+)
+def test_empty_or_non_finite_region_is_refused(region):
+    """An empty box has no mesh to stack, and a NaN or infinite bound would
+    report FAIL as if the field were unbounded; both are refused."""
+    with pytest.raises(ValueError, match="check_assumptions: region must be a nonempty box"):
+        check_assumptions(proposed_design_system(PLANT), region)
 
 
 @pytest.mark.parametrize("name", ["grid", "time_samples"])

@@ -27,6 +27,7 @@ from dithersim import (
     closed_loop,
     euler_step,
     lie_bracket_loop,
+    polar_closed_loop,
     rk4_step,
     simulate,
 )
@@ -951,6 +952,47 @@ def test_chen_fliess_simulate_rejects_a_step_that_raises(s0):
     assert traj.status == "diverged"
     assert traj.failure_step == 1
     assert len(traj) == 1
+
+
+@pytest.mark.parametrize(
+    "omega, n_steps",
+    [(1e-320, 3), (1e-320, 0), (1e-300, 10**10)],
+    ids=["infinite-step", "infinite-step-no-steps", "infinite-span"],
+)
+def test_chen_fliess_simulate_refuses_a_non_finite_span(omega, n_steps):
+    """A step T = 2*pi/omega or a span n_steps * T past the largest float
+    is refused before the first step."""
+    with pytest.raises(ValueError, match="chen_fliess_simulate: .* must be finite"):
+        chen_fliess_simulate(PLANT, (1.0, 0.0), omega, 1, n_steps, 1)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None])
+def test_series_refuses_a_non_bool_drift_taylor(flag):
+    """A truthy string would add the Taylor rows and be recorded as given."""
+    with pytest.raises(ValueError, match="chen_fliess_step: drift_taylor must be a bool"):
+        chen_fliess_step(PLANT, (1.0, 0.0), 0.1, 1, drift_taylor=flag)
+    with pytest.raises(ValueError, match="chen_fliess_simulate: drift_taylor must be a bool"):
+        chen_fliess_simulate(PLANT, (1.0, 0.0), 400.0, 1, 0, 1, drift_taylor=flag)
+
+
+def test_value_error_from_a_field_reaches_the_caller():
+    """Euler and RK4 catch only OverflowError, so a field's ValueError
+    reaches the caller, from a plain callable (the polar field at r = 0)
+    and from an inlined field (a gain shape refusing k < 0). A series step
+    that raises ValueError ends its run instead; see
+    test_chen_fliess_simulate_rejects_a_step_that_raises."""
+    polar = polar_closed_loop(PLANT, 40.0)
+    spec = ControllerSpec(ControllerVariant.NUSSBAUM, nussbaum_fn=math.sqrt)
+    sqrt_gain, _ = closed_loop(PLANT, spec)
+    for rhs, s0 in ((polar, (0.0, 1.0)), (_refusing(sqrt_gain), (1.0, -1.0))):
+        for method in Method:
+            with pytest.raises(ValueError, match="undefined|domain"):
+                simulate(rhs, s0, 0.0, 1.0, 0.1, method)
+
+
+def test_simulate_refuses_a_method_of_another_type():
+    with pytest.raises(ValueError, match="simulate: method must be a Method or its name"):
+        simulate(lie_bracket_loop(PLANT), (1.0, 0.0), 0.0, 1.0, 0.1, 3)
 
 
 def test_chen_fliess_simulate_validation():
