@@ -213,14 +213,22 @@ class _AliasedProfile(ValueError):
 
 
 def _n_profile(
-    h: Callable[[float], float], k0: float, k_max: float, n_panels: int
+    h: Callable[[np.ndarray], np.ndarray], k0: float, k_max: float, n_panels: int
 ) -> np.ndarray:
     """N(k) on the open grid k0 + j*dk, j = 1..n_panels; ValueError where
-    it is not finite."""
+    it is not finite, or where h does not map the grid element-wise."""
     s = np.linspace(k0, k_max, n_panels + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        # h(v) * v on Python floats: the same IEEE product as on numpy scalars
-        g = np.fromiter((h(v) * v for v in s.tolist()), float, len(s))
+        try:
+            hs = h(s)
+            if np.broadcast_shapes(np.shape(hs), s.shape) != s.shape:
+                raise ValueError(f"h returned shape {np.shape(hs)}")
+            g = np.asarray(hs * s, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ValueError(
+                "nussbaum_type_check: h must map an array of k values element-wise "
+                f"to real values that broadcast to it ({e})"
+            ) from e
         integral = _cumulative_simpson(g, (k_max - k0) / n_panels)
         n = integral[1:] / (s[1:] - k0)
     if not np.isfinite(n).all():
@@ -229,15 +237,20 @@ def _n_profile(
 
 
 def nussbaum_type_check(
-    h: Callable[[float], float], k0: float, k_max: float, grid: int
+    h: Callable[[np.ndarray], np.ndarray], k0: float, k_max: float, grid: int
 ) -> NussbaumCheck:
     """Check the Nussbaum-type condition for gain shape h numerically.
 
     N(k) = (k - k0)^{-1} * integral_{k0}^{k} h(s)*s ds is built by
     cumulative Simpson quadrature on `grid` panels over [k0, k_max].
-    The doubled-horizon pass reuses the same panel width. Raises
-    ValueError when N(k) is not finite on either horizon, and then when
-    the panel width (k_max - k0)/grid exceeds NUSSBAUM_MAX_PANEL.
+    The doubled-horizon pass reuses the same panel width. h is called
+    once per horizon, on the array of its grid's k values, and must map
+    it element-wise: it returns an array of that shape or a value that
+    broadcasts to it (a constant), as numpy ufuncs do. Raises ValueError
+    when h does not (a shape written for one Python float, such as
+    lambda s: s * math.sin(s)), when N(k) is not finite on either
+    horizon, and then when the panel width (k_max - k0)/grid exceeds
+    NUSSBAUM_MAX_PANEL.
     """
     if not (math.isfinite(k0) and math.isfinite(k_max)) or k_max <= k0:
         raise ValueError("nussbaum_type_check: need k_max > k0")

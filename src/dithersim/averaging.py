@@ -276,16 +276,35 @@ def _interaction_integral(
 # -- finite-difference geometry ----------------------------------------------
 
 
+# Products and norms are element-wise numpy ops summed left to right, not
+# BLAS or reduction calls, whose summation order depends on the host's
+# kernel: each value is then the left-to-right sum of Python floats, on every
+# host and for every batch shape.
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over the trailing axes, m (..., k, dim) and
+    v (..., dim): m[..., 0] * v[..., None, 0] + m[..., 1] * v[..., None, 1]
+    + ..., summed left to right."""
+    out = m[..., 0] * v[..., None, 0]
+    for d in range(1, m.shape[-1]):
+        out += m[..., d] * v[..., None, d]
+    return out
+
+
 def _norm(v: np.ndarray, axes: int = 1) -> np.ndarray:
     """Euclidean norm over the trailing `axes` axes (Frobenius for matrices).
 
-    sqrt(vecdot) on the C-order flattening sums in the same order as
-    np.linalg.norm on one point, so batched and point-wise norms agree
+    The squares are summed left to right over the C-order flattening and
+    the sum's square root is taken, so batched and point-wise norms agree
     bit for bit.
     """
-    v = np.ascontiguousarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     flat = v.reshape(v.shape[: v.ndim - axes] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat))
+    out = flat[..., 0] * flat[..., 0]
+    for c in range(1, flat.shape[-1]):
+        out += flat[..., c] * flat[..., c]
+    return np.sqrt(out)
 
 
 def fd_jacobian(
@@ -312,12 +331,13 @@ def lie_bracket(
 ) -> np.ndarray:
     """[f, g](x, t) = Dg(x,t) f(x,t) - Df(x,t) g(x,t) by central differences.
 
-    x has shape (..., dim); step as in `fd_jacobian`.
+    x has shape (..., dim); step as in `fd_jacobian`. Both products are
+    summed left to right over the Jacobian columns (`_matvec`).
     """
     x = np.asarray(x, dtype=float)
     jf = fd_jacobian(f, x, t, step)
     jg = fd_jacobian(g, x, t, step)
-    return np.matvec(jg, np.asarray(f(x, t), float)) - np.matvec(jf, np.asarray(g(x, t), float))
+    return _matvec(jg, np.asarray(f(x, t), float)) - _matvec(jf, np.asarray(g(x, t), float))
 
 
 def build_averaged_rhs(sys: AffineSystem) -> Field2:
@@ -532,8 +552,8 @@ def _a2_norm_table(
     At t the norms need every point set; at t +- the time step only the
     states and their h-moves, a prefix of pts. Each field is called once
     per time value on the prefix it needs, and every norm is then a slice,
-    difference quotient or matvec of those values, with the arithmetic of
-    `fd_jacobian` and `lie_bracket`.
+    difference quotient or left-to-right product (`_matvec`) of those
+    values, with the arithmetic of `fd_jacobian` and `lie_bracket`.
     """
     _, n, dim = pts.shape
     nf = len(fields)
@@ -559,7 +579,7 @@ def _a2_norm_table(
 
     def lie(moved: np.ndarray, fx: np.ndarray) -> np.ndarray:
         """L_{f_i} f_j = (Df_j) f_i for every f_i in fx."""
-        return np.matvec(_jacobian(moved, h2)[..., None, :, :, :], fx)
+        return _matvec(_jacobian(moved, h2)[..., None, :, :, :], fx)
 
     for j in range(1, nf):
         dt_lie = (lie(ahead[j][1:], f_tp) - lie(behind[j][1:], f_tm)) / (2.0 * _A2_TIME_STEP)
@@ -595,10 +615,13 @@ def check_assumptions(
     moved by +-1e-6*(1+|x|)*e_d for the Jacobians. At each time sample
     every field is called once at t on those sets and once at each of
     t +- 1e-6 on the states and their moves, 3 calls per field. Every norm
-    is then a slice, difference quotient or matvec of those values with the
-    arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
-    point-wise scan's bit for bit. Fields must take x of shape (M, dim)
-    and return shape (M, dim), row by row. The witness is the first
+    is then a slice, difference quotient or product of those values with
+    the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
+    point-wise scan's bit for bit. Products and norms are sums of
+    element-wise numpy ops in a fixed left-to-right order, with no BLAS
+    call, so the report's bytes do not depend on the host's BLAS kernel.
+    Fields must take x of shape (M, dim) and return shape (M, dim), row
+    by row. The witness is the first
     maximiser in time-major, then point-major, then per-point order; the
     scan stops at the first non-finite norm.
     """
@@ -689,7 +712,7 @@ def check_assumptions(
             fi, fj, fq = sys.fields[i], sys.fields[j], sys.fields[q]
 
             def lf(zz: np.ndarray, uu: float) -> np.ndarray:
-                return np.matvec(fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float))
+                return _matvec(fd_jacobian(fj, zz, uu, 1e-6), np.asarray(fi(zz, uu), float))
 
             sup = max(_norm(_directional_derivative(lf, fq, coarse, 0.0, 1e-4)).tolist())
             entry.update(

@@ -76,7 +76,7 @@ __all__ = ["ConfigError", "PRESETS", "main"]
 # u column peaks near 152 bytes per step while it is built (tracemalloc) and
 # keeps 32.
 WORK_BUDGET = 2_000_000
-NUSSBAUM_SHAPES: dict[str, Callable[[float], float]] = {
+NUSSBAUM_SHAPES: dict[str, Callable[[float | np.ndarray], float | np.ndarray]] = {
     "s_cos_s": s_cos_s,
     "const_1": lambda s: 1.0,
     "const_neg1": lambda s: -1.0,

@@ -151,9 +151,15 @@ class ControllerVariant(enum.Enum):
 DITHERED_VARIANTS = frozenset({ControllerVariant.PROPOSED, ControllerVariant.SWAPPED})
 
 
-def s_cos_s(s: float) -> float:
-    """Default Nussbaum-type gain shape h(s) = s*cos(s)."""
-    return s * math.cos(s)
+def s_cos_s(s: float | np.ndarray) -> float | np.ndarray:
+    """Default Nussbaum-type gain shape h(s) = s*cos(s).
+
+    A Python float goes through math.cos and gives a Python float, as the
+    fused Nussbaum kernels need; an array (or numpy scalar) is mapped
+    element-wise with np.cos. The two agree bit for bit on the gain-shape
+    grids of `check`; the tests pin it.
+    """
+    return s * (math.cos(s) if type(s) is float else np.cos(s))
 
 
 @dataclass(frozen=True)

@@ -638,9 +638,13 @@ def chen_fliess_simulate(
     if not isinstance(drift_taylor, bool):
         raise ValueError(f"chen_fliess_simulate: drift_taylor must be a bool, not {drift_taylor!r}")
     y0, k0 = _as_pair(s0)
-    T = math.tau * periods_per_step / omega
-    # 0 * inf is nan, so this also refuses an infinite T when n_steps is 0.
-    if not math.isfinite(n_steps * T):
+    try:
+        T = math.tau * periods_per_step / omega
+        # 0 * inf is nan, so this also refuses an infinite T when n_steps is 0.
+        finite = math.isfinite(n_steps * T)
+    except OverflowError:  # an integer argument past the largest float
+        finite = False
+    if not finite:
         raise ValueError("chen_fliess_simulate: the step T and the span n_steps * T must be finite")
 
     def step(s: tuple[float, float]) -> tuple[float, float]:

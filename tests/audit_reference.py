@@ -5,11 +5,18 @@ once. This module keeps the scan it replaced, one (time, grid point) pair
 at a time with point-wise finite differences, so tests can assert that the
 batched audit reproduces it byte for byte. It is deliberately slow and is
 only run on small grids.
+
+Products and norms are written here as left-to-right sums of Python
+floats (`_matvec`, `_norm`), independently of the package's element-wise
+numpy sums. numpy's `@` and `np.linalg.norm` go through BLAS, whose
+kernels sum in an order of their own and can move the last bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +29,20 @@ from dithersim.averaging import (
 )
 
 
+def _norm(v) -> float:
+    """Euclidean (Frobenius) norm: squares summed left to right, then sqrt."""
+    return math.sqrt(sum(c * c for c in np.asarray(v, float).ravel().tolist()))
+
+
+def _matvec(m, v) -> np.ndarray:
+    """m times v, each row's products summed left to right."""
+    vs = np.asarray(v, float).tolist()
+    return np.array([reduce(operator.add, map(operator.mul, row, vs)) for row in m.tolist()])
+
+
 def fd_jacobian(f, x, t, step=None):
     x = np.asarray(x, dtype=float)
-    h = step if step is not None else 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    h = step if step is not None else 1e-6 * (1.0 + _norm(x))
     n = x.size
     cols = []
     for d in range(n):
@@ -38,12 +56,12 @@ def lie_bracket(f, g, x, t, step=None):
     x = np.asarray(x, dtype=float)
     jf = fd_jacobian(f, x, t, step)
     jg = fd_jacobian(g, x, t, step)
-    return jg @ np.asarray(f(x, t), float) - jf @ np.asarray(g(x, t), float)
+    return _matvec(jg, f(x, t)) - _matvec(jf, g(x, t))
 
 
 def _directional_derivative(f, direction, x, t, step):
     v = np.asarray(direction(x, t), float)
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     if nv == 0.0:
         return np.zeros_like(np.asarray(f(x, t), float))
     e = (step / nv) * v
@@ -90,7 +108,7 @@ def reference_check_assumptions(
         for t in times:
             t = float(t)
             for x in mesh:
-                nx = float(np.linalg.norm(x))
+                nx = _norm(x)
                 h = 1e-6 * (1.0 + nx)
                 houter = 1e-4 * (1.0 + nx)
                 fvals = [np.asarray(f(x, t), float) for f in all_fields]
@@ -107,10 +125,10 @@ def reference_check_assumptions(
                     for f in all_fields
                 ]
                 for i in range(nf):
-                    _consider(float(np.linalg.norm(fvals[i])), "field", i, None, x, t)
+                    _consider(_norm(fvals[i]), "field", i, None, x, t)
                     dt_f = (f_tp[i] - f_tm[i]) / (2.0 * t_step)
-                    _consider(float(np.linalg.norm(dt_f)), "dt_field", i, None, x, t)
-                    _consider(float(np.linalg.norm(jacs[i])), "dx_field", i, None, x, t)
+                    _consider(_norm(dt_f), "dt_field", i, None, x, t)
+                    _consider(_norm(jacs[i]), "dx_field", i, None, x, t)
                 for j in range(1, nf):
                     fj = all_fields[j]
                     jj_tp = fd_jacobian(fj, x, t + t_step, h)
@@ -120,16 +138,17 @@ def reference_check_assumptions(
                         for xp, xm in x_off
                     ]
                     for i in range(nf):
-                        dt_l = (jj_tp @ f_tp[i] - jj_tm @ f_tm[i]) / (2.0 * t_step)
-                        _consider(float(np.linalg.norm(dt_l)), "dt_lie", i, j, x, t)
+                        dt_l = (_matvec(jj_tp, f_tp[i]) - _matvec(jj_tm, f_tm[i])) / (2.0 * t_step)
+                        _consider(_norm(dt_l), "dt_lie", i, j, x, t)
                         cols = [
-                            (jj_off[d][0] @ fi_off[i][d][0] - jj_off[d][1] @ fi_off[i][d][1])
+                            (
+                                _matvec(jj_off[d][0], fi_off[i][d][0])
+                                - _matvec(jj_off[d][1], fi_off[i][d][1])
+                            )
                             / (2.0 * houter)
                             for d in range(dim)
                         ]
-                        _consider(
-                            float(np.linalg.norm(np.column_stack(cols))), "dx_lie", i, j, x, t
-                        )
+                        _consider(_norm(np.column_stack(cols)), "dx_lie", i, j, x, t)
     except _NonFinite:
         pass
 
@@ -151,7 +170,7 @@ def reference_check_assumptions(
             else:
                 _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
                 bracket_sup = max(
-                    float(np.linalg.norm(lie_bracket(sys.fields[i], sys.fields[j], x, 0.0)))
+                    _norm(lie_bracket(sys.fields[i], sys.fields[j], x, 0.0))
                     for x in coarse
                 )
                 entry["raw_integral"] = raw
@@ -182,11 +201,11 @@ def reference_check_assumptions(
 
                     def second(xx, tt):
                         def lf(zz, uu):
-                            return fd_jacobian(fj, zz, uu, 1e-6) @ np.asarray(fi(zz, uu), float)
+                            return _matvec(fd_jacobian(fj, zz, uu, 1e-6), fi(zz, uu))
 
                         return _directional_derivative(lf, fq, xx, tt, 1e-4)
 
-                    sup = max(float(np.linalg.norm(second(x, 0.0))) for x in coarse)
+                    sup = max(_norm(second(x, 0.0)) for x in coarse)
                     entry["second_level_sup"] = sup
                     entry["satisfied"] = sup <= 1e-9
                     entry["reason"] = "vanishes" if entry["satisfied"] else "violated"

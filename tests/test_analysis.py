@@ -23,7 +23,7 @@ from dithersim import (
     s_cos_s,
     sweep_to_csv,
 )
-from dithersim.cli import NUSSBAUM_SHAPES
+from dithersim.cli import FIELDS, NUSSBAUM_SHAPES
 
 PLANT = PlantParams(10.0, -2.0)
 
@@ -285,6 +285,28 @@ def test_nussbaum_profile_equals_the_numpy_scalar_products(shape, k0, k_max, n_p
     g = np.array([h(float(v)) * v for v in s])
     want = analysis._cumulative_simpson(g, (k_max - k0) / n_panels)[1:] / (s[1:] - k0)
     assert analysis._n_profile(h, k0, k_max, n_panels).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("span", [1, 2], ids=["horizon", "doubled-horizon"])
+def test_s_cos_s_on_an_array_has_the_bytes_of_float_calls(span):
+    """On the CLI's default gain-shape grid and on its doubled horizon, the
+    array form of s_cos_s gives the bytes of one float call per element."""
+    k0, k_max, grid = (FIELDS[f"check.nussbaum.{key}"][1] for key in ("k0", "k_max", "grid"))
+    s = np.linspace(k0, k0 + span * (k_max - k0), span * grid + 1)
+    want = np.array([s_cos_s(v) for v in s.tolist()])
+    assert s_cos_s(s).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "h",
+    [lambda s: s * math.sin(s), lambda s: np.ones(3), lambda s: s[:, None]],
+    ids=["float-only", "wrong-length", "grows-the-grid"],
+)
+def test_nussbaum_check_refuses_a_gain_shape_not_mapping_arrays(h):
+    """h is called on the whole grid; a shape written for one float, or one
+    whose result does not broadcast to the grid, is refused by name."""
+    with pytest.raises(ValueError, match="nussbaum_type_check: h must map an array"):
+        nussbaum_type_check(h, 0.0, 50.0, 2000)
 
 
 def test_nussbaum_check_serializes():

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from dithersim import (
     check_assumptions,
 )
 from dithersim import averaging
-from dithersim.averaging import _cumulative_simpson, _simpson
+from dithersim.averaging import _cumulative_simpson, _matvec, _norm, _simpson
 
 from audit_reference import reference_check_assumptions
 
@@ -205,6 +207,61 @@ def test_lie_bracket_bilinearity():
             lhs = lie_bracket(scaled, f2, x, 0.0)
             rhs = alpha * lie_bracket(f1, f2, x, 0.0)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-5)
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    """m (..., dim, dim) and v (..., dim) with dim 2 or 3 and up to two
+    batch axes, entries including inf, NaN and signed zeros."""
+    dim = draw(st.sampled_from([2, 3]))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m = draw(arrays(np.float64, batch + (dim, dim), elements=_ENTRIES))
+    v = draw(arrays(np.float64, batch + (dim,), elements=_ENTRIES))
+    return m, v
+
+
+def _left_sum(terms):
+    """Sum of Python floats from the first term on, left to right."""
+    return reduce(operator.add, terms)
+
+
+def _assert_same_bits(got, want):
+    """Equal bytes wherever want is a number (signed zeros and infinities
+    included) and NaN exactly where want is NaN; a NaN's payload is not a
+    value and is not compared."""
+    got = np.asarray(got)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@given(_matrix_and_vector())
+@example((np.full((2, 2), -0.0), np.array([1.0, -0.0])))
+@example((np.array([[math.inf, 1.0], [0.0, -0.0]]), np.array([0.0, -math.inf])))
+def test_products_and_norms_are_left_to_right_float_sums(mv):
+    """`_matvec` and `_norm` give, bit for bit, the left-to-right sums of
+    Python floats, on 2x2 and 3x3 blocks with any leading batch shape."""
+    m, v = mv
+    batch = m.shape[:-2]
+    want_mv = np.empty(batch + m.shape[-1:])
+    want_m = np.empty(batch)
+    want_v = np.empty(batch)
+    for idx in np.ndindex(*batch):
+        rows, vec = m[idx].tolist(), v[idx].tolist()
+        want_mv[idx] = [_left_sum(map(operator.mul, row, vec)) for row in rows]
+        want_m[idx] = math.sqrt(_left_sum(c * c for row in rows for c in row))
+        want_v[idx] = math.sqrt(_left_sum(c * c for c in vec))
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_matvec(m, v), want_mv)
+        _assert_same_bits(_norm(m, 2), want_m)
+        _assert_same_bits(_norm(v), want_v)
 
 
 # -- averaged right-hand side -------------------------------------------------------

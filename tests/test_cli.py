@@ -8,7 +8,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1351,6 +1355,70 @@ def test_preset_artifacts_match_recorded_hashes(tmp_path):
         if path.is_file()
     }
     assert got == json.loads(EXPECTED_HASHES.read_text())
+
+
+# One fresh interpreter writes the artifacts of simulate fig1, compare fig3
+# and check fig1 under out_dir (argv[1]), then prints numpy's dispatched SIMD
+# features that are still enabled, as JSON.
+_KERNEL_GUARD_RUN = """
+import json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from dithersim.cli import main
+out = Path(sys.argv[1])
+for command, preset, name in (
+    ("simulate", "fig1", "fig1"), ("compare", "fig3", "fig3"), ("check", "fig1", "check")
+):
+    assert main([command, "--preset", preset, "--out", str(out / name)]) == 0
+print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))
+"""
+
+
+def _host_simd_features() -> list[str]:
+    """numpy's dispatched SIMD features that this CPU has; the baseline
+    features are not among them and cannot be disabled."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+@pytest.mark.parametrize("setting", ["baseline-simd", "sandybridge-blas"])
+def test_artifact_bytes_do_not_depend_on_simd_or_blas_kernels(setting, tmp_path):
+    """simulate fig1, compare fig3 and check fig1 write their recorded bytes
+    with numpy held to its baseline SIMD paths, and with OpenBLAS forced to
+    its Sandybridge kernels (no FMA; x86-64 only). Both variables are read
+    when a process loads numpy, so each setting runs in a fresh interpreter."""
+    if setting == "baseline-simd":
+        env = {"NPY_DISABLE_CPU_FEATURES": " ".join(_host_simd_features())}
+    elif platform.machine().lower() in ("x86_64", "amd64"):
+        env = {"OPENBLAS_CORETYPE": "Sandybridge"}
+    else:
+        pytest.skip("OpenBLAS's Sandybridge kernels exist on x86-64 only")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_GUARD_RUN, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    if setting == "baseline-simd":
+        assert json.loads(out.stdout.splitlines()[-1]) == []
+    want_check, name = (Path(__file__).parent / "check_fig1.sha256").read_text().split()
+    assert hashlib.sha256((tmp_path / "check" / name).read_bytes()).hexdigest() == want_check
+    want = {
+        k: v
+        for k, v in json.loads(EXPECTED_HASHES.read_text()).items()
+        if k.startswith(("fig1/", "fig3/"))
+    }
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for d in ("fig1", "fig3")
+        for path in (tmp_path / d).iterdir()
+    }
+    assert got == want
 
 
 def test_presets_run_the_fused_kernels(tmp_path, monkeypatch):

@@ -153,6 +153,12 @@ def test_swapped_rhs_values():
     assert u == 0.0
 
 
+def test_s_cos_s_keeps_a_python_float():
+    """The fused Nussbaum kernels do float arithmetic on its result."""
+    assert type(s_cos_s(1.25)) is float
+    assert s_cos_s(1.25) == 1.25 * math.cos(1.25)
+
+
 def test_nussbaum_rhs_values():
     spec = ControllerSpec(NUSSBAUM)
     assert rhs(PLANT, spec, State(0.0, 1.0), 0.0) == (0.0, 0.0)

@@ -955,15 +955,28 @@ def test_chen_fliess_simulate_rejects_a_step_that_raises(s0):
 
 
 @pytest.mark.parametrize(
-    "omega, n_steps",
-    [(1e-320, 3), (1e-320, 0), (1e-300, 10**10)],
-    ids=["infinite-step", "infinite-step-no-steps", "infinite-span"],
+    "omega, periods, n_steps",
+    [
+        (1e-320, 1, 3),
+        (1e-320, 1, 0),
+        (1e-300, 1, 10**10),
+        (400.0, 10**400, 3),
+        (400.0, 1, 10**400),
+    ],
+    ids=[
+        "infinite-step",
+        "infinite-step-no-steps",
+        "infinite-span",
+        "periods-past-float",
+        "steps-past-float",
+    ],
 )
-def test_chen_fliess_simulate_refuses_a_non_finite_span(omega, n_steps):
-    """A step T = 2*pi/omega or a span n_steps * T past the largest float
-    is refused before the first step."""
+def test_chen_fliess_simulate_refuses_a_non_finite_span(omega, periods, n_steps):
+    """A step T = 2*pi*periods/omega or a span n_steps * T past the largest
+    float is refused before the first step, also where an integer argument
+    is itself too large to convert to a float."""
     with pytest.raises(ValueError, match="chen_fliess_simulate: .* must be finite"):
-        chen_fliess_simulate(PLANT, (1.0, 0.0), omega, 1, n_steps, 1)
+        chen_fliess_simulate(PLANT, (1.0, 0.0), omega, periods, n_steps, 1)
 
 
 @pytest.mark.parametrize("flag", ["no", 1, 0, None])
