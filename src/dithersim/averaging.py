@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControllerVariant, _averaged_loop, _law
+from .dynamics import ControllerVariant, _unit_dither, lie_bracket_loop
 
 __all__ = [
     "DitherSignal",
@@ -55,6 +55,7 @@ class DitherSignal:
     properties are *checked* by `check_assumptions`, not enforced here, so
     that deliberately broken signals can be constructed and diagnosed.
     fn should accept numpy arrays (compose it from numpy ufuncs).
+    A float freq is read by its shortest decimal, so 0.1 means 1/10.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -62,7 +63,13 @@ class DitherSignal:
     exponent: float = 0.5
 
     def __post_init__(self) -> None:
-        freq = Fraction(self.freq)
+        freq = self.freq
+        if isinstance(freq, float):
+            if not math.isfinite(freq):
+                raise ValueError("DitherSignal: freq must be finite")
+            # float() first: numpy 2 reprs a float64 as np.float64(0.1)
+            freq = repr(float(freq))
+        freq = Fraction(freq)
         object.__setattr__(self, "freq", freq)
         if freq <= 0:
             raise ValueError("DitherSignal: freq must be a positive rational")
@@ -105,7 +112,7 @@ class AffineSystem:
             )
 
 
-def _design_system(p, law) -> AffineSystem:
+def _design_system(p, variant: ControllerVariant) -> AffineSystem:
     """Split the closed loop of a dithered table law into drift and fields.
 
     The drift is the y-rate of the averaged field, the plant under the
@@ -116,7 +123,8 @@ def _design_system(p, law) -> AffineSystem:
     evaluated with the same arithmetic as on a single point.
     """
     b = p.b
-    averaged = _averaged_loop(p.a, b)
+    averaged = lie_bracket_loop(p)
+    at_sin, at_cos = _unit_dither(variant, 1.0, 0.0), _unit_dither(variant, 0.0, 1.0)
 
     def drift(x: np.ndarray, t: float) -> np.ndarray:
         y = x[..., 0]
@@ -124,11 +132,11 @@ def _design_system(p, law) -> AffineSystem:
 
     def f_sin(x: np.ndarray, t: float) -> np.ndarray:
         y = x[..., 0]
-        return np.stack((b * law(y, 0.0, 1.0, 1.0, 0.0)[0], np.zeros_like(y)), axis=-1)
+        return np.stack((b * at_sin((y, 0.0), t)[0], np.zeros_like(y)), axis=-1)
 
     def f_cos(x: np.ndarray, t: float) -> np.ndarray:
         y = x[..., 0]
-        return np.stack((np.zeros_like(y), law(y, 0.0, 1.0, 0.0, 1.0)[1]), axis=-1)
+        return np.stack((np.zeros_like(y), at_cos((y, 0.0), t)[1]), axis=-1)
 
     return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
 
@@ -140,12 +148,12 @@ def proposed_design_system(p) -> AffineSystem:
     dither. Both amplitude exponents are 1/2, so the pair's interaction
     coefficient is frequency-independent.
     """
-    return _design_system(p, _law(ControllerVariant.PROPOSED))
+    return _design_system(p, ControllerVariant.PROPOSED)
 
 
 def swapped_design_system(p) -> AffineSystem:
     """Role-swapped design: quadratic field on the input channel, linear on the gain."""
-    return _design_system(p, _law(ControllerVariant.SWAPPED))
+    return _design_system(p, ControllerVariant.SWAPPED)
 
 
 # -- equal-spacing Simpson rules ----------------------------------------------
@@ -307,6 +315,30 @@ def _norm(v: np.ndarray, axes: int = 1) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _axis_moves(h: np.ndarray, dim: int) -> np.ndarray:
+    """The central-difference offsets (2*dim, ..., dim) +h*e_0, -h*e_0,
+    +h*e_1, ... of the steps h (...): adding -h*e_d is subtracting it, so
+    x plus these offsets gives x +- h*e_d bit for bit."""
+    e = np.zeros((dim, *np.shape(h), dim))
+    e[np.arange(dim), ..., np.arange(dim)] = h
+    return np.stack((e, -e), axis=1).reshape(-1, *e.shape[1:])
+
+
+def _jacobian(moved: np.ndarray, step2: np.ndarray) -> np.ndarray:
+    """`fd_jacobian` of a field from its values at the `_axis_moves` of a
+    point set, with step2 = 2*step broadcasting against (..., N, dim_out).
+
+    moved has shape (2*dim, ..., N, dim_out) in `_axis_moves` order; the
+    result is C-ordered with shape (..., N, dim_out, dim). The quotients are
+    written into their columns in place; a step of the full shape keeps
+    numpy's loops flat.
+    """
+    v = moved.reshape((-1, 2) + moved.shape[1:])
+    out = np.empty(moved.shape[1:] + (len(v),))
+    np.divide(v[:, 0] - v[:, 1], step2, out=out.transpose(-1, *range(out.ndim - 1)))
+    return out
+
+
 def fd_jacobian(
     f: Field2, x: np.ndarray, t: float, step: float | np.ndarray | None = None
 ) -> np.ndarray:
@@ -317,13 +349,8 @@ def fd_jacobian(
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(step if step is not None else 1e-6 * (1.0 + _norm(x)), dtype=float)
-    cols = []
-    for d in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[..., d] = h
-        diff = np.asarray(f(x + e, t), float) - np.asarray(f(x - e, t), float)
-        cols.append(diff / (2.0 * h)[..., None])
-    return np.stack(cols, axis=-1)
+    moved = [np.asarray(f(x + move, t), float) for move in _axis_moves(h, x.shape[-1])]
+    return _jacobian(np.stack(moved), (2.0 * h)[..., None])
 
 
 def lie_bracket(
@@ -495,28 +522,6 @@ _A2_BLOCK_ROWS = 512  # mesh states per block of the A2 scan; bounds its memory
 _A2_TIME_STEP = 1e-6  # central-difference step of the A2 time derivatives
 
 
-def _moves(e: np.ndarray) -> np.ndarray:
-    """Offsets (2*dim, N, dim) +e[0], -e[0], +e[1], ... from the steps e
-    (dim, N, dim) along each axis: adding -e is subtracting e, so x plus
-    these offsets gives x + e and x - e bit for bit."""
-    return np.stack((e, -e), axis=1).reshape(-1, *e.shape[1:])
-
-
-def _jacobian(moved: np.ndarray, step2: np.ndarray) -> np.ndarray:
-    """`fd_jacobian` of a field from its values at the `_moves` of a point
-    set, with step2 = 2*step broadcast to shape (N, dim_out).
-
-    moved has shape (2*dim, ..., N, dim_out) in `_moves` order; the result
-    is C-ordered with shape (..., N, dim_out, dim). The quotients are
-    written into their columns in place, and a step of the full shape
-    keeps numpy's loops flat.
-    """
-    v = moved.reshape((-1, 2) + moved.shape[1:])
-    out = np.empty(moved.shape[1:] + (len(v),))
-    np.divide(v[:, 0] - v[:, 1], step2, out=out.transpose(-1, *range(out.ndim - 1)))
-    return out
-
-
 def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the A2 scan of the states x (N, dim) needs at every time: the
     point sets (S, N, dim) and the doubled steps 2*h and 2*houter broadcast
@@ -527,11 +532,8 @@ def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndar
     offset.
     """
     n, dim = x.shape
-    axes = np.arange(dim)
-    e = np.zeros((dim, n, dim))
-    e[axes, :, axes] = h  # as `fd_jacobian` builds its steps
-    moves = _moves(e)
-    off = x + _moves(houter[:, None] * np.eye(dim)[:, None, :])
+    moves = _axis_moves(h, dim)
+    off = x + _axis_moves(houter, dim)
     pts = np.concatenate((x[None], x + moves, off, (off + moves[:, None]).reshape(-1, n, dim)))
     h2, houter2 = (np.repeat(2.0 * s[:, None], dim, axis=1) for s in (h, houter))
     return pts, h2, houter2

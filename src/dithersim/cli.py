@@ -12,7 +12,8 @@ FIELDS declares; ``--preset`` selects a bundled config instead and writes
 it into the output directory so the run can be edited and repeated. Exit
 code 0 means every requested artifact was written (numerical blow-up is
 recorded in the output, not signaled); config problems, an undeclared or
-repeated key among them, exit with 2 and a message naming the field. A
+repeated key among them, exit with 2 and a message naming the field, as
+does an --out that is a file or lies under one. A
 config that asks for more than WORK_BUDGET integration steps in one
 command is such a problem, refused before any step is taken; `check`
 bounds its audited samples, mesh and gain-shape evaluations the same way.
@@ -729,7 +730,8 @@ def _resolve_config(args: argparse.Namespace, out: Path) -> dict:
     if not path.is_file():
         raise ConfigError("config", f"file not found: {path}")
     try:
-        cfg = yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
+        # Bytes, so that text that is not UTF-8 is a YAML ReaderError.
+        cfg = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         raise ConfigError("config", f"invalid YAML: {e}") from None
     if not isinstance(cfg, dict):
@@ -739,9 +741,13 @@ def _resolve_config(args: argparse.Namespace, out: Path) -> dict:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = args.out
     try:
-        out = args.out
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file at --out or on the way to it
+        print(f"error: --out {out}: cannot make the directory: {e.strerror}", file=sys.stderr)
+        return 2
+    try:
         cfg = _resolve_config(args, out)
         _check_known(cfg)
         return _COMMANDS[args.command][0](cfg, out, args)

@@ -9,18 +9,18 @@ averaged system exposed as `lie_bracket_rhs` and solved in closed form
 by `lie_bracket_flow`.
 
 Each gain law is written once, in the private table `_LAW_SOURCE`, as
-Python expression source for the input u and the gain rate dk over
-(y, k), its constant c and the dither values sn, cs; the averaged field
-is written once the same way, in `_AVERAGED_SOURCE`, over (y, k, a, b).
-The arithmetic works on floats and numpy arrays alike. Controller
-blindness is structural: the laws never receive plant parameters.
-`_law` compiles a law to a function on first use, and `closed_loop`
-binds it to the plant for the integrators. The State-typed `control`
-and `rhs`, one per role for any `ControllerSpec`, and the drift/dither
-split audited in `averaging` derive from the same table. `closed_loop`
-and `lie_bracket_loop` also attach the source and their bound constants
-to their closures as a `FusedField`, from which `integrate.simulate`
-compiles whole-run kernels with the field inlined.
+Python statements that set the input u and the gain rate dk from (y, k),
+its constant c and the dither values sn, cs; the averaged field is written
+once the same way, in `_AVERAGED_SOURCE`, over (y, k, a, b). The
+arithmetic works on floats and numpy arrays alike. Controller blindness
+is structural: the laws never receive plant parameters. One compiler
+serves every use. A `FusedField` holds a field's statements, its bound
+constants and the lines that bind them and evaluate the dither;
+`_compile` fills them into a call (y, k), t -> values, and `integrate`
+fills the same lines into its whole-run kernels. The closures of
+`closed_loop` and `lie_bracket_loop`, the State-typed `control`, `rhs`
+and `lie_bracket_rhs`, and the drift/dither split audited in `averaging`
+are all such calls, so they run the kernels' arithmetic by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,18 +195,18 @@ class ControllerSpec:
 # constant c (sqrt(omega), the gain shape h, or sign(b)) and the dither
 # values sn = sin(omega*t), cs = cos(omega*t), which the dither-free laws
 # ignore. Evaluated at unit dither, a dithered law gives its dither
-# coefficients (see averaging._design_system). The source of (u, dk) is
-# the one definition of each law; everything else is compiled from it.
+# coefficients (see averaging._design_system). The statements setting u
+# and dk are the one definition of each law; all else is compiled from it.
 
 _LAW_SOURCE = {
-    ControllerVariant.PROPOSED: ("-k * y - y * c * sn", "y * y * c * cs"),
-    ControllerVariant.SWAPPED: ("-k * y - 2.0 * y * y * c * sn", "y * c * cs"),
-    ControllerVariant.NUSSBAUM: ("c(k) * k * y", "y * y"),
-    ControllerVariant.WILLEMS_BYRNES: ("-k * y", "float(c) * y * y"),
+    ControllerVariant.PROPOSED: ("u = -k * y - y * c * sn", "dk = y * y * c * cs"),
+    ControllerVariant.SWAPPED: ("u = -k * y - 2.0 * y * y * c * sn", "dk = y * c * cs"),
+    ControllerVariant.NUSSBAUM: ("u = c(k) * k * y", "dk = y * y"),
+    ControllerVariant.WILLEMS_BYRNES: ("u = -k * y", "dk = float(c) * y * y"),
 }
 
-# (dy, dk) of the averaged system of both dithered designs.
-_AVERAGED_SOURCE = ("(a - b * k) * y", "b * y * y")
+# dy and dk of the averaged system of both dithered designs.
+_AVERAGED_SOURCE = ("dy = (a - b * k) * y", "dk = b * y * y")
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,33 +219,88 @@ def _define(source: str, name: str, **env):
     return namespace[name]
 
 
-def _law(variant: ControllerVariant):
-    """The law of `variant` as a function (y, k, c, sn, cs) -> (u, dk)."""
-    u, dk = _LAW_SOURCE[variant]
-    return _define(f"def law(y, k, c, sn, cs):\n    return ({u}, {dk})\n", "law")
+@functools.lru_cache(maxsize=64)
+def _fill(template: str, **parts: tuple[str, ...]) -> str:
+    """template with each line holding only {name} replaced by the lines
+    parts[name], filled in turn, at that line's indentation; memoised."""
+
+    def fill(lines: Sequence[str], indent: str):
+        for line in lines:
+            name = line.strip()
+            if name.startswith("{"):
+                yield from fill(parts[name[1:-1]], indent + line[: line.index("{")])
+            else:
+                yield indent + line
+
+    return "\n".join(fill(template.splitlines(), "")) + "\n"
 
 
-_AVERAGED_LOOP = """\
-def averaged_loop(a, b):
-    def rhs(s, t):
+class FusedField(NamedTuple):
+    """A field as source, compiled to its call form by `_compile` and into
+    the whole-run kernels of `integrate`. `body` holds statements over y, k,
+    the constants a, b, c (which `bind` binds from a FusedField named f)
+    and, where `dithered`, sn = sin(w*t) and cs = cos(w*t). Run in order,
+    they set dy and dk, or u and dk for a gain law, whose a and b are None.
+    """
+
+    body: tuple[str, ...]
+    dithered: bool
+    a: float | None = None
+    b: float | None = None
+    c: object = None
+    w: float = 0.0
+
+    bind = ("a, b, c, w = f.a, f.b, f.c, f.w",)
+
+    def time(self, t: str) -> tuple[str, ...]:
+        """The lines that set the stage time ts to t and the dither values
+        at ts, for a dithered field; a field blind to time needs none."""
+        dither = ("wt = w * ts", "sn = sin(wt)", "cs = cos(wt)")
+        return (f"ts = {t}", *dither) if self.dithered else ()
+
+
+# The call form of a FusedField: s, t -> the `out` values of its body.
+_CALL = """\
+def bind(f):
+    {bind}
+    def field(s, t):
         y, k = s
-        return ({}, {})
-    return rhs
+        {time}
+        {body}
+        {out}
+    return field
 """
 
 
-def _averaged_loop(a: float, b: float) -> Rhs2:
-    """Averaged system of both dithered designs: dy = (a - b*k)*y, dk = b*y^2,
-    as an integrator closure rhs((y, k), t) with a and b bound."""
-    return _define(_AVERAGED_LOOP.format(*_AVERAGED_SOURCE), "averaged_loop")(a, b)
+def _compile(fused: FusedField, out: str) -> Callable:
+    """The call form (y, k), t -> out of fused, with its constants bound
+    and `fused` attached as `.fused` for `integrate.simulate`."""
+    time, ret = fused.time("t"), (f"return {out}",)
+    source = _fill(_CALL, bind=fused.bind, time=time, body=fused.body, out=ret)
+    field = _define(source, "bind", sin=math.sin, cos=math.cos)(fused)
+    field.fused = fused
+    return field
 
 
-def _bind(spec: ControllerSpec):
-    """The table law of spec's variant, its constant c and its dither frequency."""
+def _law_field(spec: ControllerSpec, p: PlantParams | None = None) -> FusedField:
+    """spec's table law with its constant c and dither frequency w bound;
+    given a plant p, the closed loop, which also binds p's a and b."""
     v = spec.variant
     if v in DITHERED_VARIANTS:
-        return _law(v), math.sqrt(spec.omega), spec.omega
-    return _law(v), spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b, 0.0
+        c, w = math.sqrt(spec.omega), spec.omega
+    else:
+        c, w = (spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b), 0.0
+    law = FusedField(_LAW_SOURCE[v], v in DITHERED_VARIANTS, c=c, w=w)
+    if p is not None:
+        law = law._replace(body=(*law.body, "dy = a * y + b * u"), a=p.a, b=p.b)
+    return law
+
+
+def _unit_dither(variant: ControllerVariant, sn: float, cs: float) -> Callable:
+    """The law of a dithered variant at c = 1 and the fixed dither values
+    sn and cs, as a call (y, k), t -> (u, dk)."""
+    body = (f"sn, cs = {sn!r}, {cs!r}", *_LAW_SOURCE[variant])
+    return _compile(FusedField(body, False, c=1.0), "u, dk")
 
 
 # -- State-typed law and closed-loop right-hand side ------------------------
@@ -254,15 +309,13 @@ def _bind(spec: ControllerSpec):
 def control(spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
     """Input u and gain rate dk of spec's law at state s and time t.
     Plant-blind: it reads nothing but the ControllerSpec."""
-    law, c, w = _bind(spec)
-    return law(s.y, s.k, c, math.sin(w * t), math.cos(w * t))
+    return _compile(_law_field(spec), "u, dk")(s.as_tuple(), t)
 
 
 def rhs(p: PlantParams, spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
     """Closed-loop rates (dy, dk) of plant p under spec's law, with
-    dy = a*y + b*u: the same arithmetic as the `closed_loop` closure."""
-    u, dk = control(spec, s, t)
-    return (p.a * s.y + p.b * u, dk)
+    dy = a*y + b*u: the `closed_loop` field at s and t."""
+    return closed_loop(p, spec)[0](s.as_tuple(), t)
 
 
 def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
@@ -272,7 +325,7 @@ def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
     are equilibria, and trajectories with y != 0 move along circular arcs
     centered at (0, a/b).
     """
-    return _averaged_loop(p.a, p.b)(s.as_tuple(), 0.0)
+    return lie_bracket_loop(p)(s.as_tuple(), 0.0)
 
 
 # -- polar coordinates about (0, a/b) ----------------------------------------
@@ -310,61 +363,27 @@ def polar_lbs_rhs(p: PlantParams, ps: PolarState) -> tuple[float, float]:
     return (0.0, p.b * ps.r * math.cos(ps.phi))
 
 
-# -- tuple-state closures for the integrators --------------------------------
+# -- tuple-state callables for the integrators -------------------------------
 
 Rhs2 = Callable[[tuple[float, float], float], tuple[float, float]]
 InputFn = Callable[[tuple[float, float], float], float]
-
-
-class FusedField(NamedTuple):
-    """The field of a closure from `closed_loop` or `lie_bracket_loop` as
-    source, for the fused kernels of `integrate`.
-
-    `body` holds statements over y, k and the bound constants a, b, c
-    and, where `dithered`, over sn = sin(w*t) and cs = cos(w*t). Run in
-    order, they set dy and dk as the closure returns them, and u as its
-    control returns it for a gain law.
-    """
-
-    body: tuple[str, ...]
-    dithered: bool
-    a: float
-    b: float
-    c: object = None
-    w: float = 0.0
 
 
 def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
     """Bind plant and controller into plain-tuple callables.
 
     Returns (rhs, control) where rhs((y, k), t) -> (dy, dk) and
-    control((y, k), t) -> u. These avoid per-step dataclass construction
-    and are what the fixed-step integrators consume.
+    control((y, k), t) -> u, both compiled from one FusedField. These
+    avoid per-step dataclass construction and are what the fixed-step
+    integrators consume.
     """
-    a, b = p.a, p.b
-    law, c, w = _bind(spec)
-
-    def control(s: tuple[float, float], t: float) -> float:
-        y, k = s
-        return law(y, k, c, math.sin(w * t), math.cos(w * t))[0]
-
-    def rhs(s: tuple[float, float], t: float) -> tuple[float, float]:
-        y, k = s
-        u, dk = law(y, k, c, math.sin(w * t), math.cos(w * t))
-        return (a * y + b * u, dk)
-
-    u_src, dk_src = _LAW_SOURCE[spec.variant]
-    body = (f"u = {u_src}", f"dk = {dk_src}", "dy = a * y + b * u")
-    rhs.fused = control.fused = FusedField(body, spec.variant in DITHERED_VARIANTS, a, b, c, w)
-    return rhs, control
+    fused = _law_field(spec, p)
+    return _compile(fused, "dy, dk"), _compile(fused, "u")
 
 
 def lie_bracket_loop(p: PlantParams) -> Rhs2:
     """Averaged system as a plain-tuple callable for the integrators."""
-    rhs = _averaged_loop(p.a, p.b)
-    dy_src, dk_src = _AVERAGED_SOURCE
-    rhs.fused = FusedField((f"dy = {dy_src}", f"dk = {dk_src}"), False, p.a, p.b)
-    return rhs
+    return _compile(FusedField(_AVERAGED_SOURCE, False, p.a, p.b), "dy, dk")
 
 
 def lie_bracket_flow(

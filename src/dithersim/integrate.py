@@ -9,11 +9,12 @@ whole-run template, which holds the step loop and the divergence rule.
 Its Euler and RK4 steps inline the arithmetic of `euler_step` and
 `rk4_step`, equal a loop over them bit for bit, and are compiled once per
 (method, field) on first use. A closure from `closed_loop` or
-`lie_bracket_loop` carries its field as source, which is inlined, so each
-step makes no Python call into the field; when the u column asks for the
-control of the same `closed_loop` call, the kernel keeps the u it computes
-at each step's start. Any other callable, and so also a wrapper of such a
-closure, is called at each stage.
+`lie_bracket_loop` carries the `FusedField` it was compiled from, which
+the kernel inlines with the same compiler, so each step makes no Python
+call into the field; when the u column asks for the control of the same
+`closed_loop` call, the kernel keeps the u it computes at each step's
+start. Any other callable, and so also a wrapper of such a closure, is
+called at each stage.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, and
@@ -37,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cftable import Mono, _check_order, rows_for_order
-from .dynamics import FusedField, InputFn, PlantParams, Rhs2, State, _define
+from .dynamics import FusedField, InputFn, PlantParams, Rhs2, State, _define, _fill
 
 __all__ = [
     "Method",
@@ -326,10 +327,10 @@ def _whole_steps(span: float, h: float) -> int:
 # each `time` binds its stage's time ts (and, for a dithered field, sn and
 # cs at ts), `field` sets dy and dk at (y, k), and `keep1` and `keep` keep
 # the u of each accepted step's first stage in `us`. The field of a plain
-# callable f is the call `dy, dk = f((y, k), ts)`; that of a closure from
-# `closed_loop` or `lie_bracket_loop` is the source in its `FusedField`,
-# inlined. The series step is a one-step map s -> f(s) that ignores t0 and
-# h; it also catches the ValueError of a non-finite `chen_fliess_step`.
+# callable f is the call `dy, dk = f((y, k), ts)`; a `FusedField` supplies
+# its own `bind`, `time` and `field`. The series step is a one-step map
+# s -> f(s) that ignores t0 and h; it also catches the ValueError of a
+# non-finite `chen_fliess_step`.
 
 _BOUND = 1e9  # a state with |y| or |k| above this, or non-finite, ends a run
 
@@ -386,47 +387,31 @@ k = ki + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 }
 
 
-def _fill(template: str, **parts: Sequence[str]) -> str:
-    """template with each line holding only {name} replaced by the lines
-    parts[name], filled in turn, at that line's indentation."""
-
-    def fill(lines: Sequence[str], indent: str):
-        for line in lines:
-            name = line.strip()
-            if name.startswith("{"):
-                yield from fill(parts[name[1:-1]], indent + line[: line.index("{")])
-            else:
-                yield indent + line
-
-    return "\n".join(fill(template.splitlines(), "")) + "\n"
-
-
 def _kernel(scheme: str, fused: FusedField | None = None, keep_u: bool = False) -> Callable:
     """The kernel of `scheme` ("euler", "rk4" or "series") for a plain
     callable, or with the field of `fused` inlined, compiled once per filled
     source (see `dynamics._define`). A fused kernel takes the FusedField in
     place of rhs, and with keep_u appends the u at each accepted step's start."""
     if fused is None:
-        bind, field, timed, dither = [], ["dy, dk = f((y, k), ts)"], True, []
+        bind, field = (), ("dy, dk = f((y, k), ts)",)
+
+        def time(t: str) -> tuple[str, ...]:
+            return (f"ts = {t}",)
+
     else:
-        bind, field, timed = ["a, b, c, w = f.a, f.b, f.c, f.w"], fused.body, fused.dithered
-        dither = ["wt = w * ts", "sn = sin(wt)", "cs = cos(wt)"]
-
-    def time(t: str) -> list[str]:
-        return [f"ts = {t}", *dither] if timed else []
-
+        bind, field, time = fused.bind, fused.body, fused.time
     caught, step = _STEPS[scheme]
     source = _fill(
         _RUN_TEMPLATE,
         bind=bind,
-        step=step.splitlines(),
+        step=tuple(step.splitlines()),
         time0=time("t0 + i * h"),
         time1=time("t"),
         time2=time("t + h2"),
         time4=time("t + h"),
         field=field,
-        keep1=["u1 = u"] if keep_u else [],
-        keep=["us.append(u1)"] if keep_u else [],
+        keep1=("u1 = u",) if keep_u else (),
+        keep=("us.append(u1)",) if keep_u else (),
     )
     return _define(source, "run", _sin=math.sin, _cos=math.cos, _caught=caught)
 

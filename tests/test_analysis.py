@@ -277,8 +277,9 @@ def test_nussbaum_check_constant_minus_one_fails():
     "k0, k_max, n_panels", [(0.0, 50.0, 20000), (0.0, 100.0, 40000), (-7.25, 31.0, 3001)]
 )
 def test_nussbaum_profile_equals_the_numpy_scalar_products(shape, k0, k_max, n_panels):
-    """The profile takes h(v)*v on Python floats; it is byte-identical to
-    the profile built from products with numpy scalars, on the CLI's
+    """The profile takes h(s)*s on the whole grid in one array expression;
+    it is byte-identical to the profile built from h of each grid value as
+    a Python float times that value as a numpy scalar, on the CLI's
     default horizon, its doubled horizon and an off-centre one."""
     h = NUSSBAUM_SHAPES[shape]
     s = np.linspace(k0, k_max, n_panels + 1)

@@ -152,6 +152,24 @@ def test_dither_signal_validation():
         DitherSignal(np.sin, exponent=1.0)
 
 
+@pytest.mark.parametrize("freq", [0.1, np.float64(0.1)])
+def test_float_freq_is_read_as_its_shortest_decimal(freq):
+    """0.1 means 1/10, not the binary fraction nearest to it, whose common
+    period multiple (2**55) no quadrature grid can span."""
+    got = DitherSignal(np.sin, freq=freq).freq
+    assert type(got) is Fraction and (got.numerator, got.denominator) == (1, 10)
+    exact = gamma_coefficient(DitherSignal(np.sin, Fraction(1, 10)), COSINE, 1.0)
+    assert gamma_coefficient(DitherSignal(np.sin, freq), COSINE, 1.0) == exact
+
+
+def test_dyadic_and_non_finite_float_freq():
+    assert DitherSignal(np.sin, freq=0.375).freq == Fraction(3, 8)
+    assert DitherSignal(np.sin, freq=1e20).freq == Fraction(10**20)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DitherSignal(np.sin, freq=bad)
+
+
 def test_affine_system_requires_matching_counts():
     sys = proposed_design_system(PLANT)
     with pytest.raises(ValueError):

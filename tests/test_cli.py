@@ -107,6 +107,26 @@ def test_invalid_yaml(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_invalid_yaml(tmp_path, capsys):
+    """Bytes that do not decode are a config error with exit 2, not a
+    UnicodeDecodeError traceback."""
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(yaml.safe_dump(FAST_SIM).encode() + "# gr\xfc\xdfe\n".encode("latin-1"))
+    assert _run("simulate", path, tmp_path) == 2
+    assert "config error: config: invalid YAML" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_at_a_file_is_a_one_line_error(tmp_path, capsys, under):
+    """--out naming a file, or a path under one, exits with 2 and one line
+    naming --out, not a FileExistsError or NotADirectoryError traceback."""
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / under
+    assert main(["simulate", "--preset", "fig1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+
+
 def test_non_mapping_config(tmp_path, capsys):
     path = tmp_path / "list.yaml"
     path.write_text("- 1\n- 2\n")

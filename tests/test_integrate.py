@@ -7,6 +7,7 @@ averaged system, which it must reproduce to rounding.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -28,10 +29,12 @@ from dithersim import (
     euler_step,
     lie_bracket_loop,
     polar_closed_loop,
+    proposed_design_system,
     rk4_step,
     simulate,
+    swapped_design_system,
 )
-from dithersim import integrate
+from dithersim import dynamics, integrate
 from dithersim.cftable import rows_for_order
 from dithersim.integrate import _write_csv
 from series_reference import chen_fliess_step as reference_chen_fliess_step
@@ -393,6 +396,43 @@ def test_simulate_calls_other_callables_at_each_stage():
     for traj in (plain, other):
         for column in ("times", "ys", "ks", "us"):
             assert getattr(traj, column).tobytes() == getattr(fused, column).tobytes()
+
+
+def test_every_compiled_source_fits_the_source_caches():
+    """The call forms of every law, of the averaged field and of the audit's
+    dither coefficients, and every (scheme, field, keep_u) kernel, fit the
+    caches of `dynamics._fill` and `dynamics._define` together: a second
+    round of the same builds fills and compiles nothing."""
+    specs = [
+        ControllerSpec(ControllerVariant.PROPOSED, omega=40.0),
+        ControllerSpec(ControllerVariant.SWAPPED, omega=40.0),
+        ControllerSpec(ControllerVariant.NUSSBAUM),
+        ControllerSpec(ControllerVariant.WILLEMS_BYRNES, sign_b=-1),
+    ]
+
+    def build():
+        laws = [closed_loop(PLANT, spec)[0].fused for spec in specs]
+        for spec in specs:
+            dynamics.control(spec, State(1.0, 0.5), 0.25)
+            dynamics.rhs(PLANT, spec, State(1.0, 0.5), 0.25)
+        proposed_design_system(PLANT)
+        swapped_design_system(PLANT)
+        dynamics.lie_bracket_rhs(PLANT, State(1.0, 0.5))
+        for scheme in ("euler", "rk4"):
+            integrate._kernel(scheme)
+            integrate._kernel(scheme, lie_bracket_loop(PLANT).fused)
+            for law, keep_u in itertools.product(laws, (False, True)):
+                integrate._kernel(scheme, law, keep_u)
+        integrate._kernel("series")
+
+    caches = (dynamics._fill, dynamics._define)
+    for cache in caches:
+        cache.cache_clear()
+    build()
+    first = [cache.cache_info() for cache in caches]
+    assert all(info.currsize < info.maxsize for info in first)
+    build()
+    assert [cache.cache_info().misses for cache in caches] == [info.misses for info in first]
 
 
 def test_simulate_meta_records_solver_facts():
