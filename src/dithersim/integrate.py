@@ -17,7 +17,8 @@ start. Any other callable, and so also a wrapper of such a closure, is
 called at each stage.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
-periods using the precomputed series table in `cftable`, and
+periods using the precomputed series table in `cftable`, through a
+straight-line step compiled once per table shape, and
 `chen_fliess_simulate` iterates it through the same template and driver as
 `simulate`. At order 1 the step reproduces one Euler step of the averaged
 system exactly; see `cftable` for the row selection semantics. Blow-up
@@ -298,7 +299,7 @@ def rk4_step(
 def _as_pair(s0: State | Sequence[float]) -> tuple[float, float]:
     if isinstance(s0, State):
         return s0.as_tuple()
-    y, k = (float(v) for v in s0)
+    y, k = map(float, s0)
     if not (math.isfinite(y) and math.isfinite(k)):
         raise ValueError("initial state must be finite")
     return (y, k)
@@ -514,29 +515,83 @@ def simulate(
 # -- whole-period series stepping ----------------------------------------------
 
 
+# The series step of one table shape (order, drift_taylor), filled by
+# `_bound_terms`: `bind` takes a run's constants as arguments and returns
+# step(y0, rho) -> (dy, dk). The step takes every power py{e} = y0**e and
+# pr{e} = rho**e that a monomial uses before either sum, so an
+# OverflowError from a power wins over a failing sum of the other
+# component; a power of y or rho overflows exactly when the largest one
+# used does. Each sum is one `fsum` over its monomials in table order.
+_SERIES_TEMPLATE = """\
+{bind}
+    def step(y0, rho):
+        {powers}
+        {sums}
+    return step
+"""
+
+
 @functools.lru_cache(maxsize=32, typed=True)
-def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: bool) -> tuple:
-    """The y and the k monomials of `rows_for_order(order, drift_taylor)`, in
-    table order, with every factor that is constant over a run taken:
-    (c * b**eb, ey, er, T**eT, w) per monomial, c, eT and e2pi converted
-    with float() as they are bound, w being (omega*T)**e2pi, or 1.0 where
-    e2pi is zero; then the largest ey and er. typed=True keeps equal keys
-    of different types apart: an int b from the equal float, whose powers
-    may round differently, and an order True or 1.0 from 1, which
-    `rows_for_order` refuses."""
-    wT = math.tau * periods
+def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: bool) -> Callable:
+    """The series step step(y0, rho) -> (dy, dk) of
+    `rows_for_order(order, drift_taylor)`, with the factors a run holds
+    fixed bound: float(c) * b**eb per distinct (c, eb), T ** float(eT) per
+    distinct eT and (omega*T) ** float(e2pi) per distinct nonzero e2pi.
+
+    A monomial is c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi,
+    multiplied left to right as written; a factor of exponent 0 is an exact
+    1.0 and is left out. The source depends only on the table shape, so
+    `dynamics._define` compiles it once per (order, drift_taylor). The
+    constants are arguments, never literals, as a bound one may be inf.
+
+    The arguments are refused as `chen_fliess_step` documents. An error is
+    never memoised, so a key found in the memo was checked when first
+    bound. typed=True keeps equal keys of different types apart: an int b
+    from the equal float, whose powers may round differently, and an order
+    True or 1.0 from 1, which `rows_for_order` refuses."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError("chen_fliess_step: T must be positive")
+    if not isinstance(drift_taylor, bool):
+        raise ValueError(f"chen_fliess_step: drift_taylor must be a bool, not {drift_taylor!r}")
+    _check_periods(periods)
     rows = rows_for_order(order, drift_taylor)
+    try:
+        wT = math.tau * periods
+    except OverflowError:  # an integer past the largest float
+        raise ValueError("chen_fliess_step: periods is too large for a float") from None
     y_monos = [m for row in rows for m in row.y_terms]
     k_monos = [m for row in rows for m in row.k_terms]
-
-    def bind(monos: list[Mono]) -> tuple:
-        return tuple(
-            (float(c) * b**eb, ey, er, T ** float(eT), wT ** float(e2pi) if e2pi else 1.0)
-            for c, eb, ey, er, eT, e2pi in monos
-        )
-
     both = y_monos + k_monos
-    return bind(y_monos), bind(k_monos), max(m.ey for m in both), max(m.er for m in both)
+    cbs = list(dict.fromkeys((m.c, m.eb) for m in both))
+    eTs = list(dict.fromkeys(m.eT for m in both))
+    e2pis = list(dict.fromkeys(m.e2pi for m in both if m.e2pi))
+
+    def product(m: Mono) -> str:
+        factors = (
+            f"c{cbs.index((m.c, m.eb))}",
+            f"py{m.ey}" if m.ey else "",
+            f"pr{m.er}" if m.er else "",
+            f"t{eTs.index(m.eT)}",
+            f"w{e2pis.index(m.e2pi)}" if m.e2pi else "",
+        )
+        return " * ".join(filter(None, factors))
+
+    def total(monos: list[Mono]) -> str:
+        return f"fsum(({', '.join(map(product, monos))},))" if monos else "0.0"
+
+    names = [f"{x}{i}" for x, keys in zip("ctw", (cbs, eTs, e2pis)) for i in range(len(keys))]
+    source = _fill(
+        _SERIES_TEMPLATE,
+        bind=(f"def bind({', '.join(names)}):",),
+        powers=tuple(f"py{e} = y0 ** {e}" for e in sorted({m.ey for m in both} - {0}))
+        + tuple(f"pr{e} = rho ** {e}" for e in sorted({m.er for m in both} - {0})),
+        sums=(f"return {total(y_monos)}, {total(k_monos)}",),
+    )
+    return _define(source, "bind", fsum=math.fsum)(
+        *[float(c) * b**eb for c, eb in cbs],
+        *[T ** float(eT) for eT in eTs],
+        *[wT ** float(e2pi) for e2pi in e2pis],
+    )
 
 
 def _check_periods(periods: int) -> None:
@@ -559,36 +614,29 @@ def chen_fliess_step(
     frequency is 2*pi*periods/T; the tabulated closed forms are only
     valid on whole periods, so sub-period steps are rejected by
     construction (there is no way to express one here). The monomials
-    are the exact rows of `cftable.rows_for_order`. The factors that stay
-    fixed over a run, c*b^eb, T^eT and (omega*T)^e2pi, are converted to
-    float and taken once per (b, T, periods, order, drift_taylor) and
-    memoised; each step takes y^e and rho^e once for every e up to the
-    largest exponent, before either sum. A monomial's
-    value is c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi, multiplied
-    left to right as written (the last factor is 1.0 where e2pi is 0, an
-    exact product), and contributions are summed with compensated
-    summation per component.
+    are the exact rows of `cftable.rows_for_order`. A monomial's value is
+    c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi, multiplied left to
+    right as written, and contributions are summed with compensated
+    summation per component. The factors that stay fixed over a run,
+    c*b^eb, T^eT and (omega*T)^e2pi, are converted to float and taken once
+    per (b, T, periods, order, drift_taylor) and memoised, bound into a
+    straight-line step compiled once per (order, drift_taylor); each step
+    takes every power of y and of rho that a monomial uses once, before
+    either sum.
 
+    T must be finite and positive, periods a positive integer that converts
+    to a float and drift_taylor a bool; anything else raises ValueError.
     s0 is a State or a finite (y, k) pair, as for `simulate`. order
     selects rows by word length; drift_taylor additionally includes the
     pure-drift Taylor rows (see `cftable.rows_for_order`).
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError("chen_fliess_step: T must be positive")
-    if not isinstance(drift_taylor, bool):
-        raise ValueError(f"chen_fliess_step: drift_taylor must be a bool, not {drift_taylor!r}")
-    _check_periods(periods)
-    _check_order(order)
+    try:
+        step = _bound_terms(p.b, T, periods, order, drift_taylor)
+    except OverflowError:
+        _as_pair(s0)  # a refused start is reported before a constant that overflows
+        raise
     y0, k0 = _as_pair(s0)
-    y_terms, k_terms, max_ey, max_er = _bound_terms(p.b, T, periods, order, drift_taylor)
-    rho = p.a - p.b * k0
-    # Every power is taken before either sum, so an OverflowError from a
-    # power wins over a failing sum of the other component. A power list
-    # overflows exactly when its largest power, which some monomial uses, does.
-    py = [y0**e for e in range(max_ey + 1)]
-    pr = [rho**e for e in range(max_er + 1)]
-    dy = math.fsum([cb * py[ey] * pr[er] * tT * w for cb, ey, er, tT, w in y_terms])
-    dk = math.fsum([cb * py[ey] * pr[er] * tT * w for cb, ey, er, tT, w in k_terms])
+    dy, dk = step(y0, p.a - p.b * k0)
     return State(y0 + dy, k0 + dk)
 
 

@@ -400,9 +400,10 @@ def test_simulate_calls_other_callables_at_each_stage():
 
 def test_every_compiled_source_fits_the_source_caches():
     """The call forms of every law, of the averaged field and of the audit's
-    dither coefficients, and every (scheme, field, keep_u) kernel, fit the
-    caches of `dynamics._fill` and `dynamics._define` together: a second
-    round of the same builds fills and compiles nothing."""
+    dither coefficients, every (scheme, field, keep_u) kernel and the series
+    step of every (order, drift_taylor), fit the caches of `dynamics._fill`
+    and `dynamics._define` together: a second round of the same builds,
+    which binds every series step anew, fills and compiles nothing."""
     specs = [
         ControllerSpec(ControllerVariant.PROPOSED, omega=40.0),
         ControllerSpec(ControllerVariant.SWAPPED, omega=40.0),
@@ -424,13 +425,21 @@ def test_every_compiled_source_fits_the_source_caches():
             for law, keep_u in itertools.product(laws, (False, True)):
                 integrate._kernel(scheme, law, keep_u)
         integrate._kernel("series")
+        # More (b, T) keys than the series memo holds: each binding reuses
+        # the step compiled for its table shape.
+        for (order, drift_taylor), (b, T) in itertools.product(
+            itertools.product(range(4), (False, True)),
+            itertools.product((-2.0, 0.5, 3e10), (0.1, 1e-3)),
+        ):
+            chen_fliess_step(PlantParams(1.0, b), (1.0, 0.5), T, order, drift_taylor=drift_taylor)
 
     caches = (dynamics._fill, dynamics._define)
-    for cache in caches:
+    for cache in (*caches, integrate._bound_terms):
         cache.cache_clear()
     build()
     first = [cache.cache_info() for cache in caches]
     assert all(info.currsize < info.maxsize for info in first)
+    integrate._bound_terms.cache_clear()
     build()
     assert [cache.cache_info().misses for cache in caches] == [info.misses for info in first]
 
@@ -854,6 +863,8 @@ def _step_outcome(step, *args, **kwargs):
     -0.9184956268595643, -0.35180115078460816, -2.1401178526322307e78,
     -1.106289012141867e77, 2973.682025412213, 3, 2, False,
 )
+# A bound constant, -3/2 * b**2, is -inf: the new state is not finite.
+@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 2, False)
 def test_chen_fliess_step_equals_fraction_reference(
     a, b, y0, k0, omega, periods, order, drift_taylor
 ):
@@ -900,6 +911,8 @@ def _reference_run(p, s0, omega, periods, n, order, drift_taylor):
 )
 # b**2 overflows while the run's constants are bound: step 1 is rejected.
 @example(1.0, 1e200, 0.5, 0.5, 400.0, 1, 5, 3, False)
+# A bound constant, -3/2 * b**2, is -inf: step 1 is rejected.
+@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 5, 2, False)
 def test_chen_fliess_simulate_equals_a_loop_over_the_reference_step(
     a, b, y0, k0, omega, periods, n, order, drift_taylor
 ):
@@ -932,6 +945,36 @@ def test_series_memo_keeps_equal_orders_of_other_types_apart(order):
         chen_fliess_simulate(PLANT, State(1.0, 0.0), math.tau / T, 1, 5, order)
     with pytest.raises(ValueError, match=message):
         integrate._bound_terms(PLANT.b, T, 1, order, False)
+
+
+@pytest.mark.parametrize(
+    "s0, order, n_calls",
+    [((1e8, 0.0), 0, 16), ((1e70, 0.5), 3, 1), ((0.7, -0.3), 3, 50)],
+    ids=["order0-past-bound", "order3-raises", "order3-ok"],
+)
+def test_chen_fliess_simulate_calls_the_module_step_once_per_attempted_step(
+    monkeypatch, s0, order, n_calls
+):
+    """A series run calls the module global `integrate.chen_fliess_step`
+    once per attempted step, the rejected step included, with the order
+    as its fourth argument, so a wrapper of that global sees every step."""
+    orders = []
+    step = integrate.chen_fliess_step
+
+    def counting(*args, **kwargs):
+        orders.append(args[3])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "chen_fliess_step", counting)
+    traj = chen_fliess_simulate(PLANT, s0, 400.0, 1, 50, order)
+    assert orders == [order] * n_calls
+    assert len(traj) - 1 + traj.diverged == n_calls
+
+
+def test_chen_fliess_step_refuses_periods_past_the_largest_float():
+    """2*pi*periods is refused before binding, not left to overflow."""
+    with pytest.raises(ValueError, match="chen_fliess_step: periods is too large"):
+        chen_fliess_step(PLANT, (1.0, 0.0), 0.1, 1, periods=10**400)
 
 
 def test_chen_fliess_simulate_accepts_a_pair():
