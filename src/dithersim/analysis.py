@@ -27,14 +27,16 @@ from .averaging import _cumulative_simpson
 from .dynamics import (
     ControllerSpec,
     ControllerVariant,
+    InputFn,
     PlantParams,
+    Rhs2,
     State,
     closed_loop,
     lie_bracket_flow,
     lie_bracket_loop,
     lie_bracket_rhs,
 )
-from .integrate import Method, Trajectory, _write_csv, simulate
+from .integrate import Method, Trajectory, _start_record, _write_csv, simulate
 
 __all__ = [
     "LyapunovParams",
@@ -114,18 +116,23 @@ def _paper_step(spec: ControllerSpec) -> float:
     return 1e-4
 
 
+def _loop(
+    p: PlantParams, spec: ControllerSpec | None, s0: State
+) -> tuple[Rhs2, InputFn | None, dict]:
+    """What a fixed-step run from s0 integrates and records, as (rhs, control,
+    meta): spec's closed loop, or for None the averaged system, which has no input."""
+    start = _start_record(p, s0.y, s0.k)
+    if spec is None:
+        meta = {"variant": None, "system": "lbs", "omega": None, **start}
+        return lie_bracket_loop(p), None, meta
+    rhs, control = closed_loop(p, spec)
+    return rhs, control, {"variant": spec.variant.value, "omega": spec.omega, **start}
+
+
 def _lbs_reference(p: PlantParams, s0: State, t0: float, t_f: float) -> Trajectory:
-    """The averaged system from s0 over [t0, t_f]: RK4 at LBS_REFERENCE_STEP."""
-    meta = {
-        "variant": None,
-        "system": "lbs",
-        "omega": None,
-        "a": p.a,
-        "b": p.b,
-        "y0": s0.y,
-        "k0": s0.k,
-    }
-    return simulate(lie_bracket_loop(p), s0, t0, t_f, LBS_REFERENCE_STEP, Method.RK4, meta=meta)
+    """The averaged system from s0 over [t0, t_f] (`_loop`): RK4 at LBS_REFERENCE_STEP."""
+    rhs, _, meta = _loop(p, None, s0)
+    return simulate(rhs, s0, t0, t_f, LBS_REFERENCE_STEP, Method.RK4, meta=meta)
 
 
 def approximation_sweep(
@@ -137,12 +144,13 @@ def approximation_sweep(
 ) -> list[tuple[float, float]]:
     """Sup-norm gap between the dithered loop and its average, per omega.
 
-    For each omega the primary dithered design is integrated by `method`
-    at step 2*pi/(40*omega) over [0, t_f] and compared with the exact
-    averaged flow (`lie_bracket_flow`) evaluated at that run's own sample
-    times, with no interpolation. The error is the maximum over those
-    times of the Euclidean distance between the two states. A blown-up
-    dithered run reports inf.
+    For each omega the primary dithered design's loop from `_loop` is
+    integrated by `method` from the State s0 at step 2*pi/(40*omega)
+    over [0, t_f] and compared with the exact averaged flow
+    (`lie_bracket_flow`) evaluated at that run's own sample times, with
+    no interpolation. The error is the maximum over those times of the
+    Euclidean distance between the two states. A blown-up dithered run
+    reports inf. A start that is not a State is refused before any run.
 
     Results are returned in the order the omegas were given; any
     decrease with omega is observed, not assumed. At this step, h*omega
@@ -150,6 +158,8 @@ def approximation_sweep(
     the Euler gap stalls; RK4 is converged there and shows the averaging
     gap alone.
     """
+    if not isinstance(s0, State):
+        raise ValueError(f"approximation_sweep: s0 must be a State, not {type(s0).__name__}")
     if len(omegas) == 0:
         raise ValueError("approximation_sweep: omegas must be nonempty")
     for w in omegas:
@@ -164,7 +174,7 @@ def approximation_sweep(
     results: list[tuple[float, float]] = []
     for w in omegas:
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=float(w))
-        rhs, _ = closed_loop(p, spec)
+        rhs, _, _ = _loop(p, spec, s0)
         full = simulate(rhs, s0, 0.0, t_f, _paper_step(spec), method)
         if full.diverged:
             results.append((float(w), math.inf))

@@ -37,6 +37,7 @@ from .analysis import (
     STEPS_PER_PERIOD,
     _AliasedProfile,
     _lbs_reference,
+    _loop,
     _paper_step,
     approximation_sweep,
     nussbaum_type_check,
@@ -56,7 +57,6 @@ from .dynamics import (
     ControllerVariant,
     PlantParams,
     State,
-    closed_loop,
     s_cos_s,
 )
 from .integrate import (
@@ -425,33 +425,6 @@ def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> Sta
     return initials[0]
 
 
-# -- shared runners --------------------------------------------------------------
-
-
-def _run_controller(
-    plant: PlantParams,
-    spec: ControllerSpec,
-    s0: State,
-    t0: float,
-    t_f: float,
-    h: float,
-    method: Method,
-    *,
-    with_input: bool = True,
-) -> Trajectory:
-    rhs, control = closed_loop(plant, spec)
-    meta = {
-        "variant": spec.variant.value,
-        "omega": spec.omega,
-        "a": plant.a,
-        "b": plant.b,
-        "y0": s0.y,
-        "k0": s0.k,
-    }
-    input_fn = control if with_input else None
-    return simulate(rhs, s0, t0, t_f, h, method, input_fn=input_fn, meta=meta)
-
-
 def _announce(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -474,7 +447,10 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
 
-    trajs = [_run_controller(plant, spec, s0, t0, t_f, h, method) for s0 in initials]
+    trajs = []
+    for s0 in initials:
+        rhs, control, meta = _loop(plant, spec, s0)
+        trajs.append(simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta))
     lbs_trajs = [_lbs_reference(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
 
     multi = len(initials) > 1
@@ -512,10 +488,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
     # compare.csv holds only y columns, so the runs record no input.
-    trajs = [
-        _run_controller(plant, spec, s0, t0, t_f, h, method, with_input=False)
-        for spec, h in zip(specs, steps)
-    ]
+    trajs = []
+    for spec, h in zip(specs, steps):
+        rhs, _, meta = _loop(plant, spec, s0)
+        trajs.append(simulate(rhs, s0, t0, t_f, h, method, meta=meta))
     lbs = _lbs_reference(plant, s0, t0, t_f) if with_lbs else None
 
     # The coarsest completed run gives the time grid; when every run diverged,
@@ -661,7 +637,8 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         n_steps = _whole_steps(t_f, T)
     if not math.isfinite(n_steps * T):
         raise ConfigError("controller.omega", "too small: the series run's end time overflows")
-    _check_horizon("controller.omega", _paper_step(spec), n_steps * T)
+    h = _paper_step(spec)
+    _check_horizon("controller.omega", h, n_steps * T)
     s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:
@@ -669,7 +646,8 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         for path in traj.save(out / f"chenfliess_order{d}.csv"):
             _announce(path)
 
-    ref = _run_controller(plant, spec, s0, 0.0, n_steps * T, _paper_step(spec), Method.EULER)
+    rhs, control, meta = _loop(plant, spec, s0)
+    ref = simulate(rhs, s0, 0.0, n_steps * T, h, Method.EULER, input_fn=control, meta=meta)
     for path in ref.save(out / "reference.csv"):
         _announce(path)
     return 0

@@ -178,6 +178,9 @@ class ControllerSpec:
     sign_b: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, ControllerVariant):
+            kind = type(self.variant).__name__
+            raise ValueError(f"ControllerSpec: variant must be a ControllerVariant, not {kind}")
         if any(isinstance(v, (bool, np.bool_)) for v in (self.omega, self.sign_b)):
             raise ValueError("ControllerSpec: omega and sign_b must be numbers, not bools")
         if self.variant in DITHERED_VARIANTS:

@@ -60,6 +60,8 @@ class Method(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "Method":
         """Resolve a method name; "ode1" is accepted as an Euler alias."""
+        if not isinstance(name, str):
+            raise ValueError(f"method name must be a str, not {type(name).__name__}")
         key = name.strip().lower()
         if key == "ode1":
             return cls.EULER
@@ -303,6 +305,11 @@ def _as_pair(s0: State | Sequence[float]) -> tuple[float, float]:
     if not (math.isfinite(y) and math.isfinite(k)):
         raise ValueError("initial state must be finite")
     return (y, k)
+
+
+def _start_record(p: PlantParams, y0: float, k0: float) -> dict:
+    """The record keys every run shares: the plant and the start."""
+    return {"a": p.a, "b": p.b, "y0": y0, "k0": k0}
 
 
 def _whole_steps(span: float, h: float) -> int:
@@ -693,10 +700,7 @@ def chen_fliess_simulate(
         "periods_per_step": periods_per_step,
         "n_steps": n_steps,
         "drift_taylor": drift_taylor,
-        "a": p.a,
-        "b": p.b,
-        "y0": y0,
-        "k0": k0,
+        **_start_record(p, y0, k0),
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
     return _march(_kernel("series"), step, (y0, k0), 0.0, n_steps * T, T, meta)

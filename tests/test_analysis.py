@@ -108,6 +108,18 @@ def test_sweep_validation():
         approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [])
     with pytest.raises(ValueError):
         approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [100.0, -5.0])
+    with pytest.raises(ValueError, match="t_f must be nonnegative"):
+        approximation_sweep(PLANT, State(1.0, 0.0), -1.0, [100.0])
+
+
+def test_sweep_refuses_a_pair_start_before_any_run(monkeypatch):
+    """A (y, k) pair used to run the first omega's whole simulation and then
+    fail in the averaged flow."""
+    calls = []
+    monkeypatch.setattr(analysis, "simulate", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="approximation_sweep: s0 must be a State, not tuple"):
+        approximation_sweep(PLANT, (1.0, 0.0), 0.5, [100.0, 400.0])
+    assert calls == []
 
 
 def test_sweep_zero_horizon_gives_zero_errors():

@@ -92,6 +92,20 @@ def test_gamma_refuses_a_non_finite_integral(omega):
         gamma_coefficient(SINE, COSINE, omega)
 
 
+def test_gamma_refuses_a_scale_that_overflows():
+    """Exponents summing to 1.9 take omega**1.9 past the floats at 1e308,
+    though the period and the integral stay finite."""
+    loud_sine = DitherSignal.sine(exponent=0.95)
+    loud_cosine = DitherSignal.cosine(exponent=0.95)
+    with pytest.raises(QuadratureError, match="not finite"):
+        gamma_coefficient(loud_sine, loud_cosine, 1e308)
+
+
+def test_gamma_rounds_the_panel_count_up_to_a_multiple_of_four():
+    """4097 panels become 4100, which the composite Simpson passes need."""
+    assert abs(gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=4097) + 0.5) <= 1e-8
+
+
 def test_gamma_reports_non_convergent_quadrature():
     """A panel budget too small to resolve the pair must refuse loudly."""
     with pytest.raises(QuadratureError):

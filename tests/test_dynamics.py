@@ -69,8 +69,10 @@ def test_state_rejects_non_finite():
 
 
 def test_polar_state_rejects_negative_radius():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r must be nonnegative"):
         PolarState(-0.1, 0.0)
+    with pytest.raises(ValueError, match="r and phi must be finite"):
+        PolarState(math.nan, 0.0)
 
 
 def test_polar_state_refuses_degenerate_off_the_center():
@@ -111,6 +113,14 @@ def test_controller_spec_refuses_bools(flag):
         ControllerSpec(WILLEMS_BYRNES, sign_b=flag)
     with pytest.raises(ValueError, match="bool"):
         ControllerSpec(NUSSBAUM, omega=flag)
+
+
+@pytest.mark.parametrize("variant", ["proposed", None])
+def test_controller_spec_refuses_a_variant_of_another_type(variant):
+    """A variant name or None would otherwise construct and fail only when
+    the loop is built, as a KeyError."""
+    with pytest.raises(ValueError, match=f"ControllerVariant, not {type(variant).__name__}"):
+        ControllerSpec(variant, omega=400.0)
 
 
 def test_control_laws_are_plant_blind():

@@ -88,6 +88,9 @@ def test_method_names():
     assert Method.from_name("RK4") is Method.RK4
     with pytest.raises(ValueError, match="unknown method"):
         Method.from_name("rk45")
+    for name in (5, None):
+        with pytest.raises(ValueError, match=f"must be a str, not {type(name).__name__}"):
+            Method.from_name(name)
 
 
 # -- convergence orders -----------------------------------------------------------
@@ -493,6 +496,11 @@ def test_trajectory_validation():
         Trajectory(t, ok, ok, failure_step=2)
 
 
+def test_trajectory_rejects_empty_arrays():
+    with pytest.raises(ValueError, match="at least one sample required"):
+        Trajectory(np.array([]), np.array([]), np.array([]))
+
+
 def test_trajectory_rejects_a_2d_input_column():
     t = np.array([0.0, 0.1, 0.2])
     with pytest.raises(ValueError, match="us must be 1-D"):
@@ -500,8 +508,10 @@ def test_trajectory_rejects_a_2d_input_column():
 
 
 def test_trajectory_rejects_uneven_spacing():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="final step exceeds the interior step"):
         Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match="interior step is not constant"):
+        Trajectory(np.array([0.0, 0.1, 0.3, 0.4]), np.zeros(4), np.zeros(4))
     # a shorter final step is the one allowed irregularity
     Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3), np.zeros(3))
 
@@ -1084,6 +1094,12 @@ def test_value_error_from_a_field_reaches_the_caller():
         for method in Method:
             with pytest.raises(ValueError, match="undefined|domain"):
                 simulate(rhs, s0, 0.0, 1.0, 0.1, method)
+
+
+@pytest.mark.parametrize("t0, t_f", [(math.inf, 1.0), (0.0, math.nan)])
+def test_simulate_refuses_a_non_finite_horizon(t0, t_f):
+    with pytest.raises(ValueError, match="simulate: t0 and t_f must be finite"):
+        simulate(lie_bracket_loop(PLANT), (1.0, 0.0), t0, t_f, 0.1)
 
 
 def test_simulate_refuses_a_method_of_another_type():

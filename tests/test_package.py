@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -96,3 +97,24 @@ def test_cli_import_compiles_nothing():
     importing the CLI compiles none of them."""
     code = "import dithersim.cli, dithersim.dynamics as d; print(d._define.cache_info().currsize)"
     assert _fresh(code) == "0"
+
+
+def test_every_benchmark_tracer_target_resolves():
+    """perfbench's tracer silently skips a target it cannot find, so a
+    rename here would read 0 in a per-layer metric while tests pass. A
+    fresh interpreter keeps perfbench's constants out of the property
+    tests' draws."""
+    code = (
+        "import importlib, json\n"
+        "from dithersim.integrate import Trajectory\n"
+        "from perfbench.tracing import Tracer\n"
+        "targets = Tracer()._install_targets()\n"
+        "missing = [f'{m}.{n}' for m, n in targets\n"
+        "           if not callable(getattr(importlib.import_module(m), n, None))]\n"
+        "missing += [f'Trajectory.{a}' for a in ('write_csv', 'write_meta')\n"
+        "            if not callable(Trajectory.__dict__.get(a))]\n"
+        "print(json.dumps([len(targets), missing]))\n"
+    )
+    count, missing = json.loads(_fresh(code, cwd=README.parent))
+    assert count > 0
+    assert missing == []
