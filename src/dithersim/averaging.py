@@ -539,26 +539,16 @@ def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndar
     return pts, h2, houter2
 
 
-def _a2_norm_table(
-    fields: Sequence[Field2],
-    pts: np.ndarray,
-    h2: np.ndarray,
-    houter2: np.ndarray,
-    t: float,
-    out: np.ndarray,
-) -> None:
-    """Write the A2 norms of one time sample on the `_a2_block` of N states
-    to out (N, K), columns in `check_assumptions`' label order; fields[0] is
-    the drift.
+def _a2_values(fields: Sequence[Field2], pts: np.ndarray, t: float) -> list[list[np.ndarray]]:
+    """The field values one time sample of the A2 scan needs on the
+    `_a2_block` point sets pts (S, N, dim): [now, ahead, behind], each a
+    list of one (sets, N, dim) array per field, fields[0] the drift.
 
     At t the norms need every point set; at t +- the time step only the
     states and their h-moves, a prefix of pts. Each field is called once
-    per time value on the prefix it needs, and every norm is then a slice,
-    difference quotient or left-to-right product (`_matvec`) of those
-    values, with the arithmetic of `fd_jacobian` and `lie_bracket`.
+    per time value on the prefix it needs.
     """
     _, n, dim = pts.shape
-    nf = len(fields)
     n0, n1 = 1 + 2 * dim, 1 + 4 * dim
     flat = pts.reshape(-1, dim)
 
@@ -567,10 +557,37 @@ def _a2_norm_table(
 
     # the drift enters no Lie derivative as f_j, so it needs no moved offsets
     # and at t +- step only the states themselves
-    now = [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)]
-    ahead = [at(f, t + _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)]
-    behind = [at(f, t - _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)]
-    f_t, f_tp, f_tm = (np.stack([v[0] for v in vals]) for vals in (now, ahead, behind))
+    return [
+        [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)],
+        [at(f, t + _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
+        [at(f, t - _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
+    ]
+
+
+def _same_bits(a: list[list[np.ndarray]], b: list[list[np.ndarray]]) -> bool:
+    """Whether two `_a2_values` results hold the same bits, signed zeros
+    and NaN payloads included."""
+    return all(
+        np.array_equal(u.view(np.uint64), v.view(np.uint64))
+        for us, vs in zip(a, b)
+        for u, v in zip(us, vs)
+    )
+
+
+def _a2_norms(values: list[list[np.ndarray]], h2: np.ndarray, houter2: np.ndarray) -> np.ndarray:
+    """The A2 norms (N, K) of one time sample on an `_a2_block` of N states
+    from its `_a2_values`, columns in `check_assumptions`' label order.
+
+    Every norm is a slice, difference quotient or left-to-right product
+    (`_matvec`) of the values, with the arithmetic of `fd_jacobian` and
+    `lie_bracket`.
+    """
+    now, ahead, behind = values
+    nf = len(now)
+    _, n, dim = now[0].shape
+    n0, n1 = 1 + 2 * dim, 1 + 4 * dim
+    out = np.empty((n, nf * (2 * nf + 1)))
+    f_t, f_tp, f_tm = (np.stack([v[0] for v in vals]) for vals in values)
     f_off = np.stack([v[n0:n1] for v in now], axis=1)
     # (nf, N, k) views of out: (i, norm) columns, then (j, i, norm)
     field_cols = out[:, : 3 * nf].reshape(n, nf, 3).swapaxes(0, 1)
@@ -587,69 +604,13 @@ def _a2_norm_table(
         dt_lie = (lie(ahead[j][1:], f_tp) - lie(behind[j][1:], f_tm)) / (2.0 * _A2_TIME_STEP)
         dx_lie = _jacobian(lie(now[j][n1:].reshape(2 * dim, 2 * dim, n, dim), f_off), houter2)
         np.stack((_norm(dt_lie), _norm(dx_lie, 2)), axis=-1, out=lie_cols[j - 1])
+    return out
 
 
-def check_assumptions(
-    sys: AffineSystem,
-    region: Sequence[tuple[float, float]],
-    *,
-    grid: int = 50,
-    time_samples: int = 20,
-    phase_points: int = 10_000,
-) -> AssumptionReport:
-    """Audit the averaging prerequisites on a compact box.
-
-    A1: each dither is bounded by 1, 2*pi-periodic, and zero-mean on a
-    dense phase grid. A2: the five norm families (fields, their time and
-    state derivatives, and the same derivatives of the directional
-    derivatives L_{f_i} f_j) are finite over a grid x time product; the
-    max is reported with its witness. A3: for channel pairs whose
-    exponents sum above 1 the pair's raw interaction integral must vanish
-    or the pair's bracket must vanish on the grid; triples whose exponents
-    sum to at least 2 need the second-level directional derivative to
-    vanish. Pairs/triples below the thresholds are recorded as vacuous.
-    The A1 phase grid has phase_points samples per period, an even count
-    so that Simpson's rule covers the closed grid.
-
-    The A2 scan takes the state mesh in blocks of `_A2_BLOCK_ROWS` states
-    and stacks once per block the point sets a time sample needs: the
-    states, their outer offsets x +- 1e-4*(1+|x|)*e_d, and all of those
-    moved by +-1e-6*(1+|x|)*e_d for the Jacobians. At each time sample
-    every field is called once at t on those sets and once at each of
-    t +- 1e-6 on the states and their moves, 3 calls per field. Every norm
-    is then a slice, difference quotient or product of those values with
-    the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
-    point-wise scan's bit for bit. Products and norms are sums of
-    element-wise numpy ops in a fixed left-to-right order, with no BLAS
-    call, so the report's bytes do not depend on the host's BLAS kernel.
-    Fields must take x of shape (M, dim) and return shape (M, dim), row
-    by row. The witness is the first
-    maximiser in time-major, then point-major, then per-point order; the
-    scan stops at the first non-finite norm.
-    """
-    for name, n in (("grid", grid), ("time_samples", time_samples)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"check_assumptions: {name} must be an integer, at least 1")
-    if (
-        isinstance(phase_points, bool)
-        or not isinstance(phase_points, int)
-        or phase_points < 2
-        or phase_points % 2
-    ):
-        raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
-    lo_hi = [(float(lo), float(hi)) for lo, hi in region]
-    if not lo_hi or not all(math.isfinite(v) for pair in lo_hi for v in pair):
-        raise ValueError("check_assumptions: region must be a nonempty box with finite bounds")
-    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
-    axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]
-    times = np.linspace(0.0, 2.0 * math.pi, time_samples)
-    all_fields: list[Field2] = [sys.drift, *sys.fields]
-    nf = len(all_fields)
-
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    for i, f in enumerate(all_fields):
-        _require_mesh_shape(f, "drift" if i == 0 else f"fields[{i - 1}]", mesh, float(times[0]))
-
+def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> tuple[float, dict]:
+    """The A2 bound and witness of `check_assumptions` over the state mesh
+    (N, dim) at the given times; fields[0] is the drift."""
+    nf = len(fields)
     nx = _norm(mesh)
     h = 1e-6 * (1.0 + nx)
     houter = 1e-4 * (1.0 + nx)
@@ -658,31 +619,46 @@ def check_assumptions(
     labels += [
         (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
     ]
-    rows = [slice(lo, lo + _A2_BLOCK_ROWS) for lo in range(0, len(mesh), _A2_BLOCK_ROWS)]
-    blocks = [(b, _a2_block(mesh[b], h[b], houter[b])) for b in rows]
-    table = np.empty((len(mesh), len(labels)))
+    ncols = len(labels)
+    # per time sample, one (non-finite, value, flat index into that time's
+    # (N, K) norm table) per block: its first non-finite norm, or else its
+    # first largest norm
+    summaries: list[list[tuple[bool, float, int]]] = [[] for _ in times]
+    for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
+        b = slice(lo, lo + _A2_BLOCK_ROWS)
+        pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
+        last = None
+        for t, row in zip(times, summaries):
+            values = _a2_values(fields, pts, float(t))
+            if last is None or not _same_bits(values, last[0]):
+                norms = _a2_norms(values, h2, houter2).ravel()
+                bad = ~np.isfinite(norms)
+                k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
+                last = values, (bool(bad[k]), float(norms[k]), lo * ncols + k)
+            row.append(last[1])
+            if last[1][0]:
+                break
 
     best = -math.inf
     witness: dict = {}
-    for t in times:
-        t = float(t)
-        for b, block in blocks:
-            _a2_norm_table(all_fields, *block, t, table[b])
-        vals = table.ravel()
-        bad = ~np.isfinite(vals)
-        k = int(np.argmax(bad)) if bad.any() else int(np.argmax(vals))
-        if bad[k] or vals[k] > best:
-            best = math.inf if bad[k] else float(vals[k])
-            norm, i, j = labels[k % len(labels)]
-            witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // len(labels)].tolist(), "t": t}
-        if bad[k]:
+    for t, row in zip(times, summaries):
+        # the first block with a non-finite norm, else the first largest value
+        nonfinite, value, k = next((s for s in row if s[0]), None) or max(row, key=lambda s: s[1])
+        if nonfinite or value > best:
+            best = math.inf if nonfinite else value
+            norm, i, j = labels[k % ncols]
+            witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // ncols].tolist(), "t": float(t)}
+        if nonfinite:
             break
+    return best, witness
 
-    # A3 on a coarser grid; these conditions are vacuous for the shipped
-    # designs but must trigger for exponent choices that break scaling.
-    # Exponent sums are correctly rounded (fsum), so they and their verdict
-    # do not depend on the order of the channels.
-    coarse = mesh[:: max(1, len(mesh) // 100)]
+
+def _a3_checks(sys: AffineSystem, coarse: np.ndarray) -> tuple[list[dict], list[dict]]:
+    """The A3 pair and triple entries of `check_assumptions` on the states
+    coarse. These conditions are vacuous for the shipped designs but must
+    trigger for exponent choices that break scaling. Exponent sums are
+    correctly rounded (fsum), so they and their verdict do not depend on
+    the order of the channels."""
     a3_pairs: list[dict] = []
     a3_triples: list[dict] = []
     m = len(sys.fields)
@@ -723,6 +699,85 @@ def check_assumptions(
                 reason="vanishes" if sup <= 1e-9 else "violated",
             )
         a3_triples.append(entry)
+    return a3_pairs, a3_triples
+
+
+def check_assumptions(
+    sys: AffineSystem,
+    region: Sequence[tuple[float, float]],
+    *,
+    grid: int = 50,
+    time_samples: int = 20,
+    phase_points: int = 10_000,
+) -> AssumptionReport:
+    """Audit the averaging prerequisites on a compact box.
+
+    A1: each dither is bounded by 1, 2*pi-periodic, and zero-mean on a
+    dense phase grid. A2: the five norm families (fields, their time and
+    state derivatives, and the same derivatives of the directional
+    derivatives L_{f_i} f_j) are finite over a grid x time product; the
+    max is reported with its witness. A3: for channel pairs whose
+    exponents sum above 1 the pair's raw interaction integral must vanish
+    or the pair's bracket must vanish on the grid; triples whose exponents
+    sum to at least 2 need the second-level directional derivative to
+    vanish. Pairs/triples below the thresholds are recorded as vacuous.
+    The A1 phase grid has phase_points samples per period, an even count
+    so that Simpson's rule covers the closed grid.
+
+    The A2 scan takes the state mesh one block of `_A2_BLOCK_ROWS` states
+    at a time, and each block through every time sample before the next
+    block. Per block it stacks once the point sets a time sample needs:
+    the states, their outer offsets x +- 1e-4*(1+|x|)*e_d, and all of
+    those moved by +-1e-6*(1+|x|)*e_d for the Jacobians. At each time
+    sample every field is called once at t on those sets and once at each
+    of t +- 1e-6 on the states and their moves, 3 calls per field. Every
+    norm is then a slice, difference quotient or product of those values
+    with the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
+    point-wise scan's bit for bit. Where every value equals, bit for bit,
+    the block's value at the previous time sample, as for fields that
+    ignore t, the norms are those of that sample and are not recomputed.
+    Products and norms are sums of element-wise numpy ops in a fixed
+    left-to-right order, with no BLAS call, so the report's bytes do not
+    depend on the host's BLAS kernel. Fields must take x of shape
+    (M, dim) and return shape (M, dim), row by row.
+
+    The witness is the first maximiser in time-major, then point-major,
+    then per-point order, and the scan's verdict stops at the first
+    non-finite norm in that order: each block keeps its first non-finite
+    norm or else its first maximum per time sample, and stops at its own
+    first non-finite norm. A later block may so evaluate its fields at
+    times after the time where the report stops; the report is that of a
+    scan stopping there, but a field that raises at such a time raises.
+    Overflow and invalid values in the A2 and A3 arithmetic raise no
+    numpy warning; they show as non-finite norms.
+    """
+    for name, n in (("grid", grid), ("time_samples", time_samples)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"check_assumptions: {name} must be an integer, at least 1")
+    if (
+        isinstance(phase_points, bool)
+        or not isinstance(phase_points, int)
+        or phase_points < 2
+        or phase_points % 2
+    ):
+        raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
+    lo_hi = [(float(lo), float(hi)) for lo, hi in region]
+    if not lo_hi or not all(math.isfinite(v) for pair in lo_hi for v in pair):
+        raise ValueError("check_assumptions: region must be a nonempty box with finite bounds")
+    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
+    axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]
+    times = np.linspace(0.0, 2.0 * math.pi, time_samples)
+    all_fields: list[Field2] = [sys.drift, *sys.fields]
+
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    # overflow and invalid values show as non-finite norms, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, f in enumerate(all_fields):
+            name = "drift" if i == 0 else f"fields[{i - 1}]"
+            _require_mesh_shape(f, name, mesh, float(times[0]))
+        best, witness = _a2_scan(all_fields, mesh, times)
+        # A3 on a coarser grid
+        a3_pairs, a3_triples = _a3_checks(sys, mesh[:: max(1, len(mesh) // 100)])
 
     return AssumptionReport(
         a1=a1,

@@ -571,10 +571,10 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if not (k0 < k_max and math.isfinite(k0 + 2.0 * (k_max - k0))):
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
     ngrid = _value(cfg, "check.nussbaum.grid")
-    # The audit peaks near 730 bytes per mesh state at grid 120 and near 670
+    # The audit peaks near 165 bytes per mesh state at grid 120 and near 85
     # at grid 200, where a kept integration step peaks near 152 bytes, so the
-    # mesh may take a sixth of the budget (about 230 MB, under the 300 MB of
-    # a full-budget run).
+    # mesh may take a sixth of the budget (under 60 MB, far under the 300 MB
+    # of a full-budget run).
     _check_work("check.grid", grid, grid, unit="mesh states", budget=WORK_BUDGET // 6)
     _check_work("check.time_samples", time_samples, grid * grid, unit="audited samples")
     # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.

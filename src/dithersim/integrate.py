@@ -264,10 +264,27 @@ def _repr_cells(column: np.ndarray) -> list[str]:
 
 
 def _write_json(doc: dict, path: str | Path) -> Path:
-    """Write doc as indented JSON with sorted keys."""
+    """Write doc as indented JSON with sorted keys. A non-finite float is
+    written as null, since JSON (RFC 8259) has no Infinity or NaN."""
     path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_null_non_finite(doc), sort_keys=True, indent=2)
+    path.write_text(text + "\n")
     return path
+
+
+def _null_non_finite(node):
+    """node with every non-finite float in its dicts, lists and tuples
+    replaced by None."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {k: _null_non_finite(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_null_non_finite(v) for v in node]
+    return node
 
 
 # -- one-step integrators ------------------------------------------------------

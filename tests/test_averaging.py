@@ -627,6 +627,72 @@ def test_audit_report_does_not_depend_on_block_size_beyond_one_block(monkeypatch
     assert _report_json(sys, box, grid, time_samples=2) == want
 
 
+def _half_time_dependent_system():
+    """The proposed design with its sine field scaled by sin(t) where y > 0:
+    on the states y < 0 and their moves the fields ignore t."""
+    base = proposed_design_system(PLANT)
+
+    def f_sin(x, t):
+        return np.where(x[..., :1] > 0.0, np.sin(t), 1.0) * base.fields[0](x, t)
+
+    return AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
+
+
+def test_audit_reuses_the_norms_only_of_blocks_whose_values_repeat(monkeypatch):
+    """In seven-state blocks of a 5 x 5 mesh ordered by y, only the first
+    block (y = -2 and y = -1) has every field value repeat across the three
+    time samples: it computes its norms once and the three other blocks
+    once per time sample. The report is the point-wise scan's byte for
+    byte."""
+    sys, box = _half_time_dependent_system(), ((-2.0, 2.0), (-2.0, 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_check_assumptions(sys, box, grid=5, time_samples=3, phase_points=2000)
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    norms, computed = averaging._a2_norms, []
+
+    def counted(*args):
+        computed.append(None)
+        return norms(*args)
+
+    monkeypatch.setattr(averaging, "_a2_norms", counted)
+    assert _report_json(sys, box, 5) == json.dumps(want.to_dict())
+    assert len(computed) == 1 + 3 * 3
+
+
+def test_audit_witness_is_the_time_major_first_non_finite_norm(monkeypatch):
+    """A field that turns infinite at t > 3 where y < 0 and at t > 1
+    elsewhere: in seven-state blocks of a 5 x 5 mesh the first block (all
+    y < 0) turns non-finite at the third time sample, every later block at
+    the second. The witness is the second sample's first non-finite norm,
+    in the second block, as in the point-wise scan. Each block stops at its
+    own first non-finite norm, so the first block still runs the third
+    sample, past the time where the report stops."""
+    base = proposed_design_system(PLANT)
+    calls: dict = {}
+
+    def f_sin(x, t):
+        first = tuple(np.reshape(x, (-1, 2))[0].tolist())
+        calls[first] = calls.get(first, 0) + 1
+        late = np.where(x[..., :1] < 0.0, t > 3.0, t > 1.0)
+        return np.where(late, np.inf, 1.0) * base.fields[0](x, t)
+
+    sys = AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_check_assumptions(sys, box, grid=5, time_samples=4, phase_points=2000)
+    assert want.a2_bound == math.inf
+    assert want.a2_witness["t"] == 2.0 * math.pi / 3.0
+    assert want.a2_witness["x"] == [0.0, -2.0]
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    calls.clear()
+    assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
+    # keyed by each block's first state: one mesh-shape probe (on the whole
+    # mesh, which starts with the first block), then 3 calls per time sample
+    # the block runs
+    firsts = [(-2.0, -2.0), (-1.0, 0.0), (0.0, 2.0), (2.0, -1.0)]
+    assert calls == dict(zip(firsts, [1 + 3 * 3, 3 * 2, 3 * 2, 3 * 2]))
+
+
 @pytest.mark.parametrize("block_rows", [None, 7])
 def test_audit_calls_each_field_three_times_per_time_sample_and_block(block_rows, monkeypatch):
     """Beyond one mesh-shape probe, each field is called once at t and once
@@ -674,7 +740,7 @@ def test_audit_memory_per_mesh_state_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / grid**2 <= 1200
+    assert peak / grid**2 <= 400
 
 
 def _equal_channel_system(exponents):

@@ -13,6 +13,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,41 @@ def test_check_biased_dither_fails_but_exits_zero(tmp_path, capsys):
     doc = json.loads((out / "check.json").read_text())
     assert doc["assumptions"]["a1_passed"] is False
     assert doc["assumptions"]["passed"] is False
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_check_of_an_overflowing_box_warns_nothing_and_writes_strict_json(tmp_path, capsys):
+    """On a box at +-1e300 the audit's norms overflow. The report says so
+    (a2_bound null, with its witness) and the run emits no numpy warning;
+    check.json holds no Infinity or NaN token, which JSON does not allow."""
+    cfg = {
+        "plant": {"a": 10.0, "b": -2.0},
+        "check": {"region_min": -1.0e300, "region_max": 1.0e300, "grid": 1, "time_samples": 1},
+    }
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
+    assert "averaging assumptions: FAIL" in capsys.readouterr().out
+    doc = json.loads((out / "check.json").read_text(), parse_constant=_refuse_constant)
+    assert doc["assumptions"]["a2_bound"] is None
+    assert doc["assumptions"]["a2_passed"] is False
+    assert doc["assumptions"]["a2_witness"]["x"] == [-1.0e300, -1.0e300]
+
+
+def test_write_json_keeps_finite_bytes_and_nulls_non_finite_floats(tmp_path):
+    """A document with no non-finite float is written as json.dumps writes
+    it; otherwise each inf or nan, in dicts, lists and tuples, becomes null."""
+    finite = {"b": [1.0, -0.0, 1e-310], "a": {"t": (2.5, None, "x")}}
+    text = integrate._write_json(finite, tmp_path / "finite.json").read_text()
+    assert text == json.dumps(finite, sort_keys=True, indent=2) + "\n"
+    doc = {"b": [math.inf, 1.5], "a": {"t": (-math.inf, math.nan)}, "c": np.float64(math.nan)}
+    text = integrate._write_json(doc, tmp_path / "doc.json").read_text()
+    got = json.loads(text, parse_constant=_refuse_constant)
+    assert got == {"a": {"t": [None, None]}, "b": [None, 1.5], "c": None}
 
 
 def test_check_audits_configured_design(tmp_path):
