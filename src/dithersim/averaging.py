@@ -566,10 +566,11 @@ def _a2_values(fields: Sequence[Field2], pts: np.ndarray, t: float) -> list[list
 
 def _same_bits(a: list[list[np.ndarray]], b: list[list[np.ndarray]]) -> bool:
     """Whether two `_a2_values` results hold the same bits, signed zeros
-    and NaN payloads included."""
+    and NaN payloads included. The small arrays at t +- the time step go
+    first, so a field that depends on t shows it after a few compares."""
     return all(
         np.array_equal(u.view(np.uint64), v.view(np.uint64))
-        for us, vs in zip(a, b)
+        for us, vs in zip(a[::-1], b[::-1])
         for u, v in zip(us, vs)
     )
 
@@ -624,19 +625,27 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
     # (N, K) norm table) per block: its first non-finite norm, or else its
     # first largest norm
     summaries: list[list[tuple[bool, float, int]]] = [[] for _ in times]
+    # the earliest time index where a block so far met a non-finite norm: a
+    # later block's summaries from there on cannot change the report
+    stop = len(times)
     for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
         b = slice(lo, lo + _A2_BLOCK_ROWS)
         pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
-        last = None
-        for t, row in zip(times, summaries):
+        # the values of the block's first time sample while every later one
+        # repeats them; None once a sample differs, since keeping the values
+        # of a block that depends on t only costs
+        first = None
+        for i, t in enumerate(times[:stop]):
             values = _a2_values(fields, pts, float(t))
-            if last is None or not _same_bits(values, last[0]):
+            if first is None or not _same_bits(values, first):
+                first = values if i == 0 else None
                 norms = _a2_norms(values, h2, houter2).ravel()
                 bad = ~np.isfinite(norms)
                 k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
-                last = values, (bool(bad[k]), float(norms[k]), lo * ncols + k)
-            row.append(last[1])
-            if last[1][0]:
+                summary = bool(bad[k]), float(norms[k]), lo * ncols + k
+            summaries[i].append(summary)
+            if summary[0]:
+                stop = i
                 break
 
     best = -math.inf
@@ -733,9 +742,11 @@ def check_assumptions(
     of t +- 1e-6 on the states and their moves, 3 calls per field. Every
     norm is then a slice, difference quotient or product of those values
     with the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
-    point-wise scan's bit for bit. Where every value equals, bit for bit,
-    the block's value at the previous time sample, as for fields that
-    ignore t, the norms are those of that sample and are not recomputed.
+    point-wise scan's bit for bit. While every value of a block equals, bit
+    for bit, its value at the first time sample, as for fields that ignore
+    t, the norms are those of that sample and are not recomputed; from the
+    first sample that differs on, the block recomputes its norms at every
+    sample and compares no more.
     Products and norms are sums of element-wise numpy ops in a fixed
     left-to-right order, with no BLAS call, so the report's bytes do not
     depend on the host's BLAS kernel. Fields must take x of shape
@@ -744,10 +755,13 @@ def check_assumptions(
     The witness is the first maximiser in time-major, then point-major,
     then per-point order, and the scan's verdict stops at the first
     non-finite norm in that order: each block keeps its first non-finite
-    norm or else its first maximum per time sample, and stops at its own
-    first non-finite norm. A later block may so evaluate its fields at
-    times after the time where the report stops; the report is that of a
-    scan stopping there, but a field that raises at such a time raises.
+    norm or else its first maximum per time sample. It stops at its own
+    first non-finite norm, and runs no time sample at or after the
+    earliest one where an earlier block met a non-finite norm. A block may
+    so evaluate its fields at times after the time where the report stops,
+    when a later block meets a non-finite norm at an earlier time; the
+    report is that of a scan stopping there, but a field that raises at
+    such a time raises.
     Overflow and invalid values in the A2 and A3 arithmetic raise no
     numpy warning; they show as non-finite norms.
     """

@@ -308,48 +308,17 @@ def _unit_dither(variant: ControllerVariant, sn: float, cs: float) -> Callable:
 
 # -- State-typed law and closed-loop right-hand side ------------------------
 
-# The State-typed entries' call forms, keyed by the ids of their plant and
-# spec (None where an entry takes none): equal plants can differ in the sign
-# of a zero, as PlantParams(-0.0, b) == PlantParams(0.0, b) while their dy
-# at k = 0 differ in sign, and two ids cost far less to look up than a hash
-# of the dataclasses. Each entry holds its plant and spec, so no other
-# object takes their ids while it is kept.
-_ENTRIES_MAX = 64
-_entries: dict[tuple[int, int], tuple] = {}
-
-
-def _entry(p: PlantParams | None, spec: ControllerSpec | None) -> Callable:
-    """The call form of spec's law closed over p, of spec's law alone
-    (u, dk) for no p, or of p's averaged field for no spec; compiled once
-    per pair of objects and kept in `_entries`."""
-    if len(_entries) >= _ENTRIES_MAX:
-        _entries.clear()
-    if spec is None:
-        field = lie_bracket_loop(p)
-    else:
-        field = _compile(_law_field(spec, p), "u, dk" if p is None else "dy, dk")
-    _entries[id(p), id(spec)] = (p, spec, field)
-    return field
-
 
 def control(spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
     """Input u and gain rate dk of spec's law at state s and time t.
     Plant-blind: it reads nothing but the ControllerSpec."""
-    try:
-        field = _entries[id(None), id(spec)][2]
-    except KeyError:
-        field = _entry(None, spec)
-    return field((s.y, s.k), t)
+    return _compile(_law_field(spec), "u, dk")(s.as_tuple(), t)
 
 
 def rhs(p: PlantParams, spec: ControllerSpec, s: State, t: float) -> tuple[float, float]:
     """Closed-loop rates (dy, dk) of plant p under spec's law, with
     dy = a*y + b*u: the `closed_loop` field at s and t."""
-    try:
-        field = _entries[id(p), id(spec)][2]
-    except KeyError:
-        field = _entry(p, spec)
-    return field((s.y, s.k), t)
+    return closed_loop(p, spec)[0](s.as_tuple(), t)
 
 
 def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
@@ -359,11 +328,7 @@ def lie_bracket_rhs(p: PlantParams, s: State) -> tuple[float, float]:
     are equilibria, and trajectories with y != 0 move along circular arcs
     centered at (0, a/b).
     """
-    try:
-        field = _entries[id(p), id(None)][2]
-    except KeyError:
-        field = _entry(p, None)
-    return field((s.y, s.k), 0.0)
+    return lie_bracket_loop(p)(s.as_tuple(), 0.0)
 
 
 # -- polar coordinates about (0, a/b) ----------------------------------------

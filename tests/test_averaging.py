@@ -642,55 +642,87 @@ def test_audit_reuses_the_norms_only_of_blocks_whose_values_repeat(monkeypatch):
     """In seven-state blocks of a 5 x 5 mesh ordered by y, only the first
     block (y = -2 and y = -1) has every field value repeat across the three
     time samples: it computes its norms once and the three other blocks
-    once per time sample. The report is the point-wise scan's byte for
-    byte."""
+    once per time sample. The first block compares its values at both later
+    samples, each other block only at the second, where they first differ.
+    The report is the point-wise scan's byte for byte."""
     sys, box = _half_time_dependent_system(), ((-2.0, 2.0), (-2.0, 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_check_assumptions(sys, box, grid=5, time_samples=3, phase_points=2000)
     monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
-    norms, computed = averaging._a2_norms, []
+    calls = {"_a2_norms": 0, "_same_bits": 0}
 
-    def counted(*args):
-        computed.append(None)
-        return norms(*args)
+    def counted(name):
+        fn = getattr(averaging, name)
 
-    monkeypatch.setattr(averaging, "_a2_norms", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(averaging, name, counted(name))
     assert _report_json(sys, box, 5) == json.dumps(want.to_dict())
-    assert len(computed) == 1 + 3 * 3
+    assert calls == {"_a2_norms": 1 + 3 * 3, "_same_bits": 2 + 3}
 
 
-def test_audit_witness_is_the_time_major_first_non_finite_norm(monkeypatch):
-    """A field that turns infinite at t > 3 where y < 0 and at t > 1
-    elsewhere: in seven-state blocks of a 5 x 5 mesh the first block (all
-    y < 0) turns non-finite at the third time sample, every later block at
-    the second. The witness is the second sample's first non-finite norm,
-    in the second block, as in the point-wise scan. Each block stops at its
-    own first non-finite norm, so the first block still runs the third
-    sample, past the time where the report stops."""
+# keyed by each seven-state block's first state on the 5 x 5 mesh over
+# [-2, 2]^2 ordered by y
+_BLOCK_FIRSTS = [(-2.0, -2.0), (-1.0, 0.0), (0.0, 2.0), (2.0, -1.0)]
+
+
+@pytest.mark.parametrize(
+    "late, witness, block_calls",
+    [
+        # infinite at t > 3 where y < 0 and at t > 1 elsewhere: the first
+        # block (all y < 0) turns non-finite at the third time sample, every
+        # later block at the second. The witness is in the second block at
+        # the second sample; the first block ran the third sample before the
+        # second block met its non-finite norm, the blocks after the second
+        # run the first sample only.
+        (
+            lambda x, t: np.where(x[..., :1] < 0.0, t > 3.0, t > 1.0),
+            ([0.0, -2.0], 2.0 * math.pi / 3.0),
+            [1 + 3 * 3, 3 * 2, 3, 3],
+        ),
+        # infinite at every t where y < -1.5, only in the first block: no
+        # later block calls a field at all
+        (
+            lambda x, t: x[..., :1] < -1.5,
+            ([-2.0, -2.0], 0.0),
+            [1 + 3, 0, 0, 0],
+        ),
+    ],
+    ids=["staggered", "first_block_only"],
+)
+def test_audit_witness_is_the_time_major_first_non_finite_norm(
+    late, witness, block_calls, monkeypatch
+):
+    """The witness of a scan whose blocks turn non-finite at different
+    times is the time-major first non-finite norm, as in the point-wise
+    scan. Each block stops at its own first non-finite norm, and runs no
+    time sample at or after the earliest one where an earlier block met
+    one: the per-block field calls pin that stop rule."""
     base = proposed_design_system(PLANT)
     calls: dict = {}
 
     def f_sin(x, t):
         first = tuple(np.reshape(x, (-1, 2))[0].tolist())
         calls[first] = calls.get(first, 0) + 1
-        late = np.where(x[..., :1] < 0.0, t > 3.0, t > 1.0)
-        return np.where(late, np.inf, 1.0) * base.fields[0](x, t)
+        return np.where(late(x, t), np.inf, 1.0) * base.fields[0](x, t)
 
     sys = AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
     box = ((-2.0, 2.0), (-2.0, 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_check_assumptions(sys, box, grid=5, time_samples=4, phase_points=2000)
     assert want.a2_bound == math.inf
-    assert want.a2_witness["t"] == 2.0 * math.pi / 3.0
-    assert want.a2_witness["x"] == [0.0, -2.0]
+    assert (want.a2_witness["x"], want.a2_witness["t"]) == witness
     monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
     calls.clear()
     assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
-    # keyed by each block's first state: one mesh-shape probe (on the whole
-    # mesh, which starts with the first block), then 3 calls per time sample
-    # the block runs
-    firsts = [(-2.0, -2.0), (-1.0, 0.0), (0.0, 2.0), (2.0, -1.0)]
-    assert calls == dict(zip(firsts, [1 + 3 * 3, 3 * 2, 3 * 2, 3 * 2]))
+    # one mesh-shape probe (on the whole mesh, which starts with the first
+    # block), then 3 calls per time sample a block runs
+    assert calls == {first: n for first, n in zip(_BLOCK_FIRSTS, block_calls) if n}
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])

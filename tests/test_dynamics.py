@@ -38,7 +38,6 @@ from dithersim import (
     swapped_design_system,
     to_polar,
 )
-from dithersim import dynamics
 
 PLANT = PlantParams(10.0, -2.0)
 PROPOSED, SWAPPED, NUSSBAUM, WILLEMS_BYRNES = ControllerVariant
@@ -239,13 +238,12 @@ def test_closed_loop_matches_rhs_functions():
 
 def test_state_typed_entries_keep_the_sign_of_a_zero_plant_constant():
     """Equal plants that differ in the sign of a zero give dy of opposite
-    signs at y = -1, k = 0, t = 0: `rhs` reuses no call form across them
-    and matches `closed_loop` bit for bit for each, in either order."""
+    signs at y = -1, k = 0, t = 0: `rhs` matches `closed_loop` bit for bit
+    for each, in either order, so no call form is shared across them."""
     spec = ControllerSpec(PROPOSED, omega=400.0)
     plus, minus = PlantParams(0.0, -2.0), PlantParams(-0.0, -2.0)
     assert plus == minus
     for order in ((plus, minus), (minus, plus)):
-        dynamics._entries.clear()
         for p in order:
             got = rhs(p, spec, State(-1.0, 0.0), 0.0)
             want = closed_loop(p, spec)[0]((-1.0, 0.0), 0.0)

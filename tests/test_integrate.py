@@ -406,9 +406,7 @@ def test_every_compiled_source_fits_the_source_caches():
     dither coefficients, every (scheme, field, keep_u) kernel and the series
     step of every (order, drift_taylor), fit the caches of `dynamics._fill`
     and `dynamics._define` together: a second round of the same builds,
-    which binds every series step anew, fills and compiles nothing. The
-    State-typed entries' call forms fit `dynamics._entries`, and the second
-    round reuses each of them."""
+    which binds every series step anew, fills and compiles nothing."""
     specs = [
         ControllerSpec(ControllerVariant.PROPOSED, omega=40.0),
         ControllerSpec(ControllerVariant.SWAPPED, omega=40.0),
@@ -441,17 +439,12 @@ def test_every_compiled_source_fits_the_source_caches():
     caches = (dynamics._fill, dynamics._define)
     for cache in (*caches, integrate._bound_terms):
         cache.cache_clear()
-    dynamics._entries.clear()
     build()
     first = [cache.cache_info() for cache in caches]
     assert all(info.currsize < info.maxsize for info in first)
-    entries = dict(dynamics._entries)
-    assert 0 < len(entries) < dynamics._ENTRIES_MAX
     integrate._bound_terms.cache_clear()
     build()
     assert [cache.cache_info().misses for cache in caches] == [info.misses for info in first]
-    assert dynamics._entries.keys() == entries.keys()
-    assert all(dynamics._entries[key][2] is entry[2] for key, entry in entries.items())
 
 
 def test_simulate_meta_records_solver_facts():
