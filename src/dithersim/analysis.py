@@ -25,6 +25,7 @@ import numpy as np
 
 from .averaging import _cumulative_simpson
 from .dynamics import (
+    DITHERED_VARIANTS,
     ControllerSpec,
     ControllerVariant,
     InputFn,
@@ -111,7 +112,7 @@ STEPS_PER_PERIOD = 40  # paper steps per dither period
 def _paper_step(spec: ControllerSpec) -> float:
     """Per-design reference step: a dither period over STEPS_PER_PERIOD
     for the dithered designs, 1e-4 for the dither-free ones."""
-    if spec.omega is not None:
+    if spec.variant in DITHERED_VARIANTS:
         return math.tau / (STEPS_PER_PERIOD * spec.omega)
     return 1e-4
 

@@ -44,7 +44,7 @@ Field2 = Callable[[np.ndarray, float], np.ndarray]
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested accuracy on its panel budget."""
+    """Quadrature failed to reach its accuracy bound on its panel budget."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,6 @@ def gamma_coefficient(
     omega: float,
     *,
     panels_per_period: int = 4096,
-    tol: float = 1e-8,
 ) -> float:
     """Interaction coefficient of the ordered dither pair (inner ui, outer uj).
 
@@ -228,11 +227,11 @@ def gamma_coefficient(
     over the common period T of the two channels. Computed by a cumulative
     Simpson inner pass (`_cumulative_simpson`) and a composite Simpson outer
     pass (`_simpson`); a half-resolution repeat bounds the error (the pair
-    is fourth-order, so the Richardson factor is 15) and failing the bound
-    raises QuadratureError rather than returning a silently inaccurate
-    value, as does a non-finite integral or result (an omega so large or
-    small that the period or the integrand's scale leaves the floats).
-    panels_per_period must be a positive integer.
+    is fourth-order, so the Richardson factor is 15) and an estimated
+    relative error above 1e-8 raises QuadratureError rather than returning
+    a silently inaccurate value, as does a non-finite integral or result
+    (an omega so large or small that the period or the integrand's scale
+    leaves the floats). panels_per_period must be a positive integer.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
@@ -252,9 +251,9 @@ def gamma_coefficient(
     if not (math.isfinite(full) and math.isfinite(half) and math.isfinite(gamma)):
         raise QuadratureError(f"gamma_coefficient: not finite at omega={omega!r}")
     err = abs(full - half) / 15.0
-    if err > tol * max(1.0, abs(full)):
+    if err > 1e-8 * max(1.0, abs(full)):
         raise QuadratureError(
-            f"gamma_coefficient: estimated relative error {err:.3e} exceeds {tol:.1e}"
+            f"gamma_coefficient: estimated relative error {err:.3e} exceeds 1.0e-08"
         )
     return gamma
 
@@ -353,17 +352,16 @@ def fd_jacobian(
     return _jacobian(np.stack(moved), (2.0 * h)[..., None])
 
 
-def lie_bracket(
-    f: Field2, g: Field2, x: np.ndarray, t: float, step: float | np.ndarray | None = None
-) -> np.ndarray:
+def lie_bracket(f: Field2, g: Field2, x: np.ndarray, t: float) -> np.ndarray:
     """[f, g](x, t) = Dg(x,t) f(x,t) - Df(x,t) g(x,t) by central differences.
 
-    x has shape (..., dim); step as in `fd_jacobian`. Both products are
-    summed left to right over the Jacobian columns (`_matvec`).
+    x has shape (..., dim); the Jacobians take `fd_jacobian`'s default
+    steps. Both products are summed left to right over the Jacobian
+    columns (`_matvec`).
     """
     x = np.asarray(x, dtype=float)
-    jf = fd_jacobian(f, x, t, step)
-    jg = fd_jacobian(g, x, t, step)
+    jf = fd_jacobian(f, x, t)
+    jg = fd_jacobian(g, x, t)
     return _matvec(jg, np.asarray(f(x, t), float)) - _matvec(jf, np.asarray(g(x, t), float))
 
 
@@ -762,8 +760,9 @@ def check_assumptions(
     when a later block meets a non-finite norm at an earlier time; the
     report is that of a scan stopping there, but a field that raises at
     such a time raises.
-    Overflow and invalid values in the A2 and A3 arithmetic raise no
-    numpy warning; they show as non-finite norms.
+    A region whose width hi - lo is not finite is refused (ValueError).
+    Overflow and invalid values in the A1, A2 and A3 arithmetic raise no
+    numpy warning; they show as non-finite checks and norms.
     """
     for name, n in (("grid", grid), ("time_samples", time_samples)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -776,16 +775,16 @@ def check_assumptions(
     ):
         raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]
-    if not lo_hi or not all(math.isfinite(v) for pair in lo_hi for v in pair):
-        raise ValueError("check_assumptions: region must be a nonempty box with finite bounds")
-    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
+    if not lo_hi or not all(math.isfinite(hi - lo) for lo, hi in lo_hi):
+        raise ValueError("check_assumptions: region must be a nonempty box of finite width")
     axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]
     times = np.linspace(0.0, 2.0 * math.pi, time_samples)
     all_fields: list[Field2] = [sys.drift, *sys.fields]
 
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    # overflow and invalid values show as non-finite norms, not as warnings
+    # overflow and invalid values show as non-finite results, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a1 = [_check_dither(d, phase_points) for d in sys.dithers]
         for i, f in enumerate(all_fields):
             name = "drift" if i == 0 else f"fields[{i - 1}]"
             _require_mesh_shape(f, name, mesh, float(times[0]))

@@ -63,6 +63,7 @@ from .integrate import (
     Method,
     Trajectory,
     _BOUND,
+    _grid,
     _whole_steps,
     _write_csv,
     _write_json,
@@ -202,17 +203,12 @@ def _named(v: object, path: str, *, lookup: Callable[[str], object]) -> object:
         raise ConfigError(path, str(e)) from None
 
 
-# A run ends at the first state with |y| or |k| above integrate's bound, so a
-# start beyond it is refused rather than run.
-_START_BOUND = _BOUND
-
-
 def _start_range(v: object, path: str) -> list:
+    """v as a [lo, hi] pair within integrate's _BOUND: a run ends at the
+    first state with |y| or |k| above it, so a start beyond is refused."""
     pair = _list(v, path, item=_number)
-    if len(pair) != 2 or not -_START_BOUND <= pair[0] <= pair[1] <= _START_BOUND:
-        raise ConfigError(
-            path, f"expected [lo, hi] with {-_START_BOUND:g} <= lo <= hi <= {_START_BOUND:g}"
-        )
+    if len(pair) != 2 or not -_BOUND <= pair[0] <= pair[1] <= _BOUND:
+        raise ConfigError(path, f"expected [lo, hi] with {-_BOUND:g} <= lo <= hi <= {_BOUND:g}")
     return pair
 
 
@@ -224,7 +220,7 @@ def _step(v: object, path: str) -> object:
 _REQUIRED = object()
 _variant = partial(_named, lookup=ControllerVariant.from_name)
 _shape = partial(_one_of, among=tuple(NUSSBAUM_SHAPES))
-_start = partial(_number, within=_START_BOUND)
+_start = partial(_number, within=_BOUND)
 _count = partial(_integer, least=1)
 _order = partial(_integer, among=_ORDERS)
 
@@ -324,14 +320,16 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def _check_horizon(field: str, h: float, span: float) -> None:
-    """Refuse, naming `field`, a step h longer than a positive horizon
-    span, an infinite h (the paper step of a subnormal omega) or an h
-    of 0.0 (the paper step of an omega near the float maximum)."""
-    if h == 0.0:
-        raise ConfigError(field, "step underflows to 0")
-    if h == math.inf or (span > 0.0 and h > span * (1.0 + 1e-12)):
-        raise ConfigError(field, f"step {h:.3g} exceeds the horizon t_f - t0 = {span:.3g}")
+def _check_steps(runs: Sequence[tuple[str, float]], t0: float, t_f: float) -> float:
+    """The steps that runs over [t0, t_f] take, one run per (field, step h).
+    A step `integrate._grid` refuses, such as the paper step 0.0 or inf of an
+    extreme omega, is a config error naming its run's field."""
+    for field, h in runs:
+        try:
+            _grid(t0, t_f, h)
+        except ValueError as e:
+            raise ConfigError(field, str(e)) from None
+    return sum((t_f - t0) / h for _, h in runs)
 
 
 def _parse_plant(cfg: dict) -> PlantParams:
@@ -436,14 +434,13 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
     spec = _controller_spec(cfg, _value(cfg, "controller.variant", required=True))
     t0, t_f, method = _parse_simulation(cfg)
-    span = t_f - t0
     step = _value(cfg, "simulation.step")
     h = _paper_step(spec) if step == "paper" else step
-    _check_horizon("simulation.step", h, span)
-    with_lbs = _value(cfg, "simulation.with_lbs") or args.with_lbs
+    with_lbs = _value(cfg, "simulation.with_lbs")
+    runs = [("simulation.step", h)]
     if with_lbs:
-        _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, span)
-    run_steps = span / h + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
+        runs.append(("simulation.t_f", LBS_REFERENCE_STEP))
+    run_steps = _check_steps(runs, t0, t_f)
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
 
@@ -478,12 +475,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     # step, so simulation.step and simulation.with_lbs are not read.
     t0, t_f, method = _parse_simulation(cfg)
     steps = [_paper_step(spec) for spec in specs]
-    span = t_f - t0
-    for i, h in enumerate(steps):
-        _check_horizon(f"compare.variants[{i}]", h, span)
+    runs = [(f"compare.variants[{i}]", h) for i, h in enumerate(steps)]
     if with_lbs:
-        _check_horizon("simulation.t_f", LBS_REFERENCE_STEP, span)
-    run_steps = sum(span / h for h in steps) + (span / LBS_REFERENCE_STEP if with_lbs else 0.0)
+        runs.append(("simulation.t_f", LBS_REFERENCE_STEP))
+    run_steps = _check_steps(runs, t0, t_f)
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
@@ -521,11 +516,10 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_zero_start(cfg, "sweep")
     t_f = _value(cfg, "simulation.t_f", positive=True)
     method = _value(cfg, "simulation.method")
-    for i, w in enumerate(vals):
-        spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
-        _check_horizon(f"sweep.omegas[{i}]", _paper_step(spec), t_f)
     # One run per omega at the paper step; the averaged flow is exact.
-    run_steps = sum(t_f * STEPS_PER_PERIOD * w / math.tau for w in vals)
+    specs = [ControllerSpec(ControllerVariant.PROPOSED, omega=w) for w in vals]
+    runs = [(f"sweep.omegas[{i}]", _paper_step(spec)) for i, spec in enumerate(specs)]
+    run_steps = _check_steps(runs, 0.0, t_f)
     _check_work("sweep.omegas", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "sweep", run_steps)
 
@@ -638,7 +632,7 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     if not math.isfinite(n_steps * T):
         raise ConfigError("controller.omega", "too small: the series run's end time overflows")
     h = _paper_step(spec)
-    _check_horizon("controller.omega", h, n_steps * T)
+    _check_steps([("controller.omega", h)], 0.0, n_steps * T)
     s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:
@@ -691,9 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line) in _COMMANDS.items():
         sub.add_parser(name, parents=[shared], help=help_line)
-    sub.choices["simulate"].add_argument(
-        "--with-lbs", action="store_true", help="also run the averaged system"
-    )
     return parser
 
 

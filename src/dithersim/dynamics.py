@@ -242,12 +242,11 @@ class FusedField(NamedTuple):
     """A field as source, compiled to its call form by `_compile` and into
     the whole-run kernels of `integrate`. `body` holds statements over y, k,
     the constants a, b, c (which `bind` binds from a FusedField named f)
-    and, where `dithered`, sn = sin(w*t) and cs = cos(w*t). Run in order,
+    and, where w != 0, sn = sin(w*t) and cs = cos(w*t). Run in order,
     they set dy and dk, or u and dk for a gain law, whose a and b are None.
     """
 
     body: tuple[str, ...]
-    dithered: bool
     a: float | None = None
     b: float | None = None
     c: object = None
@@ -257,9 +256,9 @@ class FusedField(NamedTuple):
 
     def time(self, t: str) -> tuple[str, ...]:
         """The lines that set the stage time ts to t and the dither values
-        at ts, for a dithered field; a field blind to time needs none."""
+        at ts, for a dithered field (w != 0); a field blind to time needs none."""
         dither = ("wt = w * ts", "sn = sin(wt)", "cs = cos(wt)")
-        return (f"ts = {t}", *dither) if self.dithered else ()
+        return (f"ts = {t}", *dither) if self.w != 0.0 else ()
 
 
 # The call form of a FusedField: s, t -> the `out` values of its body.
@@ -293,7 +292,7 @@ def _law_field(spec: ControllerSpec, p: PlantParams | None = None) -> FusedField
         c, w = math.sqrt(spec.omega), spec.omega
     else:
         c, w = (spec.nussbaum_fn if v is ControllerVariant.NUSSBAUM else spec.sign_b), 0.0
-    law = FusedField(_LAW_SOURCE[v], v in DITHERED_VARIANTS, c=c, w=w)
+    law = FusedField(_LAW_SOURCE[v], c=c, w=w)
     if p is not None:
         law = law._replace(body=(*law.body, "dy = a * y + b * u"), a=p.a, b=p.b)
     return law
@@ -303,7 +302,7 @@ def _unit_dither(variant: ControllerVariant, sn: float, cs: float) -> Callable:
     """The law of a dithered variant at c = 1 and the fixed dither values
     sn and cs, as a call (y, k), t -> (u, dk)."""
     body = (f"sn, cs = {sn!r}, {cs!r}", *_LAW_SOURCE[variant])
-    return _compile(FusedField(body, False, c=1.0), "u, dk")
+    return _compile(FusedField(body, c=1.0), "u, dk")
 
 
 # -- State-typed law and closed-loop right-hand side ------------------------
@@ -386,7 +385,7 @@ def closed_loop(p: PlantParams, spec: ControllerSpec) -> tuple[Rhs2, InputFn]:
 
 def lie_bracket_loop(p: PlantParams) -> Rhs2:
     """Averaged system as a plain-tuple callable for the integrators."""
-    return _compile(FusedField(_AVERAGED_SOURCE, False, p.a, p.b), "dy, dk")
+    return _compile(FusedField(_AVERAGED_SOURCE, p.a, p.b), "dy, dk")
 
 
 def lie_bracket_flow(

@@ -335,6 +335,25 @@ def _whole_steps(span: float, h: float) -> int:
     return int(math.floor(span / h * (1.0 + 1e-12)))
 
 
+def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
+    """The whole steps of size h from t0 toward t_f and whether a shortened
+    step to t_f follows them. ValueError unless h is positive, finite, no
+    longer than a positive t_f - t0 and, so that the sample times t0 + i*h
+    strictly increase, at least 8 ulps of max(|t0|, |t_f|)."""
+    span = t_f - t0
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step {h:.3g} is not positive and finite")
+    if span > 0.0 and h > span * (1.0 + 1e-12):
+        raise ValueError(f"step {h:.3g} exceeds the horizon t_f - t0 = {span:.3g}")
+    # Rounding i*h, then t0 + i*h, moves a sample at most 3 of these ulps.
+    least = 8.0 * math.ulp(max(abs(t0), abs(t_f)))
+    if span > 0.0 and h < least:
+        raise ValueError(f"step {h:.3g} is under 8 ulps of max(|t0|, |t_f|), {least:.3g}")
+    n_full = _whole_steps(span, h)
+    # A remainder that rounds away at t_f is merged into the last step, as a sliver is.
+    return n_full, span - n_full * h > _SLIVER * h and t0 + n_full * h < t_f
+
+
 # -- whole-run kernels ------------------------------------------------------------
 #
 # A kernel takes n steps of size h from the state (ys[-1], ks[-1]) at time
@@ -453,15 +472,14 @@ def _march(
     us: list | None = None,
 ) -> Trajectory:
     """Run kernel(rhs, ...) from s over [t0, t_f] with the rules `simulate`
-    documents: whole steps of size h, then one shortened step to t_f. `us`
-    is the list a fused kernel fills with input_fn's value at the start of
-    each accepted step, or None."""
-    span = t_f - t0
-    n_full = _whole_steps(span, h)
+    documents: whole steps of size h, then one shortened step to t_f, on a
+    time grid `_grid` accepts. `us` is the list a fused kernel fills with
+    input_fn's value at the start of each accepted step, or None."""
+    n_full, shortened = _grid(t0, t_f, h)
     ys = [s[0]]
     ks = [s[1]]
     failure_step = kernel(rhs, ys, ks, t0, h, n_full, us)
-    if failure_step is None and span - n_full * h > _SLIVER * h:
+    if failure_step is None and shortened:
         t_last = t0 + n_full * h
         if kernel(rhs, ys, ks, t_last, t_f - t_last, 1, us) is not None:
             failure_step = n_full + 1
@@ -511,7 +529,9 @@ def simulate(
     closure from `closed_loop` or `lie_bracket_loop` with the same results
     bit for bit; see the module docstring.
 
-    t_f == t0 yields a single-sample trajectory.
+    t_f == t0 yields a single-sample trajectory. An h that is not positive
+    and finite, exceeds a positive t_f - t0 or is too fine for the sample
+    times to strictly increase (`_grid`) is a ValueError before any step.
     """
     if isinstance(method, str):
         method = Method.from_name(method)
@@ -521,10 +541,6 @@ def simulate(
         raise ValueError("simulate: t0 and t_f must be finite")
     if t_f < t0:
         raise ValueError("simulate: t_f must not precede t0")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError("simulate: h must be positive")
-    if t_f > t0 and h > (t_f - t0) * (1.0 + 1e-12):
-        raise ValueError("simulate: h must not exceed t_f - t0")
     run_meta = {**(meta or {}), "method": method.value}
     fused = getattr(rhs, "fused", None)
     # The control of the same closed_loop call shares the descriptor; the

@@ -9,6 +9,8 @@ import pytest
 
 from dithersim import analysis
 from dithersim import (
+    ControllerSpec,
+    ControllerVariant,
     LyapunovParams,
     Method,
     PlantParams,
@@ -24,6 +26,7 @@ from dithersim import (
     sweep_to_csv,
 )
 from dithersim.cli import FIELDS, NUSSBAUM_SHAPES
+from dithersim.dynamics import DITHERED_VARIANTS
 
 PLANT = PlantParams(10.0, -2.0)
 
@@ -217,6 +220,16 @@ def test_euler_sweep_stalls_at_the_paper_step():
     errs = [e for _, e in results]
     assert errs[3] >= 0.9 * errs[2]
     assert _log_log_slope(results) > -0.3
+
+
+@pytest.mark.parametrize("omega", [0.5, 400.0, 1e6])
+@pytest.mark.parametrize("variant", list(ControllerVariant))
+def test_paper_step_follows_the_variant_not_omega(variant, omega):
+    """A dithered design steps a fortieth of its dither period; a dither-free
+    law steps 1e-4 even when its spec carries an omega, which it ignores."""
+    spec = ControllerSpec(variant, omega=omega, sign_b=1)
+    want = math.tau / (40 * omega) if variant in DITHERED_VARIANTS else 1e-4
+    assert analysis._paper_step(spec) == want
 
 
 def test_sweep_to_csv(tmp_path):

@@ -466,12 +466,20 @@ def test_empty_sample_set_is_refused(kwargs):
 
 @pytest.mark.parametrize(
     "region",
-    [(), ((-1.0, math.nan), (-1.0, 1.0)), ((-1.0, 1.0), (-math.inf, 1.0)), ((-1.0, math.inf),)],
-    ids=["empty", "nan", "-inf", "inf"],
+    [
+        (),
+        ((-1.0, math.nan), (-1.0, 1.0)),
+        ((-1.0, 1.0), (-math.inf, 1.0)),
+        ((-1.0, math.inf),),
+        ((-1e308, 1e308),) * 2,
+    ],
+    ids=["empty", "nan", "-inf", "inf", "infinite-width"],
 )
 def test_empty_or_non_finite_region_is_refused(region):
     """An empty box has no mesh to stack, and a NaN or infinite bound would
-    report FAIL as if the field were unbounded; both are refused."""
+    report FAIL as if the field were unbounded; both are refused. So is a
+    box of finite bounds whose width hi - lo overflows: its mesh was NaN,
+    after a numpy warning."""
     with pytest.raises(ValueError, match="check_assumptions: region must be a nonempty box"):
         check_assumptions(proposed_design_system(PLANT), region)
 

@@ -189,12 +189,21 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert not (out / "lbs.csv").exists()
 
 
-def test_simulate_with_lbs_flag(tmp_path):
+def test_simulate_with_lbs_flag(tmp_path, capsys):
+    """simulation.with_lbs adds the averaged run; the config field is the
+    only way to ask for it, so a --with-lbs option is an argument error."""
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    cfg["simulation"]["with_lbs"] = True
     out = tmp_path / "out"
-    assert _run("simulate", _write_cfg(tmp_path, FAST_SIM), out, "--with-lbs") == 0
+    assert _run("simulate", _write_cfg(tmp_path, cfg), out) == 0
     meta = json.loads((out / "lbs.json").read_text())
     assert meta["system"] == "lbs"
     assert meta["variant"] is None
+
+    with pytest.raises(SystemExit) as exc:
+        _run("simulate", _write_cfg(tmp_path, FAST_SIM), tmp_path / "flag", "--with-lbs")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --with-lbs" in capsys.readouterr().err
 
 
 def test_simulate_multiple_initials(tmp_path):
@@ -905,6 +914,13 @@ CHECK_TYPOS = {"plant": PLANT, "check": {"time_sample": 3, "nussbaum": {"grdi": 
 DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 0.01")
 
 
+def _preset_case(name, **simulation):
+    """The bundled config `name` with the given simulation fields set."""
+    cfg = copy.deepcopy(PRESETS[name])
+    cfg["simulation"].update(simulation)
+    return cfg
+
+
 @pytest.mark.parametrize(
     "command, cfg, field",
     [
@@ -1060,6 +1076,16 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         ),
         # A repeated key used to keep its last value.
         ("simulate", DUPLICATE_T_F, "config"),
+        # The floats near 1e12 are 1.2e-4 apart, too coarse for the paper
+        # step 3.9e-4 and the 1e-4 lbs step: the runs ran, then their
+        # Trajectory refused repeated times with a traceback.
+        ("simulate", _preset_case("fig1", t0=1.0e12, t_f=1e12 + 0.01), "simulation.step"),
+        (
+            "simulate",
+            _preset_case("fig1", t0=1.0e12, t_f=1e12 + 0.01, step=0.002),
+            "simulation.t_f",
+        ),
+        ("compare", _preset_case("fig2", t0=1.0e13, t_f=1e13 + 1.0), "compare.variants[0]"),
         # N(k) overflows to NaN; the check used to report it as a result.
         ("check", _check_case({"grid": 4, "nussbaum": {"k_max": 1e150}}), "check.nussbaum.k_max"),
         # Panels 5e95 wide against the 2*pi period of s_cos_s gave a finite,
@@ -1096,6 +1122,9 @@ DUPLICATE_T_F = yaml.safe_dump(FAST_SIM).replace("t_f: 0.5", "t_f: 0.05\n  t_f: 
         "check-typos",
         "initial-entry-unknown-key",
         "duplicate-key",
+        "simulate-step-unresolved",
+        "simulate-lbs-unresolved",
+        "compare-step-unresolved",
         "check-nussbaum-not-finite",
         "check-nussbaum-aliased",
     ],
@@ -1105,6 +1134,18 @@ def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
     assert _run(command, _write_cfg(tmp_path, cfg), out) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+def test_check_reports_an_overflowing_dither_mean_without_a_warning(tmp_path):
+    """A bias of 1e308 overflows the A1 mean: the report shows it as null
+    and FAILs, and no numpy warning escapes (the suite turns RuntimeWarning
+    into an error). The A1 checks used to run outside the audit's errstate."""
+    out = tmp_path / "out"
+    cfg = _check_case({"grid": 4, "time_samples": 2, "bias": 1.0e308})
+    assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
+    report = json.loads((out / "check.json").read_text())["assumptions"]
+    assert report["a1"][0]["mean"] is None
+    assert (report["a1_passed"], report["passed"]) == (False, False)
 
 
 def test_non_finite_gain_shape_is_refused_before_auditing(tmp_path, capsys, monkeypatch):

@@ -206,7 +206,7 @@ def _reference_simulate(rhs, s0, t0, t_f, h, method, input_fn=None):
     step = euler_step if method is Method.EULER else rk4_step
     span = t_f - t0
     n_full = math.floor(span / h * (1.0 + 1e-12))
-    total = n_full + (1 if span - n_full * h > 1e-9 * h else 0)
+    total = n_full + (1 if span - n_full * h > 1e-9 * h and t0 + n_full * h < t_f else 0)
     s, times, ys, ks, failure = s0, [t0], [s0[0]], [s0[1]], None
     for i in range(1, total + 1):
         t_prev = t0 + (i - 1) * h
@@ -533,6 +533,74 @@ def test_simulate_merges_a_sliver_remainder_into_the_last_step(fused):
     assert (traj.ys.tolist(), traj.ks.tolist()) == (ys, ks)
     with pytest.raises(ValueError, match="final step"):
         Trajectory(np.array([0.0, 0.1, 0.2 + 1e-9]), np.zeros(3), np.zeros(3))
+
+
+def test_simulate_merges_a_remainder_that_rounds_away_at_t_f():
+    """Near 1e12 the floats are 1.2e-4 apart. Ten steps of 1 - 1e-9 leave
+    1e-8 to t_f, more than a sliver, but t0 + 10*h rounds onto t_f, so the
+    remainder is merged into the last step as a sliver is. The run used to
+    take a step of length 0 and then fail to build its Trajectory."""
+    t0, h = 1e12, 1.0 - 1e-9
+    traj = simulate(lambda s, t: (0.0, 1.0), (0.0, 0.0), t0, t0 + 10.0, h, Method.EULER)
+    assert traj.status == "ok"
+    assert traj.times.tolist() == [t0 + i * h for i in range(11)]
+    assert traj.times[-1] == t0 + 10.0
+
+
+@pytest.mark.parametrize("t0", [3.0, 1e16, -1e16, -4.5e15])
+def test_simulate_refuses_a_step_under_8_ulps_of_its_times(t0):
+    """Rounding i*h and then t0 + i*h moves a sample at most 3 ulps of the
+    larger end: a step of 8 ulps runs with strictly increasing times, and
+    one just under it is refused before the field is called."""
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        return (0.0, 0.0)
+
+    t_f = t0 + 64 * math.ulp(t0)
+    least = 8.0 * math.ulp(max(abs(t0), abs(t_f)))
+    traj = simulate(rhs, (1.0, 0.0), t0, t_f, least, Method.EULER)
+    assert traj.status == "ok" and traj.times[-1] == t_f
+    assert np.all(np.diff(traj.times) > 0.0)
+    calls.clear()
+    with pytest.raises(ValueError, match="under 8 ulps"):
+        simulate(rhs, (1.0, 0.0), t0, t_f, math.nextafter(least, 0.0), Method.EULER)
+    assert calls == []
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    method=st.sampled_from(list(Method)),
+    t0=st.one_of(st.just(0.0), _signed_decades(-3.0, 17.0)),
+    span=st.one_of(st.just(0.0), st.floats(-20.0, 17.0).map(lambda e: 10.0**e)),
+    n=st.integers(1, 300),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+# h = 1 where the floats are 2 apart: t0 + h rounds back onto t0
+@example(Method.EULER, 1e16, 4.0, 4, 0.0)
+# the last whole step rounds onto t_f with 1e-8 still to go
+@example(Method.EULER, 1e12, 10.0, 10, 1e-8)
+def test_simulate_times_strictly_increase_or_the_step_is_refused(method, t0, span, n, frac):
+    """From any start up to 1e17 in size, over any span, at about n + frac
+    steps per span: simulate raises ValueError before the field is called
+    once, or returns times that strictly increase from t0 to t_f."""
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        return (0.0, 0.0)
+
+    t_f = t0 + span
+    h = span / (n + frac) if span else 1.0
+    try:
+        traj = simulate(rhs, (1.0, 0.0), t0, t_f, h, method)
+    except ValueError:
+        assert calls == []
+        return
+    assert traj.status == "ok"
+    assert (traj.times[0], traj.times[-1]) == (t0, t_f)
+    assert np.all(np.diff(traj.times) > 0.0)
 
 
 def test_trajectory_state_access():
