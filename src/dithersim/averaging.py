@@ -214,36 +214,24 @@ def _common_period_multiple(freqs: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-def gamma_coefficient(
-    ui: DitherSignal,
-    uj: DitherSignal,
-    omega: float,
-    *,
-    panels_per_period: int = 4096,
-) -> float:
+def gamma_coefficient(ui: DitherSignal, uj: DitherSignal, omega: float) -> float:
     """Interaction coefficient of the ordered dither pair (inner ui, outer uj).
 
     gamma = (w^{p_i+p_j} / T) * int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth
-    over the common period T of the two channels. Computed by a cumulative
-    Simpson inner pass (`_cumulative_simpson`) and a composite Simpson outer
-    pass (`_simpson`); a half-resolution repeat bounds the error (the pair
-    is fourth-order, so the Richardson factor is 15) and an estimated
-    relative error above 1e-8 raises QuadratureError rather than returning
-    a silently inaccurate value, as does a non-finite integral or result
-    (an omega so large or small that the period or the integrand's scale
-    leaves the floats). panels_per_period must be a positive integer.
+    over the common period T of the two channels. Computed on 4096 panels
+    per period by a cumulative Simpson inner pass (`_cumulative_simpson`)
+    and a composite Simpson outer pass (`_simpson`); a half-resolution
+    repeat bounds the error (the pair is fourth-order, so the Richardson
+    factor is 15) and an estimated relative error above 1e-8 raises
+    QuadratureError rather than returning a silently inaccurate value, as
+    does a non-finite integral or result (an omega so large or small that
+    the period or the integrand's scale leaves the floats).
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
-    if (
-        isinstance(panels_per_period, bool)
-        or not isinstance(panels_per_period, int)
-        or panels_per_period < 1
-    ):
-        raise ValueError("gamma_coefficient: panels_per_period must be a positive integer")
     with np.errstate(all="ignore"):  # a non-finite value is refused below
-        T, full = _interaction_integral(ui, uj, omega, panels_per_period)
-        _, half = _interaction_integral(ui, uj, omega, panels_per_period, coarsen=2)
+        T, full = _interaction_integral(ui, uj, omega)
+        _, half = _interaction_integral(ui, uj, omega, coarsen=2)
     try:
         gamma = omega ** (ui.exponent + uj.exponent) / T * full
     except OverflowError:
@@ -259,20 +247,17 @@ def gamma_coefficient(
 
 
 def _interaction_integral(
-    ui: DitherSignal, uj: DitherSignal, omega: float, panels_per_period: int, coarsen: int = 1
+    ui: DitherSignal, uj: DitherSignal, omega: float, coarsen: int = 1
 ) -> tuple[float, float]:
     """Common period T of the pair at frequency omega and the raw integral
     int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth over it.
 
-    The panel count is panels_per_period per common period, rounded up to
-    a multiple of 4 and then divided by coarsen.
+    The panel count is 4096 per common period, divided by coarsen; the
+    outer Simpson pass needs it even.
     """
     L = _common_period_multiple([ui.freq, uj.freq])
     T = 2.0 * math.pi * float(L) / omega
-    n = panels_per_period * max(1, math.ceil(L))
-    if n % 4:
-        n += 4 - n % 4
-    n //= coarsen
+    n = 4096 * max(1, math.ceil(L)) // coarsen
     theta = np.linspace(0.0, T, n + 1)
     inner = np.asarray(ui.fn(float(ui.freq) * omega * theta), dtype=float)
     anti = _cumulative_simpson(inner, T / n)
@@ -675,7 +660,7 @@ def _a3_checks(sys: AffineSystem, coarse: np.ndarray) -> tuple[list[dict], list[
         if not entry["triggered"]:
             entry.update(satisfied=True, reason="vacuous")
         else:
-            _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
+            _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0)
             bracket = lie_bracket(sys.fields[i], sys.fields[j], coarse, 0.0)
             bracket_sup = max(_norm(bracket).tolist())
             reason = "integral" if abs(raw) <= 1e-9 else (

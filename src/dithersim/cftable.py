@@ -173,7 +173,8 @@ def rows_for_order(order: int, drift_taylor: bool = False) -> tuple[ChenFliessTe
     >= 2 are excluded by default: with them the truncation would append
     Taylor terms of the averaged flow, and order 1 is then no longer an
     exact Euler step of the averaged system. Pass drift_taylor=True to
-    include them (the literal full truncation).
+    include them (the literal full truncation) when counting the table's
+    words; the series stepper never does.
     """
     _check_order(order)
     return tuple(

@@ -87,15 +87,16 @@ class Trajectory:
     systems without an explicit input (averaged dynamics, series stepping).
 
     Sampling is uniform: all interior steps equal the first step to
-    1e-12 relative to the span, and only the final step may differ. It
+    16 ulps of the larger end time, and only the final step may differ. It
     may be shorter (the driver shortens it to land exactly on the
     requested end time) or longer by at most 1e-9 of a step (the driver
     merges a remainder that small into it).
 
     A run that blew up -- a step raised OverflowError or left |y| or |k|
     above 1e9 or non-finite -- is truncated at the last accepted sample
-    and carries status "diverged" with failure_step set to the 1-based
-    index of the step whose result was rejected.
+    and carries failure_step, the 1-based index of the step whose result
+    was rejected, which is the sample count; a completed run carries None.
+    status ("ok" or "diverged") and diverged follow from it.
     """
 
     times: np.ndarray
@@ -103,7 +104,6 @@ class Trajectory:
     ks: np.ndarray
     us: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    status: str = "ok"
     failure_step: int | None = None
 
     def __post_init__(self) -> None:
@@ -122,10 +122,8 @@ class Trajectory:
         if n == 0:
             raise ValueError("Trajectory: at least one sample required")
         self._check_spacing()
-        if self.status not in ("ok", "diverged"):
-            raise ValueError(f"Trajectory: unknown status {self.status!r}")
-        if (self.failure_step is None) != (self.status == "ok"):
-            raise ValueError("Trajectory: failure_step must be set iff diverged")
+        if self.failure_step not in (None, n):
+            raise ValueError(f"Trajectory: failure_step must be None or the sample count {n}")
 
     def _check_spacing(self) -> None:
         d = np.diff(self.times)
@@ -134,10 +132,10 @@ class Trajectory:
         if np.any(d <= 0.0):
             raise ValueError("Trajectory: times must be strictly increasing")
         step = float(d[0])
-        # Samples are formed as t0 + i*h, so diffs wobble at the
-        # rounding scale of the timestamp magnitude, not of the step.
-        mag = max(abs(float(self.times[0])), abs(float(self.times[-1])))
-        tol = 1e-12 * max(1.0, mag, step)
+        # Samples are formed as t0 + i*h, which `_grid` bounds to 3 ulps of
+        # max(|t0|, |t_f|) from the exact time, so two steps differ by at
+        # most 12 such ulps; 16 also covers rounding in the differences.
+        tol = 16.0 * math.ulp(max(abs(float(self.times[0])), abs(float(self.times[-1]))))
         if d.size >= 2 and np.max(np.abs(d[:-1] - step)) > tol:
             raise ValueError("Trajectory: interior step is not constant")
         if float(d[-1]) > step * (1.0 + _SLIVER) + tol:
@@ -154,8 +152,12 @@ class Trajectory:
         return self.state(-1)
 
     @property
+    def status(self) -> str:
+        return "ok" if self.failure_step is None else "diverged"
+
+    @property
     def diverged(self) -> bool:
-        return self.status == "diverged"
+        return self.failure_step is not None
 
     def write_csv(self, path: str | Path) -> Path:
         """Write samples as CSV with header t,y,k,u.
@@ -500,8 +502,7 @@ def _march(
         n = len(us)
         us += [input_fn(state, t) for state, t in zip(zip(ys[n:], ks[n:]), times[n:].tolist())]
     meta = {**meta, "h": h, "t0": t0, "tf": t_f}
-    status = "ok" if failure_step is None else "diverged"
-    return Trajectory(times, ys, ks, us, meta, status, failure_step)
+    return Trajectory(times, ys, ks, us, meta, failure_step)
 
 
 def simulate(
@@ -555,13 +556,12 @@ def simulate(
 # -- whole-period series stepping ----------------------------------------------
 
 
-# The series step of one table shape (order, drift_taylor), filled by
-# `_bound_terms`: `bind` takes a run's constants as arguments and returns
-# step(y0, rho) -> (dy, dk). The step takes every power py{e} = y0**e and
-# pr{e} = rho**e that a monomial uses before either sum, so an
-# OverflowError from a power wins over a failing sum of the other
-# component; a power of y or rho overflows exactly when the largest one
-# used does. Each sum is one `fsum` over its monomials in table order.
+# The series step of one order, filled by `_bound_terms`: `bind` takes a
+# run's constants as arguments and returns step(y0, rho) -> (dy, dk). The
+# step takes every power py{e} = y0**e and pr{e} = rho**e that a monomial
+# uses before either sum, so an OverflowError from a power wins over a
+# failing sum of the other component; a power of y or rho overflows
+# exactly when the largest one used does. Each sum is one `fsum` over its monomials in table order.
 _SERIES_TEMPLATE = """\
 {bind}
     def step(y0, rho):
@@ -572,17 +572,17 @@ _SERIES_TEMPLATE = """\
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: bool) -> Callable:
-    """The series step step(y0, rho) -> (dy, dk) of
-    `rows_for_order(order, drift_taylor)`, with the factors a run holds
-    fixed bound: float(c) * b**eb per distinct (c, eb), T ** float(eT) per
-    distinct eT and (omega*T) ** float(e2pi) per distinct nonzero e2pi.
+def _bound_terms(b: float, T: float, periods: int, order: int) -> Callable:
+    """The series step step(y0, rho) -> (dy, dk) of `rows_for_order(order)`,
+    with the factors a run holds fixed bound: float(c) * b**eb per distinct
+    (c, eb), T ** float(eT) per distinct eT and (omega*T) ** float(e2pi) per
+    distinct nonzero e2pi.
 
     A monomial is c*b^eb * y^ey * rho^er * T^eT * (omega*T)^e2pi,
     multiplied left to right as written; a factor of exponent 0 is an exact
-    1.0 and is left out. The source depends only on the table shape, so
-    `dynamics._define` compiles it once per (order, drift_taylor). The
-    constants are arguments, never literals, as a bound one may be inf.
+    1.0 and is left out. The source depends only on the order, so
+    `dynamics._define` compiles it once per order. The constants are
+    arguments, never literals, as a bound one may be inf.
 
     The arguments are refused as `chen_fliess_step` documents. An error is
     never memoised, so a key found in the memo was checked when first
@@ -591,10 +591,8 @@ def _bound_terms(b: float, T: float, periods: int, order: int, drift_taylor: boo
     True or 1.0 from 1, which `rows_for_order` refuses."""
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
-    if not isinstance(drift_taylor, bool):
-        raise ValueError(f"chen_fliess_step: drift_taylor must be a bool, not {drift_taylor!r}")
     _check_periods(periods)
-    rows = rows_for_order(order, drift_taylor)
+    rows = rows_for_order(order)
     try:
         wT = math.tau * periods
     except OverflowError:  # an integer past the largest float
@@ -646,7 +644,6 @@ def chen_fliess_step(
     order: int,
     *,
     periods: int = 1,
-    drift_taylor: bool = False,
 ) -> State:
     """Advance the dithered closed loop by T using the series table.
 
@@ -659,19 +656,18 @@ def chen_fliess_step(
     right as written, and contributions are summed with compensated
     summation per component. The factors that stay fixed over a run,
     c*b^eb, T^eT and (omega*T)^e2pi, are converted to float and taken once
-    per (b, T, periods, order, drift_taylor) and memoised, bound into a
-    straight-line step compiled once per (order, drift_taylor); each step
-    takes every power of y and of rho that a monomial uses once, before
-    either sum.
+    per (b, T, periods, order) and memoised, bound into a straight-line
+    step compiled once per order; each step takes every power of y and of
+    rho that a monomial uses once, before either sum.
 
-    T must be finite and positive, periods a positive integer that converts
-    to a float and drift_taylor a bool; anything else raises ValueError.
-    s0 is a State or a finite (y, k) pair, as for `simulate`. order
-    selects rows by word length; drift_taylor additionally includes the
-    pure-drift Taylor rows (see `cftable.rows_for_order`).
+    T must be finite and positive and periods a positive integer that
+    converts to a float; anything else raises ValueError. s0 is a State or
+    a finite (y, k) pair, as for `simulate`. order selects rows by word
+    length, without the pure-drift Taylor rows, so that order 1 is one
+    Euler step of the averaged system (see `cftable.rows_for_order`).
     """
     try:
-        step = _bound_terms(p.b, T, periods, order, drift_taylor)
+        step = _bound_terms(p.b, T, periods, order)
     except OverflowError:
         _as_pair(s0)  # a refused start is reported before a constant that overflows
         raise
@@ -687,8 +683,6 @@ def chen_fliess_simulate(
     periods_per_step: int,
     n_steps: int,
     order: int,
-    *,
-    drift_taylor: bool = False,
 ) -> Trajectory:
     """Iterate chen_fliess_step from t = 0 with T = 2*pi*periods_per_step/omega.
 
@@ -708,8 +702,6 @@ def chen_fliess_simulate(
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 0:
         raise ValueError("chen_fliess_simulate: n_steps must be a nonnegative integer")
     _check_order(order)
-    if not isinstance(drift_taylor, bool):
-        raise ValueError(f"chen_fliess_simulate: drift_taylor must be a bool, not {drift_taylor!r}")
     y0, k0 = _as_pair(s0)
     try:
         T = math.tau * periods_per_step / omega
@@ -722,9 +714,7 @@ def chen_fliess_simulate(
 
     def step(s: tuple[float, float]) -> tuple[float, float]:
         # Arguments were validated above: a ValueError means a non-finite result.
-        return chen_fliess_step(
-            p, s, T, order, periods=periods_per_step, drift_taylor=drift_taylor
-        ).as_tuple()
+        return chen_fliess_step(p, s, T, order, periods=periods_per_step).as_tuple()
 
     meta = {
         "scheme": "series",
@@ -732,7 +722,7 @@ def chen_fliess_simulate(
         "omega": omega,
         "periods_per_step": periods_per_step,
         "n_steps": n_steps,
-        "drift_taylor": drift_taylor,
+        "drift_taylor": False,  # no run adds the pure-drift Taylor rows
         **_start_record(p, y0, k0),
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.

@@ -168,7 +168,7 @@ def reference_check_assumptions(
                 entry["satisfied"] = True
                 entry["reason"] = "vacuous"
             else:
-                _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0, 4096)
+                _, raw = _interaction_integral(sys.dithers[i], sys.dithers[j], 1.0)
                 bracket_sup = max(
                     _norm(lie_bracket(sys.fields[i], sys.fields[j], x, 0.0))
                     for x in coarse

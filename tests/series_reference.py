@@ -30,12 +30,11 @@ def chen_fliess_step(
     order: int,
     *,
     periods: int = 1,
-    drift_taylor: bool = False,
 ) -> State:
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError("chen_fliess_step: T must be positive")
     _check_periods(periods)
-    rows = rows_for_order(order, drift_taylor=drift_taylor)
+    rows = rows_for_order(order)
     y0, k0 = s0.y, s0.k
     b = p.b
     rho = p.a - p.b * k0

@@ -373,7 +373,7 @@ def test_convergence_report_rejects_bad_band():
 
 
 def test_convergence_report_diverged_run_never_converges():
-    traj = _flat_trajectory([0.0, 0.0, 0.0], status="diverged", failure_step=3)
+    traj = _flat_trajectory([0.0, 0.0, 0.0], failure_step=3)
     report = convergence_report(traj, band=1.0)
     assert not report.converged
 

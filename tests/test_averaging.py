@@ -78,12 +78,6 @@ def test_gamma_rejects_bad_omega():
         gamma_coefficient(SINE, COSINE, -3.0)
 
 
-@pytest.mark.parametrize("panels", [0, -4, True, 2.5, 4096.0])
-def test_gamma_rejects_bad_panel_count(panels):
-    with pytest.raises(ValueError, match="panels_per_period must be a positive integer"):
-        gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=panels)
-
-
 @pytest.mark.parametrize("omega", [1e308, 1e-300])
 def test_gamma_refuses_a_non_finite_integral(omega):
     """At these frequencies the period or the integrand's scale leaves the
@@ -101,15 +95,13 @@ def test_gamma_refuses_a_scale_that_overflows():
         gamma_coefficient(loud_sine, loud_cosine, 1e308)
 
 
-def test_gamma_rounds_the_panel_count_up_to_a_multiple_of_four():
-    """4097 panels become 4100, which the composite Simpson passes need."""
-    assert abs(gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=4097) + 0.5) <= 1e-8
-
-
 def test_gamma_reports_non_convergent_quadrature():
-    """A panel budget too small to resolve the pair must refuse loudly."""
-    with pytest.raises(QuadratureError):
-        gamma_coefficient(SINE, COSINE, 1.0, panels_per_period=4)
+    """A square-wave outer dither is discontinuous, so Simpson's rule loses
+    its fourth order and the error estimate, 1.364e-04, must be refused
+    loudly."""
+    square = DitherSignal(lambda ph: np.sign(np.sin(ph)))
+    with pytest.raises(QuadratureError, match="estimated relative error 1.364e-04"):
+        gamma_coefficient(SINE, square, 1.0)
 
 
 def test_gamma_rational_frequency_multiplier():

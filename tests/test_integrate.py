@@ -404,9 +404,9 @@ def test_simulate_calls_other_callables_at_each_stage():
 def test_every_compiled_source_fits_the_source_caches():
     """The call forms of every law, of the averaged field and of the audit's
     dither coefficients, every (scheme, field, keep_u) kernel and the series
-    step of every (order, drift_taylor), fit the caches of `dynamics._fill`
-    and `dynamics._define` together: a second round of the same builds,
-    which binds every series step anew, fills and compiles nothing."""
+    step of every order, fit the caches of `dynamics._fill` and
+    `dynamics._define` together: a second round of the same builds, which
+    binds every series step anew, fills and compiles nothing."""
     specs = [
         ControllerSpec(ControllerVariant.PROPOSED, omega=40.0),
         ControllerSpec(ControllerVariant.SWAPPED, omega=40.0),
@@ -429,12 +429,11 @@ def test_every_compiled_source_fits_the_source_caches():
                 integrate._kernel(scheme, law, keep_u)
         integrate._kernel("series")
         # More (b, T) keys than the series memo holds: each binding reuses
-        # the step compiled for its table shape.
-        for (order, drift_taylor), (b, T) in itertools.product(
-            itertools.product(range(4), (False, True)),
-            itertools.product((-2.0, 0.5, 3e10), (0.1, 1e-3)),
+        # the step compiled for its order.
+        for order, (b, T) in itertools.product(
+            range(4), itertools.product((-2.0, 0.5, 3e10), (0.1, 1e-3))
         ):
-            chen_fliess_step(PlantParams(1.0, b), (1.0, 0.5), T, order, drift_taylor=drift_taylor)
+            chen_fliess_step(PlantParams(1.0, b), (1.0, 0.5), T, order)
 
     caches = (dynamics._fill, dynamics._define)
     for cache in (*caches, integrate._bound_terms):
@@ -488,10 +487,6 @@ def test_trajectory_validation():
         Trajectory(t, np.array([0.0, math.inf, 0.0]), ok)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.2, 0.1]), ok, ok)
-    with pytest.raises(ValueError, match="status"):
-        Trajectory(t, ok, ok, status="weird")
-    with pytest.raises(ValueError, match="failure_step"):
-        Trajectory(t, ok, ok, status="diverged")
     with pytest.raises(ValueError, match="failure_step"):
         Trajectory(t, ok, ok, failure_step=2)
 
@@ -512,8 +507,27 @@ def test_trajectory_rejects_uneven_spacing():
         Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="interior step is not constant"):
         Trajectory(np.array([0.0, 0.1, 0.3, 0.4]), np.zeros(4), np.zeros(4))
+    # Near 1e12 the floats are 1.2e-4 apart, so steps of 1 and 0.5 differ
+    # by thousands of their ulps.
+    with pytest.raises(ValueError, match="interior step is not constant"):
+        Trajectory(1e12 + np.array([0.0, 1.0, 1.5, 2.5, 3.0]), np.zeros(5), np.zeros(5))
     # a shorter final step is the one allowed irregularity
     Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("failure_step", [None, 3])
+def test_trajectory_status_follows_failure_step(failure_step):
+    """A diverged run's failure_step is the index of its rejected step, one
+    past the last accepted sample, so it equals the sample count; status
+    and diverged are read from it."""
+    t, ok = np.array([0.0, 0.1, 0.2]), np.zeros(3)
+    traj = Trajectory(t, ok, ok, failure_step=failure_step)
+    diverged = failure_step is not None
+    assert (traj.status, traj.diverged) == ("diverged" if diverged else "ok", diverged)
+    assert traj.record["status"] == traj.status
+    for wrong in (1, 4):
+        with pytest.raises(ValueError, match="failure_step must be None or the sample count 3"):
+            Trajectory(t, ok, ok, failure_step=wrong)
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -834,11 +848,7 @@ def test_chen_fliess_step_takes_a_pair():
 
 def test_chen_fliess_step_fixes_equilibria():
     for order in (0, 1, 2, 3):
-        for drift_taylor in (False, True):
-            s = chen_fliess_step(
-                PLANT, State(0.0, 2.5), 0.05, order, drift_taylor=drift_taylor
-            )
-            assert s == State(0.0, 2.5)
+        assert chen_fliess_step(PLANT, State(0.0, 2.5), 0.05, order) == State(0.0, 2.5)
 
 
 def test_chen_fliess_order1_equals_euler_on_average():
@@ -856,18 +866,6 @@ def test_chen_fliess_order1_equals_euler_on_average():
         want = euler_step(lie_bracket_loop(p), s0.as_tuple(), 0.0, T)
         assert abs(got.y - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
         assert abs(got.k - want[1]) <= 1e-12 * max(1.0, abs(want[1]))
-
-
-def test_chen_fliess_drift_taylor_adds_second_order_drift():
-    p = PlantParams(3.0, -1.5)
-    s0 = State(0.7, -0.4)
-    T = 0.02
-    rho = p.a - p.b * s0.k
-    base = chen_fliess_step(p, s0, T, 1)
-    full = chen_fliess_step(p, s0, T, 1, drift_taylor=True)
-    extra = 0.5 * s0.y * rho * rho * T * T
-    assert math.isclose(full.y - base.y, extra, rel_tol=1e-12, abs_tol=1e-15)
-    assert full.k == base.k
 
 
 def test_chen_fliess_simulate_zero_steps():
@@ -929,43 +927,37 @@ def _step_outcome(step, *args, **kwargs):
     omega=st.floats(10.0, 3000.0),
     periods=st.integers(1, 3),
     order=st.integers(0, 3),
-    drift_taylor=st.booleans(),
 )
 # A power overflows: y**5 at order 3.
-@example(10.0, -2.0, 1e70, 0.5, 400.0, 1, 3, False)
+@example(10.0, -2.0, 1e70, 0.5, 400.0, 1, 3)
 # A monomial is infinite, so the new state is not finite.
-@example(10.0, -2.0, 1e50, 1e70, 400.0, 1, 3, False)
+@example(10.0, -2.0, 1e50, 1e70, 400.0, 1, 3)
 # The y sum fails ("-inf + inf") and a k power overflows: every power is
 # taken before either sum, so OverflowError is what is raised.
 @example(
     -0.9184956268595643, -0.35180115078460816, -2.1401178526322307e78,
-    -1.106289012141867e77, 2973.682025412213, 3, 2, False,
+    -1.106289012141867e77, 2973.682025412213, 3, 2,
 )
 # A bound constant, -3/2 * b**2, is -inf: the new state is not finite.
-@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 2, False)
-def test_chen_fliess_step_equals_fraction_reference(
-    a, b, y0, k0, omega, periods, order, drift_taylor
-):
+@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 2)
+def test_chen_fliess_step_equals_fraction_reference(a, b, y0, k0, omega, periods, order):
     """The float form of the table gives the state the Fraction-evaluating
     reference gives, bit for bit, or raises the same exception type. Starts
     reach 1e80 so that powers overflow and sums fail."""
     args = (PlantParams(a, b), State(y0, k0), math.tau * periods / omega, order)
-    kwargs = {"periods": periods, "drift_taylor": drift_taylor}
-    assert _step_outcome(chen_fliess_step, *args, **kwargs) == _step_outcome(
-        reference_chen_fliess_step, *args, **kwargs
+    assert _step_outcome(chen_fliess_step, *args, periods=periods) == _step_outcome(
+        reference_chen_fliess_step, *args, periods=periods
     )
 
 
-def _reference_run(p, s0, omega, periods, n, order, drift_taylor):
+def _reference_run(p, s0, omega, periods, n, order):
     """A loop over the reference step with the series divergence rule: a
     step that raises, or leaves |y| or |k| above 1e9, ends the run."""
     T = math.tau * periods / omega
     ys, ks = [s0.y], [s0.k]
     for i in range(n):
         try:
-            s = reference_chen_fliess_step(
-                p, State(ys[-1], ks[-1]), T, order, periods=periods, drift_taylor=drift_taylor
-            )
+            s = reference_chen_fliess_step(p, State(ys[-1], ks[-1]), T, order, periods=periods)
         except (OverflowError, ValueError):
             return ys, ks, "diverged", i + 1
         if not (abs(s.y) <= 1e9 and abs(s.k) <= 1e9):
@@ -985,25 +977,20 @@ def _reference_run(p, s0, omega, periods, n, order, drift_taylor):
     periods=st.integers(1, 3),
     n=st.integers(0, 60),
     order=st.integers(0, 3),
-    drift_taylor=st.booleans(),
 )
 # b**2 overflows while the run's constants are bound: step 1 is rejected.
-@example(1.0, 1e200, 0.5, 0.5, 400.0, 1, 5, 3, False)
+@example(1.0, 1e200, 0.5, 0.5, 400.0, 1, 5, 3)
 # A bound constant, -3/2 * b**2, is -inf: step 1 is rejected.
-@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 5, 2, False)
+@example(10.0, 1.2742749857031426e154, 1e-200, 0.0, math.tau / 0.1, 1, 5, 2)
 def test_chen_fliess_simulate_equals_a_loop_over_the_reference_step(
-    a, b, y0, k0, omega, periods, n, order, drift_taylor
+    a, b, y0, k0, omega, periods, n, order
 ):
     """Sample for sample, bit for bit, and in where and whether it diverges,
     a series run is a loop over the Fraction-evaluating reference step. b
     reaches 1e200, where binding the run's constants overflows."""
     p = PlantParams(a, b)
-    traj = chen_fliess_simulate(
-        p, State(y0, k0), omega, periods, n, order, drift_taylor=drift_taylor
-    )
-    ys, ks, status, failure_step = _reference_run(
-        p, State(y0, k0), omega, periods, n, order, drift_taylor
-    )
+    traj = chen_fliess_simulate(p, State(y0, k0), omega, periods, n, order)
+    ys, ks, status, failure_step = _reference_run(p, State(y0, k0), omega, periods, n, order)
     assert (traj.status, traj.failure_step) == (status, failure_step)
     assert traj.ys.tobytes() == np.array(ys).tobytes()
     assert traj.ks.tobytes() == np.array(ks).tobytes()
@@ -1022,7 +1009,7 @@ def test_series_memo_keeps_equal_orders_of_other_types_apart(order):
     with pytest.raises(ValueError, match=message):
         chen_fliess_simulate(PLANT, State(1.0, 0.0), math.tau / T, 1, 5, order)
     with pytest.raises(ValueError, match=message):
-        integrate._bound_terms(PLANT.b, T, 1, order, False)
+        integrate._bound_terms(PLANT.b, T, 1, order)
 
 
 @pytest.mark.parametrize(
@@ -1138,15 +1125,6 @@ def test_chen_fliess_simulate_refuses_a_non_finite_span(omega, periods, n_steps)
     is itself too large to convert to a float."""
     with pytest.raises(ValueError, match="chen_fliess_simulate: .* must be finite"):
         chen_fliess_simulate(PLANT, (1.0, 0.0), omega, periods, n_steps, 1)
-
-
-@pytest.mark.parametrize("flag", ["no", 1, 0, None])
-def test_series_refuses_a_non_bool_drift_taylor(flag):
-    """A truthy string would add the Taylor rows and be recorded as given."""
-    with pytest.raises(ValueError, match="chen_fliess_step: drift_taylor must be a bool"):
-        chen_fliess_step(PLANT, (1.0, 0.0), 0.1, 1, drift_taylor=flag)
-    with pytest.raises(ValueError, match="chen_fliess_simulate: drift_taylor must be a bool"):
-        chen_fliess_simulate(PLANT, (1.0, 0.0), 400.0, 1, 0, 1, drift_taylor=flag)
 
 
 def test_value_error_from_a_field_reaches_the_caller():
