@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControllerVariant, _unit_dither, lie_bracket_loop
+from .dynamics import ControllerVariant, _design_split
 
 __all__ = [
     "DitherSignal",
@@ -113,32 +113,11 @@ class AffineSystem:
 
 
 def _design_system(p, variant: ControllerVariant) -> AffineSystem:
-    """Split the closed loop of a dithered table law into drift and fields.
-
-    The drift is the y-rate of the averaged field, the plant under the
-    dither-free input -k*y. The fields are the law's input at unit sine
-    dither, fed through b, and its gain rate at unit cosine dither; these
-    dither coefficients depend on y only, so they are taken at k = 0. All
-    three are written on arrays: x has shape (..., 2) and each row is
-    evaluated with the same arithmetic as on a single point.
-    """
-    b = p.b
-    averaged = lie_bracket_loop(p)
-    at_sin, at_cos = _unit_dither(variant, 1.0, 0.0), _unit_dither(variant, 0.0, 1.0)
-
-    def drift(x: np.ndarray, t: float) -> np.ndarray:
-        y = x[..., 0]
-        return np.stack((averaged((y, x[..., 1]), t)[0], np.zeros_like(y)), axis=-1)
-
-    def f_sin(x: np.ndarray, t: float) -> np.ndarray:
-        y = x[..., 0]
-        return np.stack((b * at_sin((y, 0.0), t)[0], np.zeros_like(y)), axis=-1)
-
-    def f_cos(x: np.ndarray, t: float) -> np.ndarray:
-        y = x[..., 0]
-        return np.stack((np.zeros_like(y), at_cos((y, 0.0), t)[1]), axis=-1)
-
-    return AffineSystem(drift, (f_sin, f_cos), (DitherSignal.sine(), DitherSignal.cosine()))
+    """Split the closed loop of a dithered table law into drift and fields
+    (see `dynamics._design_split`): the drift, the input dither on the sine
+    channel and the gain dither on the cosine channel."""
+    drift, *fields = _design_split(p, variant)
+    return AffineSystem(drift, fields, (DitherSignal.sine(), DitherSignal.cosine()))
 
 
 def proposed_design_system(p) -> AffineSystem:
@@ -522,14 +501,24 @@ def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndar
     return pts, h2, houter2
 
 
-def _a2_values(fields: Sequence[Field2], pts: np.ndarray, t: float) -> list[list[np.ndarray]]:
+def _time_blind(fields: Sequence[Field2]) -> bool:
+    """Whether every field is a compiled `FusedField` call that binds no
+    dither frequency (w == 0) and so never reads t."""
+    return all(getattr(getattr(f, "fused", None), "w", None) == 0.0 for f in fields)
+
+
+def _a2_values(
+    fields: Sequence[Field2], pts: np.ndarray, t: float, blind: bool
+) -> list[list[np.ndarray]]:
     """The field values one time sample of the A2 scan needs on the
     `_a2_block` point sets pts (S, N, dim): [now, ahead, behind], each a
     list of one (sets, N, dim) array per field, fields[0] the drift.
 
     At t the norms need every point set; at t +- the time step only the
     states and their h-moves, a prefix of pts. Each field is called once
-    per time value on the prefix it needs.
+    per time value on the prefix it needs; fields `_time_blind` are
+    called at t only, their values at t +- the time step being the
+    prefixes of those at t.
     """
     _, n, dim = pts.shape
     n0, n1 = 1 + 2 * dim, 1 + 4 * dim
@@ -540,8 +529,12 @@ def _a2_values(fields: Sequence[Field2], pts: np.ndarray, t: float) -> list[list
 
     # the drift enters no Lie derivative as f_j, so it needs no moved offsets
     # and at t +- step only the states themselves
+    now = [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)]
+    if blind:
+        near = [v[: n0 if i else 1] for i, v in enumerate(now)]
+        return [now, near, near]
     return [
-        [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)],
+        now,
         [at(f, t + _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
         [at(f, t - _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
     ]
@@ -611,6 +604,9 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
     # the earliest time index where a block so far met a non-finite norm: a
     # later block's summaries from there on cannot change the report
     stop = len(times)
+    # fields that never read t have a block's first-sample summary at every
+    # time sample, so each block evaluates them once
+    blind = _time_blind(fields)
     for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
         b = slice(lo, lo + _A2_BLOCK_ROWS)
         pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
@@ -619,13 +615,14 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
         # of a block that depends on t only costs
         first = None
         for i, t in enumerate(times[:stop]):
-            values = _a2_values(fields, pts, float(t))
-            if first is None or not _same_bits(values, first):
-                first = values if i == 0 else None
-                norms = _a2_norms(values, h2, houter2).ravel()
-                bad = ~np.isfinite(norms)
-                k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
-                summary = bool(bad[k]), float(norms[k]), lo * ncols + k
+            if i == 0 or not blind:
+                values = _a2_values(fields, pts, float(t), blind)
+                if first is None or not _same_bits(values, first):
+                    first = values if i == 0 else None
+                    norms = _a2_norms(values, h2, houter2).ravel()
+                    bad = ~np.isfinite(norms)
+                    k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
+                    summary = bool(bad[k]), float(norms[k]), lo * ncols + k
             summaries[i].append(summary)
             if summary[0]:
                 stop = i
@@ -726,10 +723,16 @@ def check_assumptions(
     norm is then a slice, difference quotient or product of those values
     with the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
     point-wise scan's bit for bit. While every value of a block equals, bit
-    for bit, its value at the first time sample, as for fields that ignore
-    t, the norms are those of that sample and are not recomputed; from the
-    first sample that differs on, the block recomputes its norms at every
-    sample and compares no more.
+    for bit, its value at the first time sample, the norms are those of
+    that sample and are not recomputed; from the first sample that differs
+    on, the block recomputes its norms at every sample and compares no
+    more. When every field is a compiled `FusedField` call with no dither
+    frequency (w == 0), which never reads t, as the design splits of
+    `proposed_design_system` and `swapped_design_system` are, each block
+    calls each field once, at the first time sample, takes the values at
+    t +- 1e-6 as equal to those at t and computes its norms once for every
+    time sample. Any other field, a closure wrapping such a call included,
+    is called at every time sample.
     Products and norms are sums of element-wise numpy ops in a fixed
     left-to-right order, with no BLAS call, so the report's bytes do not
     depend on the host's BLAS kernel. Fields must take x of shape

@@ -16,11 +16,14 @@ arithmetic works on floats and numpy arrays alike. Controller blindness
 is structural: the laws never receive plant parameters. One compiler
 serves every use. A `FusedField` holds a field's statements, its bound
 constants and the lines that bind them and evaluate the dither;
-`_compile` fills them into a call (y, k), t -> values, and `integrate`
-fills the same lines into its whole-run kernels. The closures of
-`closed_loop` and `lie_bracket_loop`, the State-typed `control`, `rhs`
-and `lie_bracket_rhs`, and the drift/dither split audited in `averaging`
+`_compile` fills them into a call (y, k), t -> values, or, for the
+drift/dither split that `averaging` audits, into an array call
+x (..., 2), t -> (..., 2); `integrate` fills the same lines into its
+whole-run kernels. The closures of `closed_loop` and `lie_bracket_loop`,
+the State-typed `control`, `rhs` and `lie_bracket_rhs`, and that split
 are all such calls, so they run the kernels' arithmetic by construction.
+The split binds no dither frequency, so the audit knows its fields never
+read t.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class ControllerSpec:
 # constant c (sqrt(omega), the gain shape h, or sign(b)) and the dither
 # values sn = sin(omega*t), cs = cos(omega*t), which the dither-free laws
 # ignore. Evaluated at unit dither, a dithered law gives its dither
-# coefficients (see averaging._design_system). The statements setting u
+# coefficients (see `_design_split`). The statements setting u
 # and dk are the one definition of each law; all else is compiled from it.
 
 _LAW_SOURCE = {
@@ -244,6 +247,9 @@ class FusedField(NamedTuple):
     the constants a, b, c (which `bind` binds from a FusedField named f)
     and, where w != 0, sn = sin(w*t) and cs = cos(w*t). Run in order,
     they set dy and dk, or u and dk for a gain law, whose a and b are None.
+    A body reads t only through sn and cs, so a field with w == 0 never
+    reads t: the assumption audit evaluates such fields once per state,
+    not at every time sample.
     """
 
     body: tuple[str, ...]
@@ -266,7 +272,7 @@ _CALL = """\
 def bind(f):
     {bind}
     def field(s, t):
-        y, k = s
+        {unpack}
         {time}
         {body}
         {out}
@@ -274,14 +280,23 @@ def bind(f):
 """
 
 
-def _compile(fused: FusedField, out: str) -> Callable:
-    """The call form (y, k), t -> out of fused, with its constants bound
-    and `fused` attached as `.fused` for `integrate.simulate`."""
+def _compile(fused: FusedField, out: str, unpack: str = "y, k = s") -> Callable:
+    """The call form s, t -> out of fused, with its constants bound and
+    `fused` attached as `.fused` for `integrate.simulate` and the audit;
+    `unpack` sets y and k from s, by default a (y, k) tuple."""
     time, ret = fused.time("t"), (f"return {out}",)
-    source = _fill(_CALL, bind=fused.bind, time=time, body=fused.body, out=ret)
-    field = _define(source, "bind", sin=math.sin, cos=math.cos)(fused)
+    source = _fill(_CALL, bind=fused.bind, unpack=(unpack,), time=time, body=fused.body, out=ret)
+    env = dict(sin=math.sin, cos=math.cos, stack=np.stack, zeros_like=np.zeros_like)
+    field = _define(source, "bind", **env)(fused)
     field.fused = fused
     return field
+
+
+def _array_call(fused: FusedField) -> Callable:
+    """The call form x (..., 2), t -> (..., 2) of fused, whose body sets
+    dy and dk, row by row as on one state."""
+    unpack = "y, k = s[..., 0], s[..., 1]"
+    return _compile(fused, "stack((dy, dk), axis=-1)", unpack)
 
 
 def _law_field(spec: ControllerSpec, p: PlantParams | None = None) -> FusedField:
@@ -298,11 +313,23 @@ def _law_field(spec: ControllerSpec, p: PlantParams | None = None) -> FusedField
     return law
 
 
-def _unit_dither(variant: ControllerVariant, sn: float, cs: float) -> Callable:
-    """The law of a dithered variant at c = 1 and the fixed dither values
-    sn and cs, as a call (y, k), t -> (u, dk)."""
-    body = (f"sn, cs = {sn!r}, {cs!r}", *_LAW_SOURCE[variant])
-    return _compile(FusedField(body, c=1.0), "u, dk")
+def _design_split(p: PlantParams, variant: ControllerVariant) -> tuple[Callable, ...]:
+    """The closed loop of a dithered table law split into drift, sine and
+    cosine dither fields, as array calls x (..., 2), t -> (..., 2).
+
+    The drift is the y-rate of the averaged field, the plant under the
+    dither-free input -k*y. The fields are the law's input at unit sine
+    dither, fed through b, and its gain rate at unit cosine dither; these
+    dither coefficients depend on y only, so they are taken at k = 0. No
+    body binds a dither frequency (w = 0), so none of them reads t.
+    """
+    law = _LAW_SOURCE[variant]
+    bodies = (
+        (_AVERAGED_SOURCE[0], "dk = zeros_like(y)"),
+        ("k = 0.0", "sn, cs = 1.0, 0.0", *law, "dy = b * u", "dk = zeros_like(y)"),
+        ("k = 0.0", "sn, cs = 0.0, 1.0", *law, "dy = zeros_like(y)"),
+    )
+    return tuple(_array_call(FusedField(body, p.a, p.b, 1.0)) for body in bodies)
 
 
 # -- State-typed law and closed-loop right-hand side ------------------------

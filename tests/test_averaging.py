@@ -36,8 +36,9 @@ from dithersim import (
     swapped_design_system,
     check_assumptions,
 )
-from dithersim import averaging
+from dithersim import averaging, dynamics
 from dithersim.averaging import _cumulative_simpson, _matvec, _norm, _simpson
+from dithersim.dynamics import _LAW_SOURCE, ControllerVariant, FusedField
 
 from audit_reference import reference_check_assumptions
 
@@ -754,6 +755,89 @@ def test_audit_calls_each_field_three_times_per_time_sample_and_block(block_rows
     report = check_assumptions(sys, box, grid=grid, time_samples=time_samples)
     assert all(e["reason"] == "vacuous" for e in report.a3_pairs + report.a3_triples)
     assert calls == dict.fromkeys(calls, 1 + 3 * time_samples * blocks)
+
+
+def _counted_like(calls, name, f):
+    """f behind a call counter that keeps f's `.fused`, as the audit reads it."""
+
+    def field(x, t):
+        calls[name] += 1
+        return f(x, t)
+
+    field.fused = f.fused
+    return field
+
+
+def _dithered_array_field(p):
+    """The proposed closed loop at omega = 400 as an array call, a compiled
+    field that reads t through its dither."""
+    law = FusedField((*_LAW_SOURCE[ControllerVariant.PROPOSED], "dy = a * y + b * u"), p.a, p.b)
+    return dynamics._array_call(law._replace(c=20.0, w=400.0))
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("time_samples", [1, 4])
+@pytest.mark.parametrize("build", [proposed_design_system, swapped_design_system])
+def test_audit_calls_time_blind_fields_once_per_block(build, time_samples, block_rows, monkeypatch):
+    """The design split's compiled fields bind no dither frequency, so they
+    never read t: beyond the mesh-shape probe each is called once per mesh
+    block, and each block's norms are computed once. A compiled field that
+    reads t (w != 0) keeps the three calls per time sample and block."""
+    if block_rows is not None:
+        monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", block_rows)
+    norms = averaging._a2_norms
+    calls = dict.fromkeys(("drift", "sin", "cos", "norms"), 0)
+
+    def counted_norms(*args):
+        calls["norms"] += 1
+        return norms(*args)
+
+    monkeypatch.setattr(averaging, "_a2_norms", counted_norms)
+    base = build(PLANT)
+    drift = _counted_like(calls, "drift", base.drift)
+    f_cos = _counted_like(calls, "cos", base.fields[1])
+    grid, box = 5, ((-2.0, 2.0), (-2.0, 2.0))
+    blocks = -(-grid * grid // averaging._A2_BLOCK_ROWS)
+
+    def audit(f_sin):
+        calls.update(dict.fromkeys(calls, 0))
+        sys = AffineSystem(drift, (_counted_like(calls, "sin", f_sin), f_cos), base.dithers)
+        check_assumptions(sys, box, grid=grid, time_samples=time_samples)
+        return calls
+
+    field_calls = dict.fromkeys(("drift", "sin", "cos"), 1 + blocks)
+    assert audit(base.fields[0]) == {**field_calls, "norms": blocks}
+    field_calls = dict.fromkeys(("drift", "sin", "cos"), 1 + 3 * time_samples * blocks)
+    assert audit(_dithered_array_field(PLANT)).items() >= field_calls.items()
+
+
+def test_time_blind_audit_stops_at_the_first_block_that_overflows(monkeypatch):
+    """On a box reaching y = -1e200 the design's gain dither y**2
+    overflows in the first seven-state block at the first time sample: the
+    time-blind scan calls no field on a later block, and its report is the
+    point-wise scan's byte for byte."""
+    base = proposed_design_system(PLANT)
+    box = ((-1e200, 2.0), (-2.0, 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_check_assumptions(base, box, grid=5, time_samples=4, phase_points=2000)
+    assert want.a2_bound == math.inf
+    assert (want.a2_witness["x"], want.a2_witness["t"]) == ([-1e200, -2.0], 0.0)
+    calls: dict = {}
+
+    def counted(f):
+        def field(x, t):
+            first = tuple(np.reshape(x, (-1, 2))[0].tolist())
+            calls[first] = calls.get(first, 0) + 1
+            return f(x, t)
+
+        field.fused = f.fused
+        return field
+
+    sys = AffineSystem(counted(base.drift), tuple(map(counted, base.fields)), base.dithers)
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
+    # each of the three fields: the mesh-shape probe and one call on the first block
+    assert calls == {(-1e200, -2.0): 3 * 2}
 
 
 def test_audit_memory_per_mesh_state_is_bounded():
