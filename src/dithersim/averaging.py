@@ -540,17 +540,6 @@ def _a2_values(
     ]
 
 
-def _same_bits(a: list[list[np.ndarray]], b: list[list[np.ndarray]]) -> bool:
-    """Whether two `_a2_values` results hold the same bits, signed zeros
-    and NaN payloads included. The small arrays at t +- the time step go
-    first, so a field that depends on t shows it after a few compares."""
-    return all(
-        np.array_equal(u.view(np.uint64), v.view(np.uint64))
-        for us, vs in zip(a[::-1], b[::-1])
-        for u, v in zip(us, vs)
-    )
-
-
 def _a2_norms(values: list[list[np.ndarray]], h2: np.ndarray, houter2: np.ndarray) -> np.ndarray:
     """The A2 norms (N, K) of one time sample on an `_a2_block` of N states
     from its `_a2_values`, columns in `check_assumptions`' label order.
@@ -597,6 +586,11 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
         (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
     ]
     ncols = len(labels)
+    blind = _time_blind(fields)
+    if blind:
+        # fields that never read t have the same norms at every time sample,
+        # and a later sample's equal maximum is no new witness
+        times = times[:1]
     # per time sample, one (non-finite, value, flat index into that time's
     # (N, K) norm table) per block: its first non-finite norm, or else its
     # first largest norm
@@ -604,25 +598,14 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
     # the earliest time index where a block so far met a non-finite norm: a
     # later block's summaries from there on cannot change the report
     stop = len(times)
-    # fields that never read t have a block's first-sample summary at every
-    # time sample, so each block evaluates them once
-    blind = _time_blind(fields)
     for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
         b = slice(lo, lo + _A2_BLOCK_ROWS)
         pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
-        # the values of the block's first time sample while every later one
-        # repeats them; None once a sample differs, since keeping the values
-        # of a block that depends on t only costs
-        first = None
         for i, t in enumerate(times[:stop]):
-            if i == 0 or not blind:
-                values = _a2_values(fields, pts, float(t), blind)
-                if first is None or not _same_bits(values, first):
-                    first = values if i == 0 else None
-                    norms = _a2_norms(values, h2, houter2).ravel()
-                    bad = ~np.isfinite(norms)
-                    k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
-                    summary = bool(bad[k]), float(norms[k]), lo * ncols + k
+            norms = _a2_norms(_a2_values(fields, pts, float(t), blind), h2, houter2).ravel()
+            bad = ~np.isfinite(norms)
+            k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
+            summary = bool(bad[k]), float(norms[k]), lo * ncols + k
             summaries[i].append(summary)
             if summary[0]:
                 stop = i
@@ -722,17 +705,14 @@ def check_assumptions(
     of t +- 1e-6 on the states and their moves, 3 calls per field. Every
     norm is then a slice, difference quotient or product of those values
     with the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
-    point-wise scan's bit for bit. While every value of a block equals, bit
-    for bit, its value at the first time sample, the norms are those of
-    that sample and are not recomputed; from the first sample that differs
-    on, the block recomputes its norms at every sample and compares no
-    more. When every field is a compiled `FusedField` call with no dither
-    frequency (w == 0), which never reads t, as the design splits of
-    `proposed_design_system` and `swapped_design_system` are, each block
-    calls each field once, at the first time sample, takes the values at
-    t +- 1e-6 as equal to those at t and computes its norms once for every
-    time sample. Any other field, a closure wrapping such a call included,
-    is called at every time sample.
+    point-wise scan's bit for bit. When every field is a compiled
+    `FusedField` call with no dither frequency (w == 0), which never reads
+    t, as the design splits of `proposed_design_system` and
+    `swapped_design_system` are, the scan runs the first time sample only:
+    each block calls each field once, at t, takes the values at t +- 1e-6
+    as those at t and computes its norms once. Any other field, a closure
+    wrapping such a call included, is called and normed at every time
+    sample.
     Products and norms are sums of element-wise numpy ops in a fixed
     left-to-right order, with no BLAS call, so the report's bytes do not
     depend on the host's BLAS kernel. Fields must take x of shape

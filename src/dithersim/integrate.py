@@ -18,7 +18,7 @@ called at each stage.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, through a
-straight-line step compiled once per table shape, and
+straight-line step compiled once per order, and
 `chen_fliess_simulate` iterates it through the same template and driver as
 `simulate`. At order 1 the step reproduces one Euler step of the averaged
 system exactly; see `cftable` for the row selection semantics. Blow-up

@@ -568,6 +568,21 @@ def _three_channel_system():
     return AffineSystem(drift, (f1, f2, f3), dithers)
 
 
+def _dithered_array_field(p):
+    """The proposed closed loop at omega = 400 as an array call, a compiled
+    field that reads t through its dither."""
+    law = FusedField((*_LAW_SOURCE[ControllerVariant.PROPOSED], "dy = a * y + b * u"), p.a, p.b)
+    return dynamics._array_call(law._replace(c=20.0, w=400.0))
+
+
+def _dithered_array_system():
+    """The proposed design with the compiled closed loop of
+    `_dithered_array_field` as its sine field: a compiled field that reads
+    t takes the per-sample path."""
+    base = proposed_design_system(PLANT)
+    return AffineSystem(base.drift, (_dithered_array_field(PLANT), base.fields[1]), base.dithers)
+
+
 _REFERENCE_SYSTEMS = pytest.mark.parametrize(
     "build, region",
     [
@@ -577,8 +592,17 @@ _REFERENCE_SYSTEMS = pytest.mark.parametrize(
         (lambda: proposed_design_system(PlantParams(1.3, 0.7)), ((-3.0, 1.5), (-0.5, 2.5))),
         (_pole_drift_system, ((-1.5, 2.5), (-1.0, 1.0))),
         (_three_channel_system, ((-1.0, 1.0), (-0.5, 1.5), (-1.0, 2.0))),
+        (_dithered_array_system, ((-2.0, 2.0), (-2.0, 2.0))),
     ],
-    ids=["proposed", "swapped", "exponents-0.7", "plant-1.3-0.7", "pole", "three-channels"],
+    ids=[
+        "proposed",
+        "swapped",
+        "exponents-0.7",
+        "plant-1.3-0.7",
+        "pole",
+        "three-channels",
+        "dithered-array",
+    ],
 )
 
 
@@ -639,32 +663,27 @@ def _half_time_dependent_system():
     return AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
 
 
-def test_audit_reuses_the_norms_only_of_blocks_whose_values_repeat(monkeypatch):
-    """In seven-state blocks of a 5 x 5 mesh ordered by y, only the first
-    block (y = -2 and y = -1) has every field value repeat across the three
-    time samples: it computes its norms once and the three other blocks
-    once per time sample. The first block compares its values at both later
-    samples, each other block only at the second, where they first differ.
-    The report is the point-wise scan's byte for byte."""
+def test_audit_norms_fields_that_read_t_at_every_time_sample_and_block(monkeypatch):
+    """Fields that may read t take the per-sample path even where their
+    values repeat: in seven-state blocks of a 5 x 5 mesh ordered by y, the
+    first block (y = -2 and y = -1) ignores t, yet every one of the four
+    blocks computes its norms at each of the three time samples. The
+    report is the point-wise scan's byte for byte."""
     sys, box = _half_time_dependent_system(), ((-2.0, 2.0), (-2.0, 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_check_assumptions(sys, box, grid=5, time_samples=3, phase_points=2000)
     monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
-    calls = {"_a2_norms": 0, "_same_bits": 0}
+    norms = averaging._a2_norms
+    calls = 0
 
-    def counted(name):
-        fn = getattr(averaging, name)
+    def counted_norms(*args):
+        nonlocal calls
+        calls += 1
+        return norms(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(averaging, name, counted(name))
+    monkeypatch.setattr(averaging, "_a2_norms", counted_norms)
     assert _report_json(sys, box, 5) == json.dumps(want.to_dict())
-    assert calls == {"_a2_norms": 1 + 3 * 3, "_same_bits": 2 + 3}
+    assert calls == 4 * 3
 
 
 # keyed by each seven-state block's first state on the 5 x 5 mesh over
@@ -766,13 +785,6 @@ def _counted_like(calls, name, f):
 
     field.fused = f.fused
     return field
-
-
-def _dithered_array_field(p):
-    """The proposed closed loop at omega = 400 as an array call, a compiled
-    field that reads t through its dither."""
-    law = FusedField((*_LAW_SOURCE[ControllerVariant.PROPOSED], "dy = a * y + b * u"), p.a, p.b)
-    return dynamics._array_call(law._replace(c=20.0, w=400.0))
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])

@@ -481,16 +481,17 @@ def test_check_preset_fig1_writes_the_recorded_bytes(tmp_path):
 
 def test_check_of_the_swapped_design_writes_the_recorded_bytes(tmp_path):
     """`check` of the swapped design on the fig1 plant, at the default grid
-    and time samples, writes the check.json recorded here by its sha256."""
+    and time samples, writes the check.json whose sha256 is recorded in
+    tests/check_swapped.sha256 (in `sha256sum -c` form, which CI runs on
+    its own output too)."""
+    want, name = (Path(__file__).parent / "check_swapped.sha256").read_text().split()
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": {"variant": "swapped", "omega": 400.0},
     }
     out = tmp_path / "out"
     assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
-    assert hashlib.sha256((out / "check.json").read_bytes()).hexdigest() == (
-        "3889d7b3a808430465f3e03f8ea1b2a1504e40a77d34c2f984747130282aea2a"
-    )
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
 def test_check_biased_dither_fails_but_exits_zero(tmp_path, capsys):
