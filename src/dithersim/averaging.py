@@ -1,9 +1,11 @@
 """Averaging machinery for oscillatory control-affine systems.
 
 A system here is dx/dt = f0(x,t) + sum_i fi(x,t) * w^{p_i} * u_i(k_i*w*t)
-with bounded zero-mean 2*pi-periodic dithers u_i, rational frequency
-multipliers k_i, and amplitude exponents p_i in (0, 1). For w -> inf the
-trajectories approach those of the averaged system
+with bounded zero-mean 2*pi-periodic dithers u_i, positive integer
+frequency multipliers k_i of the base frequency w, and amplitude exponents
+p_i in (0, 1). Rational multipliers n_i/q are the integers n_i over the
+base frequency w/q, with the factor q^{p_i} of w^{p_i} folded into fi.
+For w -> inf the trajectories approach those of the averaged system
 
     dx/dt = f0(x,t) + sum_{i<j} gamma_ij * [fi, fj](x,t),
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,33 +56,25 @@ class DitherSignal:
     properties are *checked* by `check_assumptions`, not enforced here, so
     that deliberately broken signals can be constructed and diagnosed.
     fn should accept numpy arrays (compose it from numpy ufuncs).
-    A float freq is read by its shortest decimal, so 0.1 means 1/10.
+    freq is a positive integer: the channel's phase at time t is freq*w*t.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    freq: Fraction = Fraction(1)
+    freq: int = 1
     exponent: float = 0.5
 
     def __post_init__(self) -> None:
-        freq = self.freq
-        if isinstance(freq, float):
-            if not math.isfinite(freq):
-                raise ValueError("DitherSignal: freq must be finite")
-            # float() first: numpy 2 reprs a float64 as np.float64(0.1)
-            freq = repr(float(freq))
-        freq = Fraction(freq)
-        object.__setattr__(self, "freq", freq)
-        if freq <= 0:
-            raise ValueError("DitherSignal: freq must be a positive rational")
+        if isinstance(self.freq, bool) or not isinstance(self.freq, int) or self.freq < 1:
+            raise ValueError("DitherSignal: freq must be a positive integer")
         if not (0.0 < self.exponent < 1.0):
             raise ValueError("DitherSignal: exponent must lie in (0, 1)")
 
     @staticmethod
-    def sine(freq: Fraction = Fraction(1), exponent: float = 0.5) -> "DitherSignal":
+    def sine(freq: int = 1, exponent: float = 0.5) -> "DitherSignal":
         return DitherSignal(np.sin, freq, exponent)
 
     @staticmethod
-    def cosine(freq: Fraction = Fraction(1), exponent: float = 0.5) -> "DitherSignal":
+    def cosine(freq: int = 1, exponent: float = 0.5) -> "DitherSignal":
         return DitherSignal(np.cos, freq, exponent)
 
 
@@ -179,32 +172,20 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 # -- interaction coefficients -------------------------------------------------
 
 
-def _common_period_multiple(freqs: Sequence[Fraction]) -> Fraction:
-    """Smallest L making L*k integral for every frequency multiplier k.
-
-    The common observation window is then T = (2*pi/omega) * L.
-    """
-    inv = [Fraction(1, 1) / Fraction(f) for f in freqs]
-    num = 1
-    den = None
-    for q in inv:
-        num = math.lcm(num, q.numerator)
-        den = q.denominator if den is None else math.gcd(den, q.denominator)
-    return Fraction(num, den)
-
-
 def gamma_coefficient(ui: DitherSignal, uj: DitherSignal, omega: float) -> float:
     """Interaction coefficient of the ordered dither pair (inner ui, outer uj).
 
     gamma = (w^{p_i+p_j} / T) * int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth
-    over the common period T of the two channels. Computed on 4096 panels
-    per period by a cumulative Simpson inner pass (`_cumulative_simpson`)
-    and a composite Simpson outer pass (`_simpson`); a half-resolution
-    repeat bounds the error (the pair is fourth-order, so the Richardson
-    factor is 15) and an estimated relative error above 1e-8 raises
-    QuadratureError rather than returning a silently inaccurate value, as
-    does a non-finite integral or result (an omega so large or small that
-    the period or the integrand's scale leaves the floats).
+    over the common period T = 2*pi/(g*w), g the gcd of the multipliers
+    (the base period 2*pi/w when one of them is 1). Computed on 4096
+    panels per common period by a cumulative Simpson inner pass
+    (`_cumulative_simpson`) and a composite Simpson outer pass
+    (`_simpson`); a half-resolution repeat bounds the error (the pair is
+    fourth-order, so the Richardson factor is 15) and an estimated
+    relative error above 1e-8 raises QuadratureError rather than returning
+    a silently inaccurate value, as does a non-finite integral or result
+    (an omega so large or small that the period or the integrand's scale
+    leaves the floats).
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("gamma_coefficient: omega must be a positive real")
@@ -228,19 +209,16 @@ def gamma_coefficient(ui: DitherSignal, uj: DitherSignal, omega: float) -> float
 def _interaction_integral(
     ui: DitherSignal, uj: DitherSignal, omega: float, coarsen: int = 1
 ) -> tuple[float, float]:
-    """Common period T of the pair at frequency omega and the raw integral
-    int_0^T uj(k_j*w*th) int_0^th ui(k_i*w*ta) dta dth over it.
-
-    The panel count is 4096 per common period, divided by coarsen; the
-    outer Simpson pass needs it even.
-    """
-    L = _common_period_multiple([ui.freq, uj.freq])
-    T = 2.0 * math.pi * float(L) / omega
-    n = 4096 * max(1, math.ceil(L)) // coarsen
+    """Common period T = 2*pi * (1/g) / omega of the pair, g the gcd of the
+    multipliers, and the raw integral int_0^T uj(k_j*w*th) int_0^th
+    ui(k_i*w*ta) dta dth over it on 4096 // coarsen panels, an even count
+    for the outer Simpson pass."""
+    T = 2.0 * math.pi * (1 / math.gcd(ui.freq, uj.freq)) / omega
+    n = 4096 // coarsen
     theta = np.linspace(0.0, T, n + 1)
-    inner = np.asarray(ui.fn(float(ui.freq) * omega * theta), dtype=float)
+    inner = np.asarray(ui.fn(ui.freq * omega * theta), dtype=float)
     anti = _cumulative_simpson(inner, T / n)
-    outer = np.asarray(uj.fn(float(uj.freq) * omega * theta), dtype=float)
+    outer = np.asarray(uj.fn(uj.freq * omega * theta), dtype=float)
     return T, float(_simpson(outer * anti, T / n))
 
 
@@ -428,16 +406,19 @@ class AssumptionReport:
         }
 
 
-def _check_dither(d: DitherSignal, phase_points: int) -> DitherCheck:
-    phase = np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)
+_A1_PHASE_POINTS = 10_000  # A1 phase samples per period; even, for Simpson's rule
+
+
+def _check_dither(d: DitherSignal) -> DitherCheck:
+    phase = np.linspace(0.0, 2.0 * math.pi, _A1_PHASE_POINTS, endpoint=False)
     vals = np.asarray(d.fn(phase), dtype=float)
     sup = float(np.max(np.abs(vals)))
     shifted = np.asarray(d.fn(phase + 2.0 * math.pi), dtype=float)
     period_defect = float(np.max(np.abs(shifted - vals)))
     # closed grid for Simpson; mean over one period
-    phase_c = np.linspace(0.0, 2.0 * math.pi, phase_points + 1)
+    phase_c = np.linspace(0.0, 2.0 * math.pi, _A1_PHASE_POINTS + 1)
     vals_c = np.asarray(d.fn(phase_c), dtype=float)
-    mean = float(_simpson(vals_c, 2.0 * math.pi / phase_points) / (2.0 * math.pi))
+    mean = float(_simpson(vals_c, 2.0 * math.pi / _A1_PHASE_POINTS) / (2.0 * math.pi))
     return DitherCheck(
         sup=sup,
         bounded=sup <= 1.0 + 1e-9,
@@ -680,21 +661,19 @@ def check_assumptions(
     *,
     grid: int = 50,
     time_samples: int = 20,
-    phase_points: int = 10_000,
 ) -> AssumptionReport:
     """Audit the averaging prerequisites on a compact box.
 
     A1: each dither is bounded by 1, 2*pi-periodic, and zero-mean on a
-    dense phase grid. A2: the five norm families (fields, their time and
-    state derivatives, and the same derivatives of the directional
-    derivatives L_{f_i} f_j) are finite over a grid x time product; the
-    max is reported with its witness. A3: for channel pairs whose
-    exponents sum above 1 the pair's raw interaction integral must vanish
-    or the pair's bracket must vanish on the grid; triples whose exponents
-    sum to at least 2 need the second-level directional derivative to
-    vanish. Pairs/triples below the thresholds are recorded as vacuous.
-    The A1 phase grid has phase_points samples per period, an even count
-    so that Simpson's rule covers the closed grid.
+    grid of 10,000 phases per period. A2: the five norm families (fields,
+    their time and state derivatives, and the same derivatives of the
+    directional derivatives L_{f_i} f_j) are finite over a grid x time
+    product; the max is reported with its witness. A3: for channel pairs
+    whose exponents sum above 1 the pair's raw interaction integral must
+    vanish or the pair's bracket must vanish on the grid; triples whose
+    exponents sum to at least 2 need the second-level directional
+    derivative to vanish. Pairs/triples below the thresholds are recorded
+    as vacuous.
 
     The A2 scan takes the state mesh one block of `_A2_BLOCK_ROWS` states
     at a time, and each block through every time sample before the next
@@ -735,13 +714,6 @@ def check_assumptions(
     for name, n in (("grid", grid), ("time_samples", time_samples)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"check_assumptions: {name} must be an integer, at least 1")
-    if (
-        isinstance(phase_points, bool)
-        or not isinstance(phase_points, int)
-        or phase_points < 2
-        or phase_points % 2
-    ):
-        raise ValueError("check_assumptions: phase_points must be an even integer >= 2")
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]
     if not lo_hi or not all(math.isfinite(hi - lo) for lo, hi in lo_hi):
         raise ValueError("check_assumptions: region must be a nonempty box of finite width")
@@ -752,7 +724,7 @@ def check_assumptions(
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     # overflow and invalid values show as non-finite results, not as warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a1 = [_check_dither(d, phase_points) for d in sys.dithers]
+        a1 = [_check_dither(d) for d in sys.dithers]
         for i, f in enumerate(all_fields):
             name = "drift" if i == 0 else f"fields[{i - 1}]"
             _require_mesh_shape(f, name, mesh, float(times[0]))

@@ -288,21 +288,24 @@ def _value(cfg: dict, field: str, *, required: bool = False, at: str = "", **bou
     return reader(node, where, **bounds)
 
 
-def _check_known(node: dict, path: tuple = (), where: str = "") -> None:
+def _check_known(node: dict, path: tuple = (), where: str = "", leaves: bool = False) -> None:
     """Refuse the first key of node (the config, or its section at `path`
-    named `where`) that FIELDS does not declare, listing those declared
-    there. Sections and `initial` list entries are walked, field values not."""
+    named `where`) that FIELDS does not declare there, or with leaves that
+    names no field, listing those declared. Sections and `initial` list
+    entries, which hold fields only, are walked, field values not."""
+    known = sorted(
+        p[-1] for p in _KNOWN_PATHS if p[:-1] == path and (not leaves or ".".join(p) in FIELDS)
+    )
     for key, value in node.items():
         sub, at = (*path, key), f"{where}.{key}" if where else str(key)
-        if sub not in _KNOWN_PATHS:
-            known = ", ".join(sorted(p[-1] for p in _KNOWN_PATHS if p[:-1] == path))
-            raise ConfigError(at, f"unknown field (known here: {known})")
+        if key not in known:
+            raise ConfigError(at, f"unknown field (known here: {', '.join(known)})")
         if isinstance(value, dict) and ".".join(sub) not in FIELDS:
             _check_known(value, sub, at)
         elif sub == ("initial",) and isinstance(value, list):
             for i, entry in enumerate(value):
                 if isinstance(entry, dict):
-                    _check_known(entry, sub, f"initial[{i}]")
+                    _check_known(entry, sub, f"initial[{i}]", leaves=True)
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -404,8 +407,8 @@ def _parse_initial(cfg: dict, seed: int, run_steps: float) -> list[State]:
             raise ConfigError("initial", "list must be nonempty")
         _check_work("initial", len(ini), run_steps)
         return [_state_from(e, f"initial[{i}]") for i, e in enumerate(ini)]
-    if isinstance(ini, dict) and "random" in ini:
-        if "y" in ini or "k" in ini:
+    if isinstance(ini, dict) and ini.get("random") is not None:
+        if ini.get("y") is not None or ini.get("k") is not None:
             raise ConfigError("initial", "give either random or y and k, not both")
         count = _value(cfg, "initial.random.count")
         _check_work("initial.random.count", count, run_steps)

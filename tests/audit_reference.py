@@ -78,9 +78,8 @@ def reference_check_assumptions(
     *,
     grid: int = 50,
     time_samples: int = 20,
-    phase_points: int = 10_000,
 ) -> AssumptionReport:
-    a1 = [_check_dither(d, phase_points) for d in sys.dithers]
+    a1 = [_check_dither(d) for d in sys.dithers]
 
     lo_hi = [(float(lo), float(hi)) for lo, hi in region]
     axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]

@@ -217,12 +217,6 @@ def test_assumption_suite(plant, proposed_assumption_report):
         return np.sin(ph) + 0.5
 
     bad = AffineSystem(base.drift, base.fields, (DitherSignal(biased), base.dithers[1]))
-    report = check_assumptions(
-        bad,
-        ((-2.0, 2.0), (-2.0, 2.0)),
-        grid=5,
-        time_samples=3,
-        phase_points=2000,
-    )
+    report = check_assumptions(bad, ((-2.0, 2.0), (-2.0, 2.0)), grid=5, time_samples=3)
     assert not report.a1_passed
     assert not report.passed

@@ -107,7 +107,7 @@ def test_gamma_reports_non_convergent_quadrature():
 
 def test_gamma_rational_frequency_multiplier():
     """A freq-2 channel against freq-1 shares the period of the slower one."""
-    fast = DitherSignal(np.sin, freq=Fraction(2))
+    fast = DitherSignal(np.sin, freq=2)
     g = gamma_coefficient(fast, COSINE, 1.0)
     assert math.isfinite(g)
 
@@ -152,29 +152,28 @@ def test_simpson_rules_refuse_short_or_even_input(n):
 
 def test_dither_signal_validation():
     with pytest.raises(ValueError):
-        DitherSignal(np.sin, freq=Fraction(0))
+        DitherSignal(np.sin, freq=0)
     with pytest.raises(ValueError):
         DitherSignal(np.sin, exponent=0.0)
     with pytest.raises(ValueError):
         DitherSignal(np.sin, exponent=1.0)
 
 
-@pytest.mark.parametrize("freq", [0.1, np.float64(0.1)])
-def test_float_freq_is_read_as_its_shortest_decimal(freq):
-    """0.1 means 1/10, not the binary fraction nearest to it, whose common
-    period multiple (2**55) no quadrature grid can span."""
-    got = DitherSignal(np.sin, freq=freq).freq
-    assert type(got) is Fraction and (got.numerator, got.denominator) == (1, 10)
-    exact = gamma_coefficient(DitherSignal(np.sin, Fraction(1, 10)), COSINE, 1.0)
-    assert gamma_coefficient(DitherSignal(np.sin, freq), COSINE, 1.0) == exact
-
-
-def test_dyadic_and_non_finite_float_freq():
-    assert DitherSignal(np.sin, freq=0.375).freq == Fraction(3, 8)
-    assert DitherSignal(np.sin, freq=1e20).freq == Fraction(10**20)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            DitherSignal(np.sin, freq=bad)
+@pytest.mark.parametrize("freq", [0, -1, 0.5, 2.0, 1.0001, Fraction(1, 2), True, "2"], ids=repr)
+def test_non_integer_or_non_positive_freq_is_refused(freq):
+    """A multiplier must be a positive integer; anything else is refused at
+    construction, before a quadrature grid is allocated. 1.0001 as the
+    rational 10001/10000 once made each gamma quadrature span 40,960,000
+    panels."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="freq must be a positive integer"):
+            DitherSignal(np.sin, freq=freq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert DitherSignal(np.sin, freq=2).freq == 2
 
 
 def test_affine_system_requires_matching_counts():
@@ -392,9 +391,7 @@ def test_biased_dither_fails_zero_mean():
         sys.fields,
         (DitherSignal(lambda ph: np.sin(ph) + 0.5), COSINE),
     )
-    report = check_assumptions(
-        biased, ((-2.0, 2.0), (-2.0, 2.0)), grid=5, time_samples=3, phase_points=2000
-    )
+    report = check_assumptions(biased, ((-2.0, 2.0), (-2.0, 2.0)), grid=5, time_samples=3)
     assert not report.a1_passed
     assert not report.passed
     assert not report.a1[0].zero_mean
@@ -408,9 +405,7 @@ def test_oversized_dither_fails_bound():
         sys.fields,
         (DitherSignal(lambda ph: 1.5 * np.sin(ph)), COSINE),
     )
-    report = check_assumptions(
-        loud, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2, phase_points=2000
-    )
+    report = check_assumptions(loud, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2)
     assert not report.a1[0].bounded
     assert math.isclose(report.a1[0].sup, 1.5, rel_tol=1e-6)
 
@@ -422,9 +417,7 @@ def test_aperiodic_dither_fails_period_check():
         sys.fields,
         (DitherSignal(lambda ph: np.sin(ph) + 1e-3 * ph), COSINE),
     )
-    report = check_assumptions(
-        drifting, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2, phase_points=2000
-    )
+    report = check_assumptions(drifting, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2)
     assert not report.a1[0].periodic
 
 
@@ -440,13 +433,28 @@ def test_high_exponents_trigger_and_fail_a3():
             DitherSignal(np.cos, exponent=0.7),
         ),
     )
-    report = check_assumptions(
-        hot, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2, phase_points=2000
-    )
+    report = check_assumptions(hot, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2)
     assert not report.a3_passed
     assert any(e["triggered"] and not e["satisfied"] for e in report.a3_pairs)
     assert any(e["triggered"] and not e["satisfied"] for e in report.a3_triples)
     assert report.a1_passed
+
+
+@pytest.mark.parametrize("cos_freq, reason", [(2, "integral"), (1, "violated")])
+def test_a3_pair_of_distinct_multipliers_is_satisfied_by_its_integral(cos_freq, reason):
+    """Exponents 0.6 + 0.7 trigger the pair condition. A sine at the base
+    frequency against a cosine at twice it has a vanishing raw interaction
+    integral in either order, so the pair holds by its integral although
+    the design's bracket does not vanish; at equal multipliers it fails."""
+    base = proposed_design_system(PLANT)
+    dithers = (DitherSignal(np.sin, 1, 0.6), DitherSignal(np.cos, cos_freq, 0.7))
+    sys = AffineSystem(base.drift, base.fields, dithers)
+    report = check_assumptions(sys, ((-1.0, 1.0), (-1.0, 1.0)), grid=4, time_samples=2)
+    assert [e["triggered"] for e in report.a3_pairs] == [True, True]
+    assert [e["reason"] for e in report.a3_pairs] == [reason, reason]
+    assert all(e["satisfied"] == (reason == "integral") for e in report.a3_pairs)
+    if reason == "integral":
+        assert all(abs(e["raw_integral"]) <= 1e-9 for e in report.a3_pairs)
 
 
 @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"time_samples": 0}, {"grid": -3}])
@@ -485,15 +493,6 @@ def test_non_integer_sample_count_is_refused(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer, at least 1"):
         check_assumptions(
             proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), **{name: value}
-        )
-
-
-@pytest.mark.parametrize("phase_points", [0, -5, 1, 3, 2001, 2000.0, True])
-def test_odd_or_tiny_phase_grid_is_refused(phase_points):
-    """Simpson's rule needs an even panel count over the closed phase grid."""
-    with pytest.raises(ValueError, match="phase_points must be an even integer >= 2"):
-        check_assumptions(
-            proposed_design_system(PLANT), ((-1.0, 1.0), (-1.0, 1.0)), phase_points=phase_points
         )
 
 
@@ -563,7 +562,7 @@ def _three_channel_system():
     dithers = (
         DitherSignal(np.sin, exponent=0.6),
         DitherSignal(np.cos, exponent=0.7),
-        DitherSignal(np.sin, Fraction(2), 0.7),
+        DitherSignal(np.sin, 2, 0.7),
     )
     return AffineSystem(drift, (f1, f2, f3), dithers)
 
@@ -614,18 +613,14 @@ def test_batched_audit_matches_point_wise_reference(build, region):
     # a coarser grid keeps the point-wise reference quick on a 3-D box
     grid = 5 if len(region) == 2 else 4
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = check_assumptions(sys, region, grid=grid, time_samples=3, phase_points=2000)
-        want = reference_check_assumptions(
-            sys, region, grid=grid, time_samples=3, phase_points=2000
-        )
+        got = check_assumptions(sys, region, grid=grid, time_samples=3)
+        want = reference_check_assumptions(sys, region, grid=grid, time_samples=3)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def _report_json(sys, region, grid, time_samples=3):
     with np.errstate(divide="ignore", invalid="ignore"):
-        report = check_assumptions(
-            sys, region, grid=grid, time_samples=time_samples, phase_points=2000
-        )
+        report = check_assumptions(sys, region, grid=grid, time_samples=time_samples)
     return json.dumps(report.to_dict())
 
 
@@ -671,7 +666,7 @@ def test_audit_norms_fields_that_read_t_at_every_time_sample_and_block(monkeypat
     report is the point-wise scan's byte for byte."""
     sys, box = _half_time_dependent_system(), ((-2.0, 2.0), (-2.0, 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = reference_check_assumptions(sys, box, grid=5, time_samples=3, phase_points=2000)
+        want = reference_check_assumptions(sys, box, grid=5, time_samples=3)
     monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
     norms = averaging._a2_norms
     calls = 0
@@ -734,7 +729,7 @@ def test_audit_witness_is_the_time_major_first_non_finite_norm(
     sys = AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
     box = ((-2.0, 2.0), (-2.0, 2.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = reference_check_assumptions(sys, box, grid=5, time_samples=4, phase_points=2000)
+        want = reference_check_assumptions(sys, box, grid=5, time_samples=4)
     assert want.a2_bound == math.inf
     assert (want.a2_witness["x"], want.a2_witness["t"]) == witness
     monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
@@ -831,7 +826,7 @@ def test_time_blind_audit_stops_at_the_first_block_that_overflows(monkeypatch):
     base = proposed_design_system(PLANT)
     box = ((-1e200, 2.0), (-2.0, 2.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_check_assumptions(base, box, grid=5, time_samples=4, phase_points=2000)
+        want = reference_check_assumptions(base, box, grid=5, time_samples=4)
     assert want.a2_bound == math.inf
     assert (want.a2_witness["x"], want.a2_witness["t"]) == ([-1e200, -2.0], 0.0)
     calls: dict = {}
@@ -863,7 +858,6 @@ def test_audit_memory_per_mesh_state_is_bounded():
             ((-2.0, 2.0), (-2.0, 2.0)),
             grid=grid,
             time_samples=1,
-            phase_points=2000,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -899,7 +893,7 @@ def test_a3_exponent_sums_do_not_depend_on_channel_order(exponents):
     taken left to right gives 1.9999999999999998 for (1, 2, 2) but 2.0 for
     (2, 2, 1)."""
     report = check_assumptions(
-        _equal_channel_system(exponents), ((-1.0, 1.0),), grid=2, time_samples=1, phase_points=2
+        _equal_channel_system(exponents), ((-1.0, 1.0),), grid=2, time_samples=1
     )
     by_channels: dict = {}
     for entry in report.a3_pairs + report.a3_triples:

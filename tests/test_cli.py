@@ -237,6 +237,18 @@ def test_simulate_random_initials_respect_seed(tmp_path):
     assert same != (outs[2] / "trajectory_1.csv").read_bytes()
 
 
+def test_null_random_beside_y_and_k_is_read_as_absent(tmp_path):
+    """A null field is absent everywhere in a config: `random: null` next to
+    y and k runs the one start y, k, byte for byte as without the key."""
+    cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
+    cfg["initial"]["random"] = None
+    outs = [tmp_path / "with_null", tmp_path / "without"]
+    assert _run("simulate", _write_cfg(tmp_path, cfg, "null.yaml"), outs[0]) == 0
+    assert _run("simulate", _write_cfg(tmp_path, FAST_SIM), outs[1]) == 0
+    with_null, without = ((out / "trajectory.csv").read_bytes() for out in outs)
+    assert with_null == without
+
+
 def test_simulate_random_initials_validation(tmp_path, capsys):
     cfg = yaml.safe_load(yaml.safe_dump(FAST_SIM))
     cfg["initial"] = {"random": {"count": 0, "y_range": [0, 1], "k_range": [0, 1]}}
@@ -1089,6 +1101,22 @@ def _preset_case(name, **simulation):
             _budget_case({}, [{"y": 1.0, "k": 0.0}, {"y": 0.5, "k": 0.0, "z": 1.0}]),
             "initial[1].z",
         ),
+        # A list entry is read for y and k only; a random section in one
+        # used to be ignored, and the entry ran as one start.
+        (
+            "simulate",
+            _budget_case(
+                {},
+                [
+                    {
+                        "y": 1.0,
+                        "k": 0.0,
+                        "random": {"count": 3, "y_range": [0, 1], "k_range": [0, 1]},
+                    }
+                ],
+            ),
+            "initial[0].random",
+        ),
         # A repeated key used to keep its last value.
         ("simulate", DUPLICATE_T_F, "config"),
         # The floats near 1e12 are 1.2e-4 apart, too coarse for the paper
@@ -1136,6 +1164,7 @@ def _preset_case(name, **simulation):
         "simulate-typos",
         "check-typos",
         "initial-entry-unknown-key",
+        "initial-entry-random",
         "duplicate-key",
         "simulate-step-unresolved",
         "simulate-lbs-unresolved",
