@@ -410,15 +410,14 @@ _A1_PHASE_POINTS = 10_000  # A1 phase samples per period; even, for Simpson's ru
 
 
 def _check_dither(d: DitherSignal) -> DitherCheck:
-    phase = np.linspace(0.0, 2.0 * math.pi, _A1_PHASE_POINTS, endpoint=False)
+    # the closed grid for Simpson's mean; its first _A1_PHASE_POINTS phases
+    # give sup and, shifted by 2*pi, the period defect
+    phase = np.linspace(0.0, 2.0 * math.pi, _A1_PHASE_POINTS + 1)
     vals = np.asarray(d.fn(phase), dtype=float)
-    sup = float(np.max(np.abs(vals)))
-    shifted = np.asarray(d.fn(phase + 2.0 * math.pi), dtype=float)
-    period_defect = float(np.max(np.abs(shifted - vals)))
-    # closed grid for Simpson; mean over one period
-    phase_c = np.linspace(0.0, 2.0 * math.pi, _A1_PHASE_POINTS + 1)
-    vals_c = np.asarray(d.fn(phase_c), dtype=float)
-    mean = float(_simpson(vals_c, 2.0 * math.pi / _A1_PHASE_POINTS) / (2.0 * math.pi))
+    sup = float(np.max(np.abs(vals[:-1])))
+    shifted = np.asarray(d.fn(phase[:-1] + 2.0 * math.pi), dtype=float)
+    period_defect = float(np.max(np.abs(shifted - vals[:-1])))
+    mean = float(_simpson(vals, 2.0 * math.pi / _A1_PHASE_POINTS) / (2.0 * math.pi))
     return DitherCheck(
         sup=sup,
         bounded=sup <= 1.0 + 1e-9,
@@ -572,12 +571,12 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
         # fields that never read t have the same norms at every time sample,
         # and a later sample's equal maximum is no new witness
         times = times[:1]
-    # per time sample, one (non-finite, value, flat index into that time's
-    # (N, K) norm table) per block: its first non-finite norm, or else its
-    # first largest norm
-    summaries: list[list[tuple[bool, float, int]]] = [[] for _ in times]
+    # per block and time sample, the key (finite, -value, time index, flat
+    # index into the (N, K) norm table) of its first non-finite norm, keyed
+    # -inf, or else of its first largest; the least key is the witness
+    keys: list[tuple[bool, float, int, int]] = []
     # the earliest time index where a block so far met a non-finite norm: a
-    # later block's summaries from there on cannot change the report
+    # later block's keys from there on cannot be the least
     stop = len(times)
     for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
         b = slice(lo, lo + _A2_BLOCK_ROWS)
@@ -585,25 +584,17 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
         for i, t in enumerate(times[:stop]):
             norms = _a2_norms(_a2_values(fields, pts, float(t), blind), h2, houter2).ravel()
             bad = ~np.isfinite(norms)
-            k = int(np.argmax(bad)) if bad.any() else int(np.argmax(norms))
-            summary = bool(bad[k]), float(norms[k]), lo * ncols + k
-            summaries[i].append(summary)
-            if summary[0]:
+            if bad.any():
+                keys.append((False, -math.inf, i, lo * ncols + int(np.argmax(bad))))
                 stop = i
                 break
+            k = int(np.argmax(norms))
+            keys.append((True, -float(norms[k]), i, lo * ncols + k))
 
-    best = -math.inf
-    witness: dict = {}
-    for t, row in zip(times, summaries):
-        # the first block with a non-finite norm, else the first largest value
-        nonfinite, value, k = next((s for s in row if s[0]), None) or max(row, key=lambda s: s[1])
-        if nonfinite or value > best:
-            best = math.inf if nonfinite else value
-            norm, i, j = labels[k % ncols]
-            witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // ncols].tolist(), "t": float(t)}
-        if nonfinite:
-            break
-    return best, witness
+    _, value, ti, k = min(keys)
+    norm, i, j = labels[k % ncols]
+    witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // ncols].tolist(), "t": float(times[ti])}
+    return -value, witness
 
 
 def _a3_checks(sys: AffineSystem, coarse: np.ndarray) -> tuple[list[dict], list[dict]]:
@@ -665,15 +656,16 @@ def check_assumptions(
     """Audit the averaging prerequisites on a compact box.
 
     A1: each dither is bounded by 1, 2*pi-periodic, and zero-mean on a
-    grid of 10,000 phases per period. A2: the five norm families (fields,
-    their time and state derivatives, and the same derivatives of the
-    directional derivatives L_{f_i} f_j) are finite over a grid x time
-    product; the max is reported with its witness. A3: for channel pairs
-    whose exponents sum above 1 the pair's raw interaction integral must
-    vanish or the pair's bracket must vanish on the grid; triples whose
-    exponents sum to at least 2 need the second-level directional
-    derivative to vanish. Pairs/triples below the thresholds are recorded
-    as vacuous.
+    grid of 10,000 phases per period, from two calls: on the closed grid
+    of 10,001 phases, whose first 10,000 give the bound, and on those
+    shifted by 2*pi. A2: the five norm families (fields, their time and
+    state derivatives, and the same derivatives of the directional
+    derivatives L_{f_i} f_j) are finite over a grid x time product; the
+    max is reported with its witness. A3: for channel pairs whose
+    exponents sum above 1 the pair's raw interaction integral must vanish
+    or the pair's bracket must vanish on the grid; triples whose exponents
+    sum to at least 2 need the second-level directional derivative to
+    vanish. Pairs/triples below the thresholds are recorded as vacuous.
 
     The A2 scan takes the state mesh one block of `_A2_BLOCK_ROWS` states
     at a time, and each block through every time sample before the next
@@ -699,14 +691,16 @@ def check_assumptions(
 
     The witness is the first maximiser in time-major, then point-major,
     then per-point order, and the scan's verdict stops at the first
-    non-finite norm in that order: each block keeps its first non-finite
-    norm or else its first maximum per time sample. It stops at its own
-    first non-finite norm, and runs no time sample at or after the
-    earliest one where an earlier block met a non-finite norm. A block may
-    so evaluate its fields at times after the time where the report stops,
-    when a later block meets a non-finite norm at an earlier time; the
-    report is that of a scan stopping there, but a field that raises at
-    such a time raises.
+    non-finite norm in that order: each block records, per time sample,
+    one key (finite, -value, time index, flat index) from its first
+    non-finite norm or else its first maximum, and the least key of all
+    gives the bound and the witness. A block stops at its own first
+    non-finite norm, and runs no time sample at or after the earliest one
+    where an earlier block met a non-finite norm. A block may so evaluate
+    its fields at times after the time where the report stops, when a
+    later block meets a non-finite norm at an earlier time; the report is
+    that of a scan stopping there, but a field that raises at such a time
+    raises.
     A region whose width hi - lo is not finite is refused (ValueError).
     Overflow and invalid values in the A1, A2 and A3 arithmetic raise no
     numpy warning; they show as non-finite checks and norms.

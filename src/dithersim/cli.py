@@ -45,7 +45,6 @@ from .analysis import (
 )
 from .averaging import (
     AffineSystem,
-    DitherSignal,
     check_assumptions,
     proposed_design_system,
     swapped_design_system,
@@ -78,11 +77,7 @@ __all__ = ["ConfigError", "PRESETS", "main"]
 # u column peaks near 152 bytes per step while it is built (tracemalloc) and
 # keeps 32.
 WORK_BUDGET = 2_000_000
-NUSSBAUM_SHAPES: dict[str, Callable[[float | np.ndarray], float | np.ndarray]] = {
-    "s_cos_s": s_cos_s,
-    "const_1": lambda s: 1.0,
-    "const_neg1": lambda s: -1.0,
-}
+
 
 class ConfigError(Exception):
     """Invalid or missing configuration; `field` is the dotted path."""
@@ -174,7 +169,8 @@ def _integer(v: object, path: str, *, least: float = -math.inf, among: tuple = (
 def _one_of(v: object, path: str, *, among: tuple) -> object:
     """v, if it is one of `among`."""
     if v not in among:
-        raise ConfigError(path, f"must be {', '.join(map(str, among[:-1]))} or {among[-1]}")
+        *rest, last = map(str, among)
+        raise ConfigError(path, f"must be {', '.join(rest) + ' or ' if rest else ''}{last}")
     return v
 
 
@@ -219,7 +215,6 @@ def _step(v: object, path: str) -> object:
 
 _REQUIRED = object()
 _variant = partial(_named, lookup=ControllerVariant.from_name)
-_shape = partial(_one_of, among=tuple(NUSSBAUM_SHAPES))
 _start = partial(_number, within=_BOUND)
 _count = partial(_integer, least=1)
 _order = partial(_integer, among=_ORDERS)
@@ -234,7 +229,7 @@ FIELDS: dict[str, tuple[Callable[..., object], object]] = {
     "plant.b": (partial(_number, nonzero=True), _REQUIRED),
     "controller.variant": (_variant, ControllerVariant.PROPOSED),
     "controller.omega": (partial(_number, positive=True), _REQUIRED),
-    "controller.nussbaum": (_shape, "s_cos_s"),
+    "controller.nussbaum": (partial(_one_of, among=("s_cos_s",)), "s_cos_s"),
     "controller.sign_b": (partial(_integer, among=(-1, 1)), _REQUIRED),
     "simulation.t0": (_number, 0.0),
     "simulation.t_f": (_number, _REQUIRED),
@@ -253,8 +248,6 @@ FIELDS: dict[str, tuple[Callable[..., object], object]] = {
     "check.region_max": (_number, 2.0),
     "check.grid": (_count, 50),
     "check.time_samples": (_count, 20),
-    "check.bias": (_number, 0.0),
-    "check.nussbaum.h": (_shape, "s_cos_s"),
     "check.nussbaum.k0": (_number, 0.0),
     "check.nussbaum.k_max": (_number, 50.0),
     "check.nussbaum.grid": (partial(_integer, least=1000), 20_000),
@@ -345,8 +338,8 @@ def _controller_spec(cfg: dict, variant: ControllerVariant) -> ControllerSpec:
     if variant in DITHERED_VARIANTS:
         return ControllerSpec(variant, omega=_value(cfg, "controller.omega"))
     if variant is ControllerVariant.NUSSBAUM:
-        shape = _value(cfg, "controller.nussbaum")
-        return ControllerSpec(variant, nussbaum_fn=NUSSBAUM_SHAPES[shape])
+        _value(cfg, "controller.nussbaum")  # s_cos_s, the spec's default
+        return ControllerSpec(variant)
     return ControllerSpec(variant, sign_b=_value(cfg, "controller.sign_b"))
 
 
@@ -558,10 +551,8 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError("check.region_min", "must be below check.region_max by a finite amount")
     grid = _value(cfg, "check.grid")
     time_samples = _value(cfg, "check.time_samples")
-    bias = _value(cfg, "check.bias")
     system = _audited_system(cfg, plant)
 
-    shape = _value(cfg, "check.nussbaum.h")
     k0 = _value(cfg, "check.nussbaum.k0")
     k_max = _value(cfg, "check.nussbaum.k_max")
     # The gain-shape check also runs on the horizon doubled from k0.
@@ -577,17 +568,10 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.
     _check_work("check.nussbaum.grid", 3, ngrid, unit="gain-shape evaluations")
 
-    if bias != 0.0:
-        def biased(ph: np.ndarray) -> np.ndarray:
-            return np.sin(ph) + bias
-
-        system = AffineSystem(
-            system.drift, system.fields, (DitherSignal(biased), system.dithers[1])
-        )
     # The other arguments are validated above: a ValueError means N(k)
     # overflowed, or else that its panels are too wide for the gain shape.
     try:
-        ncheck = nussbaum_type_check(NUSSBAUM_SHAPES[shape], k0, k_max, ngrid)
+        ncheck = nussbaum_type_check(s_cos_s, k0, k_max, ngrid)
     except _AliasedProfile as e:
         raise ConfigError("check.nussbaum.grid", str(e)) from None
     except ValueError as e:
@@ -598,13 +582,13 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 
     doc = {
         "assumptions": report.to_dict(),
-        "nussbaum": {"shape": shape, **ncheck.to_dict()},
+        "nussbaum": {"shape": "s_cos_s", **ncheck.to_dict()},
     }
     _announce(_write_json(doc, out / "check.json"))
     print(f"averaging assumptions: {'PASS' if report.passed else 'FAIL'}")
     grows = "grows" if ncheck.excursions_grow else "does not grow"
     print(
-        f"gain shape {shape}: sup={ncheck.running_sup:.3g} inf={ncheck.running_inf:.3g} "
+        f"gain shape s_cos_s: sup={ncheck.running_sup:.3g} inf={ncheck.running_inf:.3g} "
         f"crossings={ncheck.crossings}, excursion range {grows} on doubled horizon"
     )
     return 0

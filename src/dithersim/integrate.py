@@ -269,10 +269,7 @@ def _write_json(doc: dict, path: str | Path) -> Path:
     """Write doc as indented JSON with sorted keys. A non-finite float is
     written as null, since JSON (RFC 8259) has no Infinity or NaN."""
     path = Path(path)
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_null_non_finite(doc), sort_keys=True, indent=2)
+    text = json.dumps(_null_non_finite(doc), sort_keys=True, indent=2, allow_nan=False)
     path.write_text(text + "\n")
     return path
 

@@ -740,6 +740,33 @@ def test_audit_witness_is_the_time_major_first_non_finite_norm(
     assert calls == {first: n for first, n in zip(_BLOCK_FIRSTS, block_calls) if n}
 
 
+def test_audit_witness_of_a_tie_across_blocks_is_the_earlier_time(monkeypatch):
+    """Equal largest norms at a later time in an earlier block and at an
+    earlier time in a later block: the witness is the earlier time, as in
+    the point-wise scan's time-major order. On the 5 x 5 mesh over [-2, 2]^2
+    in seven-state blocks, the sine field reads 1e3 at time index 2 where
+    y = -2 (the first block) and at time index 0 where y = 1 (the third);
+    it is constant in x near every state, so every derivative norm is 0."""
+    base = proposed_design_system(PLANT)
+
+    def zero(x, t):
+        return np.zeros_like(np.asarray(x, float))
+
+    def f_sin(x, t):
+        y = np.asarray(x, float)[..., :1]
+        big = ((y < -1.5) & (3.0 < t < 5.0)) | ((0.5 < y) & (y < 1.5) & (t < 1.0))
+        return np.concatenate((np.where(big, 1e3, 1.0), np.zeros_like(y)), axis=-1)
+
+    sys = AffineSystem(zero, (f_sin, zero), base.dithers)
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    want = reference_check_assumptions(sys, box, grid=5, time_samples=4)
+    assert want.a2_bound == 1e3
+    assert want.a2_witness == {"norm": "field", "i": 1, "j": None, "x": [1.0, -2.0], "t": 0.0}
+    assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
+
+
 @pytest.mark.parametrize("block_rows", [None, 7])
 def test_audit_calls_each_field_three_times_per_time_sample_and_block(block_rows, monkeypatch):
     """Beyond one mesh-shape probe, each field is called once at t and once

@@ -23,12 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dithersim import (
+    AffineSystem,
+    DitherSignal,
     Method,
     PlantParams,
     State,
     approximation_sweep,
     check_assumptions,
     lie_bracket_loop,
+    proposed_design_system,
     simulate,
     swapped_design_system,
 )
@@ -506,19 +509,6 @@ def test_check_of_the_swapped_design_writes_the_recorded_bytes(tmp_path):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
-def test_check_biased_dither_fails_but_exits_zero(tmp_path, capsys):
-    cfg = {
-        "plant": {"a": 10.0, "b": -2.0},
-        "check": {"grid": 5, "time_samples": 3, "bias": 0.5},
-    }
-    out = tmp_path / "out"
-    assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
-    assert "averaging assumptions: FAIL" in capsys.readouterr().out
-    doc = json.loads((out / "check.json").read_text())
-    assert doc["assumptions"]["a1_passed"] is False
-    assert doc["assumptions"]["passed"] is False
-
-
 def _refuse_constant(name):
     raise ValueError(f"not JSON: {name}")
 
@@ -612,15 +602,6 @@ def test_check_reads_its_whole_config_before_auditing(tmp_path, capsys, monkeypa
     cfg = {"plant": {"a": 10.0, "b": -2.0}, "check": {"nussbaum": {"k_max": -1.0}}}
     assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
     assert "config error: check.nussbaum.k_max:" in capsys.readouterr().err
-
-
-def test_check_rejects_unknown_shape(tmp_path, capsys):
-    cfg = {
-        "plant": {"a": 10.0, "b": -2.0},
-        "check": {"grid": 5, "time_samples": 3, "nussbaum": {"h": "wat"}},
-    }
-    assert _run("check", _write_cfg(tmp_path, cfg), tmp_path) == 2
-    assert "check.nussbaum.h" in capsys.readouterr().err
 
 
 # -- chenfliess ----------------------------------------------------------------------
@@ -1134,6 +1115,15 @@ def _preset_case(name, **simulation):
         # Panels 5e95 wide against the 2*pi period of s_cos_s gave a finite,
         # aliased profile and a wrong "does not grow" verdict with exit 0.
         ("check", _check_case({"grid": 4, "nussbaum": {"k_max": 1e100}}), "check.nussbaum.grid"),
+        # Settings only tests set, now gone: a biased dither and the
+        # constant gain shapes.
+        ("check", _check_case({"bias": 0.5}), "check.bias"),
+        ("check", _check_case({"nussbaum": {"h": "s_cos_s"}}), "check.nussbaum.h"),
+        (
+            "simulate",
+            _budget_case({"controller": {"variant": "nussbaum", "nussbaum": "const_1"}}),
+            "controller.nussbaum",
+        ),
     ],
     ids=[
         "nan-range",
@@ -1171,6 +1161,9 @@ def _preset_case(name, **simulation):
         "compare-step-unresolved",
         "check-nussbaum-not-finite",
         "check-nussbaum-aliased",
+        "check-bias",
+        "check-nussbaum-h",
+        "controller-nussbaum-constant",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -1181,15 +1174,20 @@ def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
 
 
 def test_check_reports_an_overflowing_dither_mean_without_a_warning(tmp_path):
-    """A bias of 1e308 overflows the A1 mean: the report shows it as null
-    and FAILs, and no numpy warning escapes (the suite turns RuntimeWarning
-    into an error). The A1 checks used to run outside the audit's errstate."""
-    out = tmp_path / "out"
-    cfg = _check_case({"grid": 4, "time_samples": 2, "bias": 1.0e308})
-    assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
-    report = json.loads((out / "check.json").read_text())["assumptions"]
-    assert report["a1"][0]["mean"] is None
-    assert (report["a1_passed"], report["passed"]) == (False, False)
+    """A bias of 1e308 overflows the A1 mean: the audit reports it as
+    non-finite and FAILs, no numpy warning escapes, and the written report
+    holds null. The A1 checks used to run outside the audit's errstate."""
+    base = proposed_design_system(PlantParams(10.0, -2.0))
+    biased = DitherSignal(lambda ph: np.sin(ph) + 1e308)
+    system = AffineSystem(base.drift, base.fields, (biased, base.dithers[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(system, ((-2.0, 2.0), (-2.0, 2.0)), grid=4, time_samples=2)
+    assert not math.isfinite(report.a1[0].mean)
+    assert (report.a1_passed, report.passed) == (False, False)
+    path = integrate._write_json(report.to_dict(), tmp_path / "check.json")
+    doc = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert doc["a1"][0]["mean"] is None
 
 
 def test_non_finite_gain_shape_is_refused_before_auditing(tmp_path, capsys, monkeypatch):
@@ -1231,7 +1229,7 @@ def test_declared_fields_a_command_does_not_read_are_allowed(tmp_path):
         **FAST_SIM,
         "compare": PRESETS["fig2"]["compare"],
         "sweep": {"omegas": [50.0]},
-        "check": {"grid": 4, "nussbaum": {"h": "const_1"}},
+        "check": {"grid": 4, "nussbaum": {"k_max": 25.0}},
         "chenfliess": {**PRESETS["fig4"]["chenfliess"], "n_steps": 3},
     }
     out = tmp_path / "out"
@@ -1332,8 +1330,7 @@ FUZZ_BASES = {
             "region_max": 2.0,
             "grid": 4,
             "time_samples": 3,
-            "bias": 0.0,
-            "nussbaum": {"h": "s_cos_s", "k0": 0.0, "k_max": 50.0, "grid": 2000},
+            "nussbaum": {"k0": 0.0, "k_max": 50.0, "grid": 2000},
         },
     },
     "chenfliess": {
@@ -1473,13 +1470,18 @@ def test_presets_cover_all_bundled_configs():
 
 @pytest.mark.parametrize("preset", sorted(PRESET_RUNS))
 def test_preset_runs_end_to_end(tmp_path, preset):
+    """A preset writes its artifacts and its config as config.yaml, which
+    is itself a runnable config: run with --config, it writes every other
+    artifact of the preset byte for byte."""
     command, files = PRESET_RUNS[preset]
-    assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "config.yaml").exists()
+    first, again = tmp_path / "preset", tmp_path / "again"
+    assert main([command, "--preset", preset, "--out", str(first)]) == 0
     for name in files:
-        assert (tmp_path / name).exists(), name
-    # The written copy must itself be a runnable config.
-    assert yaml.safe_load((tmp_path / "config.yaml").read_text()) == PRESETS[preset]
+        assert (first / name).exists(), name
+    assert yaml.safe_load((first / "config.yaml").read_text()) == PRESETS[preset]
+    assert _run(command, first / "config.yaml", again) == 0
+    written = {p.name: p.read_bytes() for p in first.iterdir() if p.name != "config.yaml"}
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == written
 
 
 EXPECTED_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "expected_hashes.json"
