@@ -301,9 +301,27 @@ def _check_known(node: dict, path: tuple = (), where: str = "", leaves: bool = F
                     _check_known(entry, sub, f"initial[{i}]", leaves=True)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that refuses a key spelled twice in one mapping, where
-    safe_load keeps the last without a word."""
+if yaml.__with_libyaml__:
+
+    class _SafeLoader(yaml.composer.Composer, yaml.CSafeLoader):
+        """CSafeLoader whose nodes pyyaml's own composer builds from
+        libyaml's events; as the first base, Composer's methods shadow
+        CParser's. libyaml's composer recurses in C with no depth check
+        and crashes the process on a config nested some 50,000 deep,
+        where this one raises RecursionError."""
+
+        def __init__(self, stream: bytes) -> None:
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+
+else:
+    _SafeLoader = yaml.SafeLoader
+
+
+class _UniqueKeyLoader(_SafeLoader):
+    """Safe loader that refuses a key spelled twice in one mapping, where
+    safe_load keeps the last without a word. It parses with libyaml where
+    pyyaml was built with it."""
 
     def construct_mapping(self, node: yaml.Node, deep: bool = False) -> dict:
         seen = set()
@@ -690,6 +708,8 @@ def _resolve_config(args: argparse.Namespace, out: Path) -> dict:
         cfg = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         raise ConfigError("config", f"invalid YAML: {e}") from None
+    except RecursionError:
+        raise ConfigError("config", "invalid YAML: nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be a mapping of sections")
     return cfg

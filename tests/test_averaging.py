@@ -440,6 +440,35 @@ def test_high_exponents_trigger_and_fail_a3():
     assert report.a1_passed
 
 
+def test_a3_calls_each_field_once_per_role_and_triple_pair():
+    """With exponent-0.75 dithers both pairs and all 8 triples trigger.
+    Each field is called 31 times on the 2-D states: 5 times in each of
+    the two pair brackets, once as the direction f_q of the triples, and
+    in each of the two (i, j) whose triples share one moved point set,
+    twice as f_i and 8 times as f_j (its Jacobian's four moves, at the
+    two moved sets)."""
+    base = proposed_design_system(PLANT)
+    calls = [0, 0]
+
+    def counted(n, f):
+        def field(x, t):
+            calls[n] += 1
+            return f(x, t)
+
+        return field
+
+    sys = AffineSystem(
+        base.drift,
+        [counted(n, f) for n, f in enumerate(base.fields)],
+        (DitherSignal.sine(exponent=0.75), DitherSignal.cosine(exponent=0.75)),
+    )
+    coarse = np.array([[-1.0, 0.5], [0.25, -2.0], [1.5, 1.0]])
+    pairs, triples = averaging._a3_checks(sys, coarse)
+    assert len(triples) == 8
+    assert all(e["triggered"] for e in pairs + triples)
+    assert calls == [31, 31]
+
+
 @pytest.mark.parametrize("cos_freq, reason", [(2, "integral"), (1, "violated")])
 def test_a3_pair_of_distinct_multipliers_is_satisfied_by_its_integral(cos_freq, reason):
     """Exponents 0.6 + 0.7 trigger the pair condition. A sine at the base

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1220,6 +1221,121 @@ def test_duplicate_key_names_the_key_and_its_line(tmp_path, capsys):
     assert _run("simulate", _write_cfg(tmp_path, DUPLICATE_T_F), out) == 2
     assert capsys.readouterr().err == f"config error: config: duplicate key 't_f' on line {line}\n"
     assert not any(out.iterdir())
+
+
+def _nested(depth):
+    """YAML text of a config whose plant.a is a list nested depth deep."""
+    return "plant: {a: " + "[" * depth + "]" * depth + "}\n"
+
+
+NESTED_TOO_DEEPLY = "config error: config: invalid YAML: nested too deeply\n"
+
+
+def test_config_nested_too_deeply_is_invalid_yaml(tmp_path, capsys):
+    """A config nested 2,000 deep exits 2 with a config error, not a
+    RecursionError traceback."""
+    out = tmp_path / "out"
+    assert _run("check", _write_cfg(tmp_path, _nested(2_000)), out) == 2
+    assert capsys.readouterr().err == NESTED_TOO_DEEPLY
+    assert not any(out.iterdir())
+
+
+def test_config_nested_past_the_c_stack_exits_2(tmp_path):
+    """Nested 100,000 deep, a config would overflow the C stack of
+    libyaml's composer and kill the process; the CLI composes its nodes in
+    Python and exits 2. A fresh interpreter, so that a crash fails this
+    test alone."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    cfg = _write_cfg(tmp_path, _nested(100_000))
+    argv = ["check", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dithersim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, NESTED_TOO_DEEPLY)
+
+
+def _cli_copy(libyaml, monkeypatch):
+    """A copy of the cli module imported with pyyaml's libyaml flag set to
+    libyaml, so that its loader takes that base."""
+    if libyaml and not yaml.__with_libyaml__:
+        pytest.skip("pyyaml was built without libyaml")
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+    spec = importlib.util.spec_from_file_location("dithersim._cli_copy", cli.__file__)
+    copy_ = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy_)
+    spec.loader.exec_module(copy_)
+    return copy_
+
+
+LIBYAML_IDS = ["CSafeLoader", "SafeLoader"]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=LIBYAML_IDS)
+def test_config_refusals_hold_with_either_yaml_loader(libyaml, tmp_path, capsys, monkeypatch):
+    """The CLI's loader derives from CSafeLoader where pyyaml has libyaml
+    and from SafeLoader otherwise, picked when the module is imported. A
+    copy of the module imported under each setting refuses a repeated key
+    with its line, and a config nested too deeply, with the same errors."""
+    copy_ = _cli_copy(libyaml, monkeypatch)
+    assert issubclass(copy_._UniqueKeyLoader, yaml.CSafeLoader if libyaml else yaml.SafeLoader)
+    if hasattr(yaml, "CSafeLoader"):
+        assert issubclass(copy_._UniqueKeyLoader, yaml.CSafeLoader) == libyaml
+
+    line = DUPLICATE_T_F.splitlines().index("  t_f: 0.01") + 1
+    for text, err in (
+        (DUPLICATE_T_F, f"config error: config: duplicate key 't_f' on line {line}\n"),
+        (_nested(2_000), NESTED_TOO_DEEPLY),
+    ):
+        argv = ["check", "--config", str(_write_cfg(tmp_path, text)), "--out", str(tmp_path)]
+        assert copy_.main(argv) == 2
+        assert capsys.readouterr().err == err
+
+
+UNCLOSED_LIST = "plant:\n  a: [1, 2\n  b: 3\n"
+
+INVALID_YAML_MESSAGES = {
+    # libyaml's marks carry no source text: positions only.
+    True: "config error: config: invalid YAML: while parsing a flow sequence\n"
+    '  in "<byte string>", line 2, column 6\n'
+    "did not find expected ',' or ']'\n"
+    '  in "<byte string>", line 3, column 4\n',
+    # The pure parser quotes each line under its position, with a caret.
+    False: "config error: config: invalid YAML: while parsing a flow sequence\n"
+    '  in "<byte string>", line 2, column 6:\n'
+    "      a: [1, 2\n"
+    "         ^\n"
+    "expected ',' or ']', but got ':'\n"
+    '  in "<byte string>", line 3, column 4:\n'
+    "      b: 3\n"
+    "       ^\n",
+}
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=LIBYAML_IDS)
+def test_invalid_yaml_message_of_either_loader(libyaml, tmp_path, capsys, monkeypatch):
+    """The text of an invalid-YAML error is the parser's own, so it differs
+    between libyaml and the pure parser; pin each."""
+    copy_ = _cli_copy(libyaml, monkeypatch)
+    argv = ["check", "--config", str(_write_cfg(tmp_path, UNCLOSED_LIST)), "--out", str(tmp_path)]
+    assert copy_.main(argv) == 2
+    assert capsys.readouterr().err == INVALID_YAML_MESSAGES[libyaml]
+
+
+def test_yaml_1_3_directive_is_invalid_yaml_under_libyaml(tmp_path, capsys):
+    """libyaml refuses a `%YAML 1.3` directive, which pyyaml's pure parser
+    accepts; where the CLI parses with libyaml, such a config exits 2."""
+    if not yaml.__with_libyaml__:
+        pytest.skip("pyyaml was built without libyaml")
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "%YAML 1.3\n---\n" + yaml.safe_dump(FAST_SIM))
+    assert _run("simulate", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: invalid YAML: found incompatible YAML document")
 
 
 def test_declared_fields_a_command_does_not_read_are_allowed(tmp_path):
