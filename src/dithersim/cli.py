@@ -1,6 +1,6 @@
 """Config-driven command line front end.
 
-Subcommands: simulate (one run per initial condition, optional averaged
+Commands: simulate (one run per initial condition, optional averaged
 companion), compare (several controllers from one initial condition,
 one aligned CSV), sweep (dither-frequency sweep of the gap to the
 averaged system), check (averaging prerequisites plus a gain-shape
@@ -441,7 +441,7 @@ def _announce(path: Path) -> None:
     print(f"wrote {path}")
 
 
-# -- subcommands -----------------------------------------------------------------
+# -- commands --------------------------------------------------------------------
 
 
 def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
@@ -526,6 +526,10 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
+    # The exact averaged flow needs a finite orbit radius; with a start
+    # within _BOUND, that holds exactly when the center a/b is finite.
+    if not math.isfinite(plant.center):
+        raise ConfigError("plant.b", "too small for plant.a: the averaged center a/b overflows")
     vals = _value(cfg, "sweep.omegas")
     _check_zero_start(cfg, "sweep")
     t_f = _value(cfg, "simulation.t_f", positive=True)
@@ -652,7 +656,7 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     return 0
 
 
-# Each subcommand with its help line.
+# Each command with its help line.
 _COMMANDS = {
     "simulate": (cmd_simulate, "run the configured controller"),
     "compare": (cmd_compare, "run several controllers, aligned CSV"),
@@ -672,24 +676,23 @@ def _seed(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    source = shared.add_mutually_exclusive_group(required=True)
+    parser = argparse.ArgumentParser(
+        prog="dithersim",
+        description="Simulation and diagnostics for dither-based adaptive stabilization.",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<12}{help_line}" for name, (_, help_line) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, help="what to run (listed below)")
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", type=Path, help="YAML config file")
     source.add_argument(
         "--preset", choices=sorted(PRESETS), help="bundled config (written to --out)"
     )
-    shared.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    shared.add_argument(
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument(
         "--seed", type=_seed, default=0, help="seed for random initial-condition batches"
     )
-
-    parser = argparse.ArgumentParser(
-        prog="dithersim",
-        description="Simulation and diagnostics for dither-based adaptive stabilization.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line) in _COMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=help_line)
     return parser
 
 

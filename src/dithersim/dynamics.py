@@ -160,9 +160,13 @@ def s_cos_s(s: float | np.ndarray) -> float | np.ndarray:
     A Python float goes through math.cos and gives a Python float, as the
     fused Nussbaum kernels need; an array (or numpy scalar) is mapped
     element-wise with np.cos. The two agree bit for bit on the gain-shape
-    grids of `check`; the tests pin it.
+    grids of `check`; the tests pin it. A non-finite float, such as the gain
+    of an RK4 stage that overflowed, gives nan, so that the run records a
+    divergence instead of math.cos raising.
     """
-    return s * (math.cos(s) if type(s) is float else np.cos(s))
+    if type(s) is float:
+        return s * math.cos(s) if math.isfinite(s) else math.nan
+    return s * np.cos(s)
 
 
 @dataclass(frozen=True)

@@ -490,12 +490,11 @@ def _march(
         times[-1] = t_f
 
     if input_fn is not None:
-        # A kept u is input_fn at its sample bit for bit, except at a start
-        # at -0.0, where the kernel's time t0 + 0*h is +0.0. The last sample
-        # starts no accepted step, so it is always evaluated here.
-        us = [] if us is None else us
-        if us and t0 == 0.0 and math.copysign(1.0, t0) < 0.0:
-            us[0] = input_fn((ys[0], ks[0]), t0)
+        # A kept u is input_fn at its sample bit for bit, except at the first
+        # sample, whose kernel time t0 + 0*h drops the sign of a t0 at -0.0;
+        # the last sample starts no accepted step. Both are evaluated here.
+        us = us or []
+        us[:1] = [input_fn((ys[0], ks[0]), float(t0))]
         n = len(us)
         us += [input_fn(state, t) for state, t in zip(zip(ys[n:], ks[n:]), times[n:].tolist())]
     meta = {**meta, "h": h, "t0": t0, "tf": t_f}
@@ -663,13 +662,8 @@ def chen_fliess_step(
     length, without the pure-drift Taylor rows, so that order 1 is one
     Euler step of the averaged system (see `cftable.rows_for_order`).
     """
-    try:
-        step = _bound_terms(p.b, T, periods, order)
-    except OverflowError:
-        _as_pair(s0)  # a refused start is reported before a constant that overflows
-        raise
     y0, k0 = _as_pair(s0)
-    dy, dk = step(y0, p.a - p.b * k0)
+    dy, dk = _bound_terms(p.b, T, periods, order)(y0, p.a - p.b * k0)
     return State(y0 + dy, k0 + dk)
 
 

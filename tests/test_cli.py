@@ -495,6 +495,25 @@ def test_check_preset_fig1_writes_the_recorded_bytes(tmp_path):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
 
+# CI's sweep: the fig1 plant and start at three frequencies.
+SWEEP_FIG1 = {
+    "plant": {"a": 10.0, "b": -2.0},
+    "simulation": {"t_f": 3.0},
+    "initial": {"y": 1.0, "k": 0.0},
+    "sweep": {"omegas": [100.0, 400.0, 1600.0]},
+}
+
+
+def test_sweep_of_the_fig1_plant_writes_the_recorded_bytes(tmp_path):
+    """CI's sweep writes the sweep.csv whose sha256 is recorded in
+    tests/sweep_fig1.sha256 (in `sha256sum -c` form, which CI runs on its
+    own output too)."""
+    want, name = (Path(__file__).parent / "sweep_fig1.sha256").read_text().split()
+    out = tmp_path / "out"
+    assert _run("sweep", _write_cfg(tmp_path, SWEEP_FIG1), out) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
 def test_check_of_the_swapped_design_writes_the_recorded_bytes(tmp_path):
     """`check` of the swapped design on the fig1 plant, at the default grid
     and time samples, writes the check.json whose sha256 is recorded in
@@ -1125,6 +1144,13 @@ def _preset_case(name, **simulation):
             _budget_case({"controller": {"variant": "nussbaum", "nussbaum": "const_1"}}),
             "controller.nussbaum",
         ),
+        # The center a/b overflows: the exact averaged flow raised a
+        # ValueError after the dithered run.
+        (
+            "sweep",
+            _budget_case({"plant": {"b": 1e-320}, "sweep": {"omegas": [100.0, 400.0]}}),
+            "plant.b",
+        ),
     ],
     ids=[
         "nan-range",
@@ -1165,6 +1191,7 @@ def _preset_case(name, **simulation):
         "check-bias",
         "check-nussbaum-h",
         "controller-nussbaum-constant",
+        "sweep-center-overflow",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, command, cfg, field):
@@ -1371,6 +1398,29 @@ def test_starts_at_the_divergence_bound_run(tmp_path, initial, runs):
     for meta in metas:
         run = json.loads(meta.read_text())
         assert (run["status"], run["failure_step"]) == ("diverged", 1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_nussbaum_gain_overflowing_in_an_rk4_stage_records_a_divergence(tmp_path, command):
+    """An RK4 stage's gain overflows to inf, where s_cos_s used to let
+    math.cos raise a ValueError out of the CLI. The run now records a
+    divergence at its first step, as under Euler, and warns nothing."""
+    cfg = {
+        "plant": {"a": 0.0, "b": -1.0e300},
+        "controller": {"variant": "nussbaum"},
+        "simulation": {"t_f": 0.01, "method": "rk4"},
+        "initial": {"y": -2.0, "k": 1.0e9},
+        "compare": {"variants": ["nussbaum"]},
+    }
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(command, _write_cfg(tmp_path, cfg), out) == 0
+    if command == "simulate":
+        run = json.loads((out / "trajectory.json").read_text())
+    else:
+        (run,) = json.loads((out / "compare.json").read_text())["runs"]
+    assert (run["status"], run["failure_step"]) == ("diverged", 1)
 
 
 def test_sweep_runs_on_a_horizon_shorter_than_the_rk4_reference_step(tmp_path):
@@ -1616,19 +1666,22 @@ def test_preset_artifacts_match_recorded_hashes(tmp_path):
     assert got == json.loads(EXPECTED_HASHES.read_text())
 
 
-# One fresh interpreter writes the artifacts of simulate fig1, compare fig3
-# and check fig1 under out_dir (argv[1]), then prints numpy's dispatched SIMD
-# features that are still enabled, as JSON.
+# One fresh interpreter writes the artifacts of simulate fig1, compare fig3,
+# check fig1 and the sweep of the config file argv[2] under out_dir (argv[1]),
+# then prints numpy's dispatched SIMD features that are still enabled, as JSON.
 _KERNEL_GUARD_RUN = """
 import json, sys
 from pathlib import Path
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from dithersim.cli import main
 out = Path(sys.argv[1])
-for command, preset, name in (
-    ("simulate", "fig1", "fig1"), ("compare", "fig3", "fig3"), ("check", "fig1", "check")
+for command, source, name in (
+    ("simulate", ["--preset", "fig1"], "fig1"),
+    ("compare", ["--preset", "fig3"], "fig3"),
+    ("check", ["--preset", "fig1"], "check"),
+    ("sweep", ["--config", sys.argv[2]], "sweep"),
 ):
-    assert main([command, "--preset", preset, "--out", str(out / name)]) == 0
+    assert main([command, *source, "--out", str(out / name)]) == 0
 print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))
 """
 
@@ -1643,10 +1696,11 @@ def _host_simd_features() -> list[str]:
 
 @pytest.mark.parametrize("setting", ["baseline-simd", "sandybridge-blas"])
 def test_artifact_bytes_do_not_depend_on_simd_or_blas_kernels(setting, tmp_path):
-    """simulate fig1, compare fig3 and check fig1 write their recorded bytes
-    with numpy held to its baseline SIMD paths, and with OpenBLAS forced to
-    its Sandybridge kernels (no FMA; x86-64 only). Both variables are read
-    when a process loads numpy, so each setting runs in a fresh interpreter."""
+    """simulate fig1, compare fig3, check fig1 and CI's sweep write their
+    recorded bytes with numpy held to its baseline SIMD paths, and with
+    OpenBLAS forced to its Sandybridge kernels (no FMA; x86-64 only). Both
+    variables are read when a process loads numpy, so each setting runs in
+    a fresh interpreter."""
     if setting == "baseline-simd":
         env = {"NPY_DISABLE_CPU_FEATURES": " ".join(_host_simd_features())}
     elif platform.machine().lower() in ("x86_64", "amd64"):
@@ -1655,8 +1709,9 @@ def test_artifact_bytes_do_not_depend_on_simd_or_blas_kernels(setting, tmp_path)
         pytest.skip("OpenBLAS's Sandybridge kernels exist on x86-64 only")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    sweep_cfg = _write_cfg(tmp_path, SWEEP_FIG1, "sweep.yaml")
     out = subprocess.run(
-        [sys.executable, "-c", _KERNEL_GUARD_RUN, str(tmp_path)],
+        [sys.executable, "-c", _KERNEL_GUARD_RUN, str(tmp_path), str(sweep_cfg)],
         env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
@@ -1665,8 +1720,9 @@ def test_artifact_bytes_do_not_depend_on_simd_or_blas_kernels(setting, tmp_path)
     assert out.returncode == 0, out.stderr
     if setting == "baseline-simd":
         assert json.loads(out.stdout.splitlines()[-1]) == []
-    want_check, name = (Path(__file__).parent / "check_fig1.sha256").read_text().split()
-    assert hashlib.sha256((tmp_path / "check" / name).read_bytes()).hexdigest() == want_check
+    for record, d in (("check_fig1.sha256", "check"), ("sweep_fig1.sha256", "sweep")):
+        want_hash, name = (Path(__file__).parent / record).read_text().split()
+        assert hashlib.sha256((tmp_path / d / name).read_bytes()).hexdigest() == want_hash
     want = {
         k: v
         for k, v in json.loads(EXPECTED_HASHES.read_text()).items()

@@ -405,6 +405,20 @@ def test_lie_bracket_flow_settles_on_the_limit_point(p, s0):
     assert State(float(ys[0]), float(ks[0])) == lbs_limit_point(p, s0)
 
 
+@given(a=_PLANT_A, b=_PLANT_B, y0=_OFFSET.filter(bool), z0=_OFFSET)
+def test_lie_bracket_flow_settles_on_the_limit_point_for_any_plant(a, b, y0, z0):
+    """From any start off the equilibrium line with an orbit radius r of at
+    least 1e-3, the flow at t = 1e9 is the limit point exactly: |b*r*t| is
+    at least 1e5, far past the |u0| + 745 (at most about 1491 here) where
+    exp(-|u|) underflows to 0 and tanh(u) rounds to +-1."""
+    p, s0 = _plant_and_start(a, b, y0, z0)
+    assume(math.hypot(s0.y, s0.k - p.center) >= 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ys, ks = lie_bracket_flow(p, s0, 0.0, np.array([1e9]))
+    assert State(float(ys[0]), float(ks[0])) == lbs_limit_point(p, s0)
+
+
 @settings(max_examples=200)
 @given(a=_PLANT_A, b=_PLANT_B, y0=_OFFSET, z0=_OFFSET, t1=st.floats(0.0, 2.0),
        t2=st.floats(0.0, 2.0))
