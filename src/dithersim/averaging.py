@@ -687,12 +687,16 @@ def check_assumptions(
     of 10,001 phases, whose first 10,000 give the bound, and on those
     shifted by 2*pi. A2: the five norm families (fields, their time and
     state derivatives, and the same derivatives of the directional
-    derivatives L_{f_i} f_j) are finite over a grid x time product; the
-    max is reported with its witness. A3: for channel pairs whose
-    exponents sum above 1 the pair's raw interaction integral must vanish
-    or the pair's bracket must vanish on the grid; triples whose exponents
-    sum to at least 2 need the second-level directional derivative to
-    vanish. Pairs/triples below the thresholds are recorded as vacuous.
+    derivatives L_{f_i} f_j) are finite over the grid of states times
+    `time_samples` times on linspace(0, 2*pi, time_samples); the max is
+    reported with its witness. That window is the same whatever the
+    dither frequency or the period of a field's own t-dependence, so a
+    field that reads t is bounded on [0, 2*pi] only. A3: for channel
+    pairs whose exponents sum above 1 the pair's raw interaction integral
+    must vanish or the pair's bracket must vanish on the grid; triples
+    whose exponents sum to at least 2 need the second-level directional
+    derivative to vanish. Pairs/triples below the thresholds are recorded
+    as vacuous.
     A3 runs at t = 0 on every max(1, N // 100)-th of the N mesh states. Each
     triggered unordered pair is one `lie_bracket` call, whose sup both
     orders report; the raw integral is taken per order. The triggered triples

@@ -74,8 +74,8 @@ __all__ = ["ConfigError", "PRESETS", "main"]
 
 # Most integration steps (Euler, RK4 and series steps together) that one
 # command may take. A command holds its trajectories in memory: a run with a
-# u column peaks near 152 bytes per step while it is built (tracemalloc) and
-# keeps 32.
+# u column peaks near 56 bytes per step while it is built (tracemalloc) and
+# keeps 32, so a full-budget run peaks near 112 MB.
 WORK_BUDGET = 2_000_000
 
 
@@ -582,9 +582,9 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
     ngrid = _value(cfg, "check.nussbaum.grid")
     # The audit peaks near 165 bytes per mesh state at grid 120 and near 85
-    # at grid 200, where a kept integration step peaks near 152 bytes, so the
-    # mesh may take a sixth of the budget (under 60 MB, far under the 300 MB
-    # of a full-budget run).
+    # at grid 200, where an integration step with a u column peaks near 56
+    # bytes, so the mesh may take a sixth of the budget (under 60 MB, about
+    # half the 112 MB of a full-budget run).
     _check_work("check.grid", grid, grid, unit="mesh states", budget=WORK_BUDGET // 6)
     _check_work("check.time_samples", time_samples, grid * grid, unit="audited samples")
     # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.

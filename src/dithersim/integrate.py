@@ -14,7 +14,11 @@ the kernel inlines with the same compiler, so each step makes no Python
 call into the field; when the u column asks for the control of the same
 `closed_loop` call, the kernel keeps the u it computes at each step's
 start. Any other callable, and so also a wrapper of such a closure, is
-called at each stage.
+called at each stage. A kernel takes its start state and a range of global
+step indices, so the driver calls it one block of steps at a time and packs
+each block's samples into float64 arrays sized for the whole run; a long
+run holds about 32 bytes per sample (t, y, k, u), not a Python float per
+value.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, through a
@@ -355,14 +359,15 @@ def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
 
 # -- whole-run kernels ------------------------------------------------------------
 #
-# A kernel takes n steps of size h from the state (ys[-1], ks[-1]) at time
-# t0, the i-th (0-based) starting at t0 + i*h, and appends each accepted
-# state to ys and ks. It returns None when all n steps are accepted, else
-# the 1-based index of the rejected step: one that raised what its scheme
-# catches or left |y| or |k| above _BOUND or non-finite. That test is a
-# chained comparison with _BOUND as a literal, cheaper than abs() and false
-# for NaN. Every kernel is `_RUN_TEMPLATE` with its scheme's step, filled by
-# `_kernel`; a line holding only {name} stands for the lines of that part.
+# A kernel takes the steps i0 <= i < i1 of size h from the state (y, k),
+# the i-th (0-based) starting at t0 + i*h, so a run split into blocks of
+# steps gives every stage time the bits of one call over the whole run. It
+# appends each accepted state to the lists ys and ks and returns whether a
+# step was rejected: one that raised what its scheme catches or left |y| or
+# |k| above _BOUND or non-finite. That test is a chained comparison with
+# _BOUND as a literal, cheaper than abs() and false for NaN. Every kernel is
+# `_RUN_TEMPLATE` with its scheme's step, filled by `_kernel`; a line
+# holding only {name} stands for the lines of that part.
 # The Euler and RK4 steps repeat the arithmetic of `euler_step` or
 # `rk4_step` operation for operation, so they equal a loop over those bit
 # for bit, and catch only OverflowError: a field's ValueError (the polar
@@ -373,27 +378,27 @@ def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
 # callable f is the call `dy, dk = f((y, k), ts)`; a `FusedField` supplies
 # its own `bind`, `time` and `field`. The series step is a one-step map
 # s -> f(s) that ignores t0 and h; it also catches the ValueError of a
-# non-finite `chen_fliess_step`.
+# non-finite `chen_fliess_step`. `_march` packs the lists into float64
+# arrays after each call and clears them.
 
 _BOUND = 1e9  # a state with |y| or |k| above this, or non-finite, ends a run
 
 _RUN_TEMPLATE = """\
-def run(f, ys, ks, t0, h, n, us=None):
+def run(f, y, k, t0, h, i0, i1, ys, ks, us=None):
     {bind}
     sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
     h2, sixth = 0.5 * h, h / 6.0
-    y, k = ys[-1], ks[-1]
-    for i in range(n):
+    for i in range(i0, i1):
         try:
             {step}
         except _caught:
-            return i + 1
+            return True
         if not (-BOUND <= y <= BOUND and -BOUND <= k <= BOUND):
-            return i + 1
+            return True
         y_append(y)
         k_append(k)
         {keep}
-    return None
+    return False
 """.replace("BOUND", repr(_BOUND))
 
 # scheme -> (what its step catches, its step)
@@ -459,6 +464,9 @@ def _kernel(scheme: str, fused: FusedField | None = None, keep_u: bool = False) 
     return _define(source, "run", _sin=math.sin, _cos=math.cos, _caught=caught)
 
 
+_MARCH_BLOCK_STEPS = 4096  # steps per kernel call in `_march`
+
+
 def _march(
     kernel: Callable,
     rhs: Callable,
@@ -468,37 +476,74 @@ def _march(
     h: float,
     meta: dict,
     input_fn: InputFn | None = None,
-    us: list | None = None,
+    keep_u: bool = False,
 ) -> Trajectory:
     """Run kernel(rhs, ...) from s over [t0, t_f] with the rules `simulate`
     documents: whole steps of size h, then one shortened step to t_f, on a
-    time grid `_grid` accepts. `us` is the list a fused kernel fills with
-    input_fn's value at the start of each accepted step, or None."""
+    time grid `_grid` accepts. With keep_u, the kernel is a fused one that
+    keeps input_fn's value at the start of each accepted step.
+
+    The samples go into float64 arrays sized for the whole run: the kernel
+    takes at most _MARCH_BLOCK_STEPS steps per call, and the lists it fills
+    are packed into the arrays and cleared after each call, so a run never
+    holds more than one block of samples as Python floats. A run that
+    diverges keeps copies trimmed to its length, not the whole arrays."""
     n_full, shortened = _grid(t0, t_f, h)
-    ys = [s[0]]
-    ks = [s[1]]
-    failure_step = kernel(rhs, ys, ks, t0, h, n_full, us)
-    if failure_step is None and shortened:
+    size = n_full + shortened + 1
+    ys, ks = np.empty(size), np.empty(size)
+    us = np.empty(size) if input_fn is not None else None
+    y, k = s
+    ys[0], ks[0] = y, k
+    block = _MARCH_BLOCK_STEPS
+    # (start time, step, i0, i1) of each kernel call; step i of a call
+    # starts at its start time + i*step.
+    calls = [(t0, h, i, min(i + block, n_full)) for i in range(0, n_full, block)]
+    if shortened:
         t_last = t0 + n_full * h
-        if kernel(rhs, ys, ks, t_last, t_f - t_last, 1, us) is not None:
-            failure_step = n_full + 1
+        calls.append((t_last, t_f - t_last, 0, 1))
+    y_block, k_block, u_block = [], [], [] if keep_u else None
+    filled = 1  # samples packed so far
+    rejected = False
+    for start, step, i0, i1 in calls:
+        rejected = kernel(rhs, y, k, start, step, i0, i1, y_block, k_block, u_block)
+        m = len(y_block)
+        ys[filled : filled + m] = y_block
+        ks[filled : filled + m] = k_block
+        if keep_u:
+            # The u kept at a step's start is that of the sample before its result.
+            us[filled - 1 : filled + m - 1] = u_block
+            u_block.clear()
+        filled += m
+        if rejected:
+            break
+        # A call that rejects no step accepts at least one.
+        y, k = y_block[-1], k_block[-1]
+        y_block.clear()
+        k_block.clear()
+    if filled < size:
+        ys, ks = ys[:filled].copy(), ks[:filled].copy()
+        us = None if us is None else us[:filled].copy()
     # Sample i is at t0 + i*h. The ends are set outright: a completed run ends
     # exactly on t_f, and a start or end at -0.0 keeps its sign.
-    times = t0 + np.arange(len(ys)) * h
+    times = t0 + np.arange(filled) * h
     times[0] = t0
-    if failure_step is None and len(ys) > 1:
+    if not rejected and filled > 1:
         times[-1] = t_f
 
     if input_fn is not None:
         # A kept u is input_fn at its sample bit for bit, except at the first
         # sample, whose kernel time t0 + 0*h drops the sign of a t0 at -0.0;
-        # the last sample starts no accepted step. Both are evaluated here.
-        us = us or []
-        us[:1] = [input_fn((ys[0], ks[0]), float(t0))]
-        n = len(us)
-        us += [input_fn(state, t) for state, t in zip(zip(ys[n:], ks[n:]), times[n:].tolist())]
+        # the last sample starts no accepted step. Both are evaluated here,
+        # and without kept u every sample is, a block at a time.
+        if keep_u:
+            spans = [(0, 1)] + ([(filled - 1, filled)] if filled > 1 else [])
+        else:
+            spans = [(j, min(j + block, filled)) for j in range(0, filled, block)]
+        for j0, j1 in spans:
+            states = zip(ys[j0:j1].tolist(), ks[j0:j1].tolist())
+            us[j0:j1] = list(map(input_fn, states, times[j0:j1].tolist()))
     meta = {**meta, "h": h, "t0": t0, "tf": t_f}
-    return Trajectory(times, ys, ks, us, meta, failure_step)
+    return Trajectory(times, ys, ks, us, meta, filled if rejected else None)
 
 
 def simulate(
@@ -545,8 +590,7 @@ def simulate(
     keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
     kernel = _kernel(method.value, fused, keep_u)
     field = rhs if fused is None else fused
-    us = [] if keep_u else None
-    return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, us)
+    return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, keep_u)
 
 
 # -- whole-period series stepping ----------------------------------------------

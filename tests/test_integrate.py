@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -356,9 +358,15 @@ def test_fused_kernels_equal_loop_over_public_steps(
     rhs, control = _fused_field(kind, a, b, omega, gain)
     input_fn = control if with_u else None
     t_f = t0 + (n + frac) * h if n else t0
-    refusing = _refusing(rhs)
-    got = _outcome(lambda: simulate(refusing, (y0, k0), t0, t_f, h, method, input_fn=input_fn))
-    want = _outcome(lambda: _reference_simulate(rhs, (y0, k0), t0, t_f, h, method, input_fn))
+    _assert_run_equals_loop(_refusing(rhs), rhs, (y0, k0), t0, t_f, h, method, input_fn)
+
+
+def _assert_run_equals_loop(run_rhs, rhs, s0, t0, t_f, h, method, input_fn):
+    """simulate of run_rhs equals `_reference_simulate` of rhs bit for bit,
+    or both raise the same exception type. A diverged run holds arrays of
+    its own, not views of a buffer sized for the whole run."""
+    got = _outcome(lambda: simulate(run_rhs, s0, t0, t_f, h, method, input_fn=input_fn))
+    want = _outcome(lambda: _reference_simulate(rhs, s0, t0, t_f, h, method, input_fn))
     if isinstance(want, type):
         assert got is want
         return
@@ -370,6 +378,108 @@ def test_fused_kernels_equal_loop_over_public_steps(
         assert got.us is None
     else:
         assert got.us.tobytes() == np.asarray(us, dtype=float).tobytes()
+    if got.diverged:
+        columns = (got.times, got.ys, got.ks) + (() if got.us is None else (got.us,))
+        assert all(column.base is None for column in columns)
+
+
+# -- block packing ----------------------------------------------------------------
+#
+# `_march` runs a kernel at most _MARCH_BLOCK_STEPS steps per call; at 7 the
+# runs below cross block boundaries, which the default of 4096 never does.
+
+_SMALL_BLOCK = 7
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    method=st.sampled_from(list(Method)),
+    kind=st.sampled_from([v.value for v in ControllerVariant] + ["averaged"]),
+    plain=st.booleans(),
+    b=_signed_decades(-1.0, 1.0),
+    y0=_signed_decades(-3.0, 9.5),
+    k0=_signed_decades(-3.0, 9.5),
+    t0=st.one_of(st.just(-0.0), st.floats(-10.0, 10.0)),
+    h=st.floats(1e-3, 0.5),
+    n=st.integers(0, 4 * _SMALL_BLOCK),
+    frac=st.floats(0.0, 0.999),
+    with_u=st.booleans(),
+)
+# Exactly one block, and one block and one step, through the fused and the
+# plain-callable kernel of both methods; two blocks and a shortened step
+# from a start at -0.0, through each kernel with and without a u column.
+@example(Method.EULER, "proposed", False, -2.0, 1.0, 0.0, 0.0, 0.01, 7, 0.0, True)
+@example(Method.EULER, "proposed", True, -2.0, 1.0, 0.0, 0.0, 0.01, 7, 0.0, True)
+@example(Method.RK4, "proposed", False, -2.0, 1.0, 0.0, 0.0, 0.01, 7, 0.0, True)
+@example(Method.RK4, "proposed", True, -2.0, 1.0, 0.0, 0.0, 0.01, 7, 0.0, True)
+@example(Method.EULER, "swapped", False, -2.0, 1.0, 0.0, 0.0, 0.01, 8, 0.0, True)
+@example(Method.EULER, "swapped", True, -2.0, 1.0, 0.0, 0.0, 0.01, 8, 0.0, True)
+@example(Method.RK4, "swapped", False, -2.0, 1.0, 0.0, 0.0, 0.01, 8, 0.0, True)
+@example(Method.RK4, "swapped", True, -2.0, 1.0, 0.0, 0.0, 0.01, 8, 0.0, True)
+@example(Method.EULER, "averaged", False, -2.0, 1.0, 0.0, -0.0, 0.01, 14, 0.5, False)
+@example(Method.EULER, "nussbaum", True, -2.0, 1.0, 0.0, -0.0, 0.01, 14, 0.5, True)
+@example(Method.RK4, "averaged", False, -2.0, 1.0, 0.0, -0.0, 0.01, 14, 0.5, False)
+@example(Method.RK4, "willems_byrnes", True, -2.0, 1.0, 0.0, -0.0, 0.01, 14, 0.5, True)
+def test_runs_across_blocks_equal_loop_over_public_steps(
+    method, kind, plain, b, y0, k0, t0, h, n, frac, with_u
+):
+    """With blocks of 7 steps, a fused kernel (which keeps u when the
+    control is its own) and a plain-callable kernel (which evaluates every
+    u after the run) give the times, states, u column, status and
+    failure_step of a plain loop over euler_step/rk4_step bit for bit."""
+    rhs, control = _fused_field(kind, 10.0, b, 400.0, "s_cos_s")
+    input_fn = control if with_u else None
+    run_rhs = (lambda s, t: rhs(s, t)) if plain else _refusing(rhs)
+    t_f = t0 + (n + frac) * h if n else t0
+    with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", _SMALL_BLOCK):
+        _assert_run_equals_loop(run_rhs, rhs, (y0, k0), t0, t_f, h, method, input_fn)
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["fused", "plain"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "t_f, failure_step",
+    [(20.0, _SMALL_BLOCK + 1), (2 * _SMALL_BLOCK + 0.5, 2 * _SMALL_BLOCK + 1)],
+    ids=["first-step-of-a-block", "shortened-final-step"],
+)
+def test_divergence_at_a_block_boundary(t_f, failure_step, method, plain):
+    """Under y' = y with unit steps from t = 0, a start sized to leave the
+    1e9 bound on the first step of the second block, or on the shortened
+    step after two blocks, diverges there with the loop's samples bit for
+    bit. The fused averaged field of a plant with a negligible b grows the
+    same way; the plain callable also carries a u column."""
+    growth = 2.0 if method is Method.EULER else 65.0 / 24.0  # one step of y' = y
+    accepted = failure_step - 1  # whole steps before the rejected one
+    y0 = 1e9 / growth ** (accepted + 0.5) if t_f == 20.0 else 1e9 / (1.2 * growth**accepted)
+    if plain:
+        rhs = lambda s, t: (s[0], 0.0)  # noqa: E731
+        run_rhs, input_fn = rhs, (lambda s, t: s[0] * t - s[1])
+    else:
+        rhs = lie_bracket_loop(PlantParams(1.0, 1e-30))
+        run_rhs, input_fn = _refusing(rhs), None
+    with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", _SMALL_BLOCK):
+        traj = simulate(run_rhs, (y0, 0.0), 0.0, t_f, 1.0, method, input_fn=input_fn)
+        assert traj.failure_step == failure_step
+        _assert_run_equals_loop(run_rhs, rhs, (y0, 0.0), 0.0, t_f, 1.0, method, input_fn)
+
+
+def test_a_long_run_peaks_under_80_bytes_per_sample():
+    """A 100,000-step Euler run of the dithered loop with its u column packs
+    its samples into float64 arrays a block at a time: with 32 bytes kept
+    per sample (t, y, k and u), tracemalloc's peak stays under 80 bytes per
+    sample, where holding every sample as a Python float in lists peaked
+    near 153. (Euler, as tracing RK4's allocations takes several seconds.)"""
+    rhs, control = closed_loop(PLANT, ControllerSpec(ControllerVariant.PROPOSED, omega=400.0))
+    h = 1e-5
+    simulate(rhs, (1.0, 0.0), 0.0, 10 * h, h, Method.EULER, input_fn=control)  # compile first
+    tracemalloc.start()
+    try:
+        traj = simulate(rhs, (1.0, 0.0), 0.0, 100_000 * h, h, Method.EULER, input_fn=control)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (traj.status, len(traj)) == ("ok", 100_001)
+    assert peak / len(traj) < 80.0
 
 
 def test_simulate_calls_other_callables_at_each_stage():
@@ -994,6 +1104,32 @@ def test_chen_fliess_simulate_equals_a_loop_over_the_reference_step(
     assert (traj.status, traj.failure_step) == (status, failure_step)
     assert traj.ys.tobytes() == np.array(ys).tobytes()
     assert traj.ks.tobytes() == np.array(ks).tobytes()
+
+
+@pytest.mark.parametrize(
+    "s0, n",
+    [
+        (State(1.0, 0.0), 7),  # exactly one block
+        (State(1.0, 0.0), 8),  # one block and one step
+        (State(1.0, 0.0), 15),  # two blocks and one step
+        (State(1.0, -160.0), 50),  # diverges at step 9; see the block sizes below
+    ],
+)
+def test_series_runs_across_blocks_equal_a_loop_over_the_reference_step(s0, n):
+    """With blocks of 7 steps, and for a diverging run also with blocks one
+    step shorter than its accepted steps, so that the rejected step is the
+    first of the second block, a series run is the reference loop bit for
+    bit; a diverged run holds arrays of its own."""
+    ys, ks, status, failure_step = _reference_run(PLANT, s0, 400.0, 1, n, 2)
+    blocks = [_SMALL_BLOCK] if failure_step is None else [_SMALL_BLOCK, failure_step - 1]
+    for block in blocks:
+        with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", block):
+            traj = chen_fliess_simulate(PLANT, s0, 400.0, 1, n, 2)
+        assert (traj.status, traj.failure_step) == (status, failure_step)
+        assert traj.ys.tobytes() == np.array(ys).tobytes()
+        assert traj.ks.tobytes() == np.array(ks).tobytes()
+        if traj.diverged:
+            assert traj.ys.base is None and traj.ks.base is None and traj.times.base is None
 
 
 @pytest.mark.parametrize("order", [True, 1.0])
