@@ -62,6 +62,7 @@ from .integrate import (
     Method,
     Trajectory,
     _BOUND,
+    _fork_map,
     _grid,
     _whole_steps,
     _write_csv,
@@ -73,9 +74,9 @@ from .integrate import (
 __all__ = ["ConfigError", "PRESETS", "main"]
 
 # Most integration steps (Euler, RK4 and series steps together) that one
-# command may take. A command holds its trajectories in memory: a run with a
-# u column peaks near 56 bytes per step while it is built (tracemalloc) and
-# keeps 32, so a full-budget run peaks near 112 MB.
+# command may take. compare holds all its runs at once: a run with a u column
+# peaks near 41 bytes per step while it is built (tracemalloc) and keeps 32,
+# so a full-budget run peaks near 82 MB.
 WORK_BUDGET = 2_000_000
 
 
@@ -437,6 +438,10 @@ def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> Sta
     return initials[0]
 
 
+# Field evaluations per step of each method: a run's cost in `_fork_map`.
+_STAGES = {Method.EULER: 1, Method.RK4: 4}
+
+
 def _announce(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -458,17 +463,24 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
 
-    trajs = []
-    for s0 in initials:
-        rhs, control, meta = _loop(plant, spec, s0)
-        trajs.append(simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta))
-    lbs_trajs = [_lbs_reference(plant, s0, t0, t_f) for s0 in initials] if with_lbs else []
+    def run(job: tuple[str, int, State]) -> tuple[Path, Path]:
+        stem, i, s0 = job
+        if stem == "lbs":
+            traj = _lbs_reference(plant, s0, t0, t_f)
+        else:
+            rhs, control, meta = _loop(plant, spec, s0)
+            traj = simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta)
+        return traj.save(out / (f"{stem}_{i}.csv" if len(initials) > 1 else f"{stem}.csv"))
 
-    multi = len(initials) > 1
-    for stem, group in (("trajectory", trajs), ("lbs", lbs_trajs)):
-        for i, traj in enumerate(group, 1):
-            for path in traj.save(out / (f"{stem}_{i}.csv" if multi else f"{stem}.csv")):
-                _announce(path)
+    # The runs are independent and each writes its own two files.
+    jobs = [("trajectory", i, s0) for i, s0 in enumerate(initials, 1)]
+    costs = [(t_f - t0) / h * _STAGES[method]] * len(jobs)
+    if with_lbs:
+        jobs += [("lbs", i, s0) for i, s0 in enumerate(initials, 1)]
+        costs += [(t_f - t0) / LBS_REFERENCE_STEP * _STAGES[Method.RK4]] * len(initials)
+    for paths in _fork_map(run, jobs, costs):
+        for path in paths:
+            _announce(path)
     return 0
 
 
@@ -496,12 +508,23 @@ def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
-    # compare.csv holds only y columns, so the runs record no input.
-    trajs = []
-    for spec, h in zip(specs, steps):
+    def run(job: tuple[ControllerSpec | None, float]) -> Trajectory:
+        spec, h = job
+        if spec is None:
+            return _lbs_reference(plant, s0, t0, t_f)
+        # compare.csv holds only y columns, so the runs record no input.
         rhs, _, meta = _loop(plant, spec, s0)
-        trajs.append(simulate(rhs, s0, t0, t_f, h, method, meta=meta))
-    lbs = _lbs_reference(plant, s0, t0, t_f) if with_lbs else None
+        return simulate(rhs, s0, t0, t_f, h, method, meta=meta)
+
+    # The runs are independent; None stands for the averaged reference.
+    jobs = list(zip(specs, steps))
+    if with_lbs:
+        jobs.append((None, LBS_REFERENCE_STEP))
+    costs = [
+        (t_f - t0) / h * _STAGES[Method.RK4 if spec is None else method] for spec, h in jobs
+    ]
+    trajs = _fork_map(run, jobs, costs)
+    lbs = trajs.pop() if with_lbs else None
 
     # The coarsest completed run gives the time grid; when every run diverged,
     # the one that reached furthest does. A diverged run holds its last value.
@@ -582,9 +605,9 @@ def cmd_check(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         raise ConfigError("check.nussbaum.k_max", "must exceed k0 with k0 + 2*(k_max - k0) finite")
     ngrid = _value(cfg, "check.nussbaum.grid")
     # The audit peaks near 165 bytes per mesh state at grid 120 and near 85
-    # at grid 200, where an integration step with a u column peaks near 56
+    # at grid 200, where an integration step with a u column peaks near 41
     # bytes, so the mesh may take a sixth of the budget (under 60 MB, about
-    # half the 112 MB of a full-budget run).
+    # two thirds of the 82 MB of a full-budget run).
     _check_work("check.grid", grid, grid, unit="mesh states", budget=WORK_BUDGET // 6)
     _check_work("check.time_samples", time_samples, grid * grid, unit="audited samples")
     # Both gain-shape passes: grid panels, then 2 * grid on the doubled horizon.

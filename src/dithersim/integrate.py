@@ -28,6 +28,9 @@ straight-line step compiled once per order, and
 system exactly; see `cftable` for the row selection semantics. Blow-up
 never raises out of either: a step that overflows or leaves |y| or |k|
 above 1e9 or non-finite ends the run, recorded on the truncated Trajectory.
+
+`_fork_map` runs a command's independent runs in lanes, one per CPU the
+process may use: this process runs one lane and a forked child each other.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ import enum
 import functools
 import json
 import math
+import os
+import pickle
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -140,7 +146,10 @@ class Trajectory:
         # max(|t0|, |t_f|) from the exact time, so two steps differ by at
         # most 12 such ulps; 16 also covers rounding in the differences.
         tol = 16.0 * math.ulp(max(abs(float(self.times[0])), abs(float(self.times[-1]))))
-        if d.size >= 2 and np.max(np.abs(d[:-1] - step)) > tol:
+        # The largest |d_i - step| over the interior steps, from their extremes
+        # and without a run-length temporary: subtracting step rounds
+        # monotonically, so this is the same float.
+        if d.size >= 2 and max(d[:-1].max() - step, step - d[:-1].min()) > tol:
             raise ValueError("Trajectory: interior step is not constant")
         if float(d[-1]) > step * (1.0 + _SLIVER) + tol:
             raise ValueError("Trajectory: final step exceeds the interior step")
@@ -762,3 +771,136 @@ def chen_fliess_simulate(
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
     return _march(_kernel("series"), step, (y0, k0), 0.0, n_steps * T, T, meta)
+
+
+# -- independent runs in forked lanes -----------------------------------------------
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say
+    (there is no os.sched_getaffinity on macOS or Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _lanes(costs: Sequence[float], n_lanes: int) -> list[list[int]]:
+    """The indices of costs split into n_lanes nonempty lanes: longest cost
+    first, each to the lane with the least cost so far (the fewer items on a
+    tie), every lane in index order. n_lanes is at most len(costs)."""
+    lanes: list[list[int]] = [[] for _ in range(n_lanes)]
+    loads = [0.0] * n_lanes
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        j = min(range(n_lanes), key=lambda j: (loads[j], len(lanes[j])))
+        lanes[j].append(i)
+        loads[j] += costs[i]
+    return [sorted(lane) for lane in lanes]
+
+
+def _run_lane(fn: Callable, items: Sequence, lane: list[int]) -> tuple[int | None, object]:
+    """(None, [fn(items[i]) for i in lane]), or (i, the exception) for the
+    first i in lane whose call raises; the items after it are not run."""
+    results = []
+    for i in lane:
+        try:
+            results.append(fn(items[i]))
+        except Exception as exc:
+            return i, exc
+    return None, results
+
+
+def _pickled_outcome(outcome: tuple[int | None, object]) -> bytes:
+    """A lane's outcome as pickle bytes. An exception that does not survive
+    the round trip (a local class, or arguments its __init__ does not take)
+    is sent as a RuntimeError that names its type. Results that do not
+    pickle raise here."""
+    failed, value = outcome
+    if failed is None:
+        return pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    try:
+        payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        error = RuntimeError(f"{type(value).__qualname__} in a forked lane: {value}")
+        return pickle.dumps((failed, error), pickle.HIGHEST_PROTOCOL)
+
+
+def _fork_map(fn: Callable, items: Sequence, costs: Sequence[float]) -> list:
+    """[fn(x) for x in items], in input order, with the items spread over
+    the CPUs this process may use.
+
+    The items go to min(len(items), CPUs) lanes by `_lanes`, longest cost
+    first. Lane 0 runs in this process and every other lane in a child of
+    os.fork(), which sends its pickled results back over a pipe and leaves
+    with os._exit. So fn need not pickle but its results must, and what a
+    child's fn does besides returning (a file it writes) is all that
+    remains of it. Each lane runs its items in input order and stops at the
+    first that raises; the exception of the lowest-index failing item is
+    raised, as the loop would raise it. Every child is reaped before this
+    returns or raises, and killed first when its result was not read. With
+    one CPU, or where os.sched_getaffinity does not exist, this is the loop.
+    """
+    lanes = _lanes(costs, min(len(items), _cpu_count()))
+    if len(lanes) < 2:
+        return [fn(x) for x in items]
+    children: list[int] = []
+    pipes: list[int] = []  # read ends, one per child
+    outcomes = []
+    try:
+        for lane in lanes[1:]:
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that forking a process with threads
+                    # may deadlock the child, and numpy's OpenBLAS threads
+                    # are alive. A child runs only the pure-Python kernels
+                    # and elementwise numpy, never BLAS, so the warning is
+                    # not shown.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    payload = _pickled_outcome(_run_lane(fn, items, lane))
+                    with open(w, "wb") as f:
+                        f.write(payload)
+                    code = 0
+                finally:
+                    # Never back into the caller's stack, its atexit hooks
+                    # or the buffers this child inherited.
+                    os._exit(code)
+            os.close(w)
+            children.append(pid)
+        outcomes.append(_run_lane(fn, items, lanes[0]))
+        for lane, r in zip(lanes[1:], pipes):
+            with open(r, "rb", closefd=False) as f:
+                payload = f.read()
+            if not payload:
+                error = RuntimeError("a forked lane ended without sending its results")
+                outcomes.append((lane[0], error))
+            else:
+                outcomes.append(pickle.loads(payload))
+    finally:
+        for r in pipes:
+            os.close(r)
+        if len(outcomes) < len(lanes):
+            import signal  # only an interrupted call kills its children
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+    failures = [(i, exc) for i, exc in outcomes if i is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list = [None] * len(items)
+    for lane, (_, values) in zip(lanes, outcomes):
+        for i, value in zip(lane, values):
+            results[i] = value
+    return results

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dithersim import analysis
+from dithersim import analysis, integrate
 from dithersim import (
     ControllerSpec,
     ControllerVariant,
@@ -190,6 +190,8 @@ def test_sweep_takes_no_rk4_step(monkeypatch):
         return simulate(rhs, s0, t0, t_f, h, method, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", recording)
+    # One lane, so that every run calls the recorder in this process.
+    monkeypatch.setattr(integrate, "_cpu_count", lambda: 1)
     approximation_sweep(PLANT, State(1.0, 0.0), 0.5, [100.0, 400.0])
     assert methods == [Method.EULER, Method.EULER]
 
@@ -289,6 +291,34 @@ def test_nussbaum_check_constant_one_fails():
     assert math.isclose(check.running_inf, (2.0 + 0.01 + 2.0) / 2.0, rel_tol=1e-9)
     assert check.crossings == 0
     assert not check.excursions_grow
+
+
+def test_nussbaum_check_doubles_the_horizon_from_k0():
+    """For h = 1, N(k) = (k + k0)/2 exactly. The doubled pass runs on
+    [k0, k0 + 2*(k_max - k0)] at the first pass's panel width, so its sup is
+    k_max and its inf sits one panel past k0; and the panels of (k_max - k0)/
+    grid = 0.05 pass the aliasing limit that (k_max + k0)/grid would not."""
+    k0, k_max, grid = 100.0, 150.0, 1000
+    check = nussbaum_type_check(lambda s: 1.0, k0, k_max, grid)
+    panel = (k_max - k0) / grid
+    assert math.isclose(check.running_sup, (k_max + k0) / 2.0, rel_tol=1e-12)
+    assert math.isclose(check.sup_doubled, k_max, rel_tol=1e-12)
+    assert math.isclose(check.running_inf, k0 + panel / 2.0, rel_tol=1e-12)
+    assert math.isclose(check.inf_doubled, k0 + panel / 2.0, rel_tol=1e-12)
+
+
+def test_nussbaum_check_refuses_panels_just_past_the_limit():
+    """NUSSBAUM_MAX_PANEL is pi/16: a panel of exactly pi/16 is accepted and
+    the next float up is refused. With 1024 panels both widths are exact."""
+    assert analysis.NUSSBAUM_MAX_PANEL == math.pi / 16
+    grid = 1024
+    k_max = grid * analysis.NUSSBAUM_MAX_PANEL
+    assert (k_max - 0.0) / grid == math.pi / 16
+    assert nussbaum_type_check(s_cos_s, 0.0, k_max, grid).crossings > 0
+    wider = math.nextafter(k_max, math.inf)
+    assert (wider - 0.0) / grid > math.pi / 16
+    with pytest.raises(analysis._AliasedProfile, match="exceeds pi/16"):
+        nussbaum_type_check(s_cos_s, 0.0, wider, grid)
 
 
 def test_nussbaum_check_constant_minus_one_fails():
@@ -391,6 +421,16 @@ def test_convergence_report_time_to_band_is_elapsed():
     traj = _flat_trajectory([5.0, 0.0, 0.0, 0.0], times=[10.0, 11.0, 12.0, 13.0])
     report = convergence_report(traj, band=1.0)
     assert report.time_to_band == 1.0
+
+
+@pytest.mark.parametrize(
+    "tail, converged", [([5.0, 0.0], False), ([0.0, 0.0], True)], ids=["one", "two"]
+)
+def test_convergence_report_holds_the_band_over_the_last_tenth(tail, converged):
+    """Over 15 samples the last tenth is ceil(1.5) = 2 samples: the run
+    converges only when both hold the band."""
+    report = convergence_report(_flat_trajectory([5.0] * 13 + tail), band=1.0)
+    assert report.converged is converged
 
 
 def test_convergence_report_on_reference_run(lbs_run_from_1_m5):

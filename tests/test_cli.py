@@ -309,6 +309,8 @@ def test_compare_runs_take_no_input_fn(tmp_path, monkeypatch):
         return simulate(*args, input_fn=input_fn, **kwargs)
 
     monkeypatch.setattr(cli, "simulate", spy)
+    # One lane, so that every run calls the spy in this process.
+    monkeypatch.setattr(integrate, "_cpu_count", lambda: 1)
     cfg = copy.deepcopy(FAST_SIM)
     cfg["compare"] = {"variants": ["proposed", "nussbaum"]}
     assert _run("compare", _write_cfg(tmp_path, cfg), tmp_path / "compare") == 0
@@ -512,6 +514,48 @@ def test_sweep_of_the_fig1_plant_writes_the_recorded_bytes(tmp_path):
     out = tmp_path / "out"
     assert _run("sweep", _write_cfg(tmp_path, SWEEP_FIG1), out) == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+def _fig1_batch(count):
+    cfg = copy.deepcopy(PRESETS["fig1"])
+    cfg["initial"] = {"random": {"count": count, "y_range": [0.5, 1.5], "k_range": [-1.0, 1.0]}}
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["sweep", "simulate-batch", "compare-fig2"])
+def test_artifacts_and_stdout_do_not_depend_on_the_lane_count(
+    tmp_path, capsys, monkeypatch, case
+):
+    """sweep, simulate and compare spread their runs over forked lanes. At
+    one lane and at two, CI's fig1 sweep, a 3-start fig1 batch and the fig2
+    comparison write the same bytes and print the same lines in the same
+    order, and every child is reaped. The sweep keeps its recorded sha256."""
+    if case == "sweep":
+        argv = ["sweep", "--config", str(_write_cfg(tmp_path, SWEEP_FIG1))]
+    elif case == "simulate-batch":
+        argv = ["simulate", "--config", str(_write_cfg(tmp_path, _fig1_batch(3))), "--seed", "5"]
+    else:
+        argv = ["compare", "--preset", "fig2"]
+    runs = []
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(integrate, "_cpu_count", lambda: n_lanes)
+        out = tmp_path / f"lanes{n_lanes}"
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((stdout, files))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert runs[0] == runs[1]
+    stdout, files = runs[0]
+    if case == "simulate-batch":
+        stems = [f"{stem}_{i}" for stem in ("trajectory", "lbs") for i in (1, 2, 3)]
+        assert stdout.splitlines() == [
+            f"wrote <out>/{stem}{suffix}" for stem in stems for suffix in (".csv", ".json")
+        ]
+    if case == "sweep":
+        want, name = (Path(__file__).parent / "sweep_fig1.sha256").read_text().split()
+        assert hashlib.sha256(files[name]).hexdigest() == want
 
 
 def test_check_of_the_swapped_design_writes_the_recorded_bytes(tmp_path):

@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -625,6 +628,65 @@ def test_trajectory_rejects_uneven_spacing():
     Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3), np.zeros(3))
 
 
+def _elementwise_spacing_verdict(times: np.ndarray) -> str | None:
+    """What `Trajectory` said of these times when it took the largest
+    interior deviation as max(|d[:-1] - step|): None to accept, or the
+    refusal's message."""
+    d = np.diff(times)
+    if d.size == 0:
+        return None
+    if np.any(d <= 0.0):
+        return "Trajectory: times must be strictly increasing"
+    step = float(d[0])
+    tol = 16.0 * math.ulp(max(abs(float(times[0])), abs(float(times[-1]))))
+    if d.size >= 2 and np.max(np.abs(d[:-1] - step)) > tol:
+        return "Trajectory: interior step is not constant"
+    if float(d[-1]) > step * (1.0 + integrate._SLIVER) + tol:
+        return "Trajectory: final step exceeds the interior step"
+    return None
+
+
+_UNEVEN_CASES = [
+    [0.0, 0.1, 0.3],
+    [0.0, 0.1, 0.3, 0.4],
+    list(1e12 + np.array([0.0, 1.0, 1.5, 2.5, 3.0])),
+    [0.0, 0.1, 0.15],
+    [0.0, 0.2, 0.1],
+]
+
+
+@settings(max_examples=300)
+@given(
+    t0=st.floats(-1e6, 1e6),
+    h=st.floats(1e-6, 10.0),
+    nudges=st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+)
+def test_spacing_verdicts_equal_the_elementwise_form(t0, h, nudges):
+    """`_check_spacing` takes the largest interior deviation from the
+    extremes of the steps, which rounds as the elementwise form does: on
+    grids t0 + i*h with each sample moved by up to 30 ulps, and on the
+    uneven cases above, both accept or refuse alike, with the same message."""
+    times = t0 + np.arange(len(nudges) + 1) * h
+    ulp = math.ulp(max(abs(float(times[0])), abs(float(times[-1]))))
+    times[1:] += np.array(nudges) * ulp
+    _assert_spacing_verdict(times)
+
+
+@pytest.mark.parametrize("times", _UNEVEN_CASES)
+def test_spacing_verdicts_on_the_uneven_cases_equal_the_elementwise_form(times):
+    _assert_spacing_verdict(np.array(times))
+
+
+def _assert_spacing_verdict(times: np.ndarray) -> None:
+    want = _elementwise_spacing_verdict(times)
+    zeros = np.zeros(len(times))
+    if want is None:
+        Trajectory(times, zeros, zeros)
+    else:
+        with pytest.raises(ValueError, match=re.escape(want)):
+            Trajectory(times, zeros, zeros)
+
+
 @pytest.mark.parametrize("failure_step", [None, 3])
 def test_trajectory_status_follows_failure_step(failure_step):
     """A diverged run's failure_step is the index of its rejected step, one
@@ -875,6 +937,20 @@ def test_csv_writer_refuses_unequal_columns(tmp_path):
 def test_csv_cells_equal_repr(values):
     """Subnormals, signed zeros, infinities and nan included."""
     assert integrate._repr_cells(np.array(values)) == list(map(repr, values))
+
+
+def test_csv_cells_at_the_tier_bounds_equal_repr(tmp_path):
+    """`_repr_cells` rewrites orjson's cells in tiers bounded at 1e-9, 1e-5,
+    1e-4 and 1e16. A cell exactly at a bound of either sign, and at the float
+    on either side of it, is written byte for byte as `repr` writes it."""
+    values = [
+        v
+        for bound in (1e-9, 1e-5, 1e-4, 1e16)
+        for x in (bound, -bound)
+        for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.copysign(math.inf, x)))
+    ]
+    path = _write_csv(tmp_path / "bounds.csv", ("x",), [values])
+    assert path.read_bytes() == ("x\n" + "".join(f"{v!r}\n" for v in values)).encode()
 
 
 @pytest.mark.parametrize(
@@ -1298,3 +1374,141 @@ def test_chen_fliess_simulate_validation():
         chen_fliess_simulate(PLANT, State(1.0, 0.0), 400.0, 1, -1, 1)
     with pytest.raises(ValueError, match="order"):
         chen_fliess_simulate(PLANT, State(1.0, 0.0), 400.0, 1, 5, 5)
+
+
+# -- forked lanes -------------------------------------------------------------------
+
+
+def _assert_no_child_left():
+    """Every child this process made has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Set the CPU count `_fork_map` reads, and so its lane count."""
+
+    def pin(n: int) -> None:
+        monkeypatch.setattr(integrate, "_cpu_count", lambda: n)
+
+    return pin
+
+
+class _TwoArgError(Exception):
+    """Pickles by its one message, which its __init__ does not take alone."""
+
+    def __init__(self, field, message):
+        super().__init__(f"{field}: {message}")
+
+
+@pytest.mark.parametrize(
+    "costs, n_lanes, want",
+    [
+        ([1.0, 2.0, 3.0, 4.0], 1, [[0, 1, 2, 3]]),
+        # 6 and 5 open the lanes, then each item joins the lighter one.
+        ([6.0, 1.0, 5.0, 2.0, 3.0], 2, [[0, 1, 3], [2, 4]]),
+        ([1.0, 1.0, 1.0, 1.0, 10.0], 2, [[4], [0, 1, 2, 3]]),
+        # Zero costs still give every lane an item.
+        ([0.0, 0.0, 0.0], 3, [[0], [1], [2]]),
+    ],
+)
+def test_lanes_take_the_longest_cost_first(costs, n_lanes, want):
+    assert integrate._lanes(costs, n_lanes) == want
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2, 3])
+def test_fork_map_returns_the_loop_results_in_input_order(lanes, n_lanes):
+    """fn is a closure, which need not pickle; its results come back in
+    input order whatever lane ran them."""
+    lanes(n_lanes)
+    items = [3.0, -1.5, 0.25, 7.0, 2.0]
+    offset = 0.5
+    got = integrate._fork_map(lambda x: (x, x * x + offset), items, [1.0, 9.0, 4.0, 2.0, 5.0])
+    assert got == [(x, x * x + offset) for x in items]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n_lanes", [2, 3])
+@pytest.mark.parametrize("failing", [{3, 4}, {4}, {2, 3}, {1, 4}])
+def test_fork_map_raises_the_exception_of_the_lowest_failing_index(lanes, n_lanes, failing):
+    """With costs that put item 4 in this process's lane and items 0-3 in
+    the forked ones, the exception raised is the one the loop raises."""
+    lanes(n_lanes)
+
+    def fn(i):
+        if i in failing:
+            raise ValueError(f"item {i}")
+        return i
+
+    items, costs = list(range(5)), [1.0, 1.0, 1.0, 1.0, 10.0]
+    assert integrate._lanes(costs, n_lanes)[0] == [4]
+    with pytest.raises(ValueError) as serial:
+        [fn(i) for i in items]
+    with pytest.raises(ValueError) as forked:
+        integrate._fork_map(fn, items, costs)
+    assert str(forked.value) == str(serial.value) == f"item {min(failing)}"
+    _assert_no_child_left()
+
+
+def test_fork_map_sends_an_exception_that_does_not_pickle_as_a_runtime_error(lanes):
+    lanes(2)
+
+    class LocalError(Exception):
+        pass
+
+    def fn(x):
+        if x == "local":
+            raise LocalError("no pickling a local class")
+        if x == "two-arg":
+            raise _TwoArgError("plant.b", "must be nonzero")
+        return x
+
+    for item in ("local", "two-arg"):
+        # The failing item is the cheap one, so a forked lane runs it.
+        with pytest.raises(RuntimeError) as caught:
+            integrate._fork_map(fn, ["here", item], [2.0, 1.0])
+        name = "LocalError" if item == "local" else "_TwoArgError"
+        assert re.search(rf"\b{name} in a forked lane: ", str(caught.value))
+        _assert_no_child_left()
+
+
+def test_fork_map_reports_a_lane_that_sends_no_results(lanes):
+    """A child that dies before writing its results (here it exits at once)
+    is an error, not an empty result."""
+    lanes(2)
+
+    def fn(x):
+        if x == "die":
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match="a forked lane ended without sending its results"):
+        integrate._fork_map(fn, ["here", "die"], [2.0, 1.0])
+    _assert_no_child_left()
+
+
+def test_fork_map_kills_and_reaps_its_children_when_interrupted(lanes):
+    """An interrupt in this process's lane does not wait for a child that is
+    still running: the child is killed and reaped."""
+    lanes(2)
+
+    def fn(x):
+        if x == "interrupt":
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+        return x
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        integrate._fork_map(fn, ["sleep", "interrupt"], [1.0, 2.0])
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_left()
+
+
+def test_fork_map_with_one_lane_is_the_loop(lanes):
+    """One lane forks nothing: fn's effects stay in this process."""
+    lanes(1)
+    seen = []
+    assert integrate._fork_map(seen.append, [1, 2, 3], [3.0, 2.0, 1.0]) == [None] * 3
+    assert seen == [1, 2, 3]
