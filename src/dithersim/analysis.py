@@ -37,7 +37,17 @@ from .dynamics import (
     lie_bracket_loop,
     lie_bracket_rhs,
 )
-from .integrate import Method, Trajectory, _fork_map, _start_record, _write_csv, simulate
+from .integrate import (
+    Method,
+    Trajectory,
+    _blocks,
+    _fork_map,
+    _method,
+    _runner,
+    _start_record,
+    _write_csv,
+    simulate,
+)
 
 __all__ = [
     "LyapunovParams",
@@ -151,7 +161,12 @@ def approximation_sweep(
     (`lie_bracket_flow`) evaluated at that run's own sample times, with
     no interpolation. The error is the maximum over those times of the
     Euclidean distance between the two states. A blown-up dithered run
-    reports inf. A start that is not a State is refused before any run.
+    reports inf. A start that is not a State, or a method that is not a
+    Method or its name, is refused before any run.
+
+    Each run is compared a block at a time as `integrate._blocks` yields
+    it, and its error is the largest of its blocks' gaps, so a run holds
+    one block of samples, not the whole run.
 
     Results are returned in the order the omegas were given; any
     decrease with omega is observed, not assumed. At this step, h*omega
@@ -162,6 +177,7 @@ def approximation_sweep(
     """
     if not isinstance(s0, State):
         raise ValueError(f"approximation_sweep: s0 must be a State, not {type(s0).__name__}")
+    method = _method(method, "approximation_sweep")
     if len(omegas) == 0:
         raise ValueError("approximation_sweep: omegas must be nonempty")
     for w in omegas:
@@ -176,11 +192,16 @@ def approximation_sweep(
     def gap(w: float) -> float:
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=float(w))
         rhs, _, _ = _loop(p, spec, s0)
-        full = simulate(rhs, s0, 0.0, t_f, _paper_step(spec), method)
-        if full.diverged:
-            return math.inf
-        ref_y, ref_k = lie_bracket_flow(p, s0, 0.0, full.times)
-        return float(np.max(np.hypot(full.ys - ref_y, full.ks - ref_k)))
+        kernel, field, _ = _runner(rhs, method)
+        err = 0.0
+        for times, ys, ks, _, rejected in _blocks(
+            kernel, field, s0.as_tuple(), 0.0, t_f, _paper_step(spec)
+        ):
+            if rejected:
+                return math.inf
+            ref_y, ref_k = lie_bracket_flow(p, s0, 0.0, times)
+            err = max(err, float(np.max(np.hypot(ys - ref_y, ks - ref_k))))
+        return err
 
     # The runs are independent, and a run's step count grows with its omega.
     errors = _fork_map(gap, omegas, [float(w) for w in omegas])

@@ -76,7 +76,10 @@ __all__ = ["ConfigError", "PRESETS", "main"]
 # Most integration steps (Euler, RK4 and series steps together) that one
 # command may take. compare holds all its runs at once: a run with a u column
 # peaks near 41 bytes per step while it is built (tracemalloc) and keeps 32,
-# so a full-budget run peaks near 82 MB.
+# so a full-budget run peaks near 82 MB. sweep holds one block of samples per
+# lane, never a run: the near-budget one-omega sweep (omega = 1e5, t_f = 3,
+# 1.9M Euler steps) reaches a max RSS of 33 MiB, 150 MiB when each run was
+# packed whole before it was compared.
 WORK_BUDGET = 2_000_000
 
 

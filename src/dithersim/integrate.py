@@ -15,10 +15,12 @@ call into the field; when the u column asks for the control of the same
 `closed_loop` call, the kernel keeps the u it computes at each step's
 start. Any other callable, and so also a wrapper of such a closure, is
 called at each stage. A kernel takes its start state and a range of global
-step indices, so the driver calls it one block of steps at a time and packs
-each block's samples into float64 arrays sized for the whole run; a long
-run holds about 32 bytes per sample (t, y, k, u), not a Python float per
-value.
+step indices, so the generator `_blocks` calls it one block of steps at a
+time and yields each block's samples and their times as float64 arrays;
+the time rule lives there alone. `simulate` packs the blocks into arrays
+sized for the whole run, so a long run holds about 32 bytes per sample
+(t, y, k, u), not a Python float per value; `analysis.approximation_sweep`
+compares each block with the exact averaged flow as it comes and keeps none.
 
 `chen_fliess_step` advances the closed-loop state over whole dither
 periods using the precomputed series table in `cftable`, through a
@@ -44,7 +46,7 @@ import pickle
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -387,8 +389,8 @@ def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
 # callable f is the call `dy, dk = f((y, k), ts)`; a `FusedField` supplies
 # its own `bind`, `time` and `field`. The series step is a one-step map
 # s -> f(s) that ignores t0 and h; it also catches the ValueError of a
-# non-finite `chen_fliess_step`. `_march` packs the lists into float64
-# arrays after each call and clears them.
+# non-finite `chen_fliess_step`. `_blocks` turns the lists into float64
+# arrays after each call, yields them with their times and clears them.
 
 _BOUND = 1e9  # a state with |y| or |k| above this, or non-finite, ends a run
 
@@ -473,7 +475,65 @@ def _kernel(scheme: str, fused: FusedField | None = None, keep_u: bool = False) 
     return _define(source, "run", _sin=math.sin, _cos=math.cos, _caught=caught)
 
 
-_MARCH_BLOCK_STEPS = 4096  # steps per kernel call in `_march`
+_MARCH_BLOCK_STEPS = 4096  # steps per kernel call in `_blocks`
+
+
+def _blocks(
+    kernel: Callable,
+    field: Callable,
+    s: tuple[float, float],
+    t0: float,
+    t_f: float,
+    h: float,
+    keep_u: bool = False,
+) -> Iterator[tuple]:
+    """Run kernel(field, ...) from s over [t0, t_f] with the rules `simulate`
+    documents: whole steps of size h, then one shortened step to t_f, on a
+    time grid `_grid` accepts (ValueError at the first `next` otherwise).
+
+    Each kernel call takes at most _MARCH_BLOCK_STEPS steps, and the
+    shortened step is a call of its own. Per call this yields the block
+    (times, ys, ks, us, rejected): the call's accepted samples and their
+    times as float64 arrays, the first block led by the start sample s; with
+    keep_u (a fused kernel), the u kept at the start of each accepted step,
+    that is at the sample before each of the call's results, else None; and
+    whether the call rejected a step, after which nothing more is yielded.
+    A run of no steps (t_f == t0) is one block, the start sample alone.
+
+    Sample i is at t0 + i*h, except at the ends, which are set outright:
+    the first sample is at t0, so a start at -0.0 keeps its sign, and the
+    last sample of a completed run is at t_f."""
+    n_full, shortened = _grid(t0, t_f, h)
+    block = _MARCH_BLOCK_STEPS
+    # (start time, step, i0, i1) of each kernel call; step i of a call
+    # starts at its start time + i*step. With no step to take, one empty call.
+    calls = [(t0, h, i, min(i + block, n_full)) for i in range(0, n_full, block)]
+    if shortened:
+        t_last = t0 + n_full * h
+        calls.append((t_last, t_f - t_last, 0, 1))
+    calls = calls or [(t0, h, 0, 0)]
+    y, k = s
+    ys, ks, us = [y], [k], [] if keep_u else None
+    j0 = 0  # index of the block's first sample
+    for c, (start, step, i0, i1) in enumerate(calls):
+        rejected = kernel(field, y, k, start, step, i0, i1, ys, ks, us)
+        j1 = j0 + len(ys)
+        times = t0 + np.arange(j0, j1) * h
+        if j0 == 0:
+            times[0] = t0
+        if not rejected and c == len(calls) - 1 and j1 > 1:
+            times[-1] = t_f
+        yield times, np.array(ys), np.array(ks), None if us is None else np.array(us), rejected
+        if rejected:
+            return
+        # A call that rejects no step accepts at least one, unless it is the
+        # empty call, which is the last.
+        y, k = ys[-1], ks[-1]
+        ys.clear()
+        ks.clear()
+        if keep_u:
+            us.clear()
+        j0 = j1
 
 
 def _march(
@@ -487,63 +547,37 @@ def _march(
     input_fn: InputFn | None = None,
     keep_u: bool = False,
 ) -> Trajectory:
-    """Run kernel(rhs, ...) from s over [t0, t_f] with the rules `simulate`
-    documents: whole steps of size h, then one shortened step to t_f, on a
-    time grid `_grid` accepts. With keep_u, the kernel is a fused one that
-    keeps input_fn's value at the start of each accepted step.
+    """The Trajectory of `_blocks(kernel, rhs, s, t0, t_f, h, keep_u)`, with
+    input_fn's value at each sample as the u column when given. With keep_u,
+    the kernel is a fused one that keeps input_fn's value at the start of
+    each accepted step.
 
-    The samples go into float64 arrays sized for the whole run: the kernel
-    takes at most _MARCH_BLOCK_STEPS steps per call, and the lists it fills
-    are packed into the arrays and cleared after each call, so a run never
-    holds more than one block of samples as Python floats. A run that
+    The blocks go into float64 arrays sized for the whole run, so a run
+    never holds more than one block of samples as Python floats. A run that
     diverges keeps copies trimmed to its length, not the whole arrays."""
     n_full, shortened = _grid(t0, t_f, h)
     size = n_full + shortened + 1
-    ys, ks = np.empty(size), np.empty(size)
+    times, ys, ks = np.empty(size), np.empty(size), np.empty(size)
     us = np.empty(size) if input_fn is not None else None
-    y, k = s
-    ys[0], ks[0] = y, k
-    block = _MARCH_BLOCK_STEPS
-    # (start time, step, i0, i1) of each kernel call; step i of a call
-    # starts at its start time + i*step.
-    calls = [(t0, h, i, min(i + block, n_full)) for i in range(0, n_full, block)]
-    if shortened:
-        t_last = t0 + n_full * h
-        calls.append((t_last, t_f - t_last, 0, 1))
-    y_block, k_block, u_block = [], [], [] if keep_u else None
-    filled = 1  # samples packed so far
+    filled = 0  # samples packed so far
     rejected = False
-    for start, step, i0, i1 in calls:
-        rejected = kernel(rhs, y, k, start, step, i0, i1, y_block, k_block, u_block)
-        m = len(y_block)
-        ys[filled : filled + m] = y_block
-        ks[filled : filled + m] = k_block
+    for t, y, k, u, rejected in _blocks(kernel, rhs, s, t0, t_f, h, keep_u):
+        end = filled + len(t)
+        times[filled:end], ys[filled:end], ks[filled:end] = t, y, k
         if keep_u:
             # The u kept at a step's start is that of the sample before its result.
-            us[filled - 1 : filled + m - 1] = u_block
-            u_block.clear()
-        filled += m
-        if rejected:
-            break
-        # A call that rejects no step accepts at least one.
-        y, k = y_block[-1], k_block[-1]
-        y_block.clear()
-        k_block.clear()
-    if filled < size:
-        ys, ks = ys[:filled].copy(), ks[:filled].copy()
+            us[end - 1 - len(u) : end - 1] = u
+        filled = end
+    if rejected:
+        times, ys, ks = times[:filled].copy(), ys[:filled].copy(), ks[:filled].copy()
         us = None if us is None else us[:filled].copy()
-    # Sample i is at t0 + i*h. The ends are set outright: a completed run ends
-    # exactly on t_f, and a start or end at -0.0 keeps its sign.
-    times = t0 + np.arange(filled) * h
-    times[0] = t0
-    if not rejected and filled > 1:
-        times[-1] = t_f
 
     if input_fn is not None:
         # A kept u is input_fn at its sample bit for bit, except at the first
         # sample, whose kernel time t0 + 0*h drops the sign of a t0 at -0.0;
         # the last sample starts no accepted step. Both are evaluated here,
         # and without kept u every sample is, a block at a time.
+        block = _MARCH_BLOCK_STEPS
         if keep_u:
             spans = [(0, 1)] + ([(filled - 1, filled)] if filled > 1 else [])
         else:
@@ -584,22 +618,36 @@ def simulate(
     and finite, exceeds a positive t_f - t0 or is too fine for the sample
     times to strictly increase (`_grid`) is a ValueError before any step.
     """
-    if isinstance(method, str):
-        method = Method.from_name(method)
-    if not isinstance(method, Method):
-        raise ValueError(f"simulate: method must be a Method or its name, not {method!r}")
+    method = _method(method, "simulate")
     if not (math.isfinite(t0) and math.isfinite(t_f)):
         raise ValueError("simulate: t0 and t_f must be finite")
     if t_f < t0:
         raise ValueError("simulate: t_f must not precede t0")
     run_meta = {**(meta or {}), "method": method.value}
-    fused = getattr(rhs, "fused", None)
-    # The control of the same closed_loop call shares the descriptor; the
-    # fused kernel then keeps the u it computes anyway.
-    keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
-    kernel = _kernel(method.value, fused, keep_u)
-    field = rhs if fused is None else fused
+    kernel, field, keep_u = _runner(rhs, method, input_fn)
     return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, keep_u)
+
+
+def _method(method: Method | str, caller: str) -> Method:
+    """method, or the Method it names; ValueError naming caller otherwise."""
+    if isinstance(method, str):
+        method = Method.from_name(method)
+    if not isinstance(method, Method):
+        raise ValueError(f"{caller}: method must be a Method or its name, not {method!r}")
+    return method
+
+
+def _runner(
+    rhs: Rhs2, method: Method, input_fn: InputFn | None = None
+) -> tuple[Callable, Callable, bool]:
+    """(kernel, field, keep_u) for `_blocks` to run rhs by method: for a
+    closure from `closed_loop` or `lie_bracket_loop`, the kernel with its
+    `FusedField` inlined, which keeps the u it computes when input_fn is the
+    control of the same `closed_loop` call; for any other callable, the
+    kernel that calls rhs at each stage."""
+    fused = getattr(rhs, "fused", None)
+    keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
+    return _kernel(method.value, fused, keep_u), rhs if fused is None else fused, keep_u
 
 
 # -- whole-period series stepping ----------------------------------------------

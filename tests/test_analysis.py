@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dithersim import analysis, integrate
 from dithersim import (
@@ -17,12 +21,15 @@ from dithersim import (
     State,
     Trajectory,
     approximation_sweep,
+    closed_loop,
     convergence_report,
     lbs_limit_point,
+    lie_bracket_flow,
     lyapunov_rate,
     lyapunov_value,
     nussbaum_type_check,
     s_cos_s,
+    simulate,
     sweep_to_csv,
 )
 from dithersim.cli import FIELDS
@@ -111,6 +118,10 @@ def test_sweep_validation():
         approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [])
     with pytest.raises(ValueError):
         approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [100.0, -5.0])
+    with pytest.raises(ValueError, match="approximation_sweep: omegas must be positive"):
+        approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [100.0, 0.0])
+    with pytest.raises(ValueError, match="approximation_sweep: method must be a Method or its name"):
+        approximation_sweep(PLANT, State(1.0, 0.0), 1.0, [100.0], 4)
     with pytest.raises(ValueError, match="t_f must be nonnegative"):
         approximation_sweep(PLANT, State(1.0, 0.0), -1.0, [100.0])
 
@@ -119,7 +130,7 @@ def test_sweep_refuses_a_pair_start_before_any_run(monkeypatch):
     """A (y, k) pair used to run the first omega's whole simulation and then
     fail in the averaged flow."""
     calls = []
-    monkeypatch.setattr(analysis, "simulate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(analysis, "_blocks", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="approximation_sweep: s0 must be a State, not tuple"):
         approximation_sweep(PLANT, (1.0, 0.0), 0.5, [100.0, 400.0])
     assert calls == []
@@ -181,19 +192,88 @@ def test_sweep_against_exact_flow_keeps_the_rk4_errors(seed):
 
 def test_sweep_takes_no_rk4_step(monkeypatch):
     """By default every run the sweep integrates is a dithered Euler run; the
-    averaged reference is evaluated in closed form."""
-    methods = []
-    simulate = analysis.simulate
+    averaged reference is evaluated in closed form. Recorded at the scheme
+    each run's kernel is compiled for."""
+    schemes = []
+    kernel = integrate._kernel
 
-    def recording(rhs, s0, t0, t_f, h, method=Method.RK4, **kwargs):
-        methods.append(method)
-        return simulate(rhs, s0, t0, t_f, h, method, **kwargs)
+    def recording(scheme, *args, **kwargs):
+        schemes.append(scheme)
+        return kernel(scheme, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "simulate", recording)
+    monkeypatch.setattr(integrate, "_kernel", recording)
     # One lane, so that every run calls the recorder in this process.
     monkeypatch.setattr(integrate, "_cpu_count", lambda: 1)
     approximation_sweep(PLANT, State(1.0, 0.0), 0.5, [100.0, 400.0])
-    assert methods == [Method.EULER, Method.EULER]
+    assert schemes == [Method.EULER.value, Method.EULER.value]
+
+
+def _whole_run_gap(p, s0, t_f, w, method):
+    """One omega's sweep error by the whole-run formula: the run from
+    `simulate`, then the exact flow over all of its times at once."""
+    spec = ControllerSpec(ControllerVariant.PROPOSED, omega=w)
+    rhs, _ = closed_loop(p, spec)
+    full = simulate(rhs, s0, 0.0, t_f, analysis._paper_step(spec), method)
+    if full.diverged:
+        return math.inf
+    ref_y, ref_k = lie_bracket_flow(p, s0, 0.0, full.times)
+    return float(np.max(np.hypot(full.ys - ref_y, full.ks - ref_k)))
+
+
+def _signed(lo: float, hi: float):
+    """Floats of either sign with log10 magnitude in [lo, hi]."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
+
+
+@pytest.mark.parametrize("block", [7, 8, 4096])
+@settings(max_examples=40)
+@given(
+    method=st.sampled_from(list(Method)),
+    a=st.floats(-10.0, 10.0),
+    b=_signed(-1.0, 1.0),
+    y0=_signed(-2.0, 2.0),
+    k0=st.floats(-5.0, 5.0),
+    w=st.floats(20.0, 2000.0),
+    n=st.integers(1, 6000),
+    frac=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+)
+# Whole steps only, and a shortened last step, on the fig1 plant from (1, 0)
+# across one and two blocks of 4096; runs that diverge at step 13 (Euler), in
+# the second block of 7 and of 8, and at step 8 (RK4), the first step of the
+# second block of 7 and the last of the first block of 8.
+@example(Method.EULER, 10.0, -2.0, 1.0, 0.0, 400.0, 4096, 0.0)
+@example(Method.EULER, 10.0, -2.0, 1.0, 0.0, 400.0, 4097, 0.5)
+@example(Method.RK4, 10.0, -2.0, 1.0, 0.0, 400.0, 5000, 0.25)
+@example(Method.EULER, 10.0, -2.0, 20.0, 0.0, 50.0, 100, 0.5)
+@example(Method.RK4, 10.0, -2.0, 20.0, 0.0, 50.0, 100, 0.0)
+def test_sweep_in_blocks_equals_the_whole_run_formula(block, method, a, b, y0, k0, w, n, frac):
+    """With the kernel called 7, 8 or 4096 steps at a time, the sweep's
+    block-by-block error is the whole-run formula's bit for bit, inf for a
+    run that diverges included."""
+    p, s0 = PlantParams(a, b), State(y0, k0)
+    t_f = (n + frac) * analysis._paper_step(ControllerSpec(ControllerVariant.PROPOSED, omega=w))
+    want = _whole_run_gap(p, s0, t_f, w, method)
+    with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", block):
+        with mock.patch.object(integrate, "_cpu_count", lambda: 1):
+            got = approximation_sweep(p, s0, t_f, [w], method)
+    assert repr(got) == repr([(w, want)])
+
+
+def test_a_sweep_peaks_under_one_bound_at_any_run_length():
+    """A one-omega sweep holds one block of samples at a time: at about
+    100,000 and 400,000 Euler steps its tracemalloc peak stays under the
+    same 1 MB. Holding each whole run peaked at 6.5 and 26 MB."""
+    approximation_sweep(PLANT, State(1.0, 0.0), 0.01, [1e4])  # compile first
+    for t_f in (1.6, 6.4):  # 101,859 and 407,436 steps of 2*pi/4e5
+        tracemalloc.start()
+        try:
+            approximation_sweep(PLANT, State(1.0, 0.0), t_f, [1e4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (t_f, peak)
 
 
 SLOPE_OMEGAS = [400.0, 800.0, 1600.0, 3200.0]
@@ -246,7 +326,7 @@ def test_sweep_to_csv(tmp_path):
 
 
 def test_nussbaum_check_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k_max > k0"):
         nussbaum_type_check(s_cos_s, 0.0, 0.0, 2000)
     with pytest.raises(ValueError):
         nussbaum_type_check(s_cos_s, 0.0, 50.0, 999)
@@ -424,11 +504,13 @@ def test_convergence_report_time_to_band_is_elapsed():
 
 
 @pytest.mark.parametrize(
-    "tail, converged", [([5.0, 0.0], False), ([0.0, 0.0], True)], ids=["one", "two"]
+    "tail, converged",
+    [([5.0, 0.0], False), ([0.0, 0.0], True), ([1.0, -1.0], True)],
+    ids=["one", "two", "two-on-the-band"],
 )
 def test_convergence_report_holds_the_band_over_the_last_tenth(tail, converged):
     """Over 15 samples the last tenth is ceil(1.5) = 2 samples: the run
-    converges only when both hold the band."""
+    converges only when both hold the band, which includes its edge."""
     report = convergence_report(_flat_trajectory([5.0] * 13 + tail), band=1.0)
     assert report.converged is converged
 

@@ -134,10 +134,21 @@ def test_rk4_self_convergence():
 
 
 def test_simulate_single_sample_when_span_zero():
-    traj = simulate(lie_bracket_loop(PLANT), State(1.0, 0.0), 2.0, 2.0, 0.1)
+    """With t_f == t0 no step is taken, so no step is too fine either."""
+    for h in (0.1, 5e-324):
+        traj = simulate(lie_bracket_loop(PLANT), State(1.0, 0.0), 2.0, 2.0, h)
+        assert len(traj) == 1
+        assert traj.times[0] == 2.0
+        assert traj.final_state == State(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t0, t_f", [(-0.0, 0.0), (0.0, -0.0)])
+def test_simulate_single_sample_keeps_the_sign_of_its_start(t0, t_f):
+    """The one sample of a run with t_f == t0 is at t0: a start at -0.0 is
+    not replaced by the end at +0.0, nor the other way round."""
+    traj = simulate(lambda s, t: (0.0, 0.0), (1.0, 0.0), t0, t_f, 0.1)
     assert len(traj) == 1
-    assert traj.times[0] == 2.0
-    assert traj.final_state == State(1.0, 0.0)
+    assert math.copysign(1.0, traj.times[0]) == math.copysign(1.0, t0)
 
 
 def test_simulate_lands_exactly_on_tf():
@@ -157,7 +168,7 @@ def test_simulate_validates_inputs():
     rhs = lie_bracket_loop(PLANT)
     with pytest.raises(ValueError):
         simulate(rhs, State(1.0, 0.0), 0.0, -1.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step 0 is not positive and finite"):
         simulate(rhs, State(1.0, 0.0), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         simulate(rhs, State(1.0, 0.0), 0.0, 1.0, 2.0)
@@ -628,6 +639,25 @@ def test_trajectory_rejects_uneven_spacing():
     Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros(3), np.zeros(3))
 
 
+def test_spacing_bounds_admit_their_own_value():
+    """An interior step exactly 16 ulps of the larger end time off the first
+    one, and a final step of exactly (1 + 1e-9) times the first plus those
+    16 ulps, are accepted; each a float longer is refused. A repeated time
+    is refused as not increasing."""
+    zeros = np.zeros(5)
+    tol = 16.0 * math.ulp(4.0)
+    Trajectory(np.array([0.0, 1.0, 2.0 + tol, 3.0, 4.0]), zeros, zeros)
+    with pytest.raises(ValueError, match="interior step is not constant"):
+        Trajectory(np.array([0.0, 1.0, math.nextafter(2.0 + tol, 3.0), 3.0, 4.0]), zeros, zeros)
+    t_f = 2.0 + (1.0 * (1.0 + integrate._SLIVER) + 16.0 * math.ulp(3.0))
+    assert t_f - 2.0 == 1.0 * (1.0 + integrate._SLIVER) + 16.0 * math.ulp(t_f)
+    Trajectory(np.array([0.0, 1.0, 2.0, t_f]), zeros[:4], zeros[:4])
+    with pytest.raises(ValueError, match="final step exceeds the interior step"):
+        Trajectory(np.array([0.0, 1.0, 2.0, math.nextafter(t_f, 4.0)]), zeros[:4], zeros[:4])
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        Trajectory(np.array([0.0, 1.0, 1.0]), zeros[:3], zeros[:3])
+
+
 def _elementwise_spacing_verdict(times: np.ndarray) -> str | None:
     """What `Trajectory` said of these times when it took the largest
     interior deviation as max(|d[:-1] - step|): None to accept, or the
@@ -731,6 +761,36 @@ def test_simulate_merges_a_remainder_that_rounds_away_at_t_f():
     assert traj.status == "ok"
     assert traj.times.tolist() == [t0 + i * h for i in range(11)]
     assert traj.times[-1] == t0 + 10.0
+
+
+def test_simulate_takes_a_step_of_the_whole_horizon_but_no_longer():
+    """A step of up to (1 + 1e-12) times t_f - t0 is one step that lands on
+    t_f; the next float up is refused before the field is called."""
+    calls = []
+
+    def rhs(s, t):
+        calls.append(t)
+        return (0.0, 1.0)
+
+    h = 3.0 * (1.0 + 1e-12)
+    traj = simulate(rhs, (1.0, 0.0), 0.0, 3.0, h, Method.EULER)
+    assert traj.status == "ok" and traj.times.tolist() == [0.0, 3.0]
+    calls.clear()
+    with pytest.raises(ValueError, match="exceeds the horizon"):
+        simulate(rhs, (1.0, 0.0), 0.0, 3.0, math.nextafter(h, 4.0), Method.EULER)
+    assert calls == []
+
+
+def test_simulate_merges_a_remainder_of_exactly_a_sliver():
+    """1e-9 of a step of 1e9 is 1.0: a remainder of exactly that is merged
+    into the last step, and one a float longer is a shortened step."""
+    h = 1e9
+    assert integrate._SLIVER * h == 1.0
+    traj = simulate(lambda s, t: (0.0, 0.0), (0.0, 0.0), 0.0, h + 1.0, h, Method.EULER)
+    assert traj.times.tolist() == [0.0, h + 1.0]
+    t_f = math.nextafter(h + 1.0, math.inf)
+    traj = simulate(lambda s, t: (0.0, 0.0), (0.0, 0.0), 0.0, t_f, h, Method.EULER)
+    assert traj.times.tolist() == [0.0, h, t_f]
 
 
 @pytest.mark.parametrize("t0", [3.0, 1e16, -1e16, -4.5e15])
