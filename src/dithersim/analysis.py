@@ -46,7 +46,6 @@ from .integrate import (
     _runner,
     _start_record,
     _write_csv,
-    simulate,
 )
 
 __all__ = [
@@ -61,8 +60,6 @@ __all__ = [
     "nussbaum_type_check",
     "convergence_report",
 ]
-
-LBS_REFERENCE_STEP = 1e-4  # step of the RK4 reference runs of the averaged system
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,11 @@ def lbs_limit_point(p: PlantParams, s0: State) -> State:
 STEPS_PER_PERIOD = 40  # paper steps per dither period
 
 
-def _paper_step(spec: ControllerSpec) -> float:
+def _paper_step(spec: ControllerSpec | None) -> float:
     """Per-design reference step: a dither period over STEPS_PER_PERIOD
-    for the dithered designs, 1e-4 for the dither-free ones."""
-    if spec.variant in DITHERED_VARIANTS:
+    for the dithered designs, 1e-4 for the dither-free ones and for the
+    averaged system (None)."""
+    if spec is not None and spec.variant in DITHERED_VARIANTS:
         return math.tau / (STEPS_PER_PERIOD * spec.omega)
     return 1e-4
 
@@ -138,12 +136,6 @@ def _loop(
         return lie_bracket_loop(p), None, meta
     rhs, control = closed_loop(p, spec)
     return rhs, control, {"variant": spec.variant.value, "omega": spec.omega, **start}
-
-
-def _lbs_reference(p: PlantParams, s0: State, t0: float, t_f: float) -> Trajectory:
-    """The averaged system from s0 over [t0, t_f] (`_loop`): RK4 at LBS_REFERENCE_STEP."""
-    rhs, _, meta = _loop(p, None, s0)
-    return simulate(rhs, s0, t0, t_f, LBS_REFERENCE_STEP, Method.RK4, meta=meta)
 
 
 def approximation_sweep(

@@ -554,9 +554,12 @@ def _a2_norms(values: list[list[np.ndarray]], h2: np.ndarray, houter2: np.ndarra
     return out
 
 
-def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> tuple[float, dict]:
+def _a2_scan(
+    fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray, blind: bool
+) -> tuple[float, dict]:
     """The A2 bound and witness of `check_assumptions` over the state mesh
-    (N, dim) at the given times; fields[0] is the drift."""
+    (N, dim) at the given times; fields[0] is the drift, and `blind` says
+    that every field is `_time_blind`."""
     nf = len(fields)
     nx = _norm(mesh)
     h = 1e-6 * (1.0 + nx)
@@ -567,35 +570,25 @@ def _a2_scan(fields: Sequence[Field2], mesh: np.ndarray, times: np.ndarray) -> t
         (norm, i, j) for j in range(1, nf) for i in range(nf) for norm in ("dt_lie", "dx_lie")
     ]
     ncols = len(labels)
-    blind = _time_blind(fields)
-    if blind:
-        # fields that never read t have the same norms at every time sample,
-        # and a later sample's equal maximum is no new witness
-        times = times[:1]
-    # per block and time sample, the key (finite, -value, time index, flat
-    # index into the (N, K) norm table) of its first non-finite norm, keyed
-    # -inf, or else of its first largest; the least key is the witness
-    keys: list[tuple[bool, float, int, int]] = []
-    # the earliest time index where a block so far met a non-finite norm: a
-    # later block's keys from there on cannot be the least
-    stop = len(times)
-    for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
-        b = slice(lo, lo + _A2_BLOCK_ROWS)
-        pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
-        for i, t in enumerate(times[:stop]):
-            norms = _a2_norms(_a2_values(fields, pts, float(t), blind), h2, houter2).ravel()
+
+    def report(value: float, t: float, k: int) -> tuple[float, dict]:
+        """value with the witness at time t and flat index k of the (N, K) table."""
+        norm, i, j = labels[k % ncols]
+        return value, {"norm": norm, "i": i, "j": j, "x": mesh[k // ncols].tolist(), "t": t}
+
+    best = (-math.inf, 0.0, 0)
+    for t in times.tolist():
+        for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
+            b = slice(lo, lo + _A2_BLOCK_ROWS)
+            pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
+            norms = _a2_norms(_a2_values(fields, pts, t, blind), h2, houter2).ravel()
             bad = ~np.isfinite(norms)
             if bad.any():
-                keys.append((False, -math.inf, i, lo * ncols + int(np.argmax(bad))))
-                stop = i
-                break
+                return report(math.inf, t, lo * ncols + int(np.argmax(bad)))
             k = int(np.argmax(norms))
-            keys.append((True, -float(norms[k]), i, lo * ncols + k))
-
-    _, value, ti, k = min(keys)
-    norm, i, j = labels[k % ncols]
-    witness = {"norm": norm, "i": i, "j": j, "x": mesh[k // ncols].tolist(), "t": float(times[ti])}
-    return -value, witness
+            if norms[k] > best[0]:
+                best = (float(norms[k]), t, lo * ncols + k)
+    return report(*best)
 
 
 def _a3_checks(sys: AffineSystem, coarse: np.ndarray) -> tuple[list[dict], list[dict]]:
@@ -706,40 +699,31 @@ def check_assumptions(
     stacked values of f_q, so each row, and so each sup, is what a call
     on that q alone gives.
 
-    The A2 scan takes the state mesh one block of `_A2_BLOCK_ROWS` states
-    at a time, and each block through every time sample before the next
-    block. Per block it stacks once the point sets a time sample needs:
-    the states, their outer offsets x +- 1e-4*(1+|x|)*e_d, and all of
-    those moved by +-1e-6*(1+|x|)*e_d for the Jacobians. At each time
-    sample every field is called once at t on those sets and once at each
-    of t +- 1e-6 on the states and their moves, 3 calls per field. Every
-    norm is then a slice, difference quotient or product of those values
-    with the arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a
-    point-wise scan's bit for bit. When every field is a compiled
-    `FusedField` call with no dither frequency (w == 0), which never reads
-    t, as the design splits of `proposed_design_system` and
-    `swapped_design_system` are, the scan runs the first time sample only:
-    each block calls each field once, at t, takes the values at t +- 1e-6
-    as those at t and computes its norms once. Any other field, a closure
-    wrapping such a call included, is called and normed at every time
-    sample.
+    The A2 scan runs time-major: at each time sample it takes the state
+    mesh one block of `_A2_BLOCK_ROWS` states at a time. Per block it
+    stacks the point sets the time sample needs: the states, their outer
+    offsets x +- 1e-4*(1+|x|)*e_d, and all of those moved by
+    +-1e-6*(1+|x|)*e_d for the Jacobians. Every field is called once at t
+    on those sets and once at each of t +- 1e-6 on the states and their
+    moves, 3 calls per field. Every norm is then a slice, difference
+    quotient or product of those values with the arithmetic of
+    `fd_jacobian` and `lie_bracket`, so it equals a point-wise scan's bit
+    for bit. When every field is a compiled `FusedField` call with no
+    dither frequency (w == 0), which never reads t, as the design splits
+    of `proposed_design_system` and `swapped_design_system` are, only
+    t = 0 is scanned: each block calls each field once, at t, takes the
+    values at t +- 1e-6 as those at t and computes its norms once. Any
+    other field, a closure wrapping such a call included, is called and
+    normed at every time sample.
     Products and norms are sums of element-wise numpy ops in a fixed
     left-to-right order, with no BLAS call, so the report's bytes do not
     depend on the host's BLAS kernel. Fields must take x of shape
     (M, dim) and return shape (M, dim), row by row.
 
     The witness is the first maximiser in time-major, then point-major,
-    then per-point order, and the scan's verdict stops at the first
-    non-finite norm in that order: each block records, per time sample,
-    one key (finite, -value, time index, flat index) from its first
-    non-finite norm or else its first maximum, and the least key of all
-    gives the bound and the witness. A block stops at its own first
-    non-finite norm, and runs no time sample at or after the earliest one
-    where an earlier block met a non-finite norm. A block may so evaluate
-    its fields at times after the time where the report stops, when a
-    later block meets a non-finite norm at an earlier time; the report is
-    that of a scan stopping there, but a field that raises at such a time
-    raises.
+    then per-point order. The scan stops at the first non-finite norm in
+    that order and reports the bound inf with that norm as the witness;
+    no field is called at a later time sample or block.
     A region whose width hi - lo is not finite is refused (ValueError).
     Overflow and invalid values in the A1, A2 and A3 arithmetic raise no
     numpy warning; they show as non-finite checks and norms.
@@ -751,8 +735,11 @@ def check_assumptions(
     if not lo_hi or not all(math.isfinite(hi - lo) for lo, hi in lo_hi):
         raise ValueError("check_assumptions: region must be a nonempty box of finite width")
     axes = [np.linspace(lo, hi, grid) for lo, hi in lo_hi]
-    times = np.linspace(0.0, 2.0 * math.pi, time_samples)
     all_fields: list[Field2] = [sys.drift, *sys.fields]
+    # fields that never read t have the same norms at every time sample, and a
+    # later sample's equal maximum is no new witness: only t = 0 is scanned
+    blind = _time_blind(all_fields)
+    times = np.linspace(0.0, 2.0 * math.pi, 1 if blind else time_samples)
 
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     # overflow and invalid values show as non-finite results, not as warnings
@@ -761,7 +748,7 @@ def check_assumptions(
         for i, f in enumerate(all_fields):
             name = "drift" if i == 0 else f"fields[{i - 1}]"
             _require_mesh_shape(f, name, mesh, float(times[0]))
-        best, witness = _a2_scan(all_fields, mesh, times)
+        best, witness = _a2_scan(all_fields, mesh, times, blind)
         # A3 on a coarser grid
         a3_pairs, a3_triples = _a3_checks(sys, mesh[:: max(1, len(mesh) // 100)])
 

@@ -33,10 +33,8 @@ import numpy as np
 import yaml
 
 from .analysis import (
-    LBS_REFERENCE_STEP,
     STEPS_PER_PERIOD,
     _AliasedProfile,
-    _lbs_reference,
     _loop,
     _paper_step,
     approximation_sweep,
@@ -257,7 +255,6 @@ FIELDS: dict[str, tuple[Callable[..., object], object]] = {
     "check.nussbaum.grid": (partial(_integer, least=1000), 20_000),
     "chenfliess.orders": (partial(_list, item=_order, distinct=True), _REQUIRED),
     "chenfliess.periods_per_step": (_count, 1),
-    "chenfliess.n_steps": (partial(_integer, least=0), None),
 }
 
 _KNOWN_PATHS = {tuple(f.split("."))[:i] for f in FIELDS for i in range(1, f.count(".") + 2)}
@@ -338,16 +335,20 @@ class _UniqueKeyLoader(_SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def _check_steps(runs: Sequence[tuple[str, float]], t0: float, t_f: float) -> float:
-    """The steps that runs over [t0, t_f] take, one run per (field, step h).
-    A step `integrate._grid` refuses, such as the paper step 0.0 or inf of an
-    extreme omega, is a config error naming its run's field."""
-    for field, h in runs:
+# A fixed-step run: (spec, step h), where spec None is the averaged reference.
+_Job = tuple[ControllerSpec | None, float]
+
+
+def _check_steps(jobs: dict[str, _Job], t0: float, t_f: float) -> float:
+    """The steps that the jobs, keyed by the field that sets each, take over
+    [t0, t_f]. A step `integrate._grid` refuses, such as the paper step 0.0
+    or inf of an extreme omega, is a config error naming its job's field."""
+    for field, (_, h) in jobs.items():
         try:
             _grid(t0, t_f, h)
         except ValueError as e:
             raise ConfigError(field, str(e)) from None
-    return sum((t_f - t0) / h for _, h in runs)
+    return sum((t_f - t0) / h for _, h in jobs.values())
 
 
 def _parse_plant(cfg: dict) -> PlantParams:
@@ -445,6 +446,36 @@ def _single_initial(cfg: dict, seed: int, command: str, run_steps: float) -> Sta
 _STAGES = {Method.EULER: 1, Method.RK4: 4}
 
 
+def _fork_runs(
+    plant: PlantParams,
+    tasks: Sequence[tuple[_Job, State, Path | None]],
+    t0: float,
+    t_f: float,
+    method: Method,
+    *,
+    record_u: bool = True,
+) -> list:
+    """The fixed-step run over [t0, t_f] of each task (job, s0, path), in
+    order, spread over the CPUs by `_fork_map`. A job (spec, h) runs spec's
+    closed loop (`_loop`) from s0 at step h by method, recording u when
+    record_u, or for spec None the averaged reference by RK4. With a path
+    the run is saved there and the paths of its two files come back, else
+    the run itself."""
+
+    def method_of(spec: ControllerSpec | None) -> Method:
+        return Method.RK4 if spec is None else method
+
+    def run(task: tuple[_Job, State, Path | None]) -> Trajectory | tuple[Path, Path]:
+        (spec, h), s0, path = task
+        rhs, control, meta = _loop(plant, spec, s0)
+        input_fn = control if record_u else None
+        traj = simulate(rhs, s0, t0, t_f, h, method_of(spec), input_fn=input_fn, meta=meta)
+        return traj if path is None else traj.save(path)
+
+    costs = [(t_f - t0) / h * _STAGES[method_of(spec)] for (spec, h), _, _ in tasks]
+    return _fork_map(run, tasks, costs)
+
+
 def _announce(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -457,33 +488,24 @@ def cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     spec = _controller_spec(cfg, _value(cfg, "controller.variant", required=True))
     t0, t_f, method = _parse_simulation(cfg)
     step = _value(cfg, "simulation.step")
-    h = _paper_step(spec) if step == "paper" else step
-    with_lbs = _value(cfg, "simulation.with_lbs")
-    runs = [("simulation.step", h)]
-    if with_lbs:
-        runs.append(("simulation.t_f", LBS_REFERENCE_STEP))
-    run_steps = _check_steps(runs, t0, t_f)
+    jobs = {"simulation.step": (spec, _paper_step(spec) if step == "paper" else step)}
+    if _value(cfg, "simulation.with_lbs"):
+        jobs["simulation.t_f"] = (None, _paper_step(None))
+    run_steps = _check_steps(jobs, t0, t_f)
     _check_work("simulation.t_f", 1, run_steps)
     initials = _parse_initial(cfg, args.seed, run_steps)
 
-    def run(job: tuple[str, int, State]) -> tuple[Path, Path]:
-        stem, i, s0 = job
-        if stem == "lbs":
-            traj = _lbs_reference(plant, s0, t0, t_f)
-        else:
-            rhs, control, meta = _loop(plant, spec, s0)
-            traj = simulate(rhs, s0, t0, t_f, h, method, input_fn=control, meta=meta)
-        return traj.save(out / (f"{stem}_{i}.csv" if len(initials) > 1 else f"{stem}.csv"))
+    def path(spec: ControllerSpec | None, i: int) -> Path:
+        stem = "trajectory" if spec is not None else "lbs"
+        return out / (f"{stem}_{i}.csv" if len(initials) > 1 else f"{stem}.csv")
 
     # The runs are independent and each writes its own two files.
-    jobs = [("trajectory", i, s0) for i, s0 in enumerate(initials, 1)]
-    costs = [(t_f - t0) / h * _STAGES[method]] * len(jobs)
-    if with_lbs:
-        jobs += [("lbs", i, s0) for i, s0 in enumerate(initials, 1)]
-        costs += [(t_f - t0) / LBS_REFERENCE_STEP * _STAGES[Method.RK4]] * len(initials)
-    for paths in _fork_map(run, jobs, costs):
-        for path in paths:
-            _announce(path)
+    tasks = [
+        (job, s0, path(job[0], i)) for job in jobs.values() for i, s0 in enumerate(initials, 1)
+    ]
+    for paths in _fork_runs(plant, tasks, t0, t_f, method):
+        for p in paths:
+            _announce(p)
     return 0
 
 
@@ -497,55 +519,39 @@ def _nearest_resample(traj: Trajectory, times: np.ndarray, t0: float, h: float) 
 
 def cmd_compare(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     plant = _parse_plant(cfg)
-    variants = _value(cfg, "compare.variants")
-    with_lbs = _value(cfg, "compare.with_lbs")
-    specs = [_controller_spec(cfg, variant) for variant in variants]
+    specs = [_controller_spec(cfg, variant) for variant in _value(cfg, "compare.variants")]
     # Horizon and method are shared; each controller runs at its own paper
     # step, so simulation.step and simulation.with_lbs are not read.
     t0, t_f, method = _parse_simulation(cfg)
-    steps = [_paper_step(spec) for spec in specs]
-    runs = [(f"compare.variants[{i}]", h) for i, h in enumerate(steps)]
-    if with_lbs:
-        runs.append(("simulation.t_f", LBS_REFERENCE_STEP))
-    run_steps = _check_steps(runs, t0, t_f)
+    jobs = {f"compare.variants[{i}]": (spec, _paper_step(spec)) for i, spec in enumerate(specs)}
+    if _value(cfg, "compare.with_lbs"):
+        jobs["simulation.t_f"] = (None, _paper_step(None))
+    run_steps = _check_steps(jobs, t0, t_f)
     _check_work("simulation.t_f", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "compare", run_steps)
 
-    def run(job: tuple[ControllerSpec | None, float]) -> Trajectory:
-        spec, h = job
-        if spec is None:
-            return _lbs_reference(plant, s0, t0, t_f)
-        # compare.csv holds only y columns, so the runs record no input.
-        rhs, _, meta = _loop(plant, spec, s0)
-        return simulate(rhs, s0, t0, t_f, h, method, meta=meta)
+    # compare.csv holds only y columns, so the runs record no input.
+    tasks = [(job, s0, None) for job in jobs.values()]
+    trajs = _fork_runs(plant, tasks, t0, t_f, method, record_u=False)
 
-    # The runs are independent; None stands for the averaged reference.
-    jobs = list(zip(specs, steps))
-    if with_lbs:
-        jobs.append((None, LBS_REFERENCE_STEP))
-    costs = [
-        (t_f - t0) / h * _STAGES[Method.RK4 if spec is None else method] for spec, h in jobs
-    ]
-    trajs = _fork_map(run, jobs, costs)
-    lbs = trajs.pop() if with_lbs else None
-
-    # The coarsest completed run gives the time grid; when every run diverged,
-    # the one that reached furthest does. A diverged run holds its last value.
-    completed = [(h, traj) for traj, h in zip(trajs, steps) if traj.status == "ok"]
+    # The coarsest completed controller run gives the time grid; when every
+    # one diverged, the one that reached furthest does. The averaged reference
+    # never does. A diverged run holds its last value.
+    controllers = list(zip(jobs.values(), trajs))[: len(specs)]
+    completed = [(h, traj) for (_, h), traj in controllers if traj.status == "ok"]
     if completed:
         base = max(completed, key=lambda pair: pair[0])[1].times
     else:
-        base = max(trajs, key=lambda traj: traj.times[-1]).times
+        base = max((traj for _, traj in controllers), key=lambda traj: traj.times[-1]).times
     columns = [("t", base)]
-    for variant, traj, h in zip(variants, trajs, steps):
-        columns.append((f"y_{variant.value}", _nearest_resample(traj, base, t0, h)))
-    if lbs is not None:
-        columns.append(("y_lbs", _nearest_resample(lbs, base, t0, LBS_REFERENCE_STEP)))
+    for (spec, h), traj in zip(jobs.values(), trajs):
+        name = spec.variant.value if spec is not None else "lbs"
+        columns.append((f"y_{name}", _nearest_resample(traj, base, t0, h)))
 
     names, arrays = zip(*columns)
     _announce(_write_csv(out / "compare.csv", names, arrays))
 
-    runs = [traj.record for traj in [*trajs, lbs] if traj is not None]
+    runs = [traj.record for traj in trajs]
     _announce(_write_json({"t0": t0, "tf": t_f, "runs": runs}, out / "compare.json"))
     return 0
 
@@ -562,8 +568,8 @@ def cmd_sweep(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     method = _value(cfg, "simulation.method")
     # One run per omega at the paper step; the averaged flow is exact.
     specs = [ControllerSpec(ControllerVariant.PROPOSED, omega=w) for w in vals]
-    runs = [(f"sweep.omegas[{i}]", _paper_step(spec)) for i, spec in enumerate(specs)]
-    run_steps = _check_steps(runs, 0.0, t_f)
+    jobs = {f"sweep.omegas[{i}]": (spec, _paper_step(spec)) for i, spec in enumerate(specs)}
+    run_steps = _check_steps(jobs, 0.0, t_f)
     _check_work("sweep.omegas", 1, run_steps)
     s0 = _single_initial(cfg, args.seed, "sweep", run_steps)
 
@@ -657,17 +663,13 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
     _check_zero_start(cfg, "chenfliess")
 
     T = math.tau * pps / spec.omega
-    n_steps = _value(cfg, "chenfliess.n_steps")
-    if n_steps is not None:
-        _check_work("chenfliess.n_steps", n_steps, step_cost)
-    else:
-        t_f = _value(cfg, "simulation.t_f", positive=True)
-        _check_work("simulation.t_f", 1, t_f / T * step_cost)
-        n_steps = _whole_steps(t_f, T)
+    t_f = _value(cfg, "simulation.t_f", positive=True)
+    _check_work("simulation.t_f", 1, t_f / T * step_cost)
+    n_steps = _whole_steps(t_f, T)
     if not math.isfinite(n_steps * T):
         raise ConfigError("controller.omega", "too small: the series run's end time overflows")
-    h = _paper_step(spec)
-    _check_steps([("controller.omega", h)], 0.0, n_steps * T)
+    job = (spec, _paper_step(spec))
+    _check_steps({"controller.omega": job}, 0.0, n_steps * T)
     s0 = _single_initial(cfg, args.seed, "chenfliess", n_steps * step_cost)
 
     for d in orders:
@@ -675,9 +677,8 @@ def cmd_chenfliess(cfg: dict, out: Path, args: argparse.Namespace) -> int:
         for path in traj.save(out / f"chenfliess_order{d}.csv"):
             _announce(path)
 
-    rhs, control, meta = _loop(plant, spec, s0)
-    ref = simulate(rhs, s0, 0.0, n_steps * T, h, Method.EULER, input_fn=control, meta=meta)
-    for path in ref.save(out / "reference.csv"):
+    (paths,) = _fork_runs(plant, [(job, s0, out / "reference.csv")], 0.0, n_steps * T, Method.EULER)
+    for path in paths:
         _announce(path)
     return 0
 

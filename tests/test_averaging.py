@@ -735,15 +735,14 @@ _BLOCK_FIRSTS = [(-2.0, -2.0), (-1.0, 0.0), (0.0, 2.0), (2.0, -1.0)]
     "late, witness, block_calls",
     [
         # infinite at t > 3 where y < 0 and at t > 1 elsewhere: the first
-        # block (all y < 0) turns non-finite at the third time sample, every
-        # later block at the second. The witness is in the second block at
-        # the second sample; the first block ran the third sample before the
-        # second block met its non-finite norm, the blocks after the second
-        # run the first sample only.
+        # block (all y < 0) would turn non-finite at the third time sample,
+        # every later block at the second. The witness is in the second block
+        # at the second sample, where the scan stops: the first block runs the
+        # first two samples, the blocks after the second the first only.
         (
             lambda x, t: np.where(x[..., :1] < 0.0, t > 3.0, t > 1.0),
             ([0.0, -2.0], 2.0 * math.pi / 3.0),
-            [1 + 3 * 3, 3 * 2, 3, 3],
+            [1 + 3 * 2, 3 * 2, 3, 3],
         ),
         # infinite at every t where y < -1.5, only in the first block: no
         # later block calls a field at all
@@ -760,9 +759,9 @@ def test_audit_witness_is_the_time_major_first_non_finite_norm(
 ):
     """The witness of a scan whose blocks turn non-finite at different
     times is the time-major first non-finite norm, as in the point-wise
-    scan. Each block stops at its own first non-finite norm, and runs no
-    time sample at or after the earliest one where an earlier block met
-    one: the per-block field calls pin that stop rule."""
+    scan. The scan runs each time sample over every block and stops at
+    that norm, so no block runs a later time sample: the per-block field
+    calls pin that stop."""
     base = proposed_design_system(PLANT)
     calls: dict = {}
 
@@ -783,6 +782,31 @@ def test_audit_witness_is_the_time_major_first_non_finite_norm(
     # one mesh-shape probe (on the whole mesh, which starts with the first
     # block), then 3 calls per time sample a block runs
     assert calls == {first: n for first, n in zip(_BLOCK_FIRSTS, block_calls) if n}
+
+
+def test_audit_calls_no_field_past_its_first_non_finite_norm(monkeypatch):
+    """The sine field is infinite where y > -0.5 and t > 1, and raises where
+    y < -1.5 and t > 3. On the 5 x 5 mesh over [-2, 2]^2 in seven-state
+    blocks the second block turns non-finite at the second of four time
+    samples, t = 2.094, before any block reaches t = 4.19, where the first
+    block's states y = -2 would raise: the report is the point-wise scan's,
+    bound inf with its witness, byte for byte."""
+    base = proposed_design_system(PLANT)
+
+    def f_sin(x, t):
+        y = np.asarray(x, float)[..., :1]
+        if t > 3.0 and (y < -1.5).any():
+            raise RuntimeError(f"the scan called the field at t = {t:.3g} past its stop")
+        return np.where((y > -0.5) & (t > 1.0), np.inf, 1.0) * base.fields[0](x, t)
+
+    sys = AffineSystem(base.drift, (f_sin, base.fields[1]), base.dithers)
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_check_assumptions(sys, box, grid=5, time_samples=4)
+    assert want.a2_bound == math.inf
+    assert (want.a2_witness["x"], want.a2_witness["t"]) == ([0.0, -2.0], 2.0 * math.pi / 3.0)
+    monkeypatch.setattr(averaging, "_A2_BLOCK_ROWS", 7)
+    assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
 
 
 def test_audit_witness_of_a_tie_across_blocks_is_the_earlier_time(monkeypatch):
@@ -917,6 +941,25 @@ def test_time_blind_audit_stops_at_the_first_block_that_overflows(monkeypatch):
     assert _report_json(sys, box, 5, time_samples=4) == json.dumps(want.to_dict())
     # each of the three fields: the mesh-shape probe and one call on the first block
     assert calls == {(-1e200, -2.0): 3 * 2}
+
+
+def test_time_blind_audit_builds_one_time_sample():
+    """The design split's fields never read t, so only t = 0 is scanned and
+    no grid of the other time samples is built: at a million time samples
+    on a 2 x 2 mesh the audit peaks under 2 MB (8 MB for the grid alone)."""
+    tracemalloc.start()
+    try:
+        report = check_assumptions(
+            proposed_design_system(PLANT),
+            ((-2.0, 2.0), (-2.0, 2.0)),
+            grid=2,
+            time_samples=10**6,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.a2_witness["t"] == 0.0
+    assert peak < 2_000_000
 
 
 def test_audit_memory_per_mesh_state_is_bounded():

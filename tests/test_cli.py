@@ -343,22 +343,31 @@ def test_compare_needs_single_initial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "variants, rows_expected",
+    "variants, with_lbs, rows_expected",
     # At omega = 1 the dithered laws take the step 2*pi/40 and diverge
-    # (proposed at step 7, swapped at step 6); nussbaum takes 1e-4 to t = 3.
-    [(["proposed", "nussbaum"], 30_001), (["swapped", "proposed"], 7)],
-    ids=["coarsest-diverged", "all-diverged"],
+    # (proposed at step 7, swapped at step 6); nussbaum and the averaged
+    # reference take 1e-4 to t = 3.
+    [
+        (["proposed", "nussbaum"], False, 30_001),
+        (["swapped", "proposed"], False, 7),
+        (["swapped", "proposed"], True, 7),
+    ],
+    ids=["coarsest-diverged", "all-diverged", "all-diverged-with-lbs"],
 )
-def test_compare_grid_follows_the_coarsest_completed_run(tmp_path, variants, rows_expected):
-    """compare.csv runs on the grid of the coarsest run that completed, or of
-    the run that got furthest when none did; a diverged run holds its last
-    value. The coarsest step's grid used to end where that run diverged."""
+def test_compare_grid_follows_the_coarsest_completed_run(
+    tmp_path, variants, with_lbs, rows_expected
+):
+    """compare.csv runs on the grid of the coarsest controller run that
+    completed, or of the one that got furthest when none did; a diverged run
+    holds its last value. The averaged reference, which completes, never sets
+    the grid. The coarsest step's grid used to end where that run diverged."""
     cfg = _budget_case({"controller": {"omega": 1.0}, "simulation": {"t_f": 3.0}})
-    cfg["compare"] = {"variants": variants}
+    cfg["compare"] = {"variants": variants, "with_lbs": with_lbs}
     out = tmp_path / "out"
     assert _run("compare", _write_cfg(tmp_path, cfg), out) == 0
     runs = json.loads((out / "compare.json").read_text())["runs"]
-    assert [run["status"] == "ok" for run in runs] == [v == "nussbaum" for v in variants]
+    ok = [v == "nussbaum" for v in variants] + [True] * with_lbs
+    assert [run["status"] == "ok" for run in runs] == ok
     _, rows = _read_csv_columns(out / "compare.csv")
     assert len(rows) == rows_expected
     if rows_expected == 30_001:
@@ -743,9 +752,9 @@ def test_chenfliess_rejects_other_variants(tmp_path, capsys, controller):
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": controller,
-        "simulation": {"t0": 0.0},
+        "simulation": {"t0": 0.0, "t_f": 2 * math.tau / 400},
         "initial": {"y": 1.0, "k": 0.0},
-        "chenfliess": {"orders": [0], "n_steps": 2},
+        "chenfliess": {"orders": [0]},
     }
     out = tmp_path / "out"
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 2
@@ -757,35 +766,42 @@ def test_chenfliess_without_variant_runs_proposed(tmp_path):
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": {"omega": 400.0},
-        "simulation": {"t0": 0.0},
+        "simulation": {"t0": 0.0, "t_f": 2 * math.tau / 400},
         "initial": {"y": 1.0, "k": 0.0},
-        "chenfliess": {"orders": [0], "n_steps": 2},
+        "chenfliess": {"orders": [0]},
     }
     out = tmp_path / "out"
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
     assert json.loads((out / "reference.json").read_text())["variant"] == "proposed"
 
 
-def test_chenfliess_explicit_step_count(tmp_path):
+def test_chenfliess_step_count_is_an_unknown_field(tmp_path, capsys):
+    """The series horizon comes from simulation.t_f alone: a step count in
+    the chenfliess section is refused as an undeclared key."""
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": {"variant": "proposed", "omega": 400.0},
-        "simulation": {"t0": 0.0},
+        "simulation": {"t0": 0.0, "t_f": 2 * math.tau / 400},
         "initial": {"y": 1.0, "k": 0.0},
         "chenfliess": {"orders": [0], "n_steps": 5},
     }
     out = tmp_path / "out"
-    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
-    _, rows = _read_csv_columns(out / "chenfliess_order0.csv")
-    assert len(rows) == 6
+    assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 2
+    assert capsys.readouterr().err == (
+        "config error: chenfliess.n_steps: unknown field (known here: orders, periods_per_step)\n"
+    )
+    assert not any(out.iterdir())
 
 
-def test_chenfliess_step_count_needs_no_simulation_section(tmp_path, capsys):
+def test_chenfliess_horizon_is_whole_periods_of_simulation_t_f(tmp_path, capsys):
+    """Two dither periods of t_f give two series steps and a reference run
+    that ends at 2T; without a simulation section there is no horizon."""
     cfg = {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": {"variant": "proposed", "omega": 400.0},
+        "simulation": {"t_f": 2 * math.tau / 400},
         "initial": {"y": 1.0, "k": 0.0},
-        "chenfliess": {"orders": [0], "n_steps": 2},
+        "chenfliess": {"orders": [0]},
     }
     out = tmp_path / "out"
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 0
@@ -793,7 +809,7 @@ def test_chenfliess_step_count_needs_no_simulation_section(tmp_path, capsys):
     assert len(rows) == 3
     assert json.loads((out / "reference.json").read_text())["tf"] == 2 * math.tau / 400.0
 
-    del cfg["chenfliess"]["n_steps"]
+    del cfg["simulation"]
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), out) == 2
     assert "config error: simulation: missing required section" in capsys.readouterr().err
 
@@ -851,11 +867,6 @@ _SERIES = {"chenfliess": {"orders": [0, 1, 2, 3]}}
         ),
         ("sweep", _budget_case({"sweep": {"omegas": [100.0, 1e6]}}), "sweep.omegas"),
         ("chenfliess", _budget_case({**_SERIES, "simulation": {"t_f": 1e4}}), "simulation.t_f"),
-        (
-            "chenfliess",
-            _budget_case({"chenfliess": {"orders": [0], "n_steps": 10**400}}),
-            "chenfliess.n_steps",
-        ),
         # t_f / T overflows to inf; the step count is never formed.
         (
             "chenfliess",
@@ -878,7 +889,6 @@ _SERIES = {"chenfliess": {"orders": [0, 1, 2, 3]}}
         "compare",
         "sweep",
         "series-t_f",
-        "n_steps",
         "series-omega",
         "periods",
     ],
@@ -969,10 +979,12 @@ def test_work_budget_counts_series_steps_and_reference(
 ):
     """Two series steps at two orders, plus 2 * 40 Euler reference steps: 84."""
     monkeypatch.setattr(cli, "WORK_BUDGET", budget)
-    cfg = _budget_case({"chenfliess": {"orders": [0, 1], "n_steps": 2}})
+    cfg = _budget_case(
+        {"simulation": {"t_f": 2 * math.tau / 50}, "chenfliess": {"orders": [0, 1]}}
+    )
     assert _run("chenfliess", _write_cfg(tmp_path, cfg), tmp_path / "out") == code
     if code:
-        assert "config error: chenfliess.n_steps: " in capsys.readouterr().err
+        assert "config error: simulation.t_f: " in capsys.readouterr().err
 
 
 # -- inputs that once ended in a traceback ------------------------------------------
@@ -1091,7 +1103,11 @@ def _preset_case(name, **simulation):
         (
             "chenfliess",
             _budget_case(
-                {"controller": {"omega": 1e308}, "chenfliess": {"orders": [0], "n_steps": 1}}
+                {
+                    "controller": {"omega": 1e308},
+                    "simulation": {"t_f": math.tau / 1e308},
+                    "chenfliess": {"orders": [0]},
+                }
             ),
             "controller.omega",
         ),
@@ -1417,7 +1433,7 @@ def test_declared_fields_a_command_does_not_read_are_allowed(tmp_path):
         "compare": PRESETS["fig2"]["compare"],
         "sweep": {"omegas": [50.0]},
         "check": {"grid": 4, "nussbaum": {"k_max": 25.0}},
-        "chenfliess": {**PRESETS["fig4"]["chenfliess"], "n_steps": 3},
+        "chenfliess": PRESETS["fig4"]["chenfliess"],
     }
     out = tmp_path / "out"
     assert _run("simulate", _write_cfg(tmp_path, cfg), out) == 0
@@ -1495,8 +1511,8 @@ def _field_paths(node, prefix=""):
 
 def test_readme_config_example_names_exactly_the_declared_fields():
     """The README's full config example names every declared field and no
-    other key; its commented alternatives (initial.random.*,
-    chenfliess.n_steps) count as named."""
+    other key; its commented alternative (initial.random.*) counts as
+    named."""
     example = README.read_text().split("```yaml\n", 1)[1].split("```", 1)[0]
     uncommented = re.sub(r"^(\s*)# (\s*\w+:)", r"\1\2", example, flags=re.MULTILINE)
     named = {path for text in (example, uncommented) for path in _field_paths(yaml.safe_load(text))}
@@ -1546,9 +1562,9 @@ FUZZ_BASES = {
     "chenfliess": {
         "plant": {"a": 10.0, "b": -2.0},
         "controller": {"variant": "proposed", "omega": 400.0},
-        "simulation": {"t0": 0.0, "t_f": 0.1},
+        "simulation": {"t0": 0.0, "t_f": 3 * math.tau / 400},
         "initial": {"y": 1.0, "k": 0.0},
-        "chenfliess": {"orders": [0, 1], "periods_per_step": 1, "n_steps": 3},
+        "chenfliess": {"orders": [0, 1], "periods_per_step": 1},
     },
 }
 
