@@ -43,7 +43,6 @@ from .integrate import (
     _blocks,
     _fork_map,
     _method,
-    _runner,
     _start_record,
     _write_csv,
 )
@@ -157,8 +156,9 @@ def approximation_sweep(
     Method or its name, is refused before any run.
 
     Each run is compared a block at a time as `integrate._blocks` yields
-    it, and its error is the largest of its blocks' gaps, so a run holds
-    one block of samples, not the whole run.
+    it, the start sample alone and then the samples of each kernel call,
+    and its error is the largest of its blocks' gaps, so a run holds one
+    block of samples, not the whole run.
 
     Results are returned in the order the omegas were given; any
     decrease with omega is observed, not assumed. At this step, h*omega
@@ -184,10 +184,9 @@ def approximation_sweep(
     def gap(w: float) -> float:
         spec = ControllerSpec(ControllerVariant.PROPOSED, omega=float(w))
         rhs, _, _ = _loop(p, spec, s0)
-        kernel, field, _ = _runner(rhs, method)
         err = 0.0
         for times, ys, ks, _, rejected in _blocks(
-            kernel, field, s0.as_tuple(), 0.0, t_f, _paper_step(spec)
+            rhs, method.value, s0.as_tuple(), 0.0, t_f, _paper_step(spec)
         ):
             if rejected:
                 return math.inf

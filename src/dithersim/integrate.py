@@ -14,10 +14,12 @@ the kernel inlines with the same compiler, so each step makes no Python
 call into the field; when the u column asks for the control of the same
 `closed_loop` call, the kernel keeps the u it computes at each step's
 start. Any other callable, and so also a wrapper of such a closure, is
-called at each stage. A kernel takes its start state and a range of global
-step indices, so the generator `_blocks` calls it one block of steps at a
-time and yields each block's samples and their times as float64 arrays;
-the time rule lives there alone. `simulate` packs the blocks into arrays
+called at each stage. Every run enters through the generator `_blocks`,
+which picks that kernel and yields the start sample as a block of its own.
+A kernel takes its start state and a range of global step indices, so
+`_blocks` then calls it one block of steps at a time and yields each
+block's samples, their times and the u's it kept as float64 arrays; the
+time rule lives there alone. `simulate` packs the blocks into arrays
 sized for the whole run, so a long run holds about 32 bytes per sample
 (t, y, k, u), not a Python float per value; `analysis.approximation_sweep`
 compares each block with the exact averaged flow as it comes and keeps none.
@@ -389,13 +391,14 @@ def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
 # callable f is the call `dy, dk = f((y, k), ts)`; a `FusedField` supplies
 # its own `bind`, `time` and `field`. The series step is a one-step map
 # s -> f(s) that ignores t0 and h; it also catches the ValueError of a
-# non-finite `chen_fliess_step`. `_blocks` turns the lists into float64
-# arrays after each call, yields them with their times and clears them.
+# non-finite `chen_fliess_step`. `_blocks` passes every kernel all three
+# lists, turns them into float64 arrays after each call, yields them with
+# their times and clears them.
 
 _BOUND = 1e9  # a state with |y| or |k| above this, or non-finite, ends a run
 
 _RUN_TEMPLATE = """\
-def run(f, y, k, t0, h, i0, i1, ys, ks, us=None):
+def run(f, y, k, t0, h, i0, i1, ys, ks, us):
     {bind}
     sin, cos, y_append, k_append = _sin, _cos, ys.append, ks.append
     h2, sixth = 0.5 * h, h / 6.0
@@ -479,78 +482,76 @@ _MARCH_BLOCK_STEPS = 4096  # steps per kernel call in `_blocks`
 
 
 def _blocks(
-    kernel: Callable,
-    field: Callable,
+    rhs: Callable,
+    scheme: str,
     s: tuple[float, float],
     t0: float,
     t_f: float,
     h: float,
-    keep_u: bool = False,
+    input_fn: InputFn | None = None,
 ) -> Iterator[tuple]:
-    """Run kernel(field, ...) from s over [t0, t_f] with the rules `simulate`
-    documents: whole steps of size h, then one shortened step to t_f, on a
-    time grid `_grid` accepts (ValueError at the first `next` otherwise).
+    """Run rhs by scheme ("euler", "rk4" or "series") from s over [t0, t_f]
+    with the rules `simulate` documents: whole steps of size h, then one
+    shortened step to t_f, on a time grid `_grid` accepts (ValueError at the
+    first `next` otherwise). A closure from `closed_loop` or
+    `lie_bracket_loop` runs with its `FusedField` inlined, keeping the u at
+    each accepted step's start when input_fn is the control of the same
+    `closed_loop` call; any other callable is called at each stage.
 
-    Each kernel call takes at most _MARCH_BLOCK_STEPS steps, and the
-    shortened step is a call of its own. Per call this yields the block
-    (times, ys, ks, us, rejected): the call's accepted samples and their
-    times as float64 arrays, the first block led by the start sample s; with
-    keep_u (a fused kernel), the u kept at the start of each accepted step,
-    that is at the sample before each of the call's results, else None; and
-    whether the call rejected a step, after which nothing more is yielded.
-    A run of no steps (t_f == t0) is one block, the start sample alone.
+    This yields (times, ys, ks, us, rejected) for the start sample s alone,
+    then for each kernel call of at most _MARCH_BLOCK_STEPS steps (the
+    shortened step is a call of its own): its accepted samples, their times
+    and the u's it kept (none unless kept) as float64 arrays, and whether
+    it rejected a step, after which nothing more is yielded.
 
     Sample i is at t0 + i*h, except at the ends, which are set outright:
     the first sample is at t0, so a start at -0.0 keeps its sign, and the
     last sample of a completed run is at t_f."""
     n_full, shortened = _grid(t0, t_f, h)
+    fused = getattr(rhs, "fused", None)
+    keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
+    kernel = _kernel(scheme, fused, keep_u)
+    field = rhs if fused is None else fused
     block = _MARCH_BLOCK_STEPS
     # (start time, step, i0, i1) of each kernel call; step i of a call
-    # starts at its start time + i*step. With no step to take, one empty call.
+    # starts at its start time + i*step.
     calls = [(t0, h, i, min(i + block, n_full)) for i in range(0, n_full, block)]
     if shortened:
         t_last = t0 + n_full * h
         calls.append((t_last, t_f - t_last, 0, 1))
-    calls = calls or [(t0, h, 0, 0)]
     y, k = s
-    ys, ks, us = [y], [k], [] if keep_u else None
-    j0 = 0  # index of the block's first sample
+    yield np.array([t0]), np.array([y]), np.array([k]), np.empty(0), False
+    ys, ks, us = [], [], []
+    j0 = 1  # index of the block's first sample
     for c, (start, step, i0, i1) in enumerate(calls):
         rejected = kernel(field, y, k, start, step, i0, i1, ys, ks, us)
         j1 = j0 + len(ys)
         times = t0 + np.arange(j0, j1) * h
-        if j0 == 0:
-            times[0] = t0
-        if not rejected and c == len(calls) - 1 and j1 > 1:
+        if not rejected and c == len(calls) - 1:
             times[-1] = t_f
-        yield times, np.array(ys), np.array(ks), None if us is None else np.array(us), rejected
+        yield times, np.array(ys), np.array(ks), np.array(us), rejected
         if rejected:
             return
-        # A call that rejects no step accepts at least one, unless it is the
-        # empty call, which is the last.
+        # A call that rejects no step accepts at least one.
         y, k = ys[-1], ks[-1]
         ys.clear()
         ks.clear()
-        if keep_u:
-            us.clear()
+        us.clear()
         j0 = j1
 
 
 def _march(
-    kernel: Callable,
     rhs: Callable,
+    scheme: str,
     s: tuple[float, float],
     t0: float,
     t_f: float,
     h: float,
     meta: dict,
     input_fn: InputFn | None = None,
-    keep_u: bool = False,
 ) -> Trajectory:
-    """The Trajectory of `_blocks(kernel, rhs, s, t0, t_f, h, keep_u)`, with
-    input_fn's value at each sample as the u column when given. With keep_u,
-    the kernel is a fused one that keeps input_fn's value at the start of
-    each accepted step.
+    """The Trajectory of `_blocks(rhs, scheme, s, t0, t_f, h, input_fn)`,
+    with input_fn's value at each sample as the u column when given.
 
     The blocks go into float64 arrays sized for the whole run, so a run
     never holds more than one block of samples as Python floats. A run that
@@ -560,28 +561,26 @@ def _march(
     times, ys, ks = np.empty(size), np.empty(size), np.empty(size)
     us = np.empty(size) if input_fn is not None else None
     filled = 0  # samples packed so far
+    kept = 0  # u's kept so far: those of samples 0 to kept - 1
     rejected = False
-    for t, y, k, u, rejected in _blocks(kernel, rhs, s, t0, t_f, h, keep_u):
+    for t, y, k, u, rejected in _blocks(rhs, scheme, s, t0, t_f, h, input_fn):
         end = filled + len(t)
         times[filled:end], ys[filled:end], ks[filled:end] = t, y, k
-        if keep_u:
-            # The u kept at a step's start is that of the sample before its result.
-            us[end - 1 - len(u) : end - 1] = u
+        if len(u):
+            us[kept : kept + len(u)] = u
+            kept += len(u)
         filled = end
     if rejected:
         times, ys, ks = times[:filled].copy(), ys[:filled].copy(), ks[:filled].copy()
         us = None if us is None else us[:filled].copy()
 
     if input_fn is not None:
-        # A kept u is input_fn at its sample bit for bit, except at the first
-        # sample, whose kernel time t0 + 0*h drops the sign of a t0 at -0.0;
-        # the last sample starts no accepted step. Both are evaluated here,
-        # and without kept u every sample is, a block at a time.
+        # A kept u is input_fn at its sample bit for bit, except at sample 0,
+        # whose kernel time t0 + 0*h drops the sign of a t0 at -0.0. Sample 0
+        # and every sample without a kept u are evaluated here, in sample
+        # order and a block at a time.
         block = _MARCH_BLOCK_STEPS
-        if keep_u:
-            spans = [(0, 1)] + ([(filled - 1, filled)] if filled > 1 else [])
-        else:
-            spans = [(j, min(j + block, filled)) for j in range(0, filled, block)]
+        spans = [(0, 1)] + [(j, min(j + block, filled)) for j in range(max(kept, 1), filled, block)]
         for j0, j1 in spans:
             states = zip(ys[j0:j1].tolist(), ks[j0:j1].tolist())
             us[j0:j1] = list(map(input_fn, states, times[j0:j1].tolist()))
@@ -624,8 +623,7 @@ def simulate(
     if t_f < t0:
         raise ValueError("simulate: t_f must not precede t0")
     run_meta = {**(meta or {}), "method": method.value}
-    kernel, field, keep_u = _runner(rhs, method, input_fn)
-    return _march(kernel, field, _as_pair(s0), t0, t_f, h, run_meta, input_fn, keep_u)
+    return _march(rhs, method.value, _as_pair(s0), t0, t_f, h, run_meta, input_fn)
 
 
 def _method(method: Method | str, caller: str) -> Method:
@@ -635,19 +633,6 @@ def _method(method: Method | str, caller: str) -> Method:
     if not isinstance(method, Method):
         raise ValueError(f"{caller}: method must be a Method or its name, not {method!r}")
     return method
-
-
-def _runner(
-    rhs: Rhs2, method: Method, input_fn: InputFn | None = None
-) -> tuple[Callable, Callable, bool]:
-    """(kernel, field, keep_u) for `_blocks` to run rhs by method: for a
-    closure from `closed_loop` or `lie_bracket_loop`, the kernel with its
-    `FusedField` inlined, which keeps the u it computes when input_fn is the
-    control of the same `closed_loop` call; for any other callable, the
-    kernel that calls rhs at each stage."""
-    fused = getattr(rhs, "fused", None)
-    keep_u = fused is not None and getattr(input_fn, "fused", None) is fused
-    return _kernel(method.value, fused, keep_u), rhs if fused is None else fused, keep_u
 
 
 # -- whole-period series stepping ----------------------------------------------
@@ -818,7 +803,7 @@ def chen_fliess_simulate(
         **_start_record(p, y0, k0),
     }
     # t_f is a whole number of steps, so the driver takes no shortened step.
-    return _march(_kernel("series"), step, (y0, k0), 0.0, n_steps * T, T, meta)
+    return _march(step, "series", (y0, k0), 0.0, n_steps * T, T, meta)
 
 
 # -- independent runs in forked lanes -----------------------------------------------

@@ -919,14 +919,11 @@ def _check_case(check):
         ({"grid": 10**30}, "check.grid", "mesh states"),
         # 578^2 = 334,084 mesh states, over WORK_BUDGET // 6 = 333,333.
         ({"grid": 578, "time_samples": 1}, "check.grid", "mesh states"),
-        ({"time_samples": 10**30}, "check.time_samples", "audited samples"),
-        # 400^2 * 13 = 2,080,000 samples.
-        ({"grid": 400, "time_samples": 13}, "check.time_samples", "audited samples"),
         ({"nussbaum": {"grid": 10**30}}, "check.nussbaum.grid", "gain-shape evaluations"),
         # 3 * 666,667 = 2,000,001 evaluations.
         ({"nussbaum": {"grid": 666_667}}, "check.nussbaum.grid", "gain-shape evaluations"),
     ],
-    ids=["grid-huge", "grid-mesh", "samples-huge", "samples", "nussbaum-huge", "nussbaum"],
+    ids=["grid-huge", "grid-mesh", "nussbaum-huge", "nussbaum"],
 )
 def test_oversized_check_is_refused_before_auditing(
     tmp_path, capsys, monkeypatch, check, field, unit
@@ -941,6 +938,18 @@ def test_oversized_check_is_refused_before_auditing(
     err = capsys.readouterr().err
     assert f"config error: {field}: the command would take more {unit}" in err
     assert not (out / "check.json").exists()
+
+
+def test_check_audits_any_time_sample_count_at_one_time_sample(tmp_path):
+    """Both audited designs are blind to time, so the audit scans one time
+    sample whatever check.time_samples is: the fig1 check at 10**30 of them
+    runs and writes the check.json recorded in tests/check_fig1.sha256."""
+    want, name = (Path(__file__).parent / "check_fig1.sha256").read_text().split()
+    cfg = copy.deepcopy(PRESETS["fig1"])
+    cfg.setdefault("check", {})["time_samples"] = 10**30
+    out = tmp_path / "out"
+    assert _run("check", _write_cfg(tmp_path, cfg), out) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
 @pytest.mark.parametrize(
@@ -958,6 +967,28 @@ def test_check_at_its_bounds_reaches_the_audit(tmp_path, monkeypatch, check):
         monkeypatch.setattr(cli, name, _reached)
     with pytest.raises(_Reached):
         _run("check", _write_cfg(tmp_path, _check_case(check)), tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "check, field, rule",
+    [
+        ({"region_min": 1.0, "region_max": 1.0}, "check.region_min", "must be below"),
+        ({"nussbaum": {"k0": 5.0, "k_max": 5.0}}, "check.nussbaum.k_max", "must exceed k0"),
+        # k0 - 2*(k_max - k0) is finite, but the doubled horizon's end is not.
+        ({"nussbaum": {"k0": 1e308, "k_max": 1.5e308}}, "check.nussbaum.k_max", "must exceed k0"),
+    ],
+    ids=["empty-region", "empty-horizon", "doubled-horizon-overflows"],
+)
+def test_check_refuses_a_degenerate_box_or_horizon_before_auditing(
+    tmp_path, capsys, monkeypatch, check, field, rule
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a degenerate check started to audit")
+
+    for name in ("check_assumptions", "nussbaum_type_check"):
+        monkeypatch.setattr(cli, name, never)
+    assert _run("check", _write_cfg(tmp_path, _check_case(check)), tmp_path) == 2
+    assert f"config error: {field}: {rule}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget, code", [(11, 2), (12, 0)])

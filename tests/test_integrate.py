@@ -500,11 +500,10 @@ def test_simulate_calls_other_callables_at_each_stage():
     """A wrapper of a fused closure carries no descriptor, so the kernel
     calls it at each stage, with the same result. Next to a control from
     another closed_loop call, a fused rhs keeps no u and evaluates that
-    control."""
+    control once per sample, in sample order, across blocks of 7 steps."""
     spec = ControllerSpec(ControllerVariant.PROPOSED, omega=40.0)
     rhs, control = closed_loop(PLANT, spec)
     _, other_control = closed_loop(PLANT, spec)
-    fused = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=control)
     calls = []
 
     def wrapped(s, t):
@@ -515,14 +514,58 @@ def test_simulate_calls_other_callables_at_each_stage():
         calls.append(t)
         return other_control(s, t)
 
-    plain = simulate(wrapped, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=other_control)
-    assert len(calls) == 4 * (len(plain) - 1)
-    calls.clear()
-    other = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=counted_control)
-    assert len(calls) == len(other)
+    with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", _SMALL_BLOCK):
+        fused = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=control)
+        plain = simulate(wrapped, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=other_control)
+        assert len(calls) == 4 * (len(plain) - 1)
+        calls.clear()
+        other = simulate(rhs, (1.0, 0.0), 0.0, 0.5, 0.01, Method.RK4, input_fn=counted_control)
+    assert calls == other.times.tolist()
     for traj in (plain, other):
         for column in ("times", "ys", "ks", "us"):
             assert getattr(traj, column).tobytes() == getattr(fused, column).tobytes()
+
+
+def test_blocks_yield_the_start_sample_then_one_block_per_kernel_call():
+    """With blocks of 7 steps, `_blocks` yields the start sample alone, then
+    one block per kernel call: at most 7 samples each, the shortened step a
+    block of its own and the last sample at t_f. The u's kept number the
+    accepted steps for a closure's own control and none for a foreign
+    control or a plain callable. A run of no steps yields the start block
+    alone, and one rejected on its first step the start block and then an
+    empty rejected block."""
+    spec = ControllerSpec(ControllerVariant.PROPOSED, omega=40.0)
+    rhs, control = closed_loop(PLANT, spec)
+    _, other_control = closed_loop(PLANT, spec)
+    plain = lambda s, t: rhs(s, t)  # noqa: E731
+    with mock.patch.object(integrate, "_MARCH_BLOCK_STEPS", _SMALL_BLOCK):
+        for run_rhs, input_fn, keeps_u in [
+            (rhs, control, True),
+            (rhs, other_control, False),
+            (rhs, None, False),
+            (plain, control, False),
+        ]:
+            blocks = integrate._blocks(run_rhs, "euler", (1.0, 0.5), -0.0, 0.205, 0.01, input_fn)
+            times, ys, ks, us, rejected = zip(*blocks)
+            assert [len(t) for t in times] == [1, 7, 7, 6, 1]
+            assert [len(t) for t in ys] == [len(t) for t in ks] == [1, 7, 7, 6, 1]
+            assert math.copysign(1.0, times[0][0]) == -1.0 and times[0][0] == 0.0
+            assert (ys[0].tolist(), ks[0].tolist()) == ([1.0], [0.5])
+            assert times[-1][-1] == 0.205
+            assert not any(rejected)
+            assert [len(u) for u in us] == ([0, 7, 7, 6, 1] if keeps_u else [0] * 5)
+            assert all(u.dtype == np.float64 for u in us)
+
+        (only,) = integrate._blocks(rhs, "euler", (1.0, 0.5), 2.0, 2.0, 0.01, control)
+        assert [column.tolist() for column in only[:4]] == [[2.0], [1.0], [0.5], []]
+        assert only[4] is False
+
+        growth = lambda s, t: (s[0], 0.0)  # noqa: E731
+        blocks = list(integrate._blocks(growth, "euler", (9e8, 0.0), 0.0, 20.0, 1.0))
+        assert [(len(b[0]), len(b[1]), len(b[3]), b[4]) for b in blocks] == [
+            (1, 1, 0, False),
+            (0, 0, 0, True),
+        ]
 
 
 def test_every_compiled_source_fits_the_source_caches():
