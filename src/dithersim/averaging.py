@@ -465,45 +465,38 @@ _A2_BLOCK_ROWS = 512  # mesh states per block of the A2 scan; bounds its memory
 _A2_TIME_STEP = 1e-6  # central-difference step of the A2 time derivatives
 
 
-def _a2_block(x: np.ndarray, h: np.ndarray, houter: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What the A2 scan of the states x (N, dim) needs at every time: the
-    point sets (S, N, dim) and the doubled steps 2*h and 2*houter broadcast
-    to (N, dim), which keeps numpy's loops flat in `_jacobian`.
-
-    The point sets are x, its h-moves, its outer offsets x +- houter*e_d
-    and their h-moves, the last move-major so that each move spans every
-    offset.
-    """
-    n, dim = x.shape
-    moves = _axis_moves(h, dim)
-    off = x + _axis_moves(houter, dim)
-    pts = np.concatenate((x[None], x + moves, off, (off + moves[:, None]).reshape(-1, n, dim)))
-    h2, houter2 = (np.repeat(2.0 * s[:, None], dim, axis=1) for s in (h, houter))
-    return pts, h2, houter2
-
-
 def _time_blind(fields: Sequence[Field2]) -> bool:
     """Whether every field is a compiled `FusedField` call that binds no
     dither frequency (w == 0) and so never reads t."""
     return all(getattr(getattr(f, "fused", None), "w", None) == 0.0 for f in fields)
 
 
-def _a2_values(
-    fields: Sequence[Field2], pts: np.ndarray, t: float, blind: bool
-) -> list[list[np.ndarray]]:
-    """The field values one time sample of the A2 scan needs on the
-    `_a2_block` point sets pts (S, N, dim): [now, ahead, behind], each a
-    list of one (sets, N, dim) array per field, fields[0] the drift.
+def _a2_norms(fields: Sequence[Field2], x: np.ndarray, t: float, blind: bool) -> np.ndarray:
+    """The A2 norms (N, K) of the states x (N, dim) at time t, columns in
+    `check_assumptions`' label order; fields[0] is the drift, and `blind`
+    says that every field is `_time_blind`.
 
-    At t the norms need every point set; at t +- the time step only the
-    states and their h-moves, a prefix of pts. Each field is called once
-    per time value on the prefix it needs; fields `_time_blind` are
-    called at t only, their values at t +- the time step being the
-    prefixes of those at t.
+    With the steps h = 1e-6*(1+|x|) and houter = 1e-4*(1+|x|), the point
+    sets are x, its h-moves, its outer offsets x +- houter*e_d and their
+    h-moves, the last move-major so that each move spans every offset.
+    Each field is called once at t on the sets it needs and once at each
+    of t +- the time step on the states and their h-moves, a prefix of
+    those sets; `blind` fields are called at t only, their values at
+    t +- the time step being the prefixes of those at t. Every norm is a
+    slice, difference quotient or left-to-right product (`_matvec`) of
+    the values, with the arithmetic of `fd_jacobian` and `lie_bracket`.
     """
-    _, n, dim = pts.shape
+    n, dim = x.shape
+    nf = len(fields)
     n0, n1 = 1 + 2 * dim, 1 + 4 * dim
+    nx = _norm(x)
+    h, houter = 1e-6 * (1.0 + nx), 1e-4 * (1.0 + nx)
+    moves = _axis_moves(h, dim)
+    off = x + _axis_moves(houter, dim)
+    pts = np.concatenate((x[None], x + moves, off, (off + moves[:, None]).reshape(-1, n, dim)))
     flat = pts.reshape(-1, dim)
+    # the doubled steps broadcast to (N, dim) keep numpy's loops flat in `_jacobian`
+    h2, houter2 = (np.repeat(2.0 * s[:, None], dim, axis=1) for s in (h, houter))
 
     def at(f: Field2, t: float, sets: int) -> np.ndarray:
         return np.asarray(f(flat[: sets * n], t), float).reshape(sets, n, dim)
@@ -511,30 +504,14 @@ def _a2_values(
     # the drift enters no Lie derivative as f_j, so it needs no moved offsets
     # and at t +- step only the states themselves
     now = [at(f, t, len(pts) if i else n1) for i, f in enumerate(fields)]
+    near = [n0 if i else 1 for i in range(nf)]
     if blind:
-        near = [v[: n0 if i else 1] for i, v in enumerate(now)]
-        return [now, near, near]
-    return [
-        now,
-        [at(f, t + _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
-        [at(f, t - _A2_TIME_STEP, n0 if i else 1) for i, f in enumerate(fields)],
-    ]
-
-
-def _a2_norms(values: list[list[np.ndarray]], h2: np.ndarray, houter2: np.ndarray) -> np.ndarray:
-    """The A2 norms (N, K) of one time sample on an `_a2_block` of N states
-    from its `_a2_values`, columns in `check_assumptions`' label order.
-
-    Every norm is a slice, difference quotient or left-to-right product
-    (`_matvec`) of the values, with the arithmetic of `fd_jacobian` and
-    `lie_bracket`.
-    """
-    now, ahead, behind = values
-    nf = len(now)
-    _, n, dim = now[0].shape
-    n0, n1 = 1 + 2 * dim, 1 + 4 * dim
+        ahead = behind = [v[:sets] for v, sets in zip(now, near)]
+    else:
+        ahead = [at(f, t + _A2_TIME_STEP, sets) for f, sets in zip(fields, near)]
+        behind = [at(f, t - _A2_TIME_STEP, sets) for f, sets in zip(fields, near)]
     out = np.empty((n, nf * (2 * nf + 1)))
-    f_t, f_tp, f_tm = (np.stack([v[0] for v in vals]) for vals in values)
+    f_t, f_tp, f_tm = (np.stack([v[0] for v in vals]) for vals in (now, ahead, behind))
     f_off = np.stack([v[n0:n1] for v in now], axis=1)
     # (nf, N, k) views of out: (i, norm) columns, then (j, i, norm)
     field_cols = out[:, : 3 * nf].reshape(n, nf, 3).swapaxes(0, 1)
@@ -559,11 +536,10 @@ def _a2_scan(
 ) -> tuple[float, dict]:
     """The A2 bound and witness of `check_assumptions` over the state mesh
     (N, dim) at the given times; fields[0] is the drift, and `blind` says
-    that every field is `_time_blind`."""
+    that every field is `_time_blind`. It runs time-major over blocks of
+    `_A2_BLOCK_ROWS` states, and `_a2_norms` builds each block's steps,
+    point sets and time prefixes."""
     nf = len(fields)
-    nx = _norm(mesh)
-    h = 1e-6 * (1.0 + nx)
-    houter = 1e-4 * (1.0 + nx)
     # (norm, i, j) of each column of a time sample's (N, K) norm table
     labels = [(norm, i, None) for i in range(nf) for norm in ("field", "dt_field", "dx_field")]
     labels += [
@@ -579,9 +555,7 @@ def _a2_scan(
     best = (-math.inf, 0.0, 0)
     for t in times.tolist():
         for lo in range(0, len(mesh), _A2_BLOCK_ROWS):
-            b = slice(lo, lo + _A2_BLOCK_ROWS)
-            pts, h2, houter2 = _a2_block(mesh[b], h[b], houter[b])
-            norms = _a2_norms(_a2_values(fields, pts, t, blind), h2, houter2).ravel()
+            norms = _a2_norms(fields, mesh[lo : lo + _A2_BLOCK_ROWS], t, blind).ravel()
             bad = ~np.isfinite(norms)
             if bad.any():
                 return report(math.inf, t, lo * ncols + int(np.argmax(bad)))
@@ -699,22 +673,22 @@ def check_assumptions(
     stacked values of f_q, so each row, and so each sup, is what a call
     on that q alone gives.
 
-    The A2 scan runs time-major: at each time sample it takes the state
-    mesh one block of `_A2_BLOCK_ROWS` states at a time. Per block it
-    stacks the point sets the time sample needs: the states, their outer
-    offsets x +- 1e-4*(1+|x|)*e_d, and all of those moved by
-    +-1e-6*(1+|x|)*e_d for the Jacobians. Every field is called once at t
-    on those sets and once at each of t +- 1e-6 on the states and their
-    moves, 3 calls per field. Every norm is then a slice, difference
-    quotient or product of those values with the arithmetic of
-    `fd_jacobian` and `lie_bracket`, so it equals a point-wise scan's bit
-    for bit. When every field is a compiled `FusedField` call with no
-    dither frequency (w == 0), which never reads t, as the design splits
-    of `proposed_design_system` and `swapped_design_system` are, only
+    The A2 scan runs time-major: at each time sample it takes the state mesh
+    one block of `_A2_BLOCK_ROWS` states at a time. Per block `_a2_norms`
+    builds the steps, the point sets the time sample needs and their
+    prefixes: the states, their outer offsets x +- 1e-4*(1+|x|)*e_d, and all
+    of those moved by +-1e-6*(1+|x|)*e_d for the Jacobians. Every field is
+    called once at t on those sets and once at each of t +- 1e-6 on the
+    prefix of the states and their moves, 3 calls per field. Every norm is
+    then a slice, difference quotient or product of those values with the
+    arithmetic of `fd_jacobian` and `lie_bracket`, so it equals a point-wise
+    scan's bit for bit. When every field is a compiled `FusedField` call
+    with no dither frequency (w == 0), which never reads t, as the design
+    splits of `proposed_design_system` and `swapped_design_system` are, only
     t = 0 is scanned: each block calls each field once, at t, takes the
-    values at t +- 1e-6 as those at t and computes its norms once. Any
-    other field, a closure wrapping such a call included, is called and
-    normed at every time sample.
+    values at t +- 1e-6 as those at t and computes its norms once. Any other
+    field, a closure wrapping such a call included, is called and normed at
+    every time sample.
     Products and norms are sums of element-wise numpy ops in a fixed
     left-to-right order, with no BLAS call, so the report's bytes do not
     depend on the host's BLAS kernel. Fields must take x of shape

@@ -13,6 +13,7 @@ import operator
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -724,6 +725,36 @@ def test_audit_norms_fields_that_read_t_at_every_time_sample_and_block(monkeypat
     monkeypatch.setattr(averaging, "_a2_norms", counted_norms)
     assert _report_json(sys, box, 5) == json.dumps(want.to_dict())
     assert calls == 4 * 3
+
+
+_BOX_AXIS = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+@settings(max_examples=30)
+@given(
+    block_rows=st.integers(1, 9),
+    grid=st.integers(1, 4),
+    time_samples=st.integers(1, 3),
+    box=st.tuples(_BOX_AXIS, _BOX_AXIS),
+)
+@example(block_rows=1, grid=2, time_samples=2, box=((-2.0, 2.0),) * 2)
+@example(block_rows=8, grid=3, time_samples=1, box=((-2.0, 2.0),) * 2)
+@example(block_rows=5, grid=4, time_samples=3, box=((-3.0, 1.0), (0.0, 3.0)))
+def test_audit_report_at_any_block_boundary_is_the_point_wise_scans(
+    block_rows, grid, time_samples, box
+):
+    """Blocks of one state up to more than the whole mesh, with a last block
+    of any size down to one state, give the point-wise scan's report byte
+    for byte, for both design splits and for fields that read t."""
+    for sys in (
+        proposed_design_system(PLANT),
+        swapped_design_system(PLANT),
+        _half_time_dependent_system(),
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = reference_check_assumptions(sys, box, grid=grid, time_samples=time_samples)
+        with mock.patch.object(averaging, "_A2_BLOCK_ROWS", block_rows):
+            assert _report_json(sys, box, grid, time_samples) == json.dumps(want.to_dict())
 
 
 # keyed by each seven-state block's first state on the 5 x 5 mesh over

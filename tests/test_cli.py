@@ -1209,6 +1209,8 @@ def _preset_case(name, **simulation):
             ),
             "initial[0].random",
         ),
+        ("simulate", _budget_case({}, []), "initial"),
+        ("simulate", _budget_case({}, [5]), "initial[0]"),
         # A repeated key used to keep its last value.
         ("simulate", DUPLICATE_T_F, "config"),
         # The floats near 1e12 are 1.2e-4 apart, too coarse for the paper
@@ -1273,6 +1275,8 @@ def _preset_case(name, **simulation):
         "check-typos",
         "initial-entry-unknown-key",
         "initial-entry-random",
+        "initial-empty-list",
+        "initial-entry-not-a-mapping",
         "duplicate-key",
         "simulate-step-unresolved",
         "simulate-lbs-unresolved",
