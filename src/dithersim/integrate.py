@@ -333,7 +333,8 @@ def rk4_step(
 
 def _as_pair(s0: State | Sequence[float]) -> tuple[float, float]:
     if isinstance(s0, State):
-        return s0.as_tuple()
+        # A State is finite by construction; float() drops a numpy scalar type.
+        return float(s0.y), float(s0.k)
     y, k = map(float, s0)
     if not (math.isfinite(y) and math.isfinite(k)):
         raise ValueError("initial state must be finite")
@@ -390,8 +391,10 @@ def _grid(t0: float, t_f: float, h: float) -> tuple[int, bool]:
 # the u of each accepted step's first stage in `us`. The field of a plain
 # callable f is the call `dy, dk = f((y, k), ts)`; a `FusedField` supplies
 # its own `bind`, `time` and `field`. The series step is a one-step map
-# s -> f(s) that ignores t0 and h; it also catches the ValueError of a
-# non-finite `chen_fliess_step`. `_blocks` passes every kernel all three
+# s -> f(s) that ignores t0 and h: s starts as the pair (y, k), then is the
+# State f returned, carried into the next call as it is, so a step builds
+# and checks one State. It also catches the ValueError of a non-finite
+# `chen_fliess_step`. `_blocks` passes every kernel all three
 # lists, turns them into float64 arrays after each call, yields them with
 # their times and clears them.
 
@@ -445,7 +448,7 @@ a4, b4 = dy, dk
 y = yi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
 k = ki + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 """),
-    "series": ((OverflowError, ValueError), "y, k = f((y, k))\n"),
+    "series": ((OverflowError, ValueError), "s = f(s)\ny, k = s.y, s.k\n"),
 }
 
 
@@ -455,7 +458,9 @@ def _kernel(scheme: str, fused: FusedField | None = None, keep_u: bool = False) 
     source (see `dynamics._define`). A fused kernel takes the FusedField in
     place of rhs, and with keep_u appends the u at each accepted step's start."""
     if fused is None:
-        bind, field = (), ("dy, dk = f((y, k), ts)",)
+        # The series step's s starts as the pair (y, k).
+        bind = ("s = y, k",) if scheme == "series" else ()
+        field = ("dy, dk = f((y, k), ts)",)
 
         def time(t: str) -> tuple[str, ...]:
             return (f"ts = {t}",)
@@ -744,9 +749,11 @@ def chen_fliess_step(
 
     T must be finite and positive and periods a positive integer that
     converts to a float; anything else raises ValueError. s0 is a State or
-    a finite (y, k) pair, as for `simulate`. order selects rows by word
-    length, without the pure-drift Taylor rows, so that order 1 is one
-    Euler step of the averaged system (see `cftable.rows_for_order`).
+    a finite (y, k) pair, as for `simulate`; either is read as floats, so a
+    State of numpy scalars steps as the equal floats do and the result
+    holds floats. order selects rows by word length, without the
+    pure-drift Taylor rows, so that order 1 is one Euler step of the
+    averaged system (see `cftable.rows_for_order`).
     """
     y0, k0 = _as_pair(s0)
     dy, dk = _bound_terms(p.b, T, periods, order)(y0, p.a - p.b * k0)
@@ -764,6 +771,11 @@ def chen_fliess_simulate(
     """Iterate chen_fliess_step from t = 0 with T = 2*pi*periods_per_step/omega.
 
     s0 is a State or a finite (y, k) pair, as for `simulate`.
+
+    Each attempted step, a rejected one included, is one call of the
+    module global `chen_fliess_step`, so a wrapper of that name sees every
+    step. A call takes the State the one before it returned, except the
+    first of each kernel block (see `_blocks`), which takes a float pair.
 
     Each step re-centers the closed forms at its own start, which is
     exact because the dithers are 2*pi-periodic and every step spans
@@ -789,9 +801,9 @@ def chen_fliess_simulate(
     if not finite:
         raise ValueError("chen_fliess_simulate: the step T and the span n_steps * T must be finite")
 
-    def step(s: tuple[float, float]) -> tuple[float, float]:
+    def step(s: State | tuple[float, float]) -> State:
         # Arguments were validated above: a ValueError means a non-finite result.
-        return chen_fliess_step(p, s, T, order, periods=periods_per_step).as_tuple()
+        return chen_fliess_step(p, s, T, order, periods=periods_per_step)
 
     meta = {
         "scheme": "series",

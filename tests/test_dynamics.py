@@ -6,6 +6,7 @@ independently (symbolic substitution) before the module was written.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -66,6 +67,29 @@ def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         State(0.0, math.nan)
     assert State(1.0, 2.0).as_tuple() == (1.0, 2.0)
+
+
+def test_state_behaves_as_a_frozen_dataclass():
+    """The written-out __init__ keeps the generated one's contract: the same
+    refusal by keyword and through `replace`, no assignment, and the
+    generated eq, hash and repr over (y, k)."""
+    s = State(y=1.0, k=-2.0)
+    assert [f.name for f in dataclasses.fields(State)] == ["y", "k"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.y = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.k
+    assert dataclasses.replace(s, k=0.5) == State(1.0, 0.5)
+    with pytest.raises(ValueError, match=r"^State: y and k must be finite$"):
+        dataclasses.replace(s, y=math.inf)
+    with pytest.raises(ValueError, match=r"^State: y and k must be finite$"):
+        State(k=math.nan, y=0.0)
+    with pytest.raises(TypeError):
+        State(1.0)
+    assert s == State(1.0, -2.0) and s != State(1.0, 2.0) and s != (1.0, -2.0)
+    assert hash(s) == hash(State(1.0, -2.0)) and len({s, State(1.0, -2.0)}) == 1
+    assert repr(s) == "State(y=1.0, k=-2.0)"
+    assert dataclasses.astuple(s) == s.as_tuple() == (1.0, -2.0)
 
 
 def test_polar_state_rejects_negative_radius():

@@ -1135,6 +1135,28 @@ def test_chen_fliess_step_takes_a_pair():
         chen_fliess_step(PLANT, (math.nan, 0.0), 0.01, 1)
 
 
+def test_a_state_of_numpy_scalars_starts_runs_as_floats():
+    """A State holding numpy scalars is read as floats, as a pair is: the
+    step returns float fields, and a series or fixed-step run from it is the
+    run from the float start bit for bit."""
+    start = State(np.float64(1.0), np.float64(0.0))
+    for order in (0, 1, 2, 3):
+        s = chen_fliess_step(PLANT, start, 0.01, order)
+        assert (type(s.y), type(s.k)) == (float, float)
+        assert s == chen_fliess_step(PLANT, (1.0, 0.0), 0.01, order)
+        want = chen_fliess_simulate(PLANT, State(1.0, 0.0), 400.0, 1, 20, order)
+        got = chen_fliess_simulate(PLANT, start, 400.0, 1, 20, order)
+        for name in ("times", "ys", "ks"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.meta == want.meta
+        assert all(type(got.meta[key]) is float for key in ("y0", "k0"))
+    f, u = closed_loop(PLANT, ControllerSpec(ControllerVariant.PROPOSED, omega=400.0))
+    want = simulate(f, State(1.0, 0.0), 0.0, 0.05, 1e-4, Method.EULER, input_fn=u)
+    got = simulate(f, start, 0.0, 0.05, 1e-4, Method.EULER, input_fn=u)
+    for name in ("times", "ys", "ks", "us"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_chen_fliess_step_fixes_equilibria():
     for order in (0, 1, 2, 3):
         assert chen_fliess_step(PLANT, State(0.0, 2.5), 0.05, order) == State(0.0, 2.5)
@@ -1329,26 +1351,49 @@ def test_series_memo_keeps_equal_orders_of_other_types_apart(order):
 
 @pytest.mark.parametrize(
     "s0, order, n_calls",
-    [((1e8, 0.0), 0, 16), ((1e70, 0.5), 3, 1), ((0.7, -0.3), 3, 50)],
-    ids=["order0-past-bound", "order3-raises", "order3-ok"],
+    [
+        ((1e8, 0.0), 0, 16),
+        ((0.7, -0.3), 0, 50),
+        ((1.0, -160.0), 1, 8),
+        ((0.7, -0.3), 1, 50),
+        ((1.0, -160.0), 2, 9),
+        ((0.7, -0.3), 2, 50),
+        ((1e70, 0.5), 3, 1),
+        ((0.7, -0.3), 3, 50),
+    ],
+    ids=[
+        "order0-past-bound",
+        "order0-ok",
+        "order1-past-bound",
+        "order1-ok",
+        "order2-past-bound",
+        "order2-ok",
+        "order3-raises",
+        "order3-ok",
+    ],
 )
 def test_chen_fliess_simulate_calls_the_module_step_once_per_attempted_step(
     monkeypatch, s0, order, n_calls
 ):
     """A series run calls the module global `integrate.chen_fliess_step`
     once per attempted step, the rejected step included, with the order
-    as its fourth argument, so a wrapper of that global sees every step."""
-    orders = []
+    as its fourth argument, so a wrapper of that global sees every step.
+    The first call takes the start as a pair, and every later one the
+    State the call before it returned."""
+    orders, starts = [], []
     step = integrate.chen_fliess_step
 
     def counting(*args, **kwargs):
         orders.append(args[3])
+        starts.append(type(args[1]))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(integrate, "chen_fliess_step", counting)
     traj = chen_fliess_simulate(PLANT, s0, 400.0, 1, 50, order)
     assert orders == [order] * n_calls
+    assert starts == [tuple] + [State] * (n_calls - 1)
     assert len(traj) - 1 + traj.diverged == n_calls
+    assert traj.diverged == (n_calls < 50)
 
 
 def test_chen_fliess_step_refuses_periods_past_the_largest_float():
@@ -1607,6 +1652,40 @@ def test_fork_map_kills_and_reaps_its_children_when_interrupted(lanes):
         integrate._fork_map(fn, ["sleep", "interrupt"], [1.0, 2.0])
     assert time.monotonic() - start < 30.0
     _assert_no_child_left()
+
+
+def test_fork_map_kills_its_children_and_closes_its_pipes_when_a_fork_fails(
+    lanes, monkeypatch
+):
+    """With three lanes and os.fork failing on its second call, the error
+    reaches the caller, the child of the first fork is killed and reaped,
+    and no end of either pipe stays open."""
+    lanes(3)
+    fork = os.fork
+    calls = []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("fork refused")
+        return fork()
+
+    def fn(x):
+        time.sleep(60.0)  # only the first child runs this; it is killed
+        return x
+
+    fd_dir = "/proc/self/fd"
+    before = sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    monkeypatch.setattr(os, "fork", failing_fork)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="fork refused"):
+        integrate._fork_map(fn, ["a", "b", "c"], [1.0, 1.0, 1.0])
+    assert time.monotonic() - start < 30.0
+    assert len(calls) == 2
+    _assert_no_child_left()
+    if before is None:
+        pytest.skip(f"{fd_dir} does not exist: open pipe ends not checked")
+    assert sorted(os.listdir(fd_dir)) == before
 
 
 def test_fork_map_with_one_lane_is_the_loop(lanes):
